@@ -31,7 +31,7 @@ from .expr import (
     parse,
     unparse,
 )
-from .linalg import NumericalError, expm, max_singular_value, tensor3_norm_surrogate
+from .linalg import NumericalError, max_singular_value, tensor3_norm_surrogate
 from .system import BoxRegion, SpecValidationError, SystemSpec
 from .verify import (
     ConvergenceStudy,
@@ -74,7 +74,6 @@ __all__ = [
     "evaluate",
     "evaluate_bounds",
     "exact_step",
-    "expm",
     "gamma_d",
     "max_singular_value",
     "parse",

@@ -12,16 +12,18 @@ All estimates are empirical suprema: deterministic lower bounds on the
 true values.  gamma_c, beta, big_m use a uniform grid (gamma_c refined
 by a coordinate-descent polish); rho_c uses seeded random pairs plus
 near-coincident pairs that capture the local limit of the quotient.
-Sample evaluation may be chunked across threads (LIPDISC_THREADS); the
-reduction is a max, so results are bit-identical for a fixed seed
-regardless of worker count.
+
+The grid norms of gamma_c and beta are reduced in two steps: one
+batched LAPACK 2-norm screens every row, then the rows within a small
+relative band of the screened maximum are re-ranked by the pointwise
+kernels of ``linalg``, once per distinct matrix.  The supremum and its
+witness are therefore those of the pointwise kernel over the whole
+grid; exact ties go to the first grid point in C order.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +35,7 @@ from .system import SystemSpec
 _GRID_CAP = 1_000_000  # total grid points across all axes
 _PAIR_EPS = 1e-5  # offset of near-coincident pairs
 _MAX_FAIL_FRACTION = 0.1
+_SCREEN_BAND = 1e-9  # relative width of the re-ranked band below the screened max
 
 
 @dataclass(frozen=True)
@@ -81,32 +84,6 @@ class ConstantEstimates:
         if self.config is not None:
             out["sample_budget"] = self.config.to_jsonable()
         return out
-
-
-def worker_count() -> int:
-    """Parallelism cap from LIPDISC_THREADS; defaults to 1."""
-    raw = os.environ.get("LIPDISC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _chunk_map(fn, arrays: tuple[np.ndarray, ...], out_width: tuple[int, ...]):
-    """Apply a row-batched function in deterministic thread chunks."""
-    total = arrays[0].shape[0]
-    workers = worker_count()
-    if workers <= 1 or total < 2 * workers:
-        return fn(*arrays)
-    out = np.empty((total,) + out_width)
-    chunks = np.array_split(np.arange(total), workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            (idx, pool.submit(fn, *(a[idx] for a in arrays))) for idx in chunks if idx.size
-        ]
-        for idx, fut in futures:
-            out[idx] = fut.result()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +236,8 @@ def sup_pair_quotient(
     """
     if pairs is None:
         pairs = sample_pairs(s, cfg)
-    m1 = _chunk_map(map_batch, (pairs.x1, pairs.u), (s.n,))
-    m2 = _chunk_map(map_batch, (pairs.x2, pairs.u), (s.n,))
+    m1 = map_batch(pairs.x1, pairs.u)
+    m2 = map_batch(pairs.x2, pairs.u)
     dx = pairs.x1 - pairs.x2
     dm = m1 - m2
     dist_sq = np.einsum("ij,ij->i", dx, dx)
@@ -328,30 +305,52 @@ def _grid_sup(s: SystemSpec, cfg: SamplingConfig, values_for_rows) -> tuple[np.n
     return vals, pts
 
 
-def _sigma_rows(mats: np.ndarray) -> np.ndarray:
-    out = np.empty(mats.shape[0])
-    for i in range(mats.shape[0]):
-        if not np.all(np.isfinite(mats[i])):
-            out[i] = np.nan
-            continue
-        try:
-            out[i] = max_singular_value(mats[i])
-        except NumericalError:
-            out[i] = np.nan
-    return out
+def _norm_rows(stack: np.ndarray, kernel, band: float = _SCREEN_BAND) -> np.ndarray:
+    """Per-row norms of a (P, d1, ...) stack whose max and first argmax are
+    exactly those of ``kernel`` applied to every row; NaN marks rows that
+    are non-finite or where ``kernel`` fails.
+
+    One batched LAPACK 2-norm of the (P, d1, rest) unfoldings screens all
+    rows.  Rows within ``band`` (relative) of the screened max get the
+    ``kernel`` value, evaluated once per distinct matrix; the others keep
+    their screened value.  ``kernel`` never exceeds the 2-norm (a Rayleigh
+    quotient is at most sigma_max^2), so an unranked row stays below
+    top * (1 - band / 2); if the re-ranked best falls short of that, the
+    band widens until it holds or every row is re-ranked.
+    """
+    unfold = stack.reshape(stack.shape[0], stack.shape[1], -1)
+    finite = np.isfinite(unfold).all(axis=(1, 2))
+    screen = np.full(stack.shape[0], np.nan)
+    try:
+        if finite.all():  # no copy of the stack in the common case
+            screen = np.linalg.norm(unfold, ord=2, axis=(1, 2))
+        elif finite.any():
+            screen[finite] = np.linalg.norm(unfold[finite], ord=2, axis=(1, 2))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"batched 2-norm failed: {exc}") from exc
+    vals = screen.copy()
+    ranked = ~finite
+    top = float(np.max(screen, where=finite, initial=-np.inf))
+    while not ranked.all():
+        idx = np.flatnonzero(~ranked & (screen >= top * (1.0 - band)))
+        if idx.size:
+            ranked[idx] = True
+            distinct, inverse = np.unique(
+                stack[idx].reshape(idx.size, -1), axis=0, return_inverse=True
+            )
+            exact = [_kernel_or_nan(kernel, d.reshape(stack.shape[1:])) for d in distinct]
+            vals[idx] = np.array(exact)[inverse.ravel()]
+        if np.fmax.reduce(vals[ranked & finite]) >= top * (1.0 - 0.5 * band):
+            break
+        band *= 1e3
+    return vals
 
 
-def _surrogate_rows(tensors: np.ndarray) -> np.ndarray:
-    out = np.empty(tensors.shape[0])
-    for i in range(tensors.shape[0]):
-        if not np.all(np.isfinite(tensors[i])):
-            out[i] = np.nan
-            continue
-        try:
-            out[i] = tensor3_norm_surrogate(tensors[i])
-        except NumericalError:
-            out[i] = np.nan
-    return out
+def _kernel_or_nan(kernel, mat: np.ndarray) -> float:
+    try:
+        return kernel(mat)
+    except NumericalError:
+        return np.nan
 
 
 def _polish_setup(s: SystemSpec, cfg: SamplingConfig):
@@ -369,8 +368,7 @@ def estimate_gamma_c(s: SystemSpec, cfg: SamplingConfig) -> tuple[float, dict]:
     """
 
     def rows(x, u):
-        jac = _chunk_map(s.jacobian_batch, (x, u), (s.n, s.n))
-        return _chunk_map(_sigma_rows, (jac,), ())
+        return _norm_rows(s.jacobian_batch(x, u), max_singular_value)
 
     vals, pts = _grid_sup(s, cfg, rows)
     best_row = int(np.argmax(vals))
@@ -407,13 +405,12 @@ def estimate_beta_and_m(s: SystemSpec, cfg: SamplingConfig) -> tuple[float, floa
     """Grid suprema of ||d^2 f/dx^2|| (mode-1 surrogate) and ||f||."""
 
     def beta_rows(x, u):
-        hess = _chunk_map(s.second_derivative_batch, (x, u), (s.n, s.n, s.n))
-        return _chunk_map(_surrogate_rows, (hess,), ())
+        return _norm_rows(s.second_derivative_batch(x, u), tensor3_norm_surrogate)
 
     beta_vals, pts = _grid_sup(s, cfg, beta_rows)
 
     def m_rows(x, u):
-        f = _chunk_map(s.eval_f_batch, (x, u), (s.n,))
+        f = s.eval_f_batch(x, u)
         return np.sqrt(np.einsum("ij,ij->i", f, f))
 
     m_vals, _ = _grid_sup(s, cfg, m_rows)

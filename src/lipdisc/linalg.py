@@ -1,5 +1,5 @@
-"""Dense linear algebra kernels: induced 2-norm, matrix exponential,
-order-3 tensor norm surrogate.
+"""Dense linear algebra kernels: induced 2-norm, order-3 tensor norm
+surrogate, symmetric top eigenpair.
 
 Matrices and order-3 tensors are plain float ndarrays of shape (n, m)
 and (d1, d2, d3).  All functions are pure and deterministic: the power
@@ -48,28 +48,6 @@ def max_singular_value(a: np.ndarray, max_iter: int = 10_000, tol: float = 1e-14
     raise NumericalError(
         f"power iteration did not converge within {max_iter} iterations"
     )
-
-
-def expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(A t) by scaling and squaring with a truncated Taylor core.
-
-    The scaled matrix has norm <= 1/2, where 16 Taylor terms leave a
-    remainder below 1e-19; squaring restores the full exponent.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    m = a * t
-    norm = float(np.max(np.sum(np.abs(m), axis=1))) if m.size else 0.0
-    squarings = max(0, int(math.ceil(math.log2(norm / 0.5)))) if norm > 0.5 else 0
-    b = m / (2.0**squarings)
-    eye = np.eye(a.shape[0])
-    acc = eye.copy()
-    for k in range(16, 0, -1):
-        acc = eye + (b / k) @ acc
-    for _ in range(squarings):
-        acc = acc @ acc
-    return acc
 
 
 def tensor3_norm_surrogate(t3: np.ndarray) -> float:

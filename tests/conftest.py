@@ -1,4 +1,6 @@
-"""Shared fixtures and finite-difference oracles."""
+"""Shared fixtures, finite-difference and matrix-exponential oracles."""
+
+import math
 
 import numpy as np
 import pytest
@@ -45,3 +47,25 @@ def sample_points(spec, count, seed):
         + rng.random((count, spec.m)) * spec.input_region.width
     )
     return xs, us
+
+
+def expm(a, t=1.0):
+    """exp(A t) by scaling and squaring with a truncated Taylor core.
+
+    The scaled matrix has norm <= 1/2, where 16 Taylor terms leave a
+    remainder below 1e-19; squaring restores the full exponent.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    m = a * t
+    norm = float(np.max(np.sum(np.abs(m), axis=1))) if m.size else 0.0
+    squarings = max(0, int(math.ceil(math.log2(norm / 0.5)))) if norm > 0.5 else 0
+    b = m / (2.0**squarings)
+    eye = np.eye(a.shape[0])
+    acc = eye.copy()
+    for k in range(16, 0, -1):
+        acc = eye + (b / k) @ acc
+    for _ in range(squarings):
+        acc = acc @ acc
+    return acc

@@ -21,7 +21,6 @@ from lipdisc import (
     estimate_gamma_c,
     estimate_rho_c,
     exact_step,
-    expm,
     gamma_d,
     parse,
     rho_d,
@@ -31,7 +30,7 @@ from lipdisc.cli import dumps_json, main
 from lipdisc.constants import sample_pairs
 from lipdisc.verify import empirical_gamma_c
 
-from conftest import central_diff, sample_points
+from conftest import central_diff, expm, sample_points
 
 
 def _report(criterion: str, passed: bool, detail: str = ""):

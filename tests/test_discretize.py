@@ -9,12 +9,11 @@ from lipdisc import (
     SystemSpec,
     build_taylor_model,
     exact_step,
-    expm,
     parse,
     simulate,
 )
 
-from conftest import sample_points
+from conftest import expm, sample_points
 
 
 def _linear_spec(a, t=0.1):

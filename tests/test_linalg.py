@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from lipdisc.linalg import expm, max_singular_value, tensor3_norm_surrogate
+from lipdisc.linalg import max_singular_value, tensor3_norm_surrogate
+
+from conftest import expm
 
 
 def test_msv_identity():
