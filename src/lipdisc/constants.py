@@ -225,6 +225,7 @@ def sup_pair_quotient(
     cfg: SamplingConfig,
     one_sided: bool,
     pairs: PairSample | None = None,
+    images: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, dict]:
     """Supremum of the (one-sided) difference quotient of a map over pairs.
 
@@ -233,11 +234,16 @@ def sup_pair_quotient(
     <m(x1,u)-m(x2,u), x1-x2> / ||x1-x2||^2.  Samples where the map is
     non-finite are skipped; more than 10% failures is an error.
     Returns the supremum and the witness pair.
+
+    ``images = (m(x1,u), m(x2,u))`` passes the map already evaluated on
+    ``pairs``, so several quotients share one evaluation; ``map_batch``
+    is then not called.
     """
     if pairs is None:
         pairs = sample_pairs(s, cfg)
-    m1 = map_batch(pairs.x1, pairs.u)
-    m2 = map_batch(pairs.x2, pairs.u)
+    if images is None:
+        images = map_batch(pairs.x1, pairs.u), map_batch(pairs.x2, pairs.u)
+    m1, m2 = images
     dx = pairs.x1 - pairs.x2
     dm = m1 - m2
     dist_sq = np.einsum("ij,ij->i", dx, dx)
@@ -392,13 +398,15 @@ def estimate_gamma_c(s: SystemSpec, cfg: SamplingConfig) -> tuple[float, dict]:
     return value, witness
 
 
-def estimate_rho_c(s: SystemSpec, cfg: SamplingConfig) -> tuple[float, dict]:
+def estimate_rho_c(
+    s: SystemSpec, cfg: SamplingConfig, pairs: PairSample | None = None
+) -> tuple[float, dict]:
     """Empirical sup of the one-sided Lipschitz quotient of f over D.
 
     May be negative; the near-coincident pair family makes quotients
     attained in the x2 -> x1 limit reachable.
     """
-    return sup_pair_quotient(s.eval_f_batch, s, cfg, one_sided=True)
+    return sup_pair_quotient(s.eval_f_batch, s, cfg, one_sided=True, pairs=pairs)
 
 
 def estimate_beta_and_m(s: SystemSpec, cfg: SamplingConfig) -> tuple[float, float, dict]:
@@ -424,10 +432,13 @@ def estimate_beta_and_m(s: SystemSpec, cfg: SamplingConfig) -> tuple[float, floa
     return float(beta_vals[beta_row]), float(m_vals[m_row]), witnesses
 
 
-def estimate_all(s: SystemSpec, cfg: SamplingConfig) -> ConstantEstimates:
-    """All constants the bound formulas need, with witnesses."""
+def estimate_all(
+    s: SystemSpec, cfg: SamplingConfig, pairs: PairSample | None = None
+) -> ConstantEstimates:
+    """All constants the bound formulas need, with witnesses; ``pairs``
+    is the pair sample of ``cfg`` if already drawn."""
     gamma, gamma_w = estimate_gamma_c(s, cfg)
-    rho, rho_w = estimate_rho_c(s, cfg)
+    rho, rho_w = estimate_rho_c(s, cfg, pairs=pairs)
     beta, big_m, bm_w = estimate_beta_and_m(s, cfg)
     sigma = max_singular_value(s.a)
     witnesses = {"gamma_c": gamma_w, "rho_c": rho_w, **bm_w}

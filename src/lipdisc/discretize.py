@@ -30,6 +30,8 @@ import numpy as np
 
 from .system import SystemSpec
 
+_CHUNK_ROWS = 16_384  # rows per F_T batch chunk; bounds the Hessian's memory
+
 
 class IntegrationError(RuntimeError):
     """Adaptive integration failed; carries the state at failure."""
@@ -87,7 +89,15 @@ class DiscreteModel:
         return out + (t**3 / 6.0) * bracket
 
     def f_t_batch(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Vectorized F_T over rows of (x, u)."""
+        """Vectorized F_T over rows of (x, u), in chunks of _CHUNK_ROWS rows
+        so the (N, n, n, n) Hessian never exceeds one chunk."""
+        out = np.empty((x.shape[0], self.spec.n))
+        for lo in range(0, x.shape[0], _CHUNK_ROWS):
+            rows = slice(lo, lo + _CHUNK_ROWS)
+            out[rows] = self._f_t_rows(x[rows], u[rows])
+        return out
+
+    def _f_t_rows(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         s = self.spec
         t = s.sampling_time
         f = s.eval_f_batch(x, u)
@@ -97,19 +107,20 @@ class DiscreteModel:
         jac = s.jacobian_batch(x, u)
         ax = x @ s.a.T
         mv = lambda mats, vecs: np.einsum("nij,nj->ni", mats, vecs)
-        out = out + (t * t / 2.0) * (f @ s.a.T + mv(jac, ax) + mv(jac, f))
+        fa, jax, jf = f @ s.a.T, mv(jac, ax), mv(jac, f)
+        out = out + (t * t / 2.0) * (fa + jax + jf)
         if self.order == 2:
             return out
         hess = s.second_derivative_batch(x, u)
         bil = lambda va, vb: np.einsum("nijk,nj,nk->ni", hess, va, vb)
         bracket = (
-            f @ s.a.T @ s.a.T
-            + mv(jac, ax) @ s.a.T
-            + mv(jac, f) @ s.a.T
+            fa @ s.a.T
+            + jax @ s.a.T
+            + jf @ s.a.T
             + mv(jac, ax @ s.a.T)
-            + mv(jac, f @ s.a.T)
-            + mv(jac, mv(jac, ax))
-            + mv(jac, mv(jac, f))
+            + mv(jac, fa)
+            + mv(jac, jax)
+            + mv(jac, jf)
             + bil(ax, ax)
             + 2.0 * bil(ax, f)
             + bil(f, f)

@@ -133,6 +133,11 @@ class SystemSpec:
         )
         object.__setattr__(self, "_jac_exprs", jac)
         object.__setattr__(self, "_hess_exprs", hess)
+        # constant entries once, as arrays, for the batch evaluators
+        flat_jac = [e for row in jac for e in row]
+        flat_hess = [e for plane in hess for row in plane for e in row]
+        object.__setattr__(self, "_jac_template", _template(flat_jac, (n, n)))
+        object.__setattr__(self, "_hess_template", _template(flat_hess, (n, n, n)))
 
     @property
     def n(self) -> int:
@@ -186,21 +191,10 @@ class SystemSpec:
         return out
 
     def jacobian_batch(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        cnt, n = x.shape[0], self.n
-        out = np.empty((cnt, n, n))
-        for i in range(n):
-            for j in range(n):
-                out[:, i, j] = ex.evaluate_batch(self._jac_exprs[i][j], x, u)
-        return out
+        return _fill_batch(self._jac_template, x, u)
 
     def second_derivative_batch(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        cnt, n = x.shape[0], self.n
-        out = np.empty((cnt, n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    out[:, i, j, k] = ex.evaluate_batch(self._hess_exprs[i][j][k], x, u)
-        return out
+        return _fill_batch(self._hess_template, x, u)
 
     # ------------------------------------------------------------------
     # construction from plain data (the JSON system-spec object)
@@ -254,6 +248,34 @@ class SystemSpec:
                 "upper": self.input_region.upper.tolist(),
             }
         return out
+
+
+def _template(entries: list, shape: tuple) -> tuple[np.ndarray, tuple]:
+    """Split a flattened stack of derivative trees into an array holding
+    every constant entry and the distinct non-constant trees, each with
+    the flat indices of the entries it fills."""
+    consts = np.zeros(len(entries))
+    live: dict[str, tuple] = {}
+    for idx, tree in enumerate(entries):
+        if isinstance(tree, ex.Const):
+            consts[idx] = tree.value
+        else:
+            # keyed by repr, which unlike == tells 0.0 from -0.0
+            live.setdefault(repr(tree), (tree, []))[1].append(idx)
+    return consts.reshape(shape), tuple((tree, np.array(idx)) for tree, idx in live.values())
+
+
+def _fill_batch(template: tuple, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(N, *shape) stack: the constants broadcast to every row, then each
+    live tree evaluated once over the batch.  Bitwise equal to evaluating
+    every entry, since a constant evaluates to a full array of its value."""
+    consts, live = template
+    out = np.empty((x.shape[0],) + consts.shape)
+    out[...] = consts
+    flat = out.reshape(x.shape[0], consts.size)
+    for tree, idx in live:
+        flat[:, idx] = ex.evaluate_batch(tree, x, u)[:, None]
+    return out
 
 
 def _require(data: dict, key: str, typ):

@@ -3,7 +3,10 @@
 The estimators measure the nonlinear part F_T alone, matching the
 per-part structure of the discrete family (the linear part a_d is
 handled exactly through its singular value); the full-map constant is
-also reported for information.  A bound passes when
+also reported for information.  One pair sample serves the whole
+report (rho_c included), and F_T is evaluated once per pair endpoint:
+the two-sided, one-sided and full-map quotients all derive from those
+two arrays, the full map as x a_d^T + F_T.  A bound passes when
 
     formula >= empirical - tol_verify,
     tol_verify = 1e-9 + 1e-6 |formula|,
@@ -54,18 +57,6 @@ def empirical_gamma_c(s: SystemSpec, cfg: SamplingConfig, pairs=None) -> tuple[f
     """Pair-quotient Lipschitz estimate of f itself, on the same sample
     set the model estimators use (the order-1 map scales it by T)."""
     return sup_pair_quotient(s.eval_f_batch, s, cfg, one_sided=False, pairs=pairs)
-
-
-def empirical_full_map(
-    mdl: DiscreteModel, s: SystemSpec, cfg: SamplingConfig, pairs=None
-) -> float:
-    """Two-sided quotient of the complete map a_d x + F_T (informational)."""
-
-    def full(x, u):
-        return x @ mdl.a_d.T + mdl.f_t_batch(x, u)
-
-    value, _ = sup_pair_quotient(full, s, cfg, one_sided=False, pairs=pairs)
-    return value
 
 
 @dataclass
@@ -132,15 +123,22 @@ def verify_bounds(
 ) -> VerificationReport:
     """Full pipeline: constants, formula bounds, empirical constants,
     margins and pass flags for one order."""
+    pairs = sample_pairs(s, cfg)
     if constants is None:
-        constants = estimate_all(s, cfg)
+        constants = estimate_all(s, cfg, pairs=pairs)
     t = s.sampling_time
     result = bnd.evaluate_bounds(order, t, constants)
     mdl = build_taylor_model(s, order)
-    pairs = sample_pairs(s, cfg)
-    emp_gamma, gamma_wit = empirical_lipschitz(mdl, s, cfg, pairs=pairs)
-    emp_rho, rho_wit = empirical_one_sided(mdl, s, cfg, pairs=pairs)
-    full_map = empirical_full_map(mdl, s, cfg, pairs=pairs)
+    images = mdl.f_t_batch(pairs.x1, pairs.u), mdl.f_t_batch(pairs.x2, pairs.u)
+    # the complete map a_d x + F_T, reported for information
+    full = tuple(x @ mdl.a_d.T + m for x, m in zip((pairs.x1, pairs.x2), images))
+
+    def quotient(images, one_sided):
+        return sup_pair_quotient(None, s, cfg, one_sided, pairs=pairs, images=images)
+
+    emp_gamma, gamma_wit = quotient(images, one_sided=False)
+    emp_rho, rho_wit = quotient(images, one_sided=True)
+    full_map, _ = quotient(full, one_sided=False)
 
     gamma_tol = verify_tolerance(result.gamma_d)
     gamma_margin = result.gamma_d - emp_gamma

@@ -5,13 +5,30 @@ import math
 import numpy as np
 import pytest
 
-from lipdisc import SamplingConfig, benchmarks
+from lipdisc import SamplingConfig, SystemSpec, benchmarks
 
 
 @pytest.fixture(scope="session")
 def bench():
     """All bundled benchmark specs, keyed by name."""
     return {name: benchmarks.load(name) for name in benchmarks.names()}
+
+
+@pytest.fixture(scope="session")
+def probe():
+    """A 4-state coupled pendulum with one input (n + m = 5): most of its
+    J and H entries are constants, and x2 -> -x2 gives exact grid ties."""
+    return SystemSpec.from_dict(
+        {
+            "name": "coupled-pendulum",
+            "A": [[0, 1, 0, 0], [-1, -0.2, 0.5, 0], [0, 0, 0, 1], [0.5, 0, -1, -0.2]],
+            "C": [[1, 0, 0, 0], [0, 0, 1, 0]],
+            "f": ["0", "-sin(x1) + 0.1*x2*x3", "0", "-sin(x3) + u1"],
+            "region": {"lower": [-1, -1, -1, -1], "upper": [1, 1, 1, 1]},
+            "input_region": {"lower": [-0.2], "upper": [0.2]},
+            "T": 0.1,
+        }
+    )
 
 
 @pytest.fixture(scope="session")

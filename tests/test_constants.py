@@ -204,19 +204,6 @@ def test_sampling_config_validation():
 # ---------------------------------------------------------------------------
 # grid norm reduction: LAPACK screen plus exact re-rank of the near-max band
 
-PROBE = SystemSpec.from_dict(
-    {
-        "name": "coupled-pendulum",
-        "A": [[0, 1, 0, 0], [-1, -0.2, 0.5, 0], [0, 0, 0, 1], [0.5, 0, -1, -0.2]],
-        "C": [[1, 0, 0, 0], [0, 0, 1, 0]],
-        "f": ["0", "-sin(x1) + 0.1*x2*x3", "0", "-sin(x3) + u1"],
-        "region": {"lower": [-1, -1, -1, -1], "upper": [1, 1, 1, 1]},
-        "input_region": {"lower": [-0.2], "upper": [0.2]},
-        "T": 0.1,
-    }
-)
-
-
 def _kernel_rows(stack, kernel):
     """``kernel`` on every row (NaN where non-finite or failing), computed
     once per distinct bit pattern since the kernel is a pure function."""
@@ -258,8 +245,8 @@ def test_screen_matches_exact_kernel_on_bundled_specs(bench, name):
 
 
 @pytest.mark.parametrize("grid", [5, 9])
-def test_screen_matches_exact_kernel_on_probe_ties(grid):
-    jac, hess = _grid_stacks(PROBE, grid)
+def test_screen_matches_exact_kernel_on_probe_ties(probe, grid):
+    jac, hess = _grid_stacks(probe, grid)
     # the x2 -> -x2 symmetry makes many exactly tied grid maxima
     _assert_same_sup(jac, max_singular_value)
     _assert_same_sup(hess, tensor3_norm_surrogate)

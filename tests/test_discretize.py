@@ -13,6 +13,8 @@ from lipdisc import (
     simulate,
 )
 
+from lipdisc import discretize
+
 from conftest import expm, sample_points
 
 
@@ -95,8 +97,8 @@ def test_unsupported_order():
         build_taylor_model(spec, 4)
 
 
-def test_f_t_batch_matches_pointwise(bench):
-    for spec in bench.values():
+def test_f_t_batch_matches_pointwise(bench, probe):
+    for spec in [*bench.values(), probe]:
         xs, us = sample_points(spec, 30, seed=77)
         for order in (1, 2, 3):
             mdl = build_taylor_model(spec, order)
@@ -105,6 +107,23 @@ def test_f_t_batch_matches_pointwise(bench):
                 np.testing.assert_allclose(
                     batch[i], mdl.f_t(xs[i], us[i]), rtol=1e-13, atol=1e-300
                 )
+
+
+@pytest.mark.parametrize("rows", [0, 5, 30])
+def test_f_t_batch_chunks_match_one_batch(bench, probe, monkeypatch, rows):
+    specs = [*bench.values(), probe]
+    whole = {}
+    for spec in specs:
+        xs, us = sample_points(spec, rows, seed=13)
+        for order in (1, 2, 3):
+            whole[spec.name, order] = build_taylor_model(spec, order).f_t_batch(xs, us)
+    monkeypatch.setattr(discretize, "_CHUNK_ROWS", 7)  # 30 = 4 * 7 + 2
+    for spec in specs:
+        xs, us = sample_points(spec, rows, seed=13)
+        for order in (1, 2, 3):
+            chunked = build_taylor_model(spec, order).f_t_batch(xs, us)
+            assert chunked.shape == (rows, spec.n)
+            assert chunked.tobytes() == whole[spec.name, order].tobytes(), (spec.name, order)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from lipdisc import BoxRegion, SpecValidationError, SystemSpec, parse
+from lipdisc import BoxRegion, SpecValidationError, SystemSpec, differentiate, parse
+from lipdisc.expr import evaluate_batch
 
 from conftest import central_diff, sample_points
 
@@ -126,8 +127,8 @@ def test_second_derivative_symmetry(bench):
             np.testing.assert_allclose(hess, np.swapaxes(hess, 1, 2), atol=1e-12)
 
 
-def test_batch_evaluation_matches_pointwise(bench):
-    for spec in bench.values():
+def test_batch_evaluation_matches_pointwise(bench, probe):
+    for spec in [*bench.values(), probe]:
         xs, us = sample_points(spec, 40, seed=21)
         f_batch = spec.eval_f_batch(xs, us)
         j_batch = spec.jacobian_batch(xs, us)
@@ -138,6 +139,61 @@ def test_batch_evaluation_matches_pointwise(bench):
             np.testing.assert_allclose(
                 h_batch[i], spec.second_derivative(xs[i], us[i]), rtol=1e-14, atol=1e-300
             )
+
+
+def _per_entry_stacks(spec, x, u):
+    """J and H with every entry evaluated on its own, constants included."""
+    names = [f"x{j + 1}" for j in range(spec.n)]
+    n, cnt = spec.n, x.shape[0]
+    jac, hess = np.empty((cnt, n, n)), np.empty((cnt, n, n, n))
+    for i, comp in enumerate(spec.f):
+        for j in range(n):
+            dj = differentiate(comp, names[j])
+            jac[:, i, j] = evaluate_batch(dj, x, u)
+            for k in range(n):
+                hess[:, i, j, k] = evaluate_batch(differentiate(dj, names[k]), x, u)
+    return jac, hess
+
+
+def _domain_error_spec():
+    # nonzero constant entries (J[0,1] = 3, H[1,0,0] = -1) beside live
+    # entries that are NaN wherever x1 < 0 or x2 < 0
+    return SystemSpec.from_dict(
+        {
+            "name": "domain-errors",
+            "A": [[0, 1], [-1, 0]],
+            "C": [[1, 0]],
+            "f": ["sqrt(x1) + 3*x2", "ln(x2)*u1 - 0.5*x1^2 + 2*x1"],
+            "region": {"lower": [-1, -1], "upper": [1, 1]},
+            "input_region": {"lower": [-1], "upper": [1]},
+            "T": 0.1,
+        }
+    )
+
+
+@pytest.mark.parametrize("rows", [0, 1, 37])
+def test_templated_batch_derivatives_equal_per_entry_evaluation(bench, probe, rows):
+    for spec in [*bench.values(), probe, _domain_error_spec()]:
+        xs, us = sample_points(spec, rows, seed=5)
+        want_j, want_h = _per_entry_stacks(spec, xs, us)
+        got_j, got_h = spec.jacobian_batch(xs, us), spec.second_derivative_batch(xs, us)
+        assert got_j.shape == want_j.shape and got_h.shape == want_h.shape
+        # same bits: signed zeros and NaN included
+        assert got_j.tobytes() == want_j.tobytes(), spec.name
+        assert got_h.tobytes() == want_h.tobytes(), spec.name
+
+
+def test_templated_batch_keeps_constants_beside_domain_errors():
+    spec = _domain_error_spec()
+    xs, us = sample_points(spec, 200, seed=9)
+    jac, hess = spec.jacobian_batch(xs, us), spec.second_derivative_batch(xs, us)
+    bad = (xs[:, 0] < 0) | (xs[:, 1] < 0)
+    assert bad.any() and (~bad).any()
+    assert np.isnan(jac[bad]).any() and np.isnan(hess[bad]).any()
+    assert np.isfinite(jac[~bad]).all() and np.isfinite(hess[~bad]).all()
+    np.testing.assert_array_equal(jac[:, 0, 1], 3.0)
+    np.testing.assert_array_equal(hess[:, 1, 0, 0], -1.0)
+    np.testing.assert_array_equal(hess[:, 0, 1, :], 0.0)
 
 
 def test_round_trip_through_dict(bench):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lipdisc import (
+    SamplingConfig,
     build_taylor_model,
     convergence_study,
     empirical_lipschitz,
@@ -11,7 +12,7 @@ from lipdisc import (
     estimate_rho_c,
     verify_bounds,
 )
-from lipdisc.constants import sample_pairs
+from lipdisc.constants import sample_pairs, sup_pair_quotient
 from lipdisc.verify import empirical_gamma_c, verify_tolerance
 
 
@@ -36,6 +37,29 @@ def test_euler_one_sided_is_scaled_continuous_estimate(bench, default_cfg):
         continuous, _ = estimate_rho_c(spec, default_cfg)
         scaled = spec.sampling_time * continuous
         assert abs(discrete - scaled) <= 1e-9 * max(1e-12, abs(scaled)), name
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_shared_pair_pass_matches_separate_estimators(bench, probe, order):
+    """verify_bounds draws one pair sample and evaluates F_T once per pair
+    endpoint; every quotient must equal the one computed on its own."""
+    cfg = SamplingConfig(grid_per_axis=3, pair_budget=2000, seed=7, polish_iters=2)
+    for spec in [*bench.values(), probe]:
+        report = verify_bounds(spec, order, cfg)
+        mdl = build_taylor_model(spec, order)
+        gamma, gamma_wit = empirical_lipschitz(mdl, spec, cfg)
+        rho, rho_wit = empirical_one_sided(mdl, spec, cfg)
+        full, _ = sup_pair_quotient(
+            lambda x, u: x @ mdl.a_d.T + mdl.f_t_batch(x, u), spec, cfg, one_sided=False
+        )
+        rho_c, rho_c_wit = estimate_rho_c(spec, cfg)
+        assert report.empirical_gamma_d.hex() == gamma.hex(), spec.name
+        assert report.empirical_rho_d.hex() == rho.hex(), spec.name
+        assert report.full_map_gamma_d.hex() == full.hex(), spec.name
+        assert report.constants.rho_c.hex() == rho_c.hex(), spec.name
+        assert report.empirical_gamma_witness == gamma_wit
+        assert report.empirical_rho_witness == rho_wit
+        assert report.constants.witnesses["rho_c"] == rho_c_wit
 
 
 def test_zero_nonlinearity_yields_zero_everything(bench, fast_cfg):
