@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -116,11 +117,22 @@ def grid_points(s: SystemSpec, cfg: SamplingConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PairSample:
-    """Point pairs (x1, x2) sharing an input u, for quotient suprema."""
+    """Point pairs (x1, x2) sharing an input u, for quotient suprema.
+
+    The differences x1 - x2 and their squared norms are computed once,
+    on first use, for every quotient taken over the sample."""
 
     x1: np.ndarray
     x2: np.ndarray
     u: np.ndarray
+
+    @cached_property
+    def dx(self) -> np.ndarray:
+        return self.x1 - self.x2
+
+    @cached_property
+    def dist_sq(self) -> np.ndarray:
+        return np.einsum("ij,ij->i", self.dx, self.dx)
 
 
 def sample_pairs(s: SystemSpec, cfg: SamplingConfig) -> PairSample:
@@ -244,9 +256,8 @@ def sup_pair_quotient(
     if images is None:
         images = map_batch(pairs.x1, pairs.u), map_batch(pairs.x2, pairs.u)
     m1, m2 = images
-    dx = pairs.x1 - pairs.x2
+    dx, dist_sq = pairs.dx, pairs.dist_sq
     dm = m1 - m2
-    dist_sq = np.einsum("ij,ij->i", dx, dx)
     ok = np.isfinite(m1).all(axis=1) & np.isfinite(m2).all(axis=1)
     failures = int(np.count_nonzero(~ok))
     if failures > _MAX_FAIL_FRACTION * len(ok):

@@ -58,66 +58,44 @@ class DiscreteModel:
     def f_t(self, x, u=()) -> np.ndarray:
         """Nonlinear part of the discrete map at one point."""
         s = self.spec
-        t = s.sampling_time
         x = np.asarray(x, dtype=float)
-        f = s.eval_f(x, u)
-        out = t * f
-        if self.order == 1:
-            return out
-        jac = s.jacobian(x, u)
-        ax = s.a @ x
-        out = out + (t * t / 2.0) * (s.a @ f + jac @ ax + jac @ f)
-        if self.order == 2:
-            return out
-        hess = s.second_derivative(x, u)
-        a = s.a
-        h_axax = np.einsum("ijk,j,k->i", hess, ax, ax)
-        h_axf = np.einsum("ijk,j,k->i", hess, ax, f)
-        h_ff = np.einsum("ijk,j,k->i", hess, f, f)
-        bracket = (
-            a @ (a @ f)
-            + a @ (jac @ ax)
-            + a @ (jac @ f)
-            + jac @ (a @ ax)
-            + jac @ (a @ f)
-            + jac @ (jac @ ax)
-            + jac @ (jac @ f)
-            + h_axax
-            + 2.0 * h_axf
-            + h_ff
-        )
-        return out + (t**3 / 6.0) * bracket
+        return self._series(x, u, s.eval_f, s.jacobian, s.second_derivative)
 
     def f_t_batch(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Vectorized F_T over rows of (x, u), in chunks of _CHUNK_ROWS rows
         so the (N, n, n, n) Hessian never exceeds one chunk."""
-        out = np.empty((x.shape[0], self.spec.n))
+        s = self.spec
+        out = np.empty((x.shape[0], s.n))
         for lo in range(0, x.shape[0], _CHUNK_ROWS):
             rows = slice(lo, lo + _CHUNK_ROWS)
-            out[rows] = self._f_t_rows(x[rows], u[rows])
+            out[rows] = self._series(
+                x[rows], u[rows], s.eval_f_batch, s.jacobian_batch, s.second_derivative_batch
+            )
         return out
 
-    def _f_t_rows(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        s = self.spec
-        t = s.sampling_time
-        f = s.eval_f_batch(x, u)
+    def _series(self, x, u, f_of, jac_of, hess_of) -> np.ndarray:
+        """The order-k series on states of shape (..., n): one point or a
+        stack of rows, with f, J and H from the matching evaluators."""
+        t = self.spec.sampling_time
+        at = self.spec.a.T
+        f = f_of(x, u)
         out = t * f
         if self.order == 1:
             return out
-        jac = s.jacobian_batch(x, u)
-        ax = x @ s.a.T
-        mv = lambda mats, vecs: np.einsum("nij,nj->ni", mats, vecs)
-        fa, jax, jf = f @ s.a.T, mv(jac, ax), mv(jac, f)
+        jac = jac_of(x, u)
+        ax = x @ at
+        mv = lambda mats, vecs: np.einsum("...ij,...j->...i", mats, vecs)
+        fa, jax, jf = f @ at, mv(jac, ax), mv(jac, f)
         out = out + (t * t / 2.0) * (fa + jax + jf)
         if self.order == 2:
             return out
-        hess = s.second_derivative_batch(x, u)
-        bil = lambda va, vb: np.einsum("nijk,nj,nk->ni", hess, va, vb)
+        hess = hess_of(x, u)
+        bil = lambda va, vb: np.einsum("...ijk,...j,...k->...i", hess, va, vb)
         bracket = (
-            fa @ s.a.T
-            + jax @ s.a.T
-            + jf @ s.a.T
-            + mv(jac, ax @ s.a.T)
+            fa @ at
+            + jax @ at
+            + jf @ at
+            + mv(jac, ax @ at)
             + mv(jac, fa)
             + mv(jac, jax)
             + mv(jac, jf)

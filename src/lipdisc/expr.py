@@ -15,14 +15,23 @@ x<k> or u<k> with k >= 1.  Derivative trees may additionally contain
 sign(.) (from abs; sign(0) = 0), which evaluates but is not accepted by
 the input grammar.
 
+Evaluation is one recursive walk over the tree with two tables of the
+primitives that differ between the modes.  A point evaluates on Python
+floats with ``math``: a domain error raises :class:`ExprEvalError`
+naming the failing node, and an overflow saturates to +-inf.  A batch
+evaluates on numpy columns with ufuncs: a bad sample comes back nan or
+inf and nothing raises.
+
 Trees are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -297,17 +306,112 @@ def _is_neg_zero(v: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: one walk over the tree; the primitives that differ between
+# a point and a batch of points come from one of two tables
 
-_SCALAR_FUNCS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "sqrt": math.sqrt,
-    "tanh": math.tanh,
-    "abs": abs,
-}
+
+class _Ops(NamedTuple):
+    load: Callable  # a variable's value from its coordinate
+    unary: dict  # op name -> function of the argument
+    divide: Callable
+    power: Callable  # (base, nonnegative integer exponent)
+
+
+def _ln(a: float) -> float:
+    if a <= 0.0:
+        raise ValueError(f"ln of non-positive value {a!r}")
+    return math.log(a)
+
+
+def _sqrt(a: float) -> float:
+    if a < 0.0:
+        raise ValueError(f"sqrt of negative value {a!r}")
+    return math.sqrt(a)
+
+
+# Python floats and math: a domain error raises, an overflow saturates,
+# and one point costs far less than with numpy scalars.  Powers round as
+# libm pow does, which differs from numpy's array power in the last bit
+# for about 3 % of bases at exponents 3 and 4.
+_POINT = _Ops(
+    float,
+    {
+        "sin": math.sin,
+        "cos": math.cos,
+        "tan": math.tan,
+        "exp": math.exp,
+        "ln": _ln,
+        "sqrt": _sqrt,
+        "abs": abs,
+        "tanh": math.tanh,
+        "sign": lambda a: float((a > 0) - (a < 0)),
+        "neg": operator.neg,
+    },
+    operator.truediv,
+    operator.pow,
+)
+# numpy columns and ufuncs: a bad sample comes back nan or inf
+_BATCH = _Ops(
+    lambda col: col,
+    {
+        "sin": np.sin,
+        "cos": np.cos,
+        "tan": np.tan,
+        "exp": np.exp,
+        "ln": np.log,
+        "sqrt": np.sqrt,
+        "abs": np.abs,
+        "tanh": np.tanh,
+        "sign": np.sign,
+        "neg": np.negative,
+    },
+    np.divide,
+    np.power,
+)
+
+
+def _eval(e: Expression, x, u, ops: _Ops):
+    """Value of ``e`` where ``x[i]`` and ``u[i]`` hold variable i + 1:
+    floats for a point, columns for a batch.  Only the point table's
+    primitives raise; errors are reported against the node here."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        vec = x if e.kind == "x" else u
+        if e.index > len(vec):
+            raise ExprEvalError(
+                e, f"variable {e.name} is out of range for dimension {len(vec)}"
+            )
+        return ops.load(vec[e.index - 1])
+    if isinstance(e, Unary):
+        a = _eval(e.arg, x, u, ops)
+        try:
+            return ops.unary[e.op](a)
+        except OverflowError:
+            # IEEE-754 semantics: overflow saturates to infinity
+            return math.inf
+        except ValueError as exc:
+            raise ExprEvalError(e, str(exc)) from exc
+    if isinstance(e, Pow):
+        b = _eval(e.base, x, u, ops)
+        try:
+            return ops.power(b, e.exponent)
+        except OverflowError:
+            return -math.inf if b < 0.0 and e.exponent % 2 == 1 else math.inf
+    if isinstance(e, Binary):
+        lv = _eval(e.left, x, u, ops)
+        rv = _eval(e.right, x, u, ops)
+        if e.op == "+":
+            return lv + rv
+        if e.op == "-":
+            return lv - rv
+        if e.op == "*":
+            return lv * rv
+        try:
+            return ops.divide(lv, rv)
+        except ZeroDivisionError:
+            raise ExprEvalError(e, "division by zero") from None
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def evaluate(e: Expression, x, u=()) -> float:
@@ -317,68 +421,7 @@ def evaluate(e: Expression, x, u=()) -> float:
     non-positive value, sqrt of a negative, division by zero) raise
     :class:`ExprEvalError` naming the offending subexpression.
     """
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        vec = x if e.kind == "x" else u
-        if e.index > len(vec):
-            raise ExprEvalError(
-                e, f"variable {e.name} is out of range for dimension {len(vec)}"
-            )
-        return float(vec[e.index - 1])
-    if isinstance(e, Unary):
-        a = evaluate(e.arg, x, u)
-        if e.op == "neg":
-            return -a
-        if e.op == "sign":
-            return float((a > 0) - (a < 0))
-        if e.op == "ln":
-            if a <= 0.0:
-                raise ExprEvalError(e, f"ln of non-positive value {a!r}")
-            return math.log(a)
-        if e.op == "sqrt" and a < 0.0:
-            raise ExprEvalError(e, f"sqrt of negative value {a!r}")
-        try:
-            return _SCALAR_FUNCS[e.op](a)
-        except OverflowError:
-            # IEEE-754 semantics: overflow saturates to infinity
-            return math.inf
-        except ValueError as exc:
-            raise ExprEvalError(e, str(exc)) from exc
-    if isinstance(e, Pow):
-        b = evaluate(e.base, x, u)
-        try:
-            return b**e.exponent
-        except OverflowError:
-            sign = -1.0 if (b < 0.0 and e.exponent % 2 == 1) else 1.0
-            return sign * math.inf
-    if isinstance(e, Binary):
-        lv = evaluate(e.left, x, u)
-        rv = evaluate(e.right, x, u)
-        if e.op == "+":
-            return lv + rv
-        if e.op == "-":
-            return lv - rv
-        if e.op == "*":
-            return lv * rv
-        if rv == 0.0:
-            raise ExprEvalError(e, "division by zero")
-        return lv / rv
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-_BATCH_FUNCS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "exp": np.exp,
-    "ln": np.log,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-    "tanh": np.tanh,
-    "sign": np.sign,
-    "neg": np.negative,
-}
+    return _eval(e, x, u, _POINT)
 
 
 def evaluate_batch(e: Expression, x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -390,37 +433,10 @@ def evaluate_batch(e: Expression, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     with np.errstate(all="ignore"):
-        out = _eval_batch(e, x, u)
+        out = _eval(e, x.T, u.T, _BATCH)
     if np.ndim(out) == 0:
         return np.full(x.shape[0], float(out))
     return out
-
-
-def _eval_batch(e, x, u):
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        vec = x if e.kind == "x" else u
-        if e.index > vec.shape[1]:
-            raise ExprEvalError(
-                e, f"variable {e.name} is out of range for dimension {vec.shape[1]}"
-            )
-        return vec[:, e.index - 1]
-    if isinstance(e, Unary):
-        return _BATCH_FUNCS[e.op](_eval_batch(e.arg, x, u))
-    if isinstance(e, Pow):
-        return _eval_batch(e.base, x, u) ** e.exponent
-    if isinstance(e, Binary):
-        lv = _eval_batch(e.left, x, u)
-        rv = _eval_batch(e.right, x, u)
-        if e.op == "+":
-            return lv + rv
-        if e.op == "-":
-            return lv - rv
-        if e.op == "*":
-            return lv * rv
-        return np.divide(lv, rv)
-    raise TypeError(f"not an expression node: {e!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -118,26 +118,15 @@ class SystemSpec:
                 UserWarning,
                 stacklevel=2,
             )
-        # cache symbolic derivatives: jac[i][j] = df_i/dx_j,
-        # hess[i][j][k] = d^2 f_i / dx_j dx_k
+        # symbolic derivatives in C order, jac[i*n + j] = df_i/dx_j and
+        # hess[(i*n + j)*n + k] = d^2 f_i / dx_j dx_k, cached as templates
+        # that split off the constant entries for every evaluator
         names = [f"x{j + 1}" for j in range(n)]
-        jac = tuple(
-            tuple(ex.differentiate(comp, names[j]) for j in range(n)) for comp in self.f
-        )
-        hess = tuple(
-            tuple(
-                tuple(ex.differentiate(jac[i][j], names[k]) for k in range(n))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        object.__setattr__(self, "_jac_exprs", jac)
-        object.__setattr__(self, "_hess_exprs", hess)
-        # constant entries once, as arrays, for the batch evaluators
-        flat_jac = [e for row in jac for e in row]
-        flat_hess = [e for plane in hess for row in plane for e in row]
-        object.__setattr__(self, "_jac_template", _template(flat_jac, (n, n)))
-        object.__setattr__(self, "_hess_template", _template(flat_hess, (n, n, n)))
+        jac = [ex.differentiate(comp, name) for comp in self.f for name in names]
+        hess = [ex.differentiate(dj, name) for dj in jac for name in names]
+        object.__setattr__(self, "_f_template", _template(self.f, (n,)))
+        object.__setattr__(self, "_jac_template", _template(jac, (n, n)))
+        object.__setattr__(self, "_hess_template", _template(hess, (n, n, n)))
 
     @property
     def n(self) -> int:
@@ -159,36 +148,21 @@ class SystemSpec:
 
     def eval_f(self, x, u=()) -> np.ndarray:
         """Nonlinear part f(x, u) as a length-n vector."""
-        return np.array([ex.evaluate(comp, x, u) for comp in self.f])
+        return _fill_point(self._f_template, x, u)
 
     def jacobian(self, x, u=()) -> np.ndarray:
         """df/dx at (x, u); entry (i, j) = df_i/dx_j."""
-        n = self.n
-        out = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = ex.evaluate(self._jac_exprs[i][j], x, u)
-        return out
+        return _fill_point(self._jac_template, x, u)
 
     def second_derivative(self, x, u=()) -> np.ndarray:
         """d^2 f/dx^2 at (x, u): an (n, n, n) tensor, symmetric in (j, k)."""
-        n = self.n
-        out = np.empty((n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    out[i, j, k] = ex.evaluate(self._hess_exprs[i][j][k], x, u)
-        return out
+        return _fill_point(self._hess_template, x, u)
 
     # ------------------------------------------------------------------
     # vectorized evaluation; bad samples come back non-finite
 
     def eval_f_batch(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        cnt = x.shape[0]
-        out = np.empty((cnt, self.n))
-        for i, comp in enumerate(self.f):
-            out[:, i] = ex.evaluate_batch(comp, x, u)
-        return out
+        return _fill_batch(self._f_template, x, u)
 
     def jacobian_batch(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         return _fill_batch(self._jac_template, x, u)
@@ -250,32 +224,45 @@ class SystemSpec:
         return out
 
 
-def _template(entries: list, shape: tuple) -> tuple[np.ndarray, tuple]:
-    """Split a flattened stack of derivative trees into an array holding
-    every constant entry and the distinct non-constant trees, each with
-    the flat indices of the entries it fills."""
-    consts = np.zeros(len(entries))
+def _template(entries, shape: tuple) -> tuple[np.ndarray, tuple]:
+    """Split a flattened stack of trees into an array holding every
+    constant entry and the distinct non-constant trees, each with the
+    indices of the entries it fills."""
+    consts = np.zeros(shape)
     live: dict[str, tuple] = {}
-    for idx, tree in enumerate(entries):
+    for entry, tree in zip(np.ndindex(*shape), entries):
         if isinstance(tree, ex.Const):
-            consts[idx] = tree.value
+            consts[entry] = tree.value
         else:
             # keyed by repr, which unlike == tells 0.0 from -0.0
-            live.setdefault(repr(tree), (tree, []))[1].append(idx)
-    return consts.reshape(shape), tuple((tree, np.array(idx)) for tree, idx in live.values())
+            live.setdefault(repr(tree), (tree, []))[1].append(entry)
+    return consts, tuple((tree, tuple(filled)) for tree, filled in live.values())
+
+
+def _fill(out: np.ndarray, lead: tuple, live: tuple, value) -> np.ndarray:
+    """Store each live tree's ``value`` in every entry it fills of ``out``,
+    which holds the constants; ``lead`` selects all of its batch axes.
+    Equal to evaluating every entry, since a constant evaluates to its
+    value."""
+    for tree, filled in live:
+        v = value(tree)
+        for entry in filled:
+            out[lead + entry] = v
+    return out
+
+
+def _fill_point(template: tuple, x, u) -> np.ndarray:
+    """One point; a domain error raises for the first failing entry."""
+    consts, live = template
+    return _fill(consts.copy(), (), live, lambda tree: ex.evaluate(tree, x, u))
 
 
 def _fill_batch(template: tuple, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """(N, *shape) stack: the constants broadcast to every row, then each
-    live tree evaluated once over the batch.  Bitwise equal to evaluating
-    every entry, since a constant evaluates to a full array of its value."""
+    """An (N, *shape) stack; bad rows come back non-finite."""
     consts, live = template
-    out = np.empty((x.shape[0],) + consts.shape)
+    out = np.empty(x.shape[:1] + consts.shape)
     out[...] = consts
-    flat = out.reshape(x.shape[0], consts.size)
-    for tree, idx in live:
-        flat[:, idx] = ex.evaluate_batch(tree, x, u)[:, None]
-    return out
+    return _fill(out, (slice(None),), live, lambda tree: ex.evaluate_batch(tree, x, u))
 
 
 def _require(data: dict, key: str, typ):

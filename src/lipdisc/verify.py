@@ -53,12 +53,6 @@ def empirical_one_sided(
     return sup_pair_quotient(mdl.f_t_batch, s, cfg, one_sided=True, pairs=pairs)
 
 
-def empirical_gamma_c(s: SystemSpec, cfg: SamplingConfig, pairs=None) -> tuple[float, dict]:
-    """Pair-quotient Lipschitz estimate of f itself, on the same sample
-    set the model estimators use (the order-1 map scales it by T)."""
-    return sup_pair_quotient(s.eval_f_batch, s, cfg, one_sided=False, pairs=pairs)
-
-
 @dataclass
 class VerificationReport:
     system: str

@@ -1,4 +1,5 @@
-"""Shared fixtures, finite-difference and matrix-exponential oracles."""
+"""Shared fixtures, finite-difference and matrix-exponential oracles, and
+the pair-quotient Lipschitz estimate of f."""
 
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from lipdisc import SamplingConfig, SystemSpec, benchmarks
+from lipdisc.constants import sup_pair_quotient
 
 
 @pytest.fixture(scope="session")
@@ -86,3 +88,9 @@ def expm(a, t=1.0):
     for _ in range(squarings):
         acc = acc @ acc
     return acc
+
+
+def empirical_gamma_c(s, cfg, pairs=None):
+    """Pair-quotient Lipschitz estimate of f itself, on the same sample
+    set the model estimators use (the order-1 map scales it by T)."""
+    return sup_pair_quotient(s.eval_f_batch, s, cfg, one_sided=False, pairs=pairs)

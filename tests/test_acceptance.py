@@ -28,9 +28,8 @@ from lipdisc import (
 )
 from lipdisc.cli import dumps_json, main
 from lipdisc.constants import sample_pairs
-from lipdisc.verify import empirical_gamma_c
 
-from conftest import central_diff, expm, sample_points
+from conftest import central_diff, empirical_gamma_c, expm, sample_points
 
 
 def _report(criterion: str, passed: bool, detail: str = ""):

@@ -118,6 +118,24 @@ def test_numerical_failure_exits_3(capsys, tmp_path):
     assert "numerical failure" in stderr
 
 
+def test_power_overflow_exits_3(capsys, tmp_path):
+    # 1e200^2 overflows to inf at every grid point, which is a numerical
+    # failure, not a crash
+    data = {
+        "name": "overflow",
+        "A": [[0.0]],
+        "C": [[1.0]],
+        "f": ["1e200^2*x1"],
+        "region": {"lower": [-1.0], "upper": [1.0]},
+        "T": 0.1,
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(data))
+    code, _, stderr = _run(capsys, "constants", str(path), "--pairs", "2000")
+    assert code == 3
+    assert "grid evaluations failed" in stderr
+
+
 def test_invalid_sampling_flags_exit_2(capsys, spec_path):
     code, _, _ = _run(capsys, "constants", spec_path("pendulum"), "--pairs", "10")
     assert code == 2

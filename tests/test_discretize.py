@@ -98,15 +98,24 @@ def test_unsupported_order():
 
 
 def test_f_t_batch_matches_pointwise(bench, probe):
+    # f, J and H of these specs use only + - * sin cos, where math and
+    # numpy give the same bits (x^3, exp and tanh differ in the last bit).
+    # The products with A still go through BLAS gemv for one point and
+    # gemm for a stack: on the probe these differ in the last bit of F_T
+    # at about 1 (order 2) and 6 (order 3) of 3,000 random points, not
+    # at these 30.
+    bitwise = {"linear-2d", "pendulum", probe.name}
     for spec in [*bench.values(), probe]:
         xs, us = sample_points(spec, 30, seed=77)
         for order in (1, 2, 3):
             mdl = build_taylor_model(spec, order)
             batch = mdl.f_t_batch(xs, us)
             for i in range(30):
-                np.testing.assert_allclose(
-                    batch[i], mdl.f_t(xs[i], us[i]), rtol=1e-13, atol=1e-300
-                )
+                point = mdl.f_t(xs[i], us[i])
+                if spec.name in bitwise:
+                    assert point.tobytes() == batch[i].tobytes(), (spec.name, order, i)
+                else:
+                    np.testing.assert_allclose(batch[i], point, rtol=1e-13, atol=1e-300)
 
 
 @pytest.mark.parametrize("rows", [0, 5, 30])

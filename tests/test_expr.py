@@ -163,6 +163,20 @@ def test_evaluate_batch_matches_scalar():
     batch = evaluate_batch(tree, xs, us)
     pointwise = [evaluate(tree, xs[i], us[i]) for i in range(50)]
     np.testing.assert_allclose(batch, pointwise, rtol=1e-15, atol=1e-300)
+    # random trees: a batch never raises a domain error, and agrees with
+    # every point that evaluates to a finite value
+    xs = rng.uniform(-2, 2, size=(20, 3))
+    us = rng.uniform(-2, 2, size=(20, 3))
+    for _ in range(300):
+        tree = _random_tree(rng, 4)
+        batch = evaluate_batch(tree, xs, us)
+        for i in range(20):
+            try:
+                want = evaluate(tree, xs[i], us[i])
+            except ExprEvalError:
+                continue
+            if np.isfinite(want):
+                assert abs(batch[i] - want) <= 1e-13 * abs(want), unparse(tree)
 
 
 def test_evaluate_batch_domain_errors_become_nonfinite():
@@ -171,6 +185,16 @@ def test_evaluate_batch_domain_errors_become_nonfinite():
     assert np.isfinite(vals[0])
     assert not np.isfinite(vals[1])
     assert not np.isfinite(vals[2])
+
+
+@pytest.mark.parametrize(
+    "text, x1, want",
+    [("1e200^2", 0.0, np.inf), ("x1^2", 1e200, np.inf), ("x1^3", -1e200, -np.inf)],
+)
+def test_power_overflow_saturates_in_both_modes(text, x1, want):
+    tree = parse(text)
+    assert evaluate(tree, [x1]) == want
+    np.testing.assert_array_equal(evaluate_batch(tree, [[x1], [x1]], np.zeros((2, 0))), want)
 
 
 def test_evaluate_batch_constant_expression_broadcasts():

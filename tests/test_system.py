@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lipdisc import BoxRegion, SpecValidationError, SystemSpec, differentiate, parse
-from lipdisc.expr import evaluate_batch
+from lipdisc.expr import ExprEvalError, evaluate, evaluate_batch
 
 from conftest import central_diff, sample_points
 
@@ -141,18 +141,28 @@ def test_batch_evaluation_matches_pointwise(bench, probe):
             )
 
 
-def _per_entry_stacks(spec, x, u):
-    """J and H with every entry evaluated on its own, constants included."""
+def _entry_trees(spec):
+    """f, J and H as flat lists of trees in C order, with their shapes."""
     names = [f"x{j + 1}" for j in range(spec.n)]
-    n, cnt = spec.n, x.shape[0]
-    jac, hess = np.empty((cnt, n, n)), np.empty((cnt, n, n, n))
-    for i, comp in enumerate(spec.f):
-        for j in range(n):
-            dj = differentiate(comp, names[j])
-            jac[:, i, j] = evaluate_batch(dj, x, u)
-            for k in range(n):
-                hess[:, i, j, k] = evaluate_batch(differentiate(dj, names[k]), x, u)
-    return jac, hess
+    n = spec.n
+    jac = [differentiate(comp, name) for comp in spec.f for name in names]
+    hess = [differentiate(dj, name) for dj in jac for name in names]
+    return [(list(spec.f), (n,)), (jac, (n, n)), (hess, (n, n, n))]
+
+
+def _per_entry_stack(trees, shape, x, u):
+    """Every entry evaluated on its own over the batch, constants included."""
+    cols = [evaluate_batch(tree, x, u) for tree in trees]
+    return np.stack(cols, axis=-1).reshape((x.shape[0],) + shape)
+
+
+def _per_entry_point(trees, shape, x, u):
+    """Every entry evaluated on its own at one point, or the domain error
+    of the first failing entry in C order."""
+    try:
+        return np.array([evaluate(tree, x, u) for tree in trees]).reshape(shape)
+    except ExprEvalError as err:
+        return err
 
 
 def _domain_error_spec():
@@ -173,14 +183,27 @@ def _domain_error_spec():
 
 @pytest.mark.parametrize("rows", [0, 1, 37])
 def test_templated_batch_derivatives_equal_per_entry_evaluation(bench, probe, rows):
+    raised = 0
     for spec in [*bench.values(), probe, _domain_error_spec()]:
         xs, us = sample_points(spec, rows, seed=5)
-        want_j, want_h = _per_entry_stacks(spec, xs, us)
-        got_j, got_h = spec.jacobian_batch(xs, us), spec.second_derivative_batch(xs, us)
-        assert got_j.shape == want_j.shape and got_h.shape == want_h.shape
-        # same bits: signed zeros and NaN included
-        assert got_j.tobytes() == want_j.tobytes(), spec.name
-        assert got_h.tobytes() == want_h.tobytes(), spec.name
+        batch = (spec.eval_f_batch, spec.jacobian_batch, spec.second_derivative_batch)
+        point = (spec.eval_f, spec.jacobian, spec.second_derivative)
+        for (trees, shape), of_batch, of_point in zip(_entry_trees(spec), batch, point):
+            want = _per_entry_stack(trees, shape, xs, us)
+            got = of_batch(xs, us)
+            assert got.shape == want.shape
+            # same bits: signed zeros and NaN included
+            assert got.tobytes() == want.tobytes(), spec.name
+            for x, u in zip(xs, us):
+                want = _per_entry_point(trees, shape, x, u)
+                if isinstance(want, ExprEvalError):
+                    raised += 1
+                    with pytest.raises(ExprEvalError) as err:
+                        of_point(x, u)
+                    assert err.value.node == want.node, spec.name
+                else:
+                    assert of_point(x, u).tobytes() == want.tobytes(), spec.name
+    assert raised > 0 or rows < 37
 
 
 def test_templated_batch_keeps_constants_beside_domain_errors():

@@ -13,7 +13,9 @@ from lipdisc import (
     verify_bounds,
 )
 from lipdisc.constants import sample_pairs, sup_pair_quotient
-from lipdisc.verify import empirical_gamma_c, verify_tolerance
+from lipdisc.verify import verify_tolerance
+
+from conftest import empirical_gamma_c
 
 
 def test_euler_two_sided_is_scaled_continuous_estimate(bench, default_cfg):
