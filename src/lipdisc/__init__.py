@@ -37,8 +37,6 @@ from .verify import (
     ConvergenceStudy,
     VerificationReport,
     convergence_study,
-    empirical_lipschitz,
-    empirical_one_sided,
     verify_bounds,
 )
 
@@ -65,8 +63,6 @@ __all__ = [
     "build_taylor_model",
     "convergence_study",
     "differentiate",
-    "empirical_lipschitz",
-    "empirical_one_sided",
     "estimate_all",
     "estimate_beta_and_m",
     "estimate_gamma_c",

@@ -90,25 +90,13 @@ class BoundResult:
     sampling_time: float
     gamma_d: float
     rho_d: float | None  # absent for order 3
-    constants: ConstantEstimates
-
-    def to_jsonable(self) -> dict:
-        return {
-            "order": self.order,
-            "T": self.sampling_time,
-            "gamma_d": self.gamma_d,
-            "rho_d": self.rho_d,
-            "constants": self.constants.to_jsonable(),
-        }
 
 
 def evaluate_bounds(order: int, t: float, c: ConstantEstimates) -> BoundResult:
     """Both formula constants for one order (rho_d absent at order 3)."""
-    _check_order(order, (1, 2, 3))
     return BoundResult(
         order=order,
         sampling_time=t,
         gamma_d=gamma_d(order, t, c),
         rho_d=rho_d(order, t, c) if order <= 2 else None,
-        constants=c,
     )

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bounds import UnsupportedOrderError, evaluate_bounds
+from .bounds import evaluate_bounds
 from .constants import NumericalError, SamplingConfig, estimate_all
 from .discretize import IntegrationError, build_taylor_model, exact_step, simulate
 from .expr import ExprError
@@ -28,21 +28,22 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
+_INDENT = 2  # spaces per nesting level of JSON output
 
 
 # ---------------------------------------------------------------------------
 # full-precision JSON
 
-def dumps_json(obj, indent: int = 2) -> str:
+def dumps_json(obj) -> str:
     """Serialize to JSON with floats at 17 significant digits."""
     pieces: list[str] = []
-    _write_json(obj, pieces, indent, 0)
+    _write_json(obj, pieces, 0)
     return "".join(pieces) + "\n"
 
 
-def _write_json(obj, out: list[str], indent: int, level: int):
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _write_json(obj, out: list[str], level: int):
+    pad = " " * (_INDENT * (level + 1))
+    close_pad = " " * (_INDENT * level)
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -64,7 +65,7 @@ def _write_json(obj, out: list[str], indent: int, level: int):
         out.append("[\n")
         for i, item in enumerate(items):
             out.append(pad)
-            _write_json(item, out, indent, level + 1)
+            _write_json(item, out, level + 1)
             out.append(",\n" if i + 1 < len(items) else "\n")
         out.append(close_pad + "]")
     elif isinstance(obj, dict):
@@ -77,7 +78,7 @@ def _write_json(obj, out: list[str], indent: int, level: int):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             out.append(pad + json.dumps(key) + ": ")
-            _write_json(obj[key], out, indent, level + 1)
+            _write_json(obj[key], out, level + 1)
             out.append(",\n" if i + 1 < len(keys) else "\n")
         out.append(close_pad + "}")
     else:
@@ -323,9 +324,9 @@ def _sampling_config(args) -> SamplingConfig:
     )
 
 
-def _config_echo(args, spec_path: str) -> dict:
+def _config_echo(args) -> dict:
     echo = {
-        "spec_path": spec_path,
+        "spec_path": args.spec,
         "seed": args.seed,
         "pairs": args.pairs,
         "grid": args.grid,
@@ -347,11 +348,23 @@ def _add_sampling_flags(parser: argparse.ArgumentParser):
     )
 
 
+def _numbers(text: str) -> np.ndarray:
+    """Comma-separated floats; ValueError if an item is not a number."""
+    return np.asarray([float(v) for v in text.split(",") if v.strip() != ""])
+
+
+def _finite(values: np.ndarray, label: str) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise SpecValidationError(label, "values must be finite")
+    return values
+
+
 def _parse_vector(text: str, label: str) -> np.ndarray:
     try:
-        return np.asarray([float(v) for v in text.split(",") if v.strip() != ""])
+        values = _numbers(text)
     except ValueError as err:
         raise SpecValidationError(label, f"expected comma-separated numbers, got {text!r}") from err
+    return _finite(values, label)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,57 +424,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed arguments and the loaded spec and
+# returns the exit code and the body of the --out payload
 
-def cmd_constants(args) -> int:
-    s = load_system(args.spec)
-    cfg = _sampling_config(args)
-    est = estimate_all(s, cfg)
+def cmd_constants(args, s: SystemSpec) -> tuple[int, dict]:
+    est = estimate_all(s, _sampling_config(args))
     print(f"system {s.name}: n={s.n} m={s.m} p={s.p} T={s.sampling_time}")
     print(f"  gamma_c     = {est.gamma_c:.12g}   (two-sided Lipschitz, empirical sup)")
     print(f"  rho_c       = {est.rho_c:.12g}   (one-sided Lipschitz, empirical sup)")
     print(f"  beta        = {est.beta:.12g}   (second-derivative norm surrogate)")
     print(f"  big_m       = {est.big_m:.12g}   (sup ||f||)")
     print(f"  sigma_bar_a = {est.sigma_bar_a:.12g}   (max singular value of A)")
-    if args.out:
-        payload = {
-            "tool": _tool_stamp(),
-            "system": s.name,
-            "constants": est.to_jsonable(),
-            "config": _config_echo(args, args.spec),
-        }
-        _write_out(args.out, payload)
-    return EXIT_OK
+    return EXIT_OK, {"constants": est.to_jsonable()}
 
 
-def cmd_bounds(args) -> int:
-    s = load_system(args.spec)
-    cfg = _sampling_config(args)
-    est = estimate_all(s, cfg)
+def cmd_bounds(args, s: SystemSpec) -> tuple[int, dict]:
+    est = estimate_all(s, _sampling_config(args))
     orders = [args.order] if args.order else [1, 2, 3]
     rows = [evaluate_bounds(k, s.sampling_time, est) for k in orders]
     for row in rows:
         rho = "n/a" if row.rho_d is None else f"{row.rho_d:.12g}"
         print(f"order {row.order}: gamma_d = {row.gamma_d:.12g}  rho_d = {rho}")
-    if args.out:
-        payload = {
-            "tool": _tool_stamp(),
-            "system": s.name,
-            "constants": est.to_jsonable(),
-            "bounds": [
-                {"order": r.order, "T": r.sampling_time, "gamma_d": r.gamma_d, "rho_d": r.rho_d}
-                for r in rows
-            ],
-            "config": _config_echo(args, args.spec),
-        }
-        _write_out(args.out, payload)
-    return EXIT_OK
+    return EXIT_OK, {
+        "constants": est.to_jsonable(),
+        "bounds": [
+            {"order": r.order, "T": r.sampling_time, "gamma_d": r.gamma_d, "rho_d": r.rho_d}
+            for r in rows
+        ],
+    }
 
 
-def cmd_verify(args) -> int:
-    s = load_system(args.spec)
-    cfg = _sampling_config(args)
-    report = verify_bounds(s, args.order, cfg)
+def cmd_verify(args, s: SystemSpec) -> tuple[int, dict]:
+    report = verify_bounds(s, args.order, _sampling_config(args))
     print(f"system {s.name}, order {report.order}, T = {report.sampling_time}")
     print(
         f"  gamma_d: formula {report.formula_gamma_d:.12g}  "
@@ -479,11 +473,7 @@ def cmd_verify(args) -> int:
             f"margin {report.rho_margin:.3e}  "
             f"{'PASS' if report.rho_pass else 'VIOLATED'}"
         )
-    if args.out:
-        payload = {"tool": _tool_stamp(), **report.to_jsonable()}
-        payload["config"] = {**_config_echo(args, args.spec), **payload["config"]}
-        _write_out(args.out, payload)
-    return EXIT_OK if report.all_passed else EXIT_VIOLATION
+    return (EXIT_OK if report.all_passed else EXIT_VIOLATION), report.to_jsonable()
 
 
 def _input_sequence(args, s: SystemSpec) -> np.ndarray:
@@ -493,16 +483,15 @@ def _input_sequence(args, s: SystemSpec) -> np.ndarray:
     if args.inputs is None:
         return np.zeros((steps, s.m))
     try:
-        constant = _parse_vector(args.inputs, "--inputs")
-        is_constant = True
-    except SpecValidationError:
-        is_constant = False
-    if is_constant:
+        constant = _numbers(args.inputs)
+    except ValueError:
+        constant = None  # not a number list: a file name
+    if constant is not None:
         if constant.shape[0] != s.m:
             raise SpecValidationError(
                 "--inputs", f"constant input has dimension {constant.shape[0]}, expected {s.m}"
             )
-        return np.tile(constant, (steps, 1))
+        return np.tile(_finite(constant, "--inputs"), (steps, 1))
     try:
         with open(args.inputs) as fp:
             rows = json.load(fp)
@@ -513,20 +502,17 @@ def _input_sequence(args, s: SystemSpec) -> np.ndarray:
         raise SpecValidationError(
             "--inputs", f"file provides {seq.shape[0]} steps, --steps is {steps}"
         )
-    return seq
+    return _finite(seq, "--inputs")
 
 
-def cmd_discretize(args) -> int:
-    s = load_system(args.spec)
+def cmd_discretize(args, s: SystemSpec) -> tuple[int, dict]:
     x0 = _parse_vector(args.x0, "--x0")
     if x0.shape[0] != s.n:
         raise SpecValidationError("--x0", f"dimension {x0.shape[0]}, expected {s.n}")
     u_seq = _input_sequence(args, s)
     mdl = build_taylor_model(s, args.order)
     traj = simulate(mdl, s, x0, u_seq)
-    payload = {
-        "tool": _tool_stamp(),
-        "system": s.name,
+    body = {
         "order": args.order,
         "T": s.sampling_time,
         "states": traj.states,
@@ -536,40 +522,30 @@ def cmd_discretize(args) -> int:
     if args.exact:
         exact = simulate(lambda x, u: exact_step(s, x, u, tol=args.tol), s, x0, u_seq)
         errors = np.linalg.norm(traj.states - exact.states, axis=1)
-        payload["exact_states"] = exact.states
-        payload["errors"] = errors
+        body["exact_states"] = exact.states
+        body["errors"] = errors
         print(f"{s.name} order {args.order}: {len(u_seq)} steps, "
               f"max |approx - exact| = {float(errors.max()):.6g}")
     else:
         print(f"{s.name} order {args.order}: {len(u_seq)} steps, "
               f"final state {traj.states[-1].tolist()}")
-    payload["config"] = _config_echo(args, args.spec)
-    if args.out:
-        _write_out(args.out, payload)
-    return EXIT_OK
+    return EXIT_OK, body
 
 
-def cmd_convergence(args) -> int:
-    s = load_system(args.spec)
+def cmd_convergence(args, s: SystemSpec) -> tuple[int, dict]:
     cfg = _sampling_config(args)
     orders = [int(v) for v in args.orders.split(",") if v.strip()]
-    t_values = [float(v) for v in args.t_list.split(",") if v.strip()]
-    if len(t_values) < 3:
-        raise SpecValidationError("--t-list", "need at least 3 sampling times")
+    t_values = _parse_vector(args.t_list, "--t-list").tolist()
+    if len(set(t_values)) < 3:
+        raise SpecValidationError("--t-list", "need at least 3 distinct sampling times")
+    if not orders:
+        raise SpecValidationError("--orders", "need at least one order")
     if any(k not in (1, 2, 3) for k in orders):
         raise SpecValidationError("--orders", "orders must be among 1, 2, 3")
     study = convergence_study(s, orders, t_values, cfg, integrator_tol=args.tol)
     for k in sorted(study.slopes):
         print(f"order {k}: slope {study.slopes[k]:.3f} (expected about {k + 1})")
-    if args.out:
-        payload = {
-            "tool": _tool_stamp(),
-            "system": s.name,
-            **study.to_jsonable(),
-            "config": _config_echo(args, args.spec),
-        }
-        _write_out(args.out, payload)
-    return EXIT_OK
+    return EXIT_OK, study.to_jsonable()
 
 
 _COMMANDS = {
@@ -582,23 +558,28 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except (SpecValidationError, UnsupportedOrderError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as err:
+        s = load_system(args.spec)
+        code, body = _COMMANDS[args.command](args, s)
+        if args.out:
+            # tool and system lead; the report's own config (verify)
+            # keeps its place and follows the echo of the arguments
+            payload = {"tool": _tool_stamp(), "system": s.name, **body}
+            payload["config"] = {**_config_echo(args), **payload.get("config", {})}
+            _write_out(args.out, payload)
+        return code
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except (NumericalError, IntegrationError, ExprError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 def console_main():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -232,29 +232,17 @@ def _probe_pairs(s: SystemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # quotient suprema over pair samples
 
 def sup_pair_quotient(
-    map_batch,
-    s: SystemSpec,
-    cfg: SamplingConfig,
-    one_sided: bool,
-    pairs: PairSample | None = None,
-    images: tuple[np.ndarray, np.ndarray] | None = None,
+    pairs: PairSample, images: tuple[np.ndarray, np.ndarray], one_sided: bool
 ) -> tuple[float, dict]:
     """Supremum of the (one-sided) difference quotient of a map over pairs.
 
-    ``map_batch(X, U) -> (N, d)`` is the map under test.  Two-sided
-    quotient: ||m(x1,u)-m(x2,u)|| / ||x1-x2||; one-sided:
-    <m(x1,u)-m(x2,u), x1-x2> / ||x1-x2||^2.  Samples where the map is
-    non-finite are skipped; more than 10% failures is an error.
+    ``images = (m(x1,u), m(x2,u))`` holds the map under test evaluated on
+    both endpoints of ``pairs``, so several quotients can share one
+    evaluation.  Two-sided quotient: ||m(x1,u)-m(x2,u)|| / ||x1-x2||;
+    one-sided: <m(x1,u)-m(x2,u), x1-x2> / ||x1-x2||^2.  Samples where the
+    map is non-finite are skipped; more than 10% failures is an error.
     Returns the supremum and the witness pair.
-
-    ``images = (m(x1,u), m(x2,u))`` passes the map already evaluated on
-    ``pairs``, so several quotients share one evaluation; ``map_batch``
-    is then not called.
     """
-    if pairs is None:
-        pairs = sample_pairs(s, cfg)
-    if images is None:
-        images = map_batch(pairs.x1, pairs.u), map_batch(pairs.x2, pairs.u)
     m1, m2 = images
     dx, dist_sq = pairs.dx, pairs.dist_sq
     dm = m1 - m2
@@ -417,7 +405,10 @@ def estimate_rho_c(
     May be negative; the near-coincident pair family makes quotients
     attained in the x2 -> x1 limit reachable.
     """
-    return sup_pair_quotient(s.eval_f_batch, s, cfg, one_sided=True, pairs=pairs)
+    if pairs is None:
+        pairs = sample_pairs(s, cfg)
+    images = s.eval_f_batch(pairs.x1, pairs.u), s.eval_f_batch(pairs.x2, pairs.u)
+    return sup_pair_quotient(pairs, images, one_sided=True)
 
 
 def estimate_beta_and_m(s: SystemSpec, cfg: SamplingConfig) -> tuple[float, float, dict]:

@@ -51,10 +51,6 @@ class DiscreteModel:
     order: int
     a_d: np.ndarray
 
-    @property
-    def sampling_time(self) -> float:
-        return self.spec.sampling_time
-
     def f_t(self, x, u=()) -> np.ndarray:
         """Nonlinear part of the discrete map at one point."""
         s = self.spec
@@ -127,8 +123,7 @@ def build_taylor_model(s: SystemSpec, order: int) -> DiscreteModel:
 # ---------------------------------------------------------------------------
 # reference integrator: Dormand-Prince 5(4) embedded pair
 
-# stage times; the held-input system is autonomous so they never enter
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# stage times never enter: the held-input system is autonomous
 _DP_A = (
     (),
     (1 / 5,),

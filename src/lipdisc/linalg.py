@@ -12,18 +12,21 @@ import math
 
 import numpy as np
 
+_POWER_MAX_ITER = 10_000
+_POWER_TOL = 1e-14  # relative change of the Rayleigh quotient at convergence
+
 
 class NumericalError(RuntimeError):
     """An iterative numerical routine failed to converge."""
 
 
-def max_singular_value(a: np.ndarray, max_iter: int = 10_000, tol: float = 1e-14) -> float:
+def max_singular_value(a: np.ndarray) -> float:
     """Induced 2-norm (largest singular value) of a real matrix.
 
     Shifted power iteration on A^T A with a deterministic start vector
     (normalized all-ones perturbed by 1/(i+1) per coordinate), stopping
-    when the Rayleigh quotient changes by less than ``tol`` relative to
-    max(1, lambda).
+    when the Rayleigh quotient changes by less than _POWER_TOL relative
+    to max(1, lambda), and failing after _POWER_MAX_ITER iterations.
     """
     a = np.asarray(a, dtype=float)
     if a.size == 0:
@@ -34,10 +37,10 @@ def max_singular_value(a: np.ndarray, max_iter: int = 10_000, tol: float = 1e-14
     v = np.full(n, 1.0 / math.sqrt(n)) + 1.0 / (np.arange(n) + 1.0)
     v /= np.linalg.norm(v)
     lam_prev = None
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         av = a @ v
         lam = float(av @ av)
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * max(1.0, lam):
+        if lam_prev is not None and abs(lam - lam_prev) <= _POWER_TOL * max(1.0, lam):
             return math.sqrt(lam)
         lam_prev = lam
         w = a.T @ av
@@ -46,7 +49,7 @@ def max_singular_value(a: np.ndarray, max_iter: int = 10_000, tol: float = 1e-14
             return 0.0
         v = w / norm_w
     raise NumericalError(
-        f"power iteration did not converge within {max_iter} iterations"
+        f"power iteration did not converge within {_POWER_MAX_ITER} iterations"
     )
 
 
@@ -64,10 +67,7 @@ def tensor3_norm_surrogate(t3: np.ndarray) -> float:
     if not np.all(np.isfinite(t3)):
         raise ValueError("tensor has non-finite entries")
     d1 = t3.shape[0]
-    unfolding = t3.reshape(d1, -1)
-    if not unfolding.any():
-        return 0.0
-    return max_singular_value(unfolding)
+    return max_singular_value(t3.reshape(d1, -1))
 
 
 def sym_max_eig(s: np.ndarray) -> tuple[float, np.ndarray]:

@@ -31,26 +31,14 @@ from .constants import (
     sample_pairs,
     sup_pair_quotient,
 )
-from .discretize import DiscreteModel, build_taylor_model, exact_step
+from .discretize import build_taylor_model, exact_step
 from .system import SystemSpec
+
+_CONVERGENCE_POINTS = 25  # seeded sample size of the convergence study
 
 
 def verify_tolerance(formula: float) -> float:
     return 1e-9 + 1e-6 * abs(formula)
-
-
-def empirical_lipschitz(
-    mdl: DiscreteModel, s: SystemSpec, cfg: SamplingConfig, pairs=None
-) -> tuple[float, dict]:
-    """Empirical sup of ||F_T(x1,u) - F_T(x2,u)|| / ||x1 - x2||."""
-    return sup_pair_quotient(mdl.f_t_batch, s, cfg, one_sided=False, pairs=pairs)
-
-
-def empirical_one_sided(
-    mdl: DiscreteModel, s: SystemSpec, cfg: SamplingConfig, pairs=None
-) -> tuple[float, dict]:
-    """Empirical sup of <F_T(x1,u) - F_T(x2,u), x1 - x2> / ||x1 - x2||^2."""
-    return sup_pair_quotient(mdl.f_t_batch, s, cfg, one_sided=True, pairs=pairs)
 
 
 @dataclass
@@ -109,30 +97,20 @@ class VerificationReport:
         }
 
 
-def verify_bounds(
-    s: SystemSpec,
-    order: int,
-    cfg: SamplingConfig,
-    constants: ConstantEstimates | None = None,
-) -> VerificationReport:
+def verify_bounds(s: SystemSpec, order: int, cfg: SamplingConfig) -> VerificationReport:
     """Full pipeline: constants, formula bounds, empirical constants,
     margins and pass flags for one order."""
     pairs = sample_pairs(s, cfg)
-    if constants is None:
-        constants = estimate_all(s, cfg, pairs=pairs)
+    constants = estimate_all(s, cfg, pairs=pairs)
     t = s.sampling_time
     result = bnd.evaluate_bounds(order, t, constants)
     mdl = build_taylor_model(s, order)
     images = mdl.f_t_batch(pairs.x1, pairs.u), mdl.f_t_batch(pairs.x2, pairs.u)
     # the complete map a_d x + F_T, reported for information
     full = tuple(x @ mdl.a_d.T + m for x, m in zip((pairs.x1, pairs.x2), images))
-
-    def quotient(images, one_sided):
-        return sup_pair_quotient(None, s, cfg, one_sided, pairs=pairs, images=images)
-
-    emp_gamma, gamma_wit = quotient(images, one_sided=False)
-    emp_rho, rho_wit = quotient(images, one_sided=True)
-    full_map, _ = quotient(full, one_sided=False)
+    emp_gamma, gamma_wit = sup_pair_quotient(pairs, images, one_sided=False)
+    emp_rho, rho_wit = sup_pair_quotient(pairs, images, one_sided=True)
+    full_map, _ = sup_pair_quotient(pairs, full, one_sided=False)
 
     gamma_tol = verify_tolerance(result.gamma_d)
     gamma_margin = result.gamma_d - emp_gamma
@@ -191,36 +169,35 @@ def convergence_study(
     orders,
     t_values,
     cfg: SamplingConfig | None = None,
-    n_points: int = 25,
     integrator_tol: float = 1e-12,
 ) -> ConvergenceStudy:
     """Fit the local truncation error order of each Taylor map.
 
-    For each T, the max over a seeded point sample of
-    ||exact_step - step_k|| is recorded; the least-squares slope of
+    For each T, the max over a seeded sample of _CONVERGENCE_POINTS
+    points of ||exact_step - step_k|| is recorded; the least-squares slope of
     log error against log T should be close to k + 1.  Points are drawn
     from the central half of the region (and inputs from U) so the
     series stays well inside its convergence zone.
     """
     t_values = [float(t) for t in t_values]
-    if len(t_values) < 3:
-        raise ValueError("need at least 3 sampling times")
+    if len(set(t_values)) < 3:
+        raise ValueError("need at least 3 distinct sampling times")
     orders = sorted(set(int(k) for k in orders))
+    if not orders:
+        raise ValueError("need at least one order")
     seed = cfg.seed if cfg is not None else 42
     rng = np.random.default_rng(seed)
     inner = s.region.scaled(0.5)
-    xs = inner.lower + rng.random((n_points, s.n)) * inner.width
-    us = s.input_region.lower + rng.random((n_points, s.m)) * s.input_region.width
+    xs = inner.lower + rng.random((_CONVERGENCE_POINTS, s.n)) * inner.width
+    us = s.input_region.lower + rng.random((_CONVERGENCE_POINTS, s.m)) * s.input_region.width
 
     errors: dict[int, list[float]] = {k: [] for k in orders}
     for t in t_values:
         s_t = s.with_sampling_time(t)
         models = {k: build_taylor_model(s_t, k) for k in orders}
-        exact = np.stack(
-            [exact_step(s_t, xs[i], us[i], tol=integrator_tol) for i in range(n_points)]
-        )
+        exact = np.stack([exact_step(s_t, x, u, tol=integrator_tol) for x, u in zip(xs, us)])
         for k in orders:
-            approx = np.stack([models[k].step(xs[i], us[i]) for i in range(n_points)])
+            approx = np.stack([models[k].step(x, u) for x, u in zip(xs, us)])
             gap = np.max(np.linalg.norm(exact - approx, axis=1))
             errors[k].append(float(max(gap, 1e-300)))
 

@@ -1,5 +1,5 @@
 """Shared fixtures, finite-difference and matrix-exponential oracles, and
-the pair-quotient Lipschitz estimate of f."""
+the pair-quotient Lipschitz estimates of f and of F_T."""
 
 import math
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lipdisc import SamplingConfig, SystemSpec, benchmarks
-from lipdisc.constants import sup_pair_quotient
+from lipdisc.constants import sample_pairs, sup_pair_quotient
 
 
 @pytest.fixture(scope="session")
@@ -90,7 +90,26 @@ def expm(a, t=1.0):
     return acc
 
 
+def pair_quotient(map_batch, s, cfg, one_sided, pairs=None):
+    """Quotient supremum of ``map_batch(X, U)`` over the pair sample of
+    ``cfg`` (or ``pairs``), evaluating the map on both endpoints."""
+    if pairs is None:
+        pairs = sample_pairs(s, cfg)
+    images = map_batch(pairs.x1, pairs.u), map_batch(pairs.x2, pairs.u)
+    return sup_pair_quotient(pairs, images, one_sided)
+
+
 def empirical_gamma_c(s, cfg, pairs=None):
     """Pair-quotient Lipschitz estimate of f itself, on the same sample
     set the model estimators use (the order-1 map scales it by T)."""
-    return sup_pair_quotient(s.eval_f_batch, s, cfg, one_sided=False, pairs=pairs)
+    return pair_quotient(s.eval_f_batch, s, cfg, one_sided=False, pairs=pairs)
+
+
+def empirical_lipschitz(mdl, s, cfg, pairs=None):
+    """Empirical sup of ||F_T(x1,u) - F_T(x2,u)|| / ||x1 - x2||."""
+    return pair_quotient(mdl.f_t_batch, s, cfg, one_sided=False, pairs=pairs)
+
+
+def empirical_one_sided(mdl, s, cfg, pairs=None):
+    """Empirical sup of <F_T(x1,u) - F_T(x2,u), x1 - x2> / ||x1 - x2||^2."""
+    return pair_quotient(mdl.f_t_batch, s, cfg, one_sided=True, pairs=pairs)

@@ -15,9 +15,6 @@ from lipdisc import (
     SystemSpec,
     build_taylor_model,
     convergence_study,
-    empirical_lipschitz,
-    empirical_one_sided,
-    estimate_all,
     estimate_gamma_c,
     estimate_rho_c,
     exact_step,
@@ -29,7 +26,14 @@ from lipdisc import (
 from lipdisc.cli import dumps_json, main
 from lipdisc.constants import sample_pairs
 
-from conftest import central_diff, empirical_gamma_c, expm, sample_points
+from conftest import (
+    central_diff,
+    empirical_gamma_c,
+    empirical_lipschitz,
+    empirical_one_sided,
+    expm,
+    sample_points,
+)
 
 
 def _report(criterion: str, passed: bool, detail: str = ""):
@@ -168,9 +172,8 @@ def test_criterion_6_bound_domination_small_t(bench, default_cfg):
     ok = True
     for name, spec in bench.items():
         spec_t = spec.with_sampling_time(0.05)
-        constants = estimate_all(spec_t, default_cfg)
         for order in (1, 2, 3):
-            report = verify_bounds(spec_t, order, default_cfg, constants=constants)
+            report = verify_bounds(spec_t, order, default_cfg)
             ok = ok and report.gamma_pass and (report.rho_pass is not False)
             details.append(
                 f"{name} k={order}: gamma margin {report.gamma_margin:.2e}"

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -49,6 +53,48 @@ def test_dumps_json_uses_17_significant_digits():
 def test_dumps_json_rejects_nonfinite():
     with pytest.raises(ValueError):
         dumps_json({"v": float("nan")})
+
+
+# ---------------------------------------------------------------------------
+# entry points and the shared --out envelope
+
+def test_module_entry_point_runs_main():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-m", "lipdisc.cli", "--version"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout.strip() == "lipdisc 0.1.0"
+
+
+def test_out_file_key_order(capsys, spec_path, tmp_path):
+    spec = spec_path("pendulum")
+    fast = ["--pairs", "2000", "--grid", "5", "--polish-iters", "2"]
+    commands = {
+        "constants": ["constants", spec, *fast],
+        "bounds": ["bounds", spec, *fast],
+        "discretize": ["discretize", spec, "--x0", "0.1,0.2", "--steps", "2", "--exact"],
+        "convergence": ["convergence", spec, "--orders", "1"],
+        "verify": ["verify", spec, *fast],
+    }
+    middle = {
+        "constants": ["constants"],
+        "bounds": ["constants", "bounds"],
+        "discretize": ["order", "T", "states", "outputs", "first_exit", "exact_states", "errors"],
+        "convergence": ["t_values", "orders"],
+        "verify": ["order", "T", "constants", "bounds", "empirical", "margins", "tolerances",
+                   "passed"],
+    }
+    for name, argv in commands.items():
+        out = tmp_path / f"{name}.json"
+        code, _, _ = _run(capsys, *argv, "--out", str(out))
+        assert code == 0, name
+        keys = list(json.loads(out.read_text()))
+        tail = ["config", "timestamp"] if name == "verify" else ["config"]
+        assert keys == ["tool", "system", *middle[name], *tail], name
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +322,38 @@ def test_cmd_discretize_dimension_mismatch_exits_2(capsys, spec_path):
     assert "--x0" in stderr
 
 
+@pytest.mark.parametrize("x0", ["nan,0", "inf,0", "0,-inf", "1e400,0"])
+def test_cmd_discretize_nonfinite_x0_exits_2(capsys, spec_path, tmp_path, x0):
+    out = tmp_path / "traj.json"
+    code, _, stderr = _run(
+        capsys, "discretize", spec_path("pendulum"), "--x0=" + x0, "--steps", "2",
+        "--out", str(out),
+    )
+    assert code == 2
+    assert "--x0" in stderr and "finite" in stderr
+    assert not out.exists()
+
+
+def test_cmd_discretize_nonfinite_constant_input_exits_2(capsys, spec_path):
+    code, _, stderr = _run(
+        capsys, "discretize", spec_path("van-der-pol"), "--x0", "0.1,0.1",
+        "--steps", "3", "--inputs", "nan",
+    )
+    assert code == 2
+    assert "--inputs" in stderr and "finite" in stderr
+
+
+def test_cmd_discretize_nonfinite_input_file_exits_2(capsys, spec_path, tmp_path):
+    inputs = tmp_path / "inputs.json"
+    inputs.write_text("[[0.1], [NaN], [0.0]]")
+    code, _, stderr = _run(
+        capsys, "discretize", spec_path("van-der-pol"), "--x0", "0.0,0.0",
+        "--steps", "3", "--inputs", str(inputs),
+    )
+    assert code == 2
+    assert "--inputs" in stderr and "finite" in stderr
+
+
 def test_cmd_discretize_constant_input(capsys, spec_path, tmp_path):
     out = tmp_path / "traj.json"
     code, _, _ = _run(
@@ -318,3 +396,22 @@ def test_cmd_convergence_too_few_sampling_times(capsys, spec_path):
     )
     assert code == 2
     assert "--t-list" in stderr
+
+
+def test_cmd_convergence_repeated_sampling_times_exit_2(capsys, spec_path):
+    code, stdout, stderr = _run(
+        capsys, "convergence", spec_path("pendulum"), "--t-list", "0.1,0.1,0.1"
+    )
+    assert code == 2
+    assert "--t-list" in stderr and "distinct" in stderr
+    assert stdout == ""
+
+
+def test_cmd_convergence_no_orders_exits_2(capsys, spec_path, tmp_path):
+    out = tmp_path / "conv.json"
+    code, _, stderr = _run(
+        capsys, "convergence", spec_path("pendulum"), "--orders", ",", "--out", str(out)
+    )
+    assert code == 2
+    assert "--orders" in stderr
+    assert not out.exists()

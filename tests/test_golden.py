@@ -21,7 +21,7 @@ def _compare(got, want, path="$"):
     if isinstance(want, float) and isinstance(got, (int, float)):
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15), path
     elif isinstance(want, dict):
-        assert isinstance(got, dict) and set(got) == set(want), path
+        assert isinstance(got, dict) and list(got) == list(want), path
         for key in want:
             _compare(got[key], want[key], f"{path}.{key}")
     elif isinstance(want, list):

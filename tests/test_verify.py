@@ -7,15 +7,13 @@ from lipdisc import (
     SamplingConfig,
     build_taylor_model,
     convergence_study,
-    empirical_lipschitz,
-    empirical_one_sided,
     estimate_rho_c,
     verify_bounds,
 )
-from lipdisc.constants import sample_pairs, sup_pair_quotient
+from lipdisc.constants import sample_pairs
 from lipdisc.verify import verify_tolerance
 
-from conftest import empirical_gamma_c
+from conftest import empirical_gamma_c, empirical_lipschitz, empirical_one_sided, pair_quotient
 
 
 def test_euler_two_sided_is_scaled_continuous_estimate(bench, default_cfg):
@@ -51,7 +49,7 @@ def test_shared_pair_pass_matches_separate_estimators(bench, probe, order):
         mdl = build_taylor_model(spec, order)
         gamma, gamma_wit = empirical_lipschitz(mdl, spec, cfg)
         rho, rho_wit = empirical_one_sided(mdl, spec, cfg)
-        full, _ = sup_pair_quotient(
+        full, _ = pair_quotient(
             lambda x, u: x @ mdl.a_d.T + mdl.f_t_batch(x, u), spec, cfg, one_sided=False
         )
         rho_c, rho_c_wit = estimate_rho_c(spec, cfg)
@@ -137,3 +135,10 @@ def test_convergence_study_linear_system(bench, fast_cfg):
 def test_convergence_study_needs_three_sampling_times(bench, fast_cfg):
     with pytest.raises(ValueError):
         convergence_study(bench["pendulum"], (1,), (0.1, 0.05), fast_cfg)
+
+
+def test_convergence_study_needs_three_distinct_sampling_times_and_an_order(bench, fast_cfg):
+    with pytest.raises(ValueError, match="distinct"):
+        convergence_study(bench["pendulum"], (1,), (0.1, 0.1, 0.05), fast_cfg)
+    with pytest.raises(ValueError, match="order"):
+        convergence_study(bench["pendulum"], (), (0.2, 0.1, 0.05), fast_cfg)
