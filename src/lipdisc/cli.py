@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .bounds import evaluate_bounds
 from .constants import NumericalError, SamplingConfig, estimate_all
-from .discretize import IntegrationError, build_taylor_model, exact_step, simulate
+from .discretize import _MIN_STEP, IntegrationError, build_taylor_model, exact_step, simulate
 from .expr import ExprError
 from .system import SpecValidationError, SystemSpec
 from .verify import convergence_study, verify_bounds
@@ -497,7 +497,10 @@ def _input_sequence(args, s: SystemSpec) -> np.ndarray:
             rows = json.load(fp)
     except (OSError, json.JSONDecodeError) as err:
         raise SpecValidationError("--inputs", f"cannot read input file: {err}") from err
-    seq = np.asarray(rows, dtype=float).reshape(-1, s.m)
+    try:
+        seq = np.asarray(rows, dtype=float).reshape(-1, s.m)
+    except (TypeError, ValueError) as err:
+        raise SpecValidationError("--inputs", f"expected an array of numbers: {err}") from err
     if seq.shape[0] != steps:
         raise SpecValidationError(
             "--inputs", f"file provides {seq.shape[0]} steps, --steps is {steps}"
@@ -534,10 +537,19 @@ def cmd_discretize(args, s: SystemSpec) -> tuple[int, dict]:
 
 def cmd_convergence(args, s: SystemSpec) -> tuple[int, dict]:
     cfg = _sampling_config(args)
-    orders = [int(v) for v in args.orders.split(",") if v.strip()]
+    try:
+        orders = [int(v) for v in args.orders.split(",") if v.strip()]
+    except ValueError as err:
+        raise SpecValidationError(
+            "--orders", f"expected comma-separated integers, got {args.orders!r}"
+        ) from err
     t_values = _parse_vector(args.t_list, "--t-list").tolist()
     if len(set(t_values)) < 3:
         raise SpecValidationError("--t-list", "need at least 3 distinct sampling times")
+    if min(t_values) < _MIN_STEP:
+        raise SpecValidationError(
+            "--t-list", f"sampling times must be at least the integrator's minimum step {_MIN_STEP}"
+        )
     if not orders:
         raise SpecValidationError("--orders", "need at least one order")
     if any(k not in (1, 2, 3) for k in orders):

@@ -20,7 +20,9 @@ primitives that differ between the modes.  A point evaluates on Python
 floats with ``math``: a domain error raises :class:`ExprEvalError`
 naming the failing node, and an overflow saturates to +-inf.  A batch
 evaluates on numpy columns with ufuncs: a bad sample comes back nan or
-inf and nothing raises.
+inf and nothing raises.  :func:`point_kernel` compiles straight-line
+code for many trees at one point with the walk's bits; the walk stays
+its error path.
 
 Trees are immutable after construction and safe to share across threads.
 """
@@ -271,6 +273,10 @@ def unparse(e: Expression) -> str:
     """
     if isinstance(e, Const):
         v = e.value
+        if math.isnan(v):
+            return "nan"  # made only by folding a derivative; it has no literal
+        if math.isinf(v):
+            return "1e999" if v > 0 else "-1e999"  # parses back to +-inf
         if v == int(v) and abs(v) < 1e16:
             return str(int(v)) if not _is_neg_zero(v) else "-0"
         return repr(v)
@@ -424,6 +430,57 @@ def evaluate(e: Expression, x, u=()) -> float:
     return _eval(e, x, u, _POINT)
 
 
+def point_kernel(trees, slots) -> Callable:
+    """A function of ``(x, u, out)`` that stores the value of ``trees[i]``
+    at one point in ``out[j]`` for each ``j`` in ``slots[i]`` and returns
+    ``out``, generated as straight-line code and compiled.
+
+    Every distinct subtree is computed once, with the point primitives
+    in the walk's order of operations, so each value has the bits of
+    :func:`evaluate`.  A domain error, division by zero, an overflow or
+    a variable out of range raises a bare error before anything is
+    stored: rerun the walk to name the node or to saturate the overflow.
+    """
+    namespace = {"float": float, **_POINT.unary}
+    lines: list[str] = []
+    local: dict[str, str] = {}  # right-hand side -> the local holding it
+
+    def emit(e: Expression) -> str:
+        # an operand: a literal, a bound constant or a local; the text of
+        # a right-hand side over operands identifies its subtree, and a
+        # constant's repr tells 0.0 from -0.0
+        if isinstance(e, Const):
+            if math.isfinite(e.value):
+                return f"({e.value!r})"
+            name = f"c{len(namespace)}"  # inf and nan have no literal
+            namespace[name] = e.value
+            return name
+        if isinstance(e, Var):
+            rhs = f"float({'x' if e.kind == 'x' else 'u'}[{e.index - 1}])"
+        elif isinstance(e, Unary):
+            a = emit(e.arg)
+            if e.op not in _POINT.unary:
+                raise TypeError(f"unknown unary operator {e.op!r}")
+            rhs = f"-{a}" if e.op == "neg" else f"{e.op}({a})"
+        elif isinstance(e, Pow):
+            rhs = f"{emit(e.base)} ** {e.exponent:d}"
+        elif isinstance(e, Binary):
+            op = e.op if e.op in ("+", "-", "*") else "/"
+            rhs = f"{emit(e.left)} {op} {emit(e.right)}"
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        if rhs not in local:
+            local[rhs] = f"t{len(lines)}"
+            lines.append(f"    {local[rhs]} = {rhs}")
+        return local[rhs]
+
+    values = [emit(tree) for tree in trees]
+    stores = [f"    out[{j:d}] = {v}" for v, js in zip(values, slots) for j in js]
+    source = "\n".join(["def kernel(x, u, out):", *lines, *stores, "    return out"])
+    exec(compile(source, "<point kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 def evaluate_batch(e: Expression, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Evaluate over a batch of points; shapes (N, n) and (N, m) -> (N,).
 
@@ -510,7 +567,8 @@ def _pow(base, k: int):
     if k == 1:
         return base
     if _is_const(base):
-        return _const(base.value**k)
+        # folded as evaluation does it, so an overflow saturates
+        return _const(_eval(Pow(base, k), (), (), _POINT))
     return Pow(base, k)
 
 
@@ -557,6 +615,8 @@ def _diff(e: Expression, var: str) -> Expression:
             # zero almost everywhere; the jump at 0 is ignored by convention
             return _ZERO
     if isinstance(e, Pow):
+        if e.exponent == 0:
+            return _ZERO
         db = _diff(e.base, var)
         return _mul(_mul(_const(e.exponent), _pow(e.base, e.exponent - 1)), db)
     if isinstance(e, Binary):

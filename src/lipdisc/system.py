@@ -4,14 +4,17 @@ A :class:`SystemSpec` carries the matrices, the nonlinearity f as one
 expression per state, the operating box D, the input box U (possibly
 zero-dimensional) and the sampling time.  First and second derivative
 expressions of f are differentiated symbolically once at construction
-and cached, since the estimators evaluate them at thousands of points.
-Instances are immutable and safe for concurrent evaluation.
+and cached, since the estimators evaluate them at thousands of points;
+a point evaluates them through compiled kernels built on first use.
+Instances are immutable apart from that cache and safe for concurrent
+evaluation.
 """
 
 from __future__ import annotations
 
+import copy
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,10 +104,7 @@ class SystemSpec:
         if self.region.dim != n:
             raise SpecValidationError("region", f"dimension {self.region.dim} != n = {n}")
         m = self.input_region.dim
-        t = float(self.sampling_time)
-        object.__setattr__(self, "sampling_time", t)
-        if not (t > 0.0 and np.isfinite(t)):
-            raise SpecValidationError("T", f"sampling time must be positive and finite, got {t}")
+        object.__setattr__(self, "sampling_time", _sampling_time(self.sampling_time))
         for i, comp in enumerate(self.f):
             max_x, max_u = ex.max_indices(comp)
             if max_x > n:
@@ -124,9 +124,9 @@ class SystemSpec:
         names = [f"x{j + 1}" for j in range(n)]
         jac = [ex.differentiate(comp, name) for comp in self.f for name in names]
         hess = [ex.differentiate(dj, name) for dj in jac for name in names]
-        object.__setattr__(self, "_f_template", _template(self.f, (n,)))
-        object.__setattr__(self, "_jac_template", _template(jac, (n, n)))
-        object.__setattr__(self, "_hess_template", _template(hess, (n, n, n)))
+        object.__setattr__(self, "_f_template", _Template(self.f, (n,)))
+        object.__setattr__(self, "_jac_template", _Template(jac, (n, n)))
+        object.__setattr__(self, "_hess_template", _Template(hess, (n, n, n)))
 
     @property
     def n(self) -> int:
@@ -141,7 +141,11 @@ class SystemSpec:
         return self.c.shape[0]
 
     def with_sampling_time(self, t: float) -> "SystemSpec":
-        return replace(self, sampling_time=t)
+        """The same plant at sampling time ``t``.  The copy shares the
+        derivative templates and their kernels, which depend only on f."""
+        out = copy.copy(self)
+        object.__setattr__(out, "sampling_time", _sampling_time(t))
+        return out
 
     # ------------------------------------------------------------------
     # pointwise evaluation
@@ -224,45 +228,65 @@ class SystemSpec:
         return out
 
 
-def _template(entries, shape: tuple) -> tuple[np.ndarray, tuple]:
-    """Split a flattened stack of trees into an array holding every
-    constant entry and the distinct non-constant trees, each with the
-    indices of the entries it fills."""
-    consts = np.zeros(shape)
-    live: dict[str, tuple] = {}
-    for entry, tree in zip(np.ndindex(*shape), entries):
-        if isinstance(tree, ex.Const):
-            consts[entry] = tree.value
-        else:
-            # keyed by repr, which unlike == tells 0.0 from -0.0
-            live.setdefault(repr(tree), (tree, []))[1].append(entry)
-    return consts, tuple((tree, tuple(filled)) for tree, filled in live.values())
+class _Template:
+    """A flattened stack of trees in C order split into a flat array
+    holding every constant entry and the distinct non-constant trees,
+    each with the flat indices of the entries it fills.  The point
+    kernel of the live trees is generated on the first pointwise call,
+    so a spec that is only evaluated in batches never builds it."""
+
+    def __init__(self, entries, shape: tuple):
+        self.shape = shape
+        self.consts = np.zeros(int(np.prod(shape)))
+        live: dict[str, tuple] = {}
+        for j, tree in enumerate(entries):
+            if isinstance(tree, ex.Const):
+                self.consts[j] = tree.value
+            else:
+                # keyed by repr, which unlike == tells 0.0 from -0.0
+                live.setdefault(repr(tree), (tree, []))[1].append(j)
+        self.live = tuple((tree, tuple(filled)) for tree, filled in live.values())
+        self.kernel = None
 
 
-def _fill(out: np.ndarray, lead: tuple, live: tuple, value) -> np.ndarray:
-    """Store each live tree's ``value`` in every entry it fills of ``out``,
-    which holds the constants; ``lead`` selects all of its batch axes.
-    Equal to evaluating every entry, since a constant evaluates to its
-    value."""
-    for tree, filled in live:
-        v = value(tree)
-        for entry in filled:
-            out[lead + entry] = v
-    return out
+def _fill(out: np.ndarray, live: tuple, values) -> None:
+    """Store each live tree's value from ``values`` in every entry it
+    fills of ``out``, which holds the constants, entries on the first
+    axis.  Equal to evaluating every entry, since a constant evaluates
+    to its value."""
+    for (_, filled), v in zip(live, values):
+        for j in filled:
+            out[j] = v
 
 
-def _fill_point(template: tuple, x, u) -> np.ndarray:
-    """One point; a domain error raises for the first failing entry."""
-    consts, live = template
-    return _fill(consts.copy(), (), live, lambda tree: ex.evaluate(tree, x, u))
+def _fill_point(template: _Template, x, u) -> np.ndarray:
+    """One point through the template's kernel.  On an error the walk
+    runs instead: a domain error raises for the first failing entry,
+    naming its node, and an overflow saturates."""
+    live = template.live
+    if template.kernel is None:
+        template.kernel = ex.point_kernel([t for t, _ in live], [j for _, j in live])
+    out = template.consts.copy()
+    try:
+        template.kernel(x, u, out)
+    except (ArithmeticError, ValueError, IndexError):
+        _fill(out, live, [ex.evaluate(tree, x, u) for tree, _ in live])
+    return out.reshape(template.shape)
 
 
-def _fill_batch(template: tuple, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _fill_batch(template: _Template, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """An (N, *shape) stack; bad rows come back non-finite."""
-    consts, live = template
-    out = np.empty(x.shape[:1] + consts.shape)
-    out[...] = consts
-    return _fill(out, (slice(None),), live, lambda tree: ex.evaluate_batch(tree, x, u))
+    out = np.empty((x.shape[0], template.consts.shape[0]))
+    out[...] = template.consts
+    _fill(out.T, template.live, (ex.evaluate_batch(tree, x, u) for tree, _ in template.live))
+    return out.reshape(x.shape[:1] + template.shape)
+
+
+def _sampling_time(t) -> float:
+    t = float(t)
+    if not (t > 0.0 and np.isfinite(t)):
+        raise SpecValidationError("T", f"sampling time must be positive and finite, got {t}")
+    return t
 
 
 def _require(data: dict, key: str, typ):

@@ -31,7 +31,7 @@ from .constants import (
     sample_pairs,
     sup_pair_quotient,
 )
-from .discretize import build_taylor_model, exact_step
+from .discretize import _MIN_STEP, build_taylor_model, exact_step
 from .system import SystemSpec
 
 _CONVERGENCE_POINTS = 25  # seeded sample size of the convergence study
@@ -182,6 +182,10 @@ def convergence_study(
     t_values = [float(t) for t in t_values]
     if len(set(t_values)) < 3:
         raise ValueError("need at least 3 distinct sampling times")
+    if min(t_values) < _MIN_STEP:
+        raise ValueError(
+            f"sampling times must be at least the integrator's minimum step {_MIN_STEP}"
+        )
     orders = sorted(set(int(k) for k in orders))
     if not orders:
         raise ValueError("need at least one order")

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from lipdisc import SamplingConfig, SystemSpec, benchmarks
 from lipdisc.constants import sample_pairs, sup_pair_quotient
+from lipdisc.expr import Binary, Const, Pow, Unary, Var
 
 
 @pytest.fixture(scope="session")
@@ -41,6 +43,36 @@ def default_cfg():
 @pytest.fixture(scope="session")
 def fast_cfg():
     return SamplingConfig(grid_per_axis=11, pair_budget=2000, seed=7, polish_iters=20)
+
+
+# random trees over x1, x2, u1, u2 with every operator, signed zeros and
+# non-finite constants, and points that reach domain errors, overflows
+# and (with one state) an out-of-range variable
+expr_trees = st.recursive(
+    st.builds(Const, st.sampled_from([0.0, -0.0, 1.0, 0.5, 3.0, 1e300]) | st.floats())
+    | st.builds(Var, st.sampled_from("xu"), st.integers(1, 2)),
+    lambda kids: st.builds(
+        Unary,
+        st.sampled_from(["neg", "sin", "cos", "tan", "exp", "ln", "sqrt", "abs", "tanh", "sign"]),
+        kids,
+    )
+    | st.builds(Binary, st.sampled_from("+-*/"), kids, kids)
+    | st.builds(Pow, kids, st.integers(0, 5)),
+    max_leaves=10,
+)
+expr_points = st.lists(
+    st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, 1e3, -1e3]), min_size=1, max_size=2
+)
+
+
+def float_bits(values) -> list:
+    """The bit patterns of float values, every NaN as the default NaN.
+    IEEE 754 leaves the sign and payload of a NaN result open, and
+    CPython does not fix them: with both operands NaN, ``a * b`` can
+    return either one, depending on whether the interpreter has
+    specialised that multiplication yet."""
+    v = np.asarray(values, dtype=float)
+    return np.where(np.isnan(v), np.nan, v).view(np.int64).tolist()
 
 
 def fd_step(value: float) -> float:

@@ -354,6 +354,17 @@ def test_cmd_discretize_nonfinite_input_file_exits_2(capsys, spec_path, tmp_path
     assert "--inputs" in stderr and "finite" in stderr
 
 
+def test_cmd_discretize_non_numeric_input_file_exits_2(capsys, spec_path, tmp_path):
+    inputs = tmp_path / "inputs.json"
+    inputs.write_text('[["a"], [1]]')
+    code, _, stderr = _run(
+        capsys, "discretize", spec_path("van-der-pol"), "--x0", "0.0,0.0",
+        "--steps", "2", "--inputs", str(inputs),
+    )
+    assert code == 2
+    assert "--inputs" in stderr
+
+
 def test_cmd_discretize_constant_input(capsys, spec_path, tmp_path):
     out = tmp_path / "traj.json"
     code, _, _ = _run(
@@ -405,6 +416,23 @@ def test_cmd_convergence_repeated_sampling_times_exit_2(capsys, spec_path):
     assert code == 2
     assert "--t-list" in stderr and "distinct" in stderr
     assert stdout == ""
+
+
+def test_cmd_convergence_sampling_time_below_minimum_step_exits_2(capsys, spec_path):
+    # 1e-300 used to reach the integrator and exit 3 on a step-size underflow
+    code, stdout, stderr = _run(
+        capsys, "convergence", spec_path("pendulum"), "--t-list", "0.2,0.1,1e-300",
+        "--orders", "1",
+    )
+    assert code == 2
+    assert "--t-list" in stderr and "minimum step" in stderr
+    assert stdout == ""
+
+
+def test_cmd_convergence_non_integer_orders_exit_2(capsys, spec_path):
+    code, _, stderr = _run(capsys, "convergence", spec_path("pendulum"), "--orders", "a")
+    assert code == 2
+    assert "--orders" in stderr
 
 
 def test_cmd_convergence_no_orders_exits_2(capsys, spec_path, tmp_path):

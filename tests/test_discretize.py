@@ -171,6 +171,70 @@ def test_exact_step_tolerance_self_consistency(bench):
         assert np.linalg.norm(coarse - fine) <= 20 * tol
 
 
+def _reference_exact_step(s, x, u=(), tol=1e-10):
+    """Dormand-Prince with the stage sums as Python sums over lists of
+    vectors, term by term in stage order from 0: the bit-level reference
+    for exact_step's stacked stages."""
+    t_end = s.sampling_time
+    y = np.asarray(x, dtype=float).copy()
+
+    def rhs(state):
+        return s.a @ state + s.eval_f(state, u)
+
+    t = 0.0
+    h = t_end
+    for _ in range(discretize._MAX_STEPS):
+        remaining = t_end - t
+        if remaining <= 4.0 * np.finfo(float).eps * t_end:
+            return y
+        h = min(h, remaining)
+        k = [rhs(y)]
+        for stage in range(1, 7):
+            incr = sum(c * k[j] for j, c in enumerate(discretize._DP_A[stage]))
+            k.append(rhs(y + h * incr))
+        y_new = y + h * sum(b * ki for b, ki in zip(discretize._DP_B5, k))
+        err_vec = h * sum(e * ki for e, ki in zip(discretize._DP_E, k))
+        scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
+        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        if err <= 1.0:
+            t += h
+            y = y_new
+        factor = 5.0 if err == 0.0 else discretize._SAFETY * err ** (-0.2)
+        h = h * min(5.0, max(0.2, factor))
+        h = min(h, t_end)
+        if h < discretize._MIN_STEP:
+            raise IntegrationError("step size underflow", t, y, h)
+    raise IntegrationError("step budget exhausted", t, y, h)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_exact_step_keeps_the_bits_of_list_stage_sums(bench, probe, tol):
+    for spec in [*bench.values(), probe]:
+        xs, us = sample_points(spec, 200, seed=17)
+        for x, u in zip(xs, us):
+            got = exact_step(spec, x, u, tol=tol)
+            assert got.tobytes() == _reference_exact_step(spec, x, u, tol).tobytes(), spec.name
+
+
+def test_exact_step_keeps_the_bits_at_zero_states(bench):
+    linear = bench["linear-2d"]
+    origin = np.zeros(2)
+    assert exact_step(linear, origin).tobytes() == _reference_exact_step(linear, origin).tobytes()
+    pend = bench["pendulum"]
+    signed = np.array([-0.0, 0.0])
+    assert exact_step(pend, signed).tobytes() == _reference_exact_step(pend, signed).tobytes()
+
+
+def test_exact_step_underflow_message_is_unchanged(bench):
+    tiny = bench["pendulum"].with_sampling_time(1e-300)
+    with pytest.raises(IntegrationError) as want:
+        _reference_exact_step(tiny, [0.5, 0.2])
+    with pytest.raises(IntegrationError) as got:
+        exact_step(tiny, [0.5, 0.2])
+    assert str(got.value) == str(want.value)
+    assert "step size underflow" in str(got.value)
+
+
 def test_exact_step_validates_tolerance(bench):
     with pytest.raises(ValueError):
         exact_step(bench["pendulum"], [0.0, 0.0], tol=1e-3)

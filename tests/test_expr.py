@@ -1,7 +1,11 @@
 """Parser, evaluator and symbolic derivative tests."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lipdisc import expr as ex
 from lipdisc.expr import (
@@ -19,7 +23,7 @@ from lipdisc.expr import (
     unparse,
 )
 
-from conftest import central_diff
+from conftest import central_diff, expr_points, expr_trees, float_bits
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +95,15 @@ def test_parse_error_carries_offset():
 def test_unparse_round_trip(text):
     tree = parse(text)
     assert parse(unparse(tree)) == tree
+
+
+def test_unparse_non_finite_constants():
+    # int(v) used to raise on them, also inside an evaluation error message
+    assert evaluate(parse(unparse(Const(np.inf))), []) == np.inf
+    assert evaluate(parse(unparse(Binary("*", Const(-np.inf), Var("x", 1)))), [1.0]) == -np.inf
+    assert unparse(Const(np.nan)) == "nan"
+    with pytest.raises(ExprEvalError, match="division by zero"):
+        evaluate(Binary("/", Const(np.nan), Var("x", 1)), [0.0])
 
 
 def _random_tree(rng, depth):
@@ -197,6 +210,27 @@ def test_power_overflow_saturates_in_both_modes(text, x1, want):
     np.testing.assert_array_equal(evaluate_batch(tree, [[x1], [x1]], np.zeros((2, 0))), want)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(expr_trees, min_size=1, max_size=3), expr_points, expr_points)
+def test_point_kernel_is_bit_equal_to_the_walk(trees, x, u):
+    # a derivative shares subtrees with its tree, so some are computed once
+    trees = trees + [differentiate(trees[0], "x1")]
+    kernel = ex.point_kernel(trees, [[i] for i in range(len(trees))])
+    try:
+        got = kernel(x, u, [None] * len(trees))
+    except (ArithmeticError, ValueError, IndexError):
+        return  # the caller reruns the walk: test_system checks that path
+    want = [evaluate(tree, x, u) for tree in trees]
+    assert float_bits(got) == float_bits(want)
+
+
+def test_point_kernel_fills_every_slot_of_a_tree():
+    kernel = ex.point_kernel([parse("sin(x1)*x1"), parse("-0*x1")], [[3, 0], [1]])
+    out = kernel([0.5], (), [7.0] * 5)
+    assert out == [math.sin(0.5) * 0.5, -0.0, 7.0, math.sin(0.5) * 0.5, 7.0]
+    assert math.copysign(1.0, out[1]) == -1.0
+
+
 def test_evaluate_batch_constant_expression_broadcasts():
     vals = evaluate_batch(parse("3"), np.zeros((7, 2)), np.zeros((7, 0)))
     np.testing.assert_array_equal(vals, np.full(7, 3.0))
@@ -267,6 +301,14 @@ def test_second_derivative_by_repeated_differentiation():
     tree = parse("x1^3")
     second = differentiate(differentiate(tree, "x1"), "x1")
     assert evaluate(second, [2.0]) == 12.0
+
+
+def test_derivative_of_a_constant_power_folds_as_evaluation_does():
+    # a zero exponent used to fold 0^-1, and 1e300^2 used to raise
+    assert differentiate(parse("0^0"), "x1") == Const(0.0)
+    assert differentiate(parse("x1^0"), "x1") == Const(0.0)
+    # 3 * 1e300^2 * 0 = inf * 0
+    assert np.isnan(differentiate(parse("1e300^3"), "x1").value)
 
 
 def test_differentiate_rejects_bad_variable_names():

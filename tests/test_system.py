@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from lipdisc import BoxRegion, SpecValidationError, SystemSpec, differentiate, parse
+from lipdisc import expr as ex
 from lipdisc.expr import ExprEvalError, evaluate, evaluate_batch
 
-from conftest import central_diff, sample_points
+from conftest import central_diff, expr_points, expr_trees, float_bits, sample_points
 
 
 def _scalar_spec(f_text, lower=-2.0, upper=2.0, a=0.0):
@@ -206,6 +208,74 @@ def test_templated_batch_derivatives_equal_per_entry_evaluation(bench, probe, ro
     assert raised > 0 or rows < 37
 
 
+def _assert_point_matches_walk(spec, x, u):
+    """f, J and H at one point have the bits of the walk over every
+    entry, or raise the walk's error for the first failing entry."""
+    point = (spec.eval_f, spec.jacobian, spec.second_derivative)
+    for (trees, shape), of_point in zip(_entry_trees(spec), point):
+        want = _per_entry_point(trees, shape, x, u)
+        if isinstance(want, ExprEvalError):
+            with pytest.raises(ExprEvalError) as err:
+                of_point(x, u)
+            assert str(err.value) == str(want)
+        else:
+            assert float_bits(of_point(x, u)) == float_bits(want), spec.name
+
+
+def test_point_evaluation_of_the_specs_runs_kernels_with_the_walks_bits(
+    bench, probe, monkeypatch
+):
+    cases = []
+    for spec in [*bench.values(), probe]:
+        entries = _entry_trees(spec)
+        xs, us = sample_points(spec, 200, seed=31)
+        xs[0], us[0] = -0.0, -0.0
+        for x, u in zip(xs, us):
+            want = [_per_entry_point(trees, shape, x, u) for trees, shape in entries]
+            cases.append((spec, x, u, want))
+
+    def walk(*args):
+        raise AssertionError("the walk ran on a point without an error")
+
+    monkeypatch.setattr(ex, "evaluate", walk)
+    for spec, x, u, (f, jac, hess) in cases:
+        assert spec.eval_f(x, u).tobytes() == f.tobytes(), spec.name
+        assert spec.jacobian(x, u).tobytes() == jac.tobytes(), spec.name
+        assert spec.second_derivative(x, u).tobytes() == hess.tobytes(), spec.name
+
+
+@pytest.mark.parametrize(
+    "text, x1",
+    [("ln(x1)", 0.0), ("ln(x1)", -1.0), ("sqrt(x1)", -4.0), ("1/(x1-x1)", 0.5)],
+)
+def test_point_domain_errors_match_the_walk(text, x1):
+    spec = _scalar_spec(text)
+    with pytest.raises(ExprEvalError):
+        spec.eval_f([x1])
+    _assert_point_matches_walk(spec, [x1], [])
+
+
+@pytest.mark.parametrize("text, x1", [("exp(1000)", 0.0), ("x1^400", 1e3), ("-x1^401", 1e3)])
+def test_point_overflow_saturates_as_the_walk_does(text, x1):
+    spec = _scalar_spec(text)
+    assert np.isinf(spec.eval_f([x1])[0])
+    _assert_point_matches_walk(spec, [x1], [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(expr_trees, expr_points, expr_points)
+def test_point_evaluation_of_random_trees_matches_the_walk(tree, x, u):
+    spec = SystemSpec(
+        name="random",
+        a=np.zeros((2, 2)),
+        c=np.eye(2),
+        f=(tree, differentiate(tree, "x2")),
+        region=BoxRegion([-1.0, -1.0], [1.0, 1.0]),
+        input_region=BoxRegion([-1.0, -1.0], [1.0, 1.0]),
+    )
+    _assert_point_matches_walk(spec, x, u)
+
+
 def test_templated_batch_keeps_constants_beside_domain_errors():
     spec = _domain_error_spec()
     xs, us = sample_points(spec, 200, seed=9)
@@ -227,6 +297,21 @@ def test_round_trip_through_dict(bench):
         np.testing.assert_array_equal(clone.c, spec.c)
         assert clone.f == spec.f
         assert clone.sampling_time == spec.sampling_time
+
+
+def test_with_sampling_time_shares_the_templates(bench, probe):
+    for spec in [*bench.values(), probe]:
+        (x,), (u,) = sample_points(spec, 1, seed=3)
+        spec.eval_f(x, u)  # f's kernel exists before the copy, J's and H's after
+        fast = spec.with_sampling_time(0.05)
+        assert fast.sampling_time == 0.05 and spec.sampling_time != 0.05
+        for name in ("_f_template", "_jac_template", "_hess_template"):
+            assert getattr(fast, name) is getattr(spec, name)
+        for name in ("eval_f", "jacobian", "second_derivative"):
+            assert getattr(fast, name)(x, u).tobytes() == getattr(spec, name)(x, u).tobytes()
+    for t in (0.0, -0.1, float("nan")):
+        with pytest.raises(SpecValidationError, match="^T:"):
+            probe.with_sampling_time(t)
 
 
 def test_with_sampling_time(bench):

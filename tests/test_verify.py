@@ -142,3 +142,8 @@ def test_convergence_study_needs_three_distinct_sampling_times_and_an_order(benc
         convergence_study(bench["pendulum"], (1,), (0.1, 0.1, 0.05), fast_cfg)
     with pytest.raises(ValueError, match="order"):
         convergence_study(bench["pendulum"], (), (0.2, 0.1, 0.05), fast_cfg)
+
+
+def test_convergence_study_rejects_sampling_times_below_the_minimum_step(bench, fast_cfg):
+    with pytest.raises(ValueError, match="minimum step"):
+        convergence_study(bench["pendulum"], (1,), (0.2, 0.1, 1e-300), fast_cfg)
