@@ -498,7 +498,9 @@ def _input_sequence(args, s: SystemSpec) -> np.ndarray:
     except (OSError, json.JSONDecodeError) as err:
         raise SpecValidationError("--inputs", f"cannot read input file: {err}") from err
     try:
-        seq = np.asarray(rows, dtype=float).reshape(-1, s.m)
+        seq = np.asarray(rows, dtype=float)
+        # rows of an input-free spec are empty, so their count must be read
+        seq = seq.reshape(len(seq) if s.m == 0 and seq.ndim else -1, s.m)
     except (TypeError, ValueError) as err:
         raise SpecValidationError("--inputs", f"expected an array of numbers: {err}") from err
     if seq.shape[0] != steps:

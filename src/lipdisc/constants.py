@@ -19,11 +19,23 @@ relative band of the screened maximum are re-ranked by the pointwise
 kernels of ``linalg``, once per distinct matrix.  The supremum and its
 witness are therefore those of the pointwise kernel over the whole
 grid; exact ties go to the first grid point in C order.
+
+The gamma_c polish screens its candidates the same way.  A candidate is
+accepted only if its kernel value exceeds the current best, and the
+kernel never exceeds the LAPACK 2-norm, so a Jacobian whose 2-norm lies
+more than the band below the best is rejected without the kernel.  Each
+distinct Jacobian (by its bytes) is scored once.  Every accept and
+reject decision is the one the unscreened polish makes, so its path,
+value and witness are unchanged.
+
+A grid over more than 1e6 points is coarsened per axis; ``estimate_all``
+then warns once, naming the requested and the effective grid.
 """
 
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -277,10 +289,14 @@ def _coordinate_polish(objective, start, lower, upper, steps, iters):
     """Local coordinate descent with per-iteration step halving.
 
     Only accepts improvements, so the returned value never falls below
-    objective(start); candidates are clipped into the box.
+    objective(start, -inf); candidates are clipped into the box.
+    ``objective(z, best)`` receives the current best, which never
+    decreases, and may return -inf for a candidate it can prove does
+    not exceed it: the candidate would be rejected either way, so the
+    path is that of the exact objective.
     """
     x = start.astype(float).copy()
-    best = objective(x)
+    best = objective(x, -np.inf)
     h = steps.astype(float).copy()
     for _ in range(iters):
         for d in range(x.shape[0]):
@@ -291,7 +307,7 @@ def _coordinate_polish(objective, start, lower, upper, steps, iters):
                 cand[d] = min(max(cand[d] + sign * h[d], lower[d]), upper[d])
                 if cand[d] == x[d]:
                     continue
-                val = objective(cand)
+                val = objective(cand, best)
                 if val > best:
                     best = val
                     x = cand
@@ -358,6 +374,24 @@ def _kernel_or_nan(kernel, mat: np.ndarray) -> float:
         return np.nan
 
 
+def _polish_score(jac: np.ndarray, best: float) -> float:
+    """``max_singular_value(jac)``, or -inf where it fails or where the
+    LAPACK 2-norm of ``jac`` lies below ``best * (1 - _SCREEN_BAND)``, so
+    the kernel cannot exceed ``best``.  As ``best`` never decreases
+    during a polish, a screened matrix stays screened."""
+    if not np.isfinite(jac).all():
+        return -np.inf
+    try:
+        if np.linalg.norm(jac, 2) < best * (1.0 - _SCREEN_BAND):
+            return -np.inf
+    except np.linalg.LinAlgError:
+        pass  # no screen; the kernel decides
+    try:
+        return max_singular_value(jac)
+    except NumericalError:
+        return -np.inf
+
+
 def _polish_setup(s: SystemSpec, cfg: SamplingConfig):
     lower, upper = _domain_box(s)
     g = _effective_grid(lower.shape[0], cfg.grid_per_axis)
@@ -379,11 +413,17 @@ def estimate_gamma_c(s: SystemSpec, cfg: SamplingConfig) -> tuple[float, dict]:
     best_row = int(np.argmax(vals))
     grid_best = float(vals[best_row])
 
-    def objective(z):
+    scores: dict[bytes, float] = {}
+
+    def objective(z, best):
         try:
-            return max_singular_value(s.jacobian(z[: s.n], z[s.n :]))
-        except (ExprError, NumericalError, ValueError):
+            jac = s.jacobian(z[: s.n], z[s.n :])
+        except (ExprError, ValueError):
             return -np.inf
+        key = jac.tobytes()
+        if key not in scores:
+            scores[key] = _polish_score(jac, best)
+        return scores[key]
 
     lower, upper, steps = _polish_setup(s, cfg)
     polished, zbest = _coordinate_polish(
@@ -439,6 +479,10 @@ def estimate_all(
 ) -> ConstantEstimates:
     """All constants the bound formulas need, with witnesses; ``pairs``
     is the pair sample of ``cfg`` if already drawn."""
+    g = _effective_grid(s.n + s.m, cfg.grid_per_axis)
+    if g != cfg.grid_per_axis:
+        warnings.warn(f"grid of {cfg.grid_per_axis} points per axis exceeds {_GRID_CAP} "
+                      f"points; running at {g} points per axis", UserWarning, stacklevel=2)
     gamma, gamma_w = estimate_gamma_c(s, cfg)
     rho, rho_w = estimate_rho_c(s, cfg, pairs=pairs)
     beta, big_m, bm_w = estimate_beta_and_m(s, cfg)

@@ -19,6 +19,16 @@ sum_{jk} H[i,j,k] a_j b_k (the contraction convention used throughout):
 
 so each map is the genuine order-k truncation of the series (local
 error O(T^{k+1})), which the convergence study checks empirically.
+
+H(a, b) is contracted over the entries of H that are not a constant
+zero (``SystemSpec.hessian_support``), in C order, each adding
+(H[i,j,k] a_j) b_k to an accumulator that starts at +0.0.  That is the
+order in which ``np.einsum("ijk,j,k->i")`` sums all n^3 entries, so the
+bits are the same: a skipped entry's term is +-0.0, which leaves a sum
+begun at +0.0 unchanged.  Only a non-finite a_j or b_k makes a skipped
+term NaN.  Then J a or J b is already non-finite in every component, so
+the row of F_T is too, and at most the kind of non-finite value (inf or
+NaN) can differ from the dense sum.
 """
 
 from __future__ import annotations
@@ -70,8 +80,8 @@ class DiscreteModel:
         return out
 
     def _series(self, x, u, f_of, jac_of, hess_of) -> np.ndarray:
-        """The order-k series on states of shape (..., n): one point or a
-        stack of rows, with f, J and H from the matching evaluators."""
+        """The order-k series on states of shape (n,) or (N, n): one point
+        or a stack of rows, with f, J and H from the matching evaluators."""
         t = self.spec.sampling_time
         at = self.spec.a.T
         f = f_of(x, u)
@@ -85,8 +95,8 @@ class DiscreteModel:
         out = out + (t * t / 2.0) * (fa + jax + jf)
         if self.order == 2:
             return out
-        hess = hess_of(x, u)
-        bil = lambda va, vb: np.einsum("...ijk,...j,...k->...i", hess, va, vb)
+        hess, support = hess_of(x, u), self.spec.hessian_support
+        bil = lambda va, vb: _bilinear(hess, support, va, vb)
         bracket = (
             fa @ at
             + jax @ at
@@ -104,6 +114,20 @@ class DiscreteModel:
     def step(self, x, u=()) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return self.a_d @ x + self.f_t(x, u)
+
+
+def _bilinear(hess, support, va, vb) -> np.ndarray:
+    """H(va, vb) over the (i, j, k) entries of H in ``support``, for one
+    point (n,) or a stack of rows (N, n), in the order the module
+    docstring gives."""
+    # transposed, so one point indexes scalars and a stack columns
+    hess, va, vb = hess.T, va.T, vb.T
+    acc = np.zeros(va.shape)
+    for i, j, k in support:
+        term = hess[k, j, i] * va[j]
+        term *= vb[k]  # in place: one temporary row per entry
+        acc[i] += term
+    return acc.T
 
 
 def build_taylor_model(s: SystemSpec, order: int) -> DiscreteModel:

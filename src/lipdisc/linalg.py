@@ -35,7 +35,7 @@ def max_singular_value(a: np.ndarray) -> float:
         raise ValueError("matrix has non-finite entries")
     n = a.shape[1]
     v = np.full(n, 1.0 / math.sqrt(n)) + 1.0 / (np.arange(n) + 1.0)
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(v @ v)  # the expression np.linalg.norm evaluates for a vector
     lam_prev = None
     for _ in range(_POWER_MAX_ITER):
         av = a @ v
@@ -44,7 +44,7 @@ def max_singular_value(a: np.ndarray) -> float:
             return math.sqrt(lam)
         lam_prev = lam
         w = a.T @ av
-        norm_w = np.linalg.norm(w)
+        norm_w = math.sqrt(w @ w)
         if norm_w == 0.0:
             return 0.0
         v = w / norm_w

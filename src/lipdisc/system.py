@@ -162,6 +162,12 @@ class SystemSpec:
         """d^2 f/dx^2 at (x, u): an (n, n, n) tensor, symmetric in (j, k)."""
         return _fill_point(self._hess_template, x, u)
 
+    @property
+    def hessian_support(self) -> tuple:
+        """The (i, j, k) of every entry of d^2 f/dx^2 that is not a
+        constant zero, in C order; every other entry is 0.0 or -0.0."""
+        return self._hess_template.support
+
     # ------------------------------------------------------------------
     # vectorized evaluation; bad samples come back non-finite
 
@@ -231,9 +237,11 @@ class SystemSpec:
 class _Template:
     """A flattened stack of trees in C order split into a flat array
     holding every constant entry and the distinct non-constant trees,
-    each with the flat indices of the entries it fills.  The point
-    kernel of the live trees is generated on the first pointwise call,
-    so a spec that is only evaluated in batches never builds it."""
+    each with the flat indices of the entries it fills.  ``support``
+    lists, in C order, the index tuples of the entries that are not a
+    constant zero.  The point kernel of the live trees is generated on
+    the first pointwise call, so a spec that is only evaluated in
+    batches never builds it."""
 
     def __init__(self, entries, shape: tuple):
         self.shape = shape
@@ -246,6 +254,9 @@ class _Template:
                 # keyed by repr, which unlike == tells 0.0 from -0.0
                 live.setdefault(repr(tree), (tree, []))[1].append(j)
         self.live = tuple((tree, tuple(filled)) for tree, filled in live.values())
+        nonzero = self.consts != 0.0
+        nonzero[[j for _, filled in self.live for j in filled]] = True
+        self.support = tuple(zip(*(ix.tolist() for ix in np.nonzero(nonzero.reshape(shape)))))
         self.kernel = None
 
 

@@ -385,6 +385,29 @@ def test_cmd_discretize_input_file(capsys, spec_path, tmp_path):
     assert code == 0
 
 
+def test_cmd_discretize_input_free_spec_reads_empty_rows(capsys, spec_path, tmp_path):
+    inputs = tmp_path / "inputs.json"
+    inputs.write_text("[[], []]")
+    out, plain = tmp_path / "traj.json", tmp_path / "plain.json"
+    argv = ["discretize", spec_path("pendulum"), "--x0", "0.1,0.2", "--steps", "2"]
+    code, _, _ = _run(capsys, *argv, "--inputs", str(inputs), "--out", str(out))
+    assert code == 0
+    assert _run(capsys, *argv, "--out", str(plain))[0] == 0
+    assert json.loads(out.read_text())["states"] == json.loads(plain.read_text())["states"]
+
+
+@pytest.mark.parametrize("rows", ["[[], [], []]", "[]", "[[1], [2]]"])
+def test_cmd_discretize_input_free_spec_wrong_rows_exit_2(capsys, spec_path, tmp_path, rows):
+    inputs = tmp_path / "inputs.json"
+    inputs.write_text(rows)
+    code, _, stderr = _run(
+        capsys, "discretize", spec_path("pendulum"), "--x0", "0.1,0.2",
+        "--steps", "2", "--inputs", str(inputs),
+    )
+    assert code == 2
+    assert "--inputs" in stderr
+
+
 # ---------------------------------------------------------------------------
 # convergence
 

@@ -15,7 +15,7 @@ from lipdisc import (
 
 from lipdisc import discretize
 
-from conftest import expm, sample_points
+from conftest import expm, float_bits, sample_points
 
 
 def _linear_spec(a, t=0.1):
@@ -133,6 +133,64 @@ def test_f_t_batch_chunks_match_one_batch(bench, probe, monkeypatch, rows):
             chunked = build_taylor_model(spec, order).f_t_batch(xs, us)
             assert chunked.shape == (rows, spec.n)
             assert chunked.tobytes() == whole[spec.name, order].tobytes(), (spec.name, order)
+
+
+def _dense_bilinear(hess, support, va, vb):
+    return np.einsum("...ijk,...j,...k->...i", hess, va, vb)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sparse_contraction_is_bit_equal_to_the_dense_einsum(n):
+    rng = np.random.default_rng(400 + n)
+    rows = 400
+    hess = rng.standard_normal((rows, n, n, n)) * 10.0 ** rng.integers(-6, 7, (rows, n, n, n))
+    skipped = rng.random((n, n, n)) < 0.5
+    skipped.flat[-1] = False  # at least one live entry
+    hess[:, skipped] = np.where(rng.random(int(skipped.sum())) < 0.5, 0.0, -0.0)
+    support = tuple(zip(*(ix.tolist() for ix in np.nonzero(~skipped))))
+    va, vb = (
+        rng.standard_normal((rows, n)) * 10.0 ** rng.integers(-6, 7, (rows, n)) for _ in range(2)
+    )
+    # the last 40 rows get a non-finite entry in va or vb
+    for r in range(rows - 40, rows):
+        (va if r % 2 else vb)[r, rng.integers(n)] = rng.choice([np.inf, -np.inf, np.nan])
+    # where a skipped entry meets a non-finite va_j or vb_k, its term
+    # (+-0 * va_j) * vb_k is NaN in the dense sum and absent in the sparse one
+    meets = np.zeros((rows, n), bool)
+    for i, j, k in zip(*np.nonzero(skipped)):
+        meets[:, i] |= ~np.isfinite(va[:, j]) | ~np.isfinite(vb[:, k])
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 0 * inf
+        got = discretize._bilinear(hess, support, va, vb)
+        assert float_bits(np.where(meets, np.nan, got)) == float_bits(
+            _dense_bilinear(hess, support, va, vb)
+        )
+        for r in range(rows):
+            got = discretize._bilinear(hess[r], support, va[r], vb[r])
+            want = _dense_bilinear(hess[r], support, va[r], vb[r])
+            assert float_bits(np.where(meets[r], np.nan, got)) == float_bits(want), r
+
+
+def test_order3_series_keeps_the_bits_of_the_dense_contraction(bench, probe, monkeypatch):
+    specs = [*bench.values(), probe]
+    points = {spec.name: sample_points(spec, 200, seed=21) for spec in specs}
+
+    def f_t_all(spec):
+        mdl = build_taylor_model(spec, 3)
+        xs, us = points[spec.name]
+        return [mdl.f_t_batch(xs, us)] + [mdl.f_t(x, u) for x, u in zip(xs[:20], us[:20])]
+
+    sparse = {spec.name: f_t_all(spec) for spec in specs}
+    monkeypatch.setattr(discretize, "_bilinear", _dense_bilinear)
+    for spec in specs:
+        for got, want in zip(sparse[spec.name], f_t_all(spec)):
+            assert got.tobytes() == want.tobytes(), spec.name
+
+
+def test_hessian_support_lists_the_entries_that_are_not_constant_zeros(bench, probe):
+    assert bench["linear-2d"].hessian_support == ()
+    assert bench["pendulum"].hessian_support == ((1, 0, 0),)
+    # -sin(x1) + 0.1*x2*x3 and -sin(x3) + u1: H[1,1,2] = H[1,2,1] = 0.1
+    assert probe.hessian_support == ((1, 0, 0), (1, 1, 2), (1, 2, 1), (3, 2, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,34 @@ def test_msv_agrees_with_svd():
         assert max_singular_value(a) == pytest.approx(np.linalg.svd(a, compute_uv=False)[0], rel=1e-9)
 
 
+def _power_iteration_with_np_norm(a):
+    # max_singular_value as it read with np.linalg.norm for the vector norms
+    n = a.shape[1]
+    v = np.full(n, 1.0 / np.sqrt(n)) + 1.0 / (np.arange(n) + 1.0)
+    v /= np.linalg.norm(v)
+    lam_prev = None
+    for _ in range(10_000):
+        av = a @ v
+        lam = float(av @ av)
+        if lam_prev is not None and abs(lam - lam_prev) <= 1e-14 * max(1.0, lam):
+            return float(np.sqrt(lam))
+        lam_prev = lam
+        w = a.T @ av
+        norm_w = np.linalg.norm(w)
+        if norm_w == 0.0:
+            return 0.0
+        v = w / norm_w
+    raise AssertionError("reference did not converge")
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (4, 16)])
+def test_msv_keeps_the_bits_of_the_np_norm_loop(shape):
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        a = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4)
+        assert max_singular_value(a).hex() == _power_iteration_with_np_norm(a).hex()
+
+
 def test_msv_rejects_bad_input():
     with pytest.raises(ValueError):
         max_singular_value(np.array([[np.nan, 0.0], [0.0, 1.0]]))
