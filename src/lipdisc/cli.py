@@ -19,7 +19,14 @@ import numpy as np
 from . import __version__
 from .bounds import evaluate_bounds
 from .constants import NumericalError, SamplingConfig, estimate_all
-from .discretize import _MIN_STEP, IntegrationError, build_taylor_model, exact_step, simulate
+from .discretize import (
+    _MIN_STEP,
+    IntegrationError,
+    _tol_problem,
+    build_taylor_model,
+    exact_step,
+    simulate,
+)
 from .expr import ExprError
 from .system import SpecValidationError, SystemSpec
 from .verify import convergence_study, verify_bounds
@@ -57,6 +64,12 @@ def _write_json(obj, out: list[str], level: int):
         out.append(format(value, ".17g"))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
+    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim:
+        finite = np.isfinite(obj)
+        if not finite.all():
+            value = float(obj[~finite][0])  # the first in C order
+            raise ValueError(f"cannot serialize non-finite number {value!r}")
+        out.append(_float_rows(obj.tolist(), level))
     elif isinstance(obj, (list, tuple, np.ndarray)):
         items = list(obj.tolist()) if isinstance(obj, np.ndarray) else list(obj)
         if not items:
@@ -83,6 +96,19 @@ def _write_json(obj, out: list[str], level: int):
         out.append(close_pad + "}")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}: {obj!r}")
+
+
+def _float_rows(rows: list, level: int) -> str:
+    """The nested lists of a finite float array, as the general case
+    writes them, but one join per innermost list."""
+    if not rows:
+        return "[]"
+    pad = " " * (_INDENT * (level + 1))
+    if isinstance(rows[0], list):
+        items = [_float_rows(row, level + 1) for row in rows]
+    else:
+        items = [format(v, ".17g") for v in rows]
+    return "[\n" + pad + (",\n" + pad).join(items) + "\n" + " " * (_INDENT * level) + "]"
 
 
 def _write_out(path: str, payload: dict):
@@ -359,6 +385,12 @@ def _finite(values: np.ndarray, label: str) -> np.ndarray:
     return values
 
 
+def _check_tol(tol: float):
+    problem = _tol_problem(tol)
+    if problem:
+        raise SpecValidationError("--tol", problem)
+
+
 def _parse_vector(text: str, label: str) -> np.ndarray:
     try:
         values = _numbers(text)
@@ -511,6 +543,8 @@ def _input_sequence(args, s: SystemSpec) -> np.ndarray:
 
 
 def cmd_discretize(args, s: SystemSpec) -> tuple[int, dict]:
+    if args.exact:
+        _check_tol(args.tol)
     x0 = _parse_vector(args.x0, "--x0")
     if x0.shape[0] != s.n:
         raise SpecValidationError("--x0", f"dimension {x0.shape[0]}, expected {s.n}")
@@ -538,6 +572,7 @@ def cmd_discretize(args, s: SystemSpec) -> tuple[int, dict]:
 
 
 def cmd_convergence(args, s: SystemSpec) -> tuple[int, dict]:
+    _check_tol(args.tol)
     cfg = _sampling_config(args)
     try:
         orders = [int(v) for v in args.orders.split(",") if v.strip()]

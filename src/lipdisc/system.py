@@ -58,9 +58,11 @@ class BoxRegion:
     def center(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
 
-    def contains(self, x: np.ndarray) -> bool:
+    def contains(self, x: np.ndarray):
+        """Whether a point, or each row of a stack of points, lies in the
+        box; a point with a NaN coordinate does not."""
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
+        return np.all((x >= self.lower) & (x <= self.upper), axis=-1)
 
     def scaled(self, factor: float) -> "BoxRegion":
         """Box with the same center and widths scaled by ``factor``."""

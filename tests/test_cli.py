@@ -55,6 +55,47 @@ def test_dumps_json_rejects_nonfinite():
         dumps_json({"v": float("nan")})
 
 
+def _as_lists(obj):
+    """The payload with every array as nested lists: the general writer."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_as_lists(v) for v in obj]
+    return obj
+
+
+def test_dumps_json_float_arrays_match_the_general_writer():
+    rng = np.random.default_rng(3)
+    edge = np.array([[-0.0, 5e-324, 1e308], [-1e308, 0.0, -5e-324]])
+    payload = {
+        "edge": edge,
+        "row": edge[0],
+        "empty_rows": np.zeros((0, 3)),
+        "empty_cols": np.zeros((3, 0)),
+        "empty": np.zeros(0),
+        "cube": rng.standard_normal((2, 3, 2)),
+        "arrays": [edge, np.zeros((0, 2)), rng.standard_normal(4)],
+        "nested": {"deep": [[rng.standard_normal((2, 2))]]},
+        "strided": rng.standard_normal((4, 4))[::2, ::-1],
+        "ints": np.arange(3),
+    }
+    assert dumps_json(payload) == dumps_json(_as_lists(payload))
+
+
+@pytest.mark.parametrize(
+    "values", [[[1.0, np.nan], [np.inf, 2.0]], [[1.0, -np.inf], [np.nan, 2.0]], [np.inf]]
+)
+def test_dumps_json_float_array_names_the_first_nonfinite_value(values):
+    with pytest.raises(ValueError) as want:
+        dumps_json({"v": values})
+    with pytest.raises(ValueError) as got:
+        dumps_json({"v": np.array(values)})
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("cannot serialize non-finite number")
+
+
 # ---------------------------------------------------------------------------
 # entry points and the shared --out envelope
 
@@ -408,6 +449,27 @@ def test_cmd_discretize_input_free_spec_wrong_rows_exit_2(capsys, spec_path, tmp
     assert "--inputs" in stderr
 
 
+@pytest.mark.parametrize("steps", ["0", "2"])
+@pytest.mark.parametrize("tol", ["1e-3", "1e-14", "nan"])
+def test_cmd_discretize_exact_bad_tol_exits_2(capsys, spec_path, tmp_path, steps, tol):
+    out = tmp_path / "traj.json"
+    code, _, stderr = _run(
+        capsys, "discretize", spec_path("pendulum"), "--x0", "0.1,0.2", "--steps", steps,
+        "--exact", "--tol", tol, "--out", str(out),
+    )
+    assert code == 2
+    assert "--tol" in stderr and "must lie in [1e-13, 1e-6]" in stderr
+    assert not out.exists()
+
+
+def test_cmd_discretize_ignores_tol_without_exact(capsys, spec_path):
+    code, _, _ = _run(
+        capsys, "discretize", spec_path("pendulum"), "--x0", "0.1,0.2", "--steps", "2",
+        "--tol", "1e-3",
+    )
+    assert code == 0
+
+
 # ---------------------------------------------------------------------------
 # convergence
 
@@ -465,4 +527,16 @@ def test_cmd_convergence_no_orders_exits_2(capsys, spec_path, tmp_path):
     )
     assert code == 2
     assert "--orders" in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["1e-3", "1e-14", "nan"])
+def test_cmd_convergence_bad_tol_exits_2(capsys, spec_path, tmp_path, tol):
+    out = tmp_path / "conv.json"
+    code, stdout, stderr = _run(
+        capsys, "convergence", spec_path("pendulum"), "--tol", tol, "--out", str(out)
+    )
+    assert code == 2
+    assert "--tol" in stderr and "must lie in [1e-13, 1e-6]" in stderr
+    assert stdout == ""
     assert not out.exists()

@@ -1,5 +1,7 @@
 """Taylor-Lie maps, the reference integrator and trajectory simulation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from lipdisc import (
 )
 
 from lipdisc import discretize
+from lipdisc.expr import ExprEvalError
 
 from conftest import expm, float_bits, sample_points
 
@@ -232,7 +235,7 @@ def test_exact_step_tolerance_self_consistency(bench):
 def _reference_exact_step(s, x, u=(), tol=1e-10):
     """Dormand-Prince with the stage sums as Python sums over lists of
     vectors, term by term in stage order from 0: the bit-level reference
-    for exact_step's stacked stages."""
+    for exact_step's generated stages."""
     t_end = s.sampling_time
     y = np.asarray(x, dtype=float).copy()
 
@@ -265,7 +268,7 @@ def _reference_exact_step(s, x, u=(), tol=1e-10):
     raise IntegrationError("step budget exhausted", t, y, h)
 
 
-@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+@pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-13, 1e-6])
 def test_exact_step_keeps_the_bits_of_list_stage_sums(bench, probe, tol):
     for spec in [*bench.values(), probe]:
         xs, us = sample_points(spec, 200, seed=17)
@@ -291,6 +294,92 @@ def test_exact_step_underflow_message_is_unchanged(bench):
         exact_step(tiny, [0.5, 0.2])
     assert str(got.value) == str(want.value)
     assert "step size underflow" in str(got.value)
+
+
+def _synthetic_spec(n, t=0.1):
+    """A random A plus sin and product terms that couple neighbours."""
+    rng = np.random.default_rng(600 + n)
+    f = tuple(
+        parse(f"0.3*sin(x{(i + 1) % n + 1}) - 0.2*x{i + 1}*x{(i + 2) % n + 1}") for i in range(n)
+    )
+    return SystemSpec(
+        name=f"synthetic-{n}",
+        a=rng.uniform(-1.0, 1.0, size=(n, n)),
+        c=np.eye(n),
+        f=f,
+        region=BoxRegion(-np.ones(n), np.ones(n)),
+        sampling_time=t,
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_generated_step_keeps_the_bits_for_every_dimension(n):
+    # n >= 8 takes the numpy mean of the error quotients, n <= 7 a sequential sum
+    spec = _synthetic_spec(n)
+    xs, us = sample_points(spec, 40, seed=n)
+    for x, u in zip(xs, us):
+        assert exact_step(spec, x, u).tobytes() == _reference_exact_step(spec, x, u).tobytes()
+
+
+def test_exact_step_keeps_the_bits_over_a_long_chained_run(probe):
+    _, us = sample_points(probe, 2000, seed=23)
+    got = want = 0.5 * probe.region.upper
+    for k, u in enumerate(us):
+        got, want = exact_step(probe, got, u), _reference_exact_step(probe, want, u)
+        assert got.tobytes() == want.tobytes(), k
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return info.value
+
+
+def test_exact_step_overflowing_stage_saturates_and_underflows_as_before():
+    # exp(700) is finite, the first stage state is not: f saturates to inf
+    spec = SystemSpec(
+        name="overflow",
+        a=[[0.0]],
+        c=[[1.0]],
+        f=(parse("exp(x1)"),),
+        region=BoxRegion([0.0], [800.0]),
+        sampling_time=0.1,
+    )
+    assert spec.eval_f([710.0]).tolist() == [np.inf]
+    with np.errstate(all="ignore"):  # 0 * inf in A·v
+        got = _raised(exact_step, spec, [700.0])
+        want = _raised(_reference_exact_step, spec, [700.0])
+    assert isinstance(got, IntegrationError)
+    assert "step size underflow" in str(got)
+    assert str(got) == str(want)
+    assert (got.t, got.h, got.x.tobytes()) == (want.t, want.h, want.x.tobytes())
+
+
+def test_exact_step_stage_outside_the_domain_raises_as_before():
+    # sqrt is fine at x = 1e-3; the first stage state is negative
+    spec = SystemSpec(
+        name="domain",
+        a=[[-100.0]],
+        c=[[1.0]],
+        f=(parse("sqrt(x1)"),),
+        region=BoxRegion([0.0], [1.0]),
+        sampling_time=0.1,
+    )
+    got = _raised(exact_step, spec, [1e-3])
+    want = _raised(_reference_exact_step, spec, [1e-3])
+    assert isinstance(got, ExprEvalError)
+    assert type(got) is type(want) and str(got) == str(want)
+    assert got.node == want.node
+
+
+def test_exact_step_generates_one_trial_per_dimension(bench, probe):
+    discretize._dp_trial.cache_clear()
+    pend = bench["pendulum"]
+    for spec in (pend, bench["van-der-pol"], pend.with_sampling_time(0.05), probe):
+        exact_step(spec, 0.5 * spec.region.upper, 0.5 * spec.input_region.upper)
+    info = discretize._dp_trial.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)  # n = 2 and n = 4
+    assert discretize._dp_trial(2) is discretize._dp_trial(pend.with_sampling_time(0.3).n)
 
 
 def test_exact_step_validates_tolerance(bench):
@@ -358,6 +447,44 @@ def test_simulate_warns_on_region_exit():
     with pytest.warns(UserWarning, match="leaves the region"):
         traj = simulate(mdl, spec, [0.9], np.zeros((3, 0)))
     assert traj.first_exit is not None
+
+
+def _per_step_first_exit(region, states):
+    for k, row in enumerate(states):
+        if not (np.all(row >= region.lower) and np.all(row <= region.upper)):
+            return k
+    return None
+
+
+def test_first_exit_matches_the_per_step_check():
+    rng = np.random.default_rng(31)
+    spec = SystemSpec(
+        name="box",
+        a=np.zeros((3, 3)),
+        c=np.eye(3),
+        f=(parse("0"),) * 3,
+        region=BoxRegion([-1.0, -2.0, 0.0], [1.0, 2.0, 0.5]),
+    )
+    lower, upper = spec.region.lower, spec.region.upper
+    edge = np.array([lower, upper, [np.nan, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    cases = [edge, edge[[3, 0]], edge[:2], edge[:1]]  # [3, 0]: x0 outside D
+    for trial in range(300):
+        states = rng.uniform(-1.2, 1.2, size=(int(rng.integers(1, 12)), 3)) * [1.0, 2.0, 0.5]
+        states[rng.random(states.shape) < 0.05] = np.nan
+        if trial % 3 == 0:
+            states = np.clip(states, lower, upper)  # NaN rows stay
+        cases.append(states)
+    for states in cases:
+        rows = iter(states[1:])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            traj = simulate(lambda x, u: next(rows), spec, states[0], np.zeros((len(states) - 1, 0)))
+        want = _per_step_first_exit(spec.region, states)
+        assert traj.first_exit == want, states
+        assert [str(w.message) for w in caught] == (
+            [] if want is None else [f"trajectory of 'box' leaves the region at step {want}"]
+        )
+    assert [_per_step_first_exit(spec.region, c) for c in cases[:4]] == [2, 0, None, None]
 
 
 def test_integrator_error_carries_state():
