@@ -258,8 +258,10 @@ def sup_pair_quotient(
     m1, m2 = images
     dx, dist_sq = pairs.dx, pairs.dist_sq
     dm = m1 - m2
-    ok = np.isfinite(m1).all(axis=1) & np.isfinite(m2).all(axis=1)
-    failures = int(np.count_nonzero(~ok))
+    ok = np.isfinite(m1[:, 0])
+    for column in (*m1.T[1:], *m2.T):
+        ok &= np.isfinite(column)
+    failures = len(ok) - int(np.count_nonzero(ok))
     if failures > _MAX_FAIL_FRACTION * len(ok):
         raise NumericalError(
             f"{failures}/{len(ok)} pair evaluations failed (domain errors)"
@@ -267,19 +269,20 @@ def sup_pair_quotient(
     ok &= dist_sq > 0.0
     if not np.any(ok):
         raise NumericalError("no valid pairs to evaluate")
-    if one_sided:
-        quotients = np.einsum("ij,ij->i", dm, dx)[ok] / dist_sq[ok]
-    else:
-        quotients = np.sqrt(np.einsum("ij,ij->i", dm, dm)[ok] / dist_sq[ok])
-    idx_ok = np.flatnonzero(ok)
-    best = int(idx_ok[np.argmax(quotients)])
+    quotients = np.einsum("ij,ij->i", dm, dx if one_sided else dm)
+    np.divide(quotients, dist_sq, out=quotients, where=ok)
+    if not one_sided:
+        np.sqrt(quotients, out=quotients, where=ok)
+    quotients[~ok] = -np.inf
+    best = int(np.argmax(quotients))
+    if quotients[best] == -np.inf:  # every valid quotient is -inf: the first valid pair
+        best = int(np.argmax(ok))
     witness = {
         "x1": pairs.x1[best].tolist(),
         "x2": pairs.x2[best].tolist(),
         "u": pairs.u[best].tolist(),
     }
-    value = float(np.max(quotients))
-    return value, witness
+    return float(quotients[best]), witness
 
 
 # ---------------------------------------------------------------------------

@@ -28,18 +28,26 @@ bits are the same: a skipped entry's term is +-0.0, which leaves a sum
 begun at +0.0 unchanged.  Only a non-finite a_j or b_k makes a skipped
 term NaN.  Then J a or J b is already non-finite in every component, so
 the row of F_T is too, and at most the kind of non-finite value (inf or
-NaN) can differ from the dense sum.
+NaN) can differ from the dense sum.  A batch reads H only at those
+entries: the columns of their trees and their constants, never the
+whole (N, n, n, n) stack.
+
+One point runs the same series on Python floats, whose arithmetic is
+numpy's elementwise arithmetic, in the same order of operations: the
+scalings, the sums and H(a, b).  Only the products with A (one gemv
+each) and with J (one two-operand einsum each) stay numpy, since their
+sums are not sequential: a Python dot product differs from them in the
+last bit on most random 3×3 and 4×4 operands.
 
 The reference integrator runs each Dormand-Prince trial step through
 one straight-line Python function generated per state dimension n (the
-tableau is fixed, so nothing else enters).  It works on Python floats,
-whose arithmetic is numpy's elementwise arithmetic, and sums the stages
-in the order a Python ``sum`` over the stage vectors does.  Two steps
-stay numpy, for their bits: A·v is one gemv, since a sequential Python
-dot product differs from it in the last bit on 43 %, 70 % and 86 % of
-random 2×2, 3×3 and 4×4 products; and the error norm's mean of squares
+tableau is fixed, so nothing else enters).  It works on Python floats
+too and sums the stages in the order a Python ``sum`` over the stage
+vectors does.  A·v stays one gemv, and the error norm's mean of squares
 is numpy's for n >= 8, where numpy sums pairwise, but a sequential sum
-for n <= 7, which is numpy's own order there.
+for n <= 7, which is numpy's own order there.  f comes from its point
+kernel as a list of floats, and each step reuses its last stage as the
+next step's first (see :func:`exact_step`).
 """
 
 from __future__ import annotations
@@ -77,71 +85,110 @@ class DiscreteModel:
 
     def f_t(self, x, u=()) -> np.ndarray:
         """Nonlinear part of the discrete map at one point."""
-        s = self.spec
-        x = np.asarray(x, dtype=float)
-        return self._series(x, u, s.eval_f, s.jacobian, s.second_derivative)
+        return np.array(self._point_series(np.asarray(x, dtype=float), u))
 
     def f_t_batch(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Vectorized F_T over rows of (x, u), in chunks of _CHUNK_ROWS rows
-        so the (N, n, n, n) Hessian never exceeds one chunk."""
-        s = self.spec
-        out = np.empty((x.shape[0], s.n))
+        so the temporaries never exceed one chunk."""
+        out = np.empty((x.shape[0], self.spec.n))
         for lo in range(0, x.shape[0], _CHUNK_ROWS):
             rows = slice(lo, lo + _CHUNK_ROWS)
-            out[rows] = self._series(
-                x[rows], u[rows], s.eval_f_batch, s.jacobian_batch, s.second_derivative_batch
-            )
+            out[rows] = self._series(x[rows], u[rows])
         return out
 
-    def _series(self, x, u, f_of, jac_of, hess_of) -> np.ndarray:
-        """The order-k series on states of shape (n,) or (N, n): one point
-        or a stack of rows, with f, J and H from the matching evaluators."""
-        t = self.spec.sampling_time
-        at = self.spec.a.T
-        f = f_of(x, u)
+    def _series(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The order-k series on a stack of rows (N, n)."""
+        s = self.spec
+        t, at = s.sampling_time, s.a.T
+        f = s.eval_f_batch(x, u)
         out = t * f
         if self.order == 1:
             return out
-        jac = jac_of(x, u)
+        jac = s.jacobian_batch(x, u)
         ax = x @ at
-        mv = lambda mats, vecs: np.einsum("...ij,...j->...i", mats, vecs)
-        fa, jax, jf = f @ at, mv(jac, ax), mv(jac, f)
+        fa, jax, jf = f @ at, _mv(jac, ax), _mv(jac, f)
         out = out + (t * t / 2.0) * (fa + jax + jf)
         if self.order == 2:
             return out
-        hess, support = hess_of(x, u), self.spec.hessian_support
-        bil = lambda va, vb: _bilinear(hess, support, va, vb)
+        hess, support = s._hess_template.support_batch(x, u), s.hessian_support
+        bil = lambda va, vb: _bilinear(hess, support, va.T, vb.T, np.zeros(va.T.shape)).T
         bracket = (
             fa @ at
             + jax @ at
             + jf @ at
-            + mv(jac, ax @ at)
-            + mv(jac, fa)
-            + mv(jac, jax)
-            + mv(jac, jf)
+            + _mv(jac, ax @ at)
+            + _mv(jac, fa)
+            + _mv(jac, jax)
+            + _mv(jac, jf)
             + bil(ax, ax)
             + 2.0 * bil(ax, f)
             + bil(f, f)
         )
         return out + (t**3 / 6.0) * bracket
 
+    def _point_series(self, x: np.ndarray, u) -> list:
+        """The series of :meth:`_series` at one point, as a list of
+        floats: the same operations in the same order, with only the
+        products with A (gemv) and with J (einsum) on numpy arrays.
+        ``a.dot(v)`` runs the gemv that ``v @ a.T`` runs."""
+        s = self.spec
+        t, dot = s.sampling_time, s.a.dot
+        f = s._f_template.point(x, u)
+        out = [t * v for v in f]
+        if self.order == 1:
+            return out
+        jac, f_vec = s._jac_template.point_array(x, u), np.array(f)
+        ax = dot(x)
+        fa, jax, jf = dot(f_vec), _mv(jac, ax), _mv(jac, f_vec)
+        c2 = t * t / 2.0
+        out = [
+            o + c2 * (a + b + c) for o, a, b, c in zip(out, fa.tolist(), jax.tolist(), jf.tolist())
+        ]
+        if self.order == 2:
+            return out
+        hess = s._hess_template.point(x, u)
+        hess = [hess[j] for j in s._hess_template.support_flat]
+        support, ax_list = s.hessian_support, ax.tolist()
+        bil = lambda va, vb: _bilinear(hess, support, va, vb, [0.0] * len(f))
+        terms = zip(
+            dot(fa).tolist(),
+            dot(jax).tolist(),
+            dot(jf).tolist(),
+            _mv(jac, dot(ax)).tolist(),
+            _mv(jac, fa).tolist(),
+            _mv(jac, jax).tolist(),
+            _mv(jac, jf).tolist(),
+            bil(ax_list, ax_list),
+            bil(ax_list, f),
+            bil(f, f),
+        )
+        c3 = t**3 / 6.0
+        return [
+            o + c3 * (a + b + c + d + e + g + k + haa + 2.0 * haf + hff)
+            for o, (a, b, c, d, e, g, k, haa, haf, hff) in zip(out, terms)
+        ]
+
     def step(self, x, u=()) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return self.a_d @ x + self.f_t(x, u)
 
 
-def _bilinear(hess, support, va, vb) -> np.ndarray:
-    """H(va, vb) over the (i, j, k) entries of H in ``support``, for one
-    point (n,) or a stack of rows (N, n), in the order the module
-    docstring gives."""
-    # transposed, so one point indexes scalars and a stack columns
-    hess, va, vb = hess.T, va.T, vb.T
-    acc = np.zeros(va.shape)
-    for i, j, k in support:
-        term = hess[k, j, i] * va[j]
-        term *= vb[k]  # in place: one temporary row per entry
+def _mv(mats, vecs) -> np.ndarray:
+    """Matrix times vector, for one point or row by row of a stack."""
+    return np.einsum("...ij,...j->...i", mats, vecs)
+
+
+def _bilinear(hess, support, va, vb, acc):
+    """H(va, vb) added into ``acc``, which holds zeros, where ``hess``
+    holds the entries of H at the (i, j, k) of ``support``, in the order
+    the module docstring gives.  One point passes floats and lists of n
+    floats; a stack of N rows passes columns, with va, vb and acc of
+    shape (n, N)."""
+    for h, (i, j, k) in zip(hess, support):
+        term = h * va[j]
+        term *= vb[k]  # in place for columns: one temporary per entry
         acc[i] += term
-    return acc.T
+    return acc
 
 
 def build_taylor_model(s: SystemSpec, order: int) -> DiscreteModel:
@@ -189,15 +236,16 @@ def _tol_problem(tol: float) -> str | None:
 
 @functools.cache
 def _dp_trial(n: int) -> Callable:
-    """One Dormand-Prince trial step for states of dimension n, generated
-    as straight-line code: ``trial(dot, f, y, u, h, tol)`` takes y as a
-    list of n floats and returns ``(y_new, err)``, y_new a list.
+    """One Dormand-Prince trial step for states of dimension n >= 1,
+    generated as straight-line code: ``trial(dot, f, y, u, h, tol, k0)``
+    takes y and its first stage k0 as lists of n floats and returns
+    ``(y_new, err, k6)``, y_new and the seventh stage k6 as lists.
 
-    A stage's right-hand side is ``dot(v).tolist()`` plus
-    ``f(v, u).tolist()``, added entry by entry.  Every stage, B5 and E
-    sum is ``0.0 + c0*k0[i] + c1*k1[i] + ...`` with the tableau's
-    literals in stage order, zeros kept.  The error norm takes the larger
-    of |y_i| and |y_new_i| with NaN winning, as ``np.maximum`` does.
+    A stage's right-hand side is ``dot(v).tolist()`` plus ``f(v, u)``, a
+    list, added entry by entry.  Every stage, B5 and E sum is
+    ``0.0 + c0*k0[i] + c1*k1[i] + ...`` with the tableau's literals in
+    stage order, zeros kept.  The error norm takes the larger of |y_i| and
+    |y_new_i| with NaN winning, as ``np.maximum`` does.
     """
     ix = range(n)
 
@@ -207,12 +255,11 @@ def _dp_trial(n: int) -> Callable:
     def combo(weights, i: int) -> str:
         return "0.0" + "".join(f" + ({w!r}) * k{j}_{i}" for j, w in enumerate(weights))
 
-    lines = [f"    {listed('y')} = y", "    v = y"]
-    for stage, row in enumerate(_DP_A):
-        if stage:
-            lines.append("    v = [" + ", ".join(f"y{i} + h * ({combo(row, i)})" for i in ix) + "]")
+    lines = [f"    {listed('y')} = y", f"    {listed('k0_')} = k0"]
+    for stage, row in enumerate(_DP_A[1:], start=1):
+        lines.append("    v = [" + ", ".join(f"y{i} + h * ({combo(row, i)})" for i in ix) + "]")
         lines.append(f"    {listed('p')} = dot(v).tolist()")
-        lines.append(f"    {listed('q')} = f(v, u).tolist()")
+        lines.append(f"    {listed('q')} = f(v, u)")
         lines += [f"    k{stage}_{i} = p{i} + q{i}" for i in ix]
     for i in ix:
         lines.append(f"    n{i} = y{i} + h * ({combo(_DP_B5, i)})")
@@ -220,13 +267,13 @@ def _dp_trial(n: int) -> Callable:
         lines.append(
             f"    r{i} = h * ({combo(_DP_E, i)}) / (tol + tol * (a if a >= b or a != a else b))"
         )
-    if 0 < n <= _SEQUENTIAL_MEAN_MAX_N:
+    if n <= _SEQUENTIAL_MEAN_MAX_N:
         squares = " + ".join(f"r{i} * r{i}" for i in ix)
         lines.append(f"    err = sqrt(({squares}) / {n})")
-    else:  # n = 0 too, where numpy's mean of nothing is NaN
+    else:
         lines.append(f"    err = float(np.sqrt(np.mean(np.array({listed('r')}) ** 2)))")
-    lines.append(f"    return {listed('n')}, err")
-    source = "\n".join(["def trial(dot, f, y, u, h, tol):", *lines])
+    lines.append(f"    return {listed('n')}, err, {listed('k6_')}")
+    source = "\n".join(["def trial(dot, f, y, u, h, tol, k0):", *lines])
     namespace = {"np": np, "sqrt": math.sqrt}
     exec(compile(source, f"<dormand-prince trial, n={n}>", "exec"), namespace)
     return namespace["trial"]
@@ -240,18 +287,27 @@ def exact_step(s: SystemSpec, x, u=(), tol: float = 1e-10) -> np.ndarray:
     step runs the straight-line code that :func:`_dp_trial` generates
     once per state dimension, shared by every spec of that dimension,
     on Python floats; it has the bits of the same sums over numpy stage
-    vectors.  A·v stays one numpy gemv: a sequential Python dot product
-    differs from it in the last bit on most random 3×3 and 4×4
-    products.  The mean of the squared error quotients is a sequential
-    sum for n <= 7, numpy's own order there, and ``np.mean`` above.
+    vectors.  f comes as a list of floats from the point kernel of f.
+    A·v stays one numpy gemv: a sequential Python dot product differs
+    from it in the last bit on most random 3×3 and 4×4 products.  The
+    mean of the squared error quotients is a sequential sum for n <= 7,
+    numpy's own order there, and ``np.mean`` above.
+
+    The first stage is evaluated once per call: after an accepted trial
+    the seventh stage is the next trial's first (first same as last,
+    Dormand & Prince 1980), bit for bit, since the last row of A equals
+    B5 up to a zero weight on the seventh stage; a rejected trial keeps
+    y and its first stage.  So one call evaluates the right-hand side
+    1 + 6·trials times.
     """
     problem = _tol_problem(tol)
     if problem:
         raise ValueError(f"tol {problem}")
     t_end = s.sampling_time
     t_done = 4.0 * np.finfo(float).eps * t_end
-    trial, dot, f = _dp_trial(s.n), s.a.dot, s.eval_f
+    trial, dot, f = _dp_trial(s.n), s.a.dot, s._f_template.point
     y = np.asarray(x, dtype=float).tolist()
+    k0 = [p + q for p, q in zip(dot(y).tolist(), f(y, u))]
 
     t = 0.0
     h = t_end
@@ -260,10 +316,10 @@ def exact_step(s: SystemSpec, x, u=(), tol: float = 1e-10) -> np.ndarray:
         if remaining <= t_done:
             return np.array(y, dtype=float)
         h = min(h, remaining)
-        y_new, err = trial(dot, f, y, u, h, tol)
+        y_new, err, k6 = trial(dot, f, y, u, h, tol, k0)
         if err <= 1.0:
             t += h
-            y = y_new
+            y, k0 = y_new, k6
         factor = 5.0 if err == 0.0 else _SAFETY * err ** (-0.2)
         h = h * min(5.0, max(0.2, factor))
         h = min(h, t_end)

@@ -433,7 +433,8 @@ def evaluate(e: Expression, x, u=()) -> float:
 def point_kernel(trees, slots) -> Callable:
     """A function of ``(x, u, out)`` that stores the value of ``trees[i]``
     at one point in ``out[j]`` for each ``j`` in ``slots[i]`` and returns
-    ``out``, generated as straight-line code and compiled.
+    ``out``, generated as straight-line code and compiled.  ``out`` may
+    be a list or an array; a list receives the Python floats themselves.
 
     Every distinct subtree is computed once, with the point primitives
     in the walk's order of operations, so each value has the bits of

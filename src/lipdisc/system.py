@@ -95,6 +95,8 @@ class SystemSpec:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise SpecValidationError("A", f"must be square, got shape {a.shape}")
         n = a.shape[0]
+        if n == 0:
+            raise SpecValidationError("A", "must have at least one state, got shape (0, 0)")
         if not np.all(np.isfinite(a)):
             raise SpecValidationError("A", "entries must be finite")
         if c.ndim != 2 or c.shape[1] != n:
@@ -154,15 +156,15 @@ class SystemSpec:
 
     def eval_f(self, x, u=()) -> np.ndarray:
         """Nonlinear part f(x, u) as a length-n vector."""
-        return _fill_point(self._f_template, x, u)
+        return self._f_template.point_array(x, u)
 
     def jacobian(self, x, u=()) -> np.ndarray:
         """df/dx at (x, u); entry (i, j) = df_i/dx_j."""
-        return _fill_point(self._jac_template, x, u)
+        return self._jac_template.point_array(x, u)
 
     def second_derivative(self, x, u=()) -> np.ndarray:
         """d^2 f/dx^2 at (x, u): an (n, n, n) tensor, symmetric in (j, k)."""
-        return _fill_point(self._hess_template, x, u)
+        return self._hess_template.point_array(x, u)
 
     @property
     def hessian_support(self) -> tuple:
@@ -174,13 +176,13 @@ class SystemSpec:
     # vectorized evaluation; bad samples come back non-finite
 
     def eval_f_batch(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return _fill_batch(self._f_template, x, u)
+        return self._f_template.batch(x, u)
 
     def jacobian_batch(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return _fill_batch(self._jac_template, x, u)
+        return self._jac_template.batch(x, u)
 
     def second_derivative_batch(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return _fill_batch(self._hess_template, x, u)
+        return self._hess_template.batch(x, u)
 
     # ------------------------------------------------------------------
     # construction from plain data (the JSON system-spec object)
@@ -237,13 +239,13 @@ class SystemSpec:
 
 
 class _Template:
-    """A flattened stack of trees in C order split into a flat array
-    holding every constant entry and the distinct non-constant trees,
-    each with the flat indices of the entries it fills.  ``support``
-    lists, in C order, the index tuples of the entries that are not a
-    constant zero.  The point kernel of the live trees is generated on
-    the first pointwise call, so a spec that is only evaluated in
-    batches never builds it."""
+    """A flattened stack of trees in C order split into the constant
+    entries and the distinct non-constant trees, each with the flat
+    indices of the entries it fills.  ``support`` lists, in C order, the
+    index tuples of the entries that are not a constant zero, and
+    ``support_flat`` their flat indices.  The point kernel of the live
+    trees is generated on the first pointwise call, so a spec that is
+    only evaluated in batches never builds it."""
 
     def __init__(self, entries, shape: tuple):
         self.shape = shape
@@ -259,10 +261,49 @@ class _Template:
         nonzero = self.consts != 0.0
         nonzero[[j for _, filled in self.live for j in filled]] = True
         self.support = tuple(zip(*(ix.tolist() for ix in np.nonzero(nonzero.reshape(shape)))))
+        self.support_flat = tuple(np.flatnonzero(nonzero).tolist())
+        self.const_list = self.consts.tolist()
         self.kernel = None
 
+    def point(self, x, u) -> list:
+        """Every entry at one point as a flat list of floats in C order."""
+        return self._point_into(self.const_list.copy(), x, u)
 
-def _fill(out: np.ndarray, live: tuple, values) -> None:
+    def point_array(self, x, u) -> np.ndarray:
+        """Every entry at one point as an array of the template's shape."""
+        return self._point_into(self.consts.copy(), x, u).reshape(self.shape)
+
+    def _point_into(self, out, x, u):
+        """Store the live entries at one point into ``out``, a flat copy of
+        the constants, through the kernel.  On an error the walk runs
+        instead: a domain error raises for the first failing entry, naming
+        its node, and an overflow saturates."""
+        live = self.live
+        if self.kernel is None:
+            self.kernel = ex.point_kernel([t for t, _ in live], [j for _, j in live])
+        try:
+            return self.kernel(x, u, out)
+        except (ArithmeticError, ValueError, IndexError):
+            _fill(out, live, [ex.evaluate(tree, x, u) for tree, _ in live])
+            return out
+
+    def batch(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """An (N, *shape) stack; bad rows come back non-finite."""
+        out = np.empty((x.shape[0], self.consts.shape[0]))
+        out[...] = self.consts
+        _fill(out.T, self.live, (ex.evaluate_batch(tree, x, u) for tree, _ in self.live))
+        return out.reshape(x.shape[:1] + self.shape)
+
+    def support_batch(self, x: np.ndarray, u: np.ndarray) -> list:
+        """The entries at ``support`` over the rows of (x, u), in its
+        order: a live entry as its column, a constant one as its float.
+        No (N, *shape) stack is filled."""
+        values: list = self.const_list.copy()
+        _fill(values, self.live, (ex.evaluate_batch(tree, x, u) for tree, _ in self.live))
+        return [values[j] for j in self.support_flat]
+
+
+def _fill(out, live: tuple, values) -> None:
     """Store each live tree's value from ``values`` in every entry it
     fills of ``out``, which holds the constants, entries on the first
     axis.  Equal to evaluating every entry, since a constant evaluates
@@ -270,29 +311,6 @@ def _fill(out: np.ndarray, live: tuple, values) -> None:
     for (_, filled), v in zip(live, values):
         for j in filled:
             out[j] = v
-
-
-def _fill_point(template: _Template, x, u) -> np.ndarray:
-    """One point through the template's kernel.  On an error the walk
-    runs instead: a domain error raises for the first failing entry,
-    naming its node, and an overflow saturates."""
-    live = template.live
-    if template.kernel is None:
-        template.kernel = ex.point_kernel([t for t, _ in live], [j for _, j in live])
-    out = template.consts.copy()
-    try:
-        template.kernel(x, u, out)
-    except (ArithmeticError, ValueError, IndexError):
-        _fill(out, live, [ex.evaluate(tree, x, u) for tree, _ in live])
-    return out.reshape(template.shape)
-
-
-def _fill_batch(template: _Template, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """An (N, *shape) stack; bad rows come back non-finite."""
-    out = np.empty((x.shape[0], template.consts.shape[0]))
-    out[...] = template.consts
-    _fill(out.T, template.live, (ex.evaluate_batch(tree, x, u) for tree, _ in template.live))
-    return out.reshape(x.shape[:1] + template.shape)
 
 
 def _sampling_time(t) -> float:

@@ -19,9 +19,11 @@ from lipdisc import (
     parse,
 )
 from lipdisc import constants
-from lipdisc.constants import _norm_rows, grid_points
+from lipdisc.constants import _norm_rows, grid_points, sup_pair_quotient
 from lipdisc.expr import ExprError
 from lipdisc.linalg import max_singular_value, tensor3_norm_surrogate
+
+from conftest import float_bits
 
 
 def _scalar_spec(f_text, lower, upper, name="scalar"):
@@ -512,3 +514,79 @@ def test_scaling_the_probe_by_four_scales_the_constants_exactly(probe):
 )
 def test_scaling_the_probe_by_a_quarter_scales_the_constants_exactly(probe):
     _assert_scales_exactly(probe, 0.25)
+
+
+def _reference_pair_quotient(pairs, images, one_sided):
+    """The quotient with a row-wise finiteness mask and the valid rows
+    copied out: the reference for sup_pair_quotient's column masks."""
+    m1, m2 = images
+    dm = m1 - m2
+    ok = np.isfinite(m1).all(axis=1) & np.isfinite(m2).all(axis=1)
+    failures = int(np.count_nonzero(~ok))
+    if failures > constants._MAX_FAIL_FRACTION * len(ok):
+        raise NumericalError(f"{failures}/{len(ok)} pair evaluations failed (domain errors)")
+    ok &= pairs.dist_sq > 0.0
+    if not np.any(ok):
+        raise NumericalError("no valid pairs to evaluate")
+    other = pairs.dx if one_sided else dm
+    quotients = np.einsum("ij,ij->i", dm, other)[ok] / pairs.dist_sq[ok]
+    if not one_sided:
+        quotients = np.sqrt(quotients)
+    best = int(np.flatnonzero(ok)[np.argmax(quotients)])
+    return float(np.max(quotients)), best
+
+
+def _quotient_case(rng, rows, n, bad_rows, coincident, image_scale=1.0):
+    x1 = rng.standard_normal((rows, n))
+    x2 = x1 + rng.standard_normal((rows, n))
+    x2[coincident] = x1[coincident]
+    m1, m2 = (image_scale * rng.standard_normal((rows, n)) for _ in range(2))
+    for r in bad_rows:
+        (m1 if r % 2 else m2)[r, rng.integers(n)] = rng.choice([np.inf, -np.inf, np.nan])
+    return constants.PairSample(x1, x2, np.zeros((rows, 1))), (m1, m2)
+
+
+@pytest.mark.parametrize("one_sided", [False, True])
+def test_pair_quotient_keeps_the_value_and_first_witness(one_sided):
+    rng = np.random.default_rng(77)
+    cases = []
+    for n in (1, 2, 4):
+        for rows in (1, 7, 500):
+            bad = rng.choice(rows, size=rows // 10, replace=False)
+            coincident = rng.choice(rows, size=rows // 5, replace=False)
+            cases.append(_quotient_case(rng, rows, n, bad, coincident))
+    # planted ties: the best quotient repeats, first index wins
+    pairs, (m1, m2) = _quotient_case(rng, 50, 2, [], [])
+    m1[[30, 10, 40]] = m1[5] + 1e3 * (pairs.dx[5] if one_sided else 1.0)
+    pairs = constants.PairSample(pairs.x1.copy(), pairs.x2.copy(), pairs.u)
+    pairs.x1[[30, 10, 40]], pairs.x2[[30, 10, 40]] = pairs.x1[5], pairs.x2[5]
+    m2[[30, 10, 40]] = m2[5]
+    cases.append((pairs, (m1, m2)))
+    # every valid quotient is -inf (one-sided) or inf; NaN quotients from inf - inf
+    cases.append(_quotient_case(rng, 20, 2, [3], [0, 1], image_scale=1e300))
+    # a coincident first pair before valid pairs whose quotients overflow:
+    # -inf one-sided, inf two-sided
+    x1 = np.full((4, 1), 1e-3)
+    x1[0] = 0.0
+    pairs = constants.PairSample(x1, np.zeros((4, 1)), np.zeros((4, 1)))
+    cases.append((pairs, (np.full((4, 1), -1e308), np.full((4, 1), 1e308))))
+    for pairs, images in cases:
+        with np.errstate(all="ignore"):
+            want, best = _reference_pair_quotient(pairs, images, one_sided)
+            got, witness = sup_pair_quotient(pairs, images, one_sided)
+        assert float_bits([got]) == float_bits([want])
+        assert witness == {
+            "x1": pairs.x1[best].tolist(),
+            "x2": pairs.x2[best].tolist(),
+            "u": pairs.u[best].tolist(),
+        }
+
+
+def test_pair_quotient_failure_rule_and_no_valid_pairs():
+    rng = np.random.default_rng(5)
+    pairs, images = _quotient_case(rng, 100, 3, range(11), [])
+    with pytest.raises(NumericalError, match="^11/100 pair evaluations failed"):
+        sup_pair_quotient(pairs, images, one_sided=False)
+    pairs, images = _quotient_case(rng, 100, 3, range(10), range(10, 100))
+    with pytest.raises(NumericalError, match="no valid pairs"):
+        sup_pair_quotient(pairs, images, one_sided=True)

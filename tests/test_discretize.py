@@ -16,6 +16,7 @@ from lipdisc import (
 )
 
 from lipdisc import discretize
+from lipdisc import expr as ex
 from lipdisc.expr import ExprEvalError
 
 from conftest import expm, float_bits, sample_points
@@ -162,31 +163,142 @@ def test_sparse_contraction_is_bit_equal_to_the_dense_einsum(n):
     meets = np.zeros((rows, n), bool)
     for i, j, k in zip(*np.nonzero(skipped)):
         meets[:, i] |= ~np.isfinite(va[:, j]) | ~np.isfinite(vb[:, k])
+    columns = [hess[:, i, j, k] for i, j, k in support]
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 0 * inf
-        got = discretize._bilinear(hess, support, va, vb)
+        got = discretize._bilinear(columns, support, va.T, vb.T, np.zeros((n, rows))).T
         assert float_bits(np.where(meets, np.nan, got)) == float_bits(
             _dense_bilinear(hess, support, va, vb)
         )
         for r in range(rows):
-            got = discretize._bilinear(hess[r], support, va[r], vb[r])
+            # one point: floats and lists of floats
+            entries = [float(hess[r, i, j, k]) for i, j, k in support]
+            got = discretize._bilinear(entries, support, va[r].tolist(), vb[r].tolist(), [0.0] * n)
             want = _dense_bilinear(hess[r], support, va[r], vb[r])
             assert float_bits(np.where(meets[r], np.nan, got)) == float_bits(want), r
 
 
-def test_order3_series_keeps_the_bits_of_the_dense_contraction(bench, probe, monkeypatch):
-    specs = [*bench.values(), probe]
-    points = {spec.name: sample_points(spec, 200, seed=21) for spec in specs}
+def _reference_series(mdl, x, u, bilinear):
+    """F_T as one numpy series on a point (n,) or a stack (N, n), with f,
+    J and the whole H from the spec's public evaluators and H(a, b) from
+    ``bilinear(hess, support, va, vb)``: the bit-level reference for the
+    point series on floats and for the batch series over the support."""
+    s = mdl.spec
+    if x.ndim == 1:
+        f_of, jac_of, hess_of = s.eval_f, s.jacobian, s.second_derivative
+    else:
+        f_of, jac_of, hess_of = s.eval_f_batch, s.jacobian_batch, s.second_derivative_batch
+    t, at = s.sampling_time, s.a.T
+    f = f_of(x, u)
+    out = t * f
+    if mdl.order == 1:
+        return out
+    jac = jac_of(x, u)
+    ax = x @ at
+    mv = lambda mats, vecs: np.einsum("...ij,...j->...i", mats, vecs)
+    fa, jax, jf = f @ at, mv(jac, ax), mv(jac, f)
+    out = out + (t * t / 2.0) * (fa + jax + jf)
+    if mdl.order == 2:
+        return out
+    hess, support = hess_of(x, u), s.hessian_support
+    bil = lambda va, vb: bilinear(hess, support, va, vb)
+    bracket = (
+        fa @ at
+        + jax @ at
+        + jf @ at
+        + mv(jac, ax @ at)
+        + mv(jac, fa)
+        + mv(jac, jax)
+        + mv(jac, jf)
+        + bil(ax, ax)
+        + 2.0 * bil(ax, f)
+        + bil(f, f)
+    )
+    return out + (t**3 / 6.0) * bracket
 
-    def f_t_all(spec):
+
+def _sparse_bilinear(hess, support, va, vb):
+    """H(va, vb) over the support entries of a whole H, in C order."""
+    hess, va, vb = hess.T, va.T, vb.T
+    acc = np.zeros(va.shape)
+    for i, j, k in support:
+        term = hess[k, j, i] * va[j]
+        term *= vb[k]
+        acc[i] += term
+    return acc.T
+
+
+def test_order3_series_keeps_the_bits_of_the_dense_contraction(bench, probe):
+    for spec in [*bench.values(), probe]:
         mdl = build_taylor_model(spec, 3)
-        xs, us = points[spec.name]
-        return [mdl.f_t_batch(xs, us)] + [mdl.f_t(x, u) for x, u in zip(xs[:20], us[:20])]
+        xs, us = sample_points(spec, 200, seed=21)
+        want = _reference_series(mdl, xs, us, _dense_bilinear)
+        assert mdl.f_t_batch(xs, us).tobytes() == want.tobytes(), spec.name
+        for x, u in zip(xs[:20], us[:20]):
+            want = _reference_series(mdl, x, u, _dense_bilinear)
+            assert mdl.f_t(x, u).tobytes() == want.tobytes(), spec.name
 
-    sparse = {spec.name: f_t_all(spec) for spec in specs}
-    monkeypatch.setattr(discretize, "_bilinear", _dense_bilinear)
-    for spec in specs:
-        for got, want in zip(sparse[spec.name], f_t_all(spec)):
-            assert got.tobytes() == want.tobytes(), spec.name
+
+def _signed_zero_points(spec, count, seed):
+    xs, us = sample_points(spec, count, seed)
+    alternating = [(-0.0, 0.0)[i % 2] for i in range(spec.n)]
+    zeros_x = np.array([[-0.0] * spec.n, [0.0] * spec.n, alternating])
+    zeros_u = np.array([[-0.0] * spec.m, [0.0] * spec.m, [0.0] * spec.m])
+    return np.vstack([xs, zeros_x]), np.vstack([us, zeros_u])
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_point_series_keeps_the_bits_of_the_numpy_series(bench, probe, order):
+    # on the synthetic spec every H(a, b) term is nonzero (on the others
+    # H(Ax, f) or H(f, f) vanishes), and at T = 1.5 the last bits of the
+    # order-3 bracket reach F_T
+    for spec in [*bench.values(), probe, _synthetic_spec(3, t=1.5)]:
+        mdl = build_taylor_model(spec, order)
+        xs, us = _signed_zero_points(spec, 200, seed=41 + order)
+        for x, u in zip(xs, us):
+            want = _reference_series(mdl, x, u, _sparse_bilinear)
+            got = mdl.f_t(x, u)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (spec.name, x, u)
+            step = mdl.a_d @ x + want
+            assert mdl.step(x, u).tobytes() == step.tobytes(), (spec.name, x, u)
+        batch = mdl.f_t_batch(xs, us)
+        want = _reference_series(mdl, xs, us, _sparse_bilinear)
+        assert batch.tobytes() == want.tobytes(), spec.name
+
+
+def _scalar_plant(text, a=0.0):
+    return SystemSpec(
+        name="scalar",
+        a=[[a]],
+        c=[[1.0]],
+        f=(parse(text),),
+        region=BoxRegion([-1e3], [1e3]),
+        sampling_time=0.1,
+    )
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_point_series_overflowing_f_saturates_as_before(order):
+    spec = _scalar_plant("exp(x1) + x1^3", a=-0.5)
+    mdl = build_taylor_model(spec, order)
+    for x in (710.0, 720.0, -1e120):
+        point = np.array([x])
+        assert not np.isfinite(spec.eval_f(point)).all()
+        with np.errstate(all="ignore"):  # inf - inf and 0 * inf in the numpy series
+            want = _reference_series(mdl, point, (), _sparse_bilinear)
+        got = mdl.f_t(point)
+        assert not np.isfinite(got).all()
+        assert float_bits(got) == float_bits(want), (order, x)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_point_series_domain_error_raises_as_before(order):
+    mdl = build_taylor_model(_scalar_plant("sqrt(x1) + ln(2 + x1)"), order)
+    for x in (-1.0, -3.0):
+        want = _raised(_reference_series, mdl, np.array([x]), (), _sparse_bilinear)
+        got = _raised(mdl.f_t, [x])
+        assert isinstance(got, ExprEvalError)
+        assert str(got) == str(want) and got.node == want.node
 
 
 def test_hessian_support_lists_the_entries_that_are_not_constant_zeros(bench, probe):
@@ -380,6 +492,80 @@ def test_exact_step_generates_one_trial_per_dimension(bench, probe):
     info = discretize._dp_trial.cache_info()
     assert (info.misses, info.currsize) == (2, 2)  # n = 2 and n = 4
     assert discretize._dp_trial(2) is discretize._dp_trial(pend.with_sampling_time(0.3).n)
+
+
+def _count_stages(monkeypatch, spec):
+    """Wrap the f kernel of ``spec`` and the generated trial step: the
+    returned log counts kernel calls, trials and accepted trials.  With
+    ``log["fail_after_accept"]`` set, the first kernel call after each
+    accepted trial raises OverflowError, counted in ``log["failed"]``."""
+    spec._f_template.point(0.5 * spec.region.upper, 0.5 * spec.input_region.upper)
+    log = dict(kernel=0, trials=0, accepted=0, failed=0, fail_after_accept=False, fail_next=False)
+    kernel, dp_trial = spec._f_template.kernel, discretize._dp_trial
+
+    def counted_kernel(x, u, out):
+        log["kernel"] += 1
+        if log["fail_next"]:
+            log["fail_next"] = False
+            log["failed"] += 1
+            raise OverflowError("planted")
+        return kernel(x, u, out)
+
+    def counted_dp_trial(n):
+        trial = dp_trial(n)
+
+        def counted(*args):
+            y_new, err, k6 = trial(*args)
+            log["trials"] += 1
+            log["accepted"] += err <= 1.0
+            log["fail_next"] = log["fail_after_accept"] and err <= 1.0
+            return y_new, err, k6
+
+        return counted
+
+    monkeypatch.setattr(spec._f_template, "kernel", counted_kernel)
+    monkeypatch.setattr(discretize, "_dp_trial", counted_dp_trial)
+    return log
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-6])
+def test_exact_step_evaluates_the_first_stage_once_per_call(bench, probe, monkeypatch, tol):
+    rejected = reused = 0
+    for spec in [*bench.values(), probe]:
+        xs, us = sample_points(spec, 50, seed=61)
+        with monkeypatch.context() as patch:
+            log = _count_stages(patch, spec)
+            for x, u in zip(xs, us):
+                log.update(kernel=0, trials=0, accepted=0)
+                got = exact_step(spec, x, u, tol=tol)
+                assert log["kernel"] == 1 + 6 * log["trials"], spec.name
+                rejected += log["trials"] - log["accepted"]
+                reused += log["accepted"] - 1
+                want = _reference_exact_step(spec, x, u, tol)
+                assert got.tobytes() == want.tobytes(), spec.name
+    assert rejected > 0 and reused > 0
+
+
+def test_exact_step_falls_back_when_a_stage_fails_right_after_an_accepted_step(
+    probe, monkeypatch
+):
+    # the first right-hand side after each accepted trial raises in the
+    # kernel, so the walk must give it, with the same bits
+    log = _count_stages(monkeypatch, probe)
+    log["fail_after_accept"] = True
+    walked = []
+    evaluate = ex.evaluate
+    monkeypatch.setattr(ex, "evaluate", lambda *args: walked.append(1) or evaluate(*args))
+    xs, us = sample_points(probe, 30, seed=67)
+    failed = 0
+    for x, u in zip(xs, us):
+        log.update(failed=0, accepted=0, fail_next=False)
+        got = exact_step(probe, x, u)
+        # every accepted trial but the last is followed by a failing stage
+        assert log["failed"] == log["accepted"] - 1 and log["fail_next"]
+        failed += log["failed"]
+        assert got.tobytes() == _reference_exact_step(probe, x, u).tobytes()
+    assert failed > 0 and len(walked) >= failed
 
 
 def test_exact_step_validates_tolerance(bench):

@@ -59,6 +59,18 @@ def test_from_dict_validation_errors_name_the_field(mutation, path):
     assert err.value.path == path
 
 
+def test_zero_state_plant_is_rejected():
+    with pytest.raises(SpecValidationError, match="^A: must have at least one state") as err:
+        SystemSpec(
+            name="empty",
+            a=np.zeros((0, 0)),
+            c=np.zeros((1, 0)),
+            f=(),
+            region=BoxRegion.empty(),
+        )
+    assert err.value.path == "A"
+
+
 def test_region_without_origin_warns():
     with pytest.warns(UserWarning, match="origin"):
         _scalar_spec("x1^2", lower=1.0, upper=2.0)
