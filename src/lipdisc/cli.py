@@ -341,13 +341,26 @@ def load_system(path: str) -> SystemSpec:
     return SystemSpec.from_dict(data)
 
 
+_SAMPLING_FLAGS = {
+    "grid_per_axis": "--grid",
+    "pair_budget": "--pairs",
+    "seed": "--seed",
+    "polish_iters": "--polish-iters",
+}
+
+
 def _sampling_config(args) -> SamplingConfig:
-    return SamplingConfig(
-        grid_per_axis=args.grid,
-        pair_budget=args.pairs,
-        seed=args.seed,
-        polish_iters=args.polish_iters,
-    )
+    """The sampling flags as a config; a bad value raises naming its flag."""
+    try:
+        return SamplingConfig(
+            grid_per_axis=args.grid,
+            pair_budget=args.pairs,
+            seed=args.seed,
+            polish_iters=args.polish_iters,
+        )
+    except SpecValidationError as err:
+        message = str(err).removeprefix(f"{err.path}: ")
+        raise SpecValidationError(_SAMPLING_FLAGS[err.path], message) from err
 
 
 def _config_echo(args) -> dict:

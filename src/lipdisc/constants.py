@@ -43,7 +43,7 @@ import numpy as np
 
 from .expr import ExprError
 from .linalg import NumericalError, max_singular_value, sym_max_eig, tensor3_norm_surrogate
-from .system import SystemSpec
+from .system import SpecValidationError, SystemSpec
 
 _GRID_CAP = 1_000_000  # total grid points across all axes
 _PAIR_EPS = 1e-5  # offset of near-coincident pairs
@@ -59,12 +59,12 @@ class SamplingConfig:
     polish_iters: int = 40
 
     def __post_init__(self):
-        if self.grid_per_axis < 2:
-            raise ValueError("grid_per_axis must be >= 2")
-        if self.pair_budget < 1000:
-            raise ValueError("pair_budget must be >= 1000")
-        if self.polish_iters < 0:
-            raise ValueError("polish_iters must be >= 0")
+        for name, least in (
+            ("grid_per_axis", 2), ("pair_budget", 1000), ("seed", 0), ("polish_iters", 0)
+        ):
+            value = getattr(self, name)
+            if value < least:
+                raise SpecValidationError(name, f"must be >= {least}, got {value}")
 
     def to_jsonable(self) -> dict:
         return {

@@ -20,24 +20,27 @@ sum_{jk} H[i,j,k] a_j b_k (the contraction convention used throughout):
 so each map is the genuine order-k truncation of the series (local
 error O(T^{k+1})), which the convergence study checks empirically.
 
-H(a, b) is contracted over the entries of H that are not a constant
-zero (``SystemSpec.hessian_support``), in C order, each adding
-(H[i,j,k] a_j) b_k to an accumulator that starts at +0.0.  That is the
-order in which ``np.einsum("ijk,j,k->i")`` sums all n^3 entries, so the
-bits are the same: a skipped entry's term is +-0.0, which leaves a sum
-begun at +0.0 unchanged.  Only a non-finite a_j or b_k makes a skipped
-term NaN.  Then J a or J b is already non-finite in every component, so
-the row of F_T is too, and at most the kind of non-finite value (inf or
-NaN) can differ from the dense sum.  A batch reads H only at those
-entries: the columns of their trees and their constants, never the
-whole (N, n, n, n) stack.
+Products with J and H read them only at the entries that are not a
+constant zero (their templates' ``support``), never as a dense stack.
+H(a, b) adds (H[i,j,k] a_j) b_k in C order to an accumulator that starts
+at +0.0.  That is the order in which ``np.einsum("ijk,j,k->i")`` sums all
+n^3 entries, so the bits are the same: a skipped entry's term is +-0.0,
+which leaves a sum begun at +0.0 unchanged.  J v adds J[i,j] v_j in the
+order of the two-operand ``np.einsum("...ij,...j->...i")``, for the same
+reason bit for bit (see :func:`_einsum_lanes`).  Only a non-finite a_j,
+b_k or v_j makes a skipped term NaN.  Such a value comes from a
+non-finite f or a non-finite entry of J at its support, which reaches
+the row of F_T through T f or a term that is not skipped, so the row is
+non-finite anyway; at most the kind of non-finite value (inf or NaN) in
+a component can differ from the dense sum.  A batch reads the entries as
+the columns of their trees and their constants, a point as floats.
 
 One point runs the same series on Python floats, whose arithmetic is
 numpy's elementwise arithmetic, in the same order of operations: the
-scalings, the sums and H(a, b).  Only the products with A (one gemv
-each) and with J (one two-operand einsum each) stay numpy, since their
-sums are not sequential: a Python dot product differs from them in the
-last bit on most random 3×3 and 4×4 operands.
+scalings, the sums, J v and H(a, b).  Only the products with A (one
+gemv each) stay numpy, since BLAS does not sum sequentially: a Python
+dot product differs from it in the last bit on most random 3×3 and 4×4
+operands.
 
 The reference integrator runs each Dormand-Prince trial step through
 one straight-line Python function generated per state dimension n (the
@@ -96,6 +99,11 @@ class DiscreteModel:
             out[rows] = self._series(x[rows], u[rows])
         return out
 
+    @functools.cached_property
+    def _jac_lanes(self) -> tuple:
+        """The lanes of J's support, for :func:`_matvec`."""
+        return _einsum_lanes(self.spec._jac_template.support, self.spec.n)
+
     def _series(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """The order-k series on a stack of rows (N, n)."""
         s = self.spec
@@ -104,9 +112,10 @@ class DiscreteModel:
         out = t * f
         if self.order == 1:
             return out
-        jac = s.jacobian_batch(x, u)
+        jac, lanes = s._jac_template.support_batch(x, u), self._jac_lanes
+        mv = lambda v: _matvec(jac, lanes, v.T, np.empty(v.shape).T).T
         ax = x @ at
-        fa, jax, jf = f @ at, _mv(jac, ax), _mv(jac, f)
+        fa, jax, jf = f @ at, mv(ax), mv(f)
         out = out + (t * t / 2.0) * (fa + jax + jf)
         if self.order == 2:
             return out
@@ -116,10 +125,10 @@ class DiscreteModel:
             fa @ at
             + jax @ at
             + jf @ at
-            + _mv(jac, ax @ at)
-            + _mv(jac, fa)
-            + _mv(jac, jax)
-            + _mv(jac, jf)
+            + mv(ax @ at)
+            + mv(fa)
+            + mv(jax)
+            + mv(jf)
             + bil(ax, ax)
             + 2.0 * bil(ax, f)
             + bil(f, f)
@@ -129,37 +138,37 @@ class DiscreteModel:
     def _point_series(self, x: np.ndarray, u) -> list:
         """The series of :meth:`_series` at one point, as a list of
         floats: the same operations in the same order, with only the
-        products with A (gemv) and with J (einsum) on numpy arrays.
-        ``a.dot(v)`` runs the gemv that ``v @ a.T`` runs."""
+        products with A on numpy arrays.  ``a.dot(v)`` runs the gemv that
+        ``v @ a.T`` runs."""
         s = self.spec
         t, dot = s.sampling_time, s.a.dot
         f = s._f_template.point(x, u)
         out = [t * v for v in f]
         if self.order == 1:
             return out
-        jac, f_vec = s._jac_template.point_array(x, u), np.array(f)
-        ax = dot(x)
-        fa, jax, jf = dot(f_vec), _mv(jac, ax), _mv(jac, f_vec)
+        jac = s._jac_template.point(x, u)
+        jac, lanes = [jac[j] for j in s._jac_template.support_flat], self._jac_lanes
+        mv = lambda v: _matvec(jac, lanes, v, [0.0] * len(f))
+        ax, fa = dot(x).tolist(), dot(f).tolist()
+        jax, jf = mv(ax), mv(f)
         c2 = t * t / 2.0
-        out = [
-            o + c2 * (a + b + c) for o, a, b, c in zip(out, fa.tolist(), jax.tolist(), jf.tolist())
-        ]
+        out = [o + c2 * (a + b + c) for o, a, b, c in zip(out, fa, jax, jf)]
         if self.order == 2:
             return out
         hess = s._hess_template.point(x, u)
         hess = [hess[j] for j in s._hess_template.support_flat]
-        support, ax_list = s.hessian_support, ax.tolist()
+        support = s.hessian_support
         bil = lambda va, vb: _bilinear(hess, support, va, vb, [0.0] * len(f))
         terms = zip(
             dot(fa).tolist(),
             dot(jax).tolist(),
             dot(jf).tolist(),
-            _mv(jac, dot(ax)).tolist(),
-            _mv(jac, fa).tolist(),
-            _mv(jac, jax).tolist(),
-            _mv(jac, jf).tolist(),
-            bil(ax_list, ax_list),
-            bil(ax_list, f),
+            mv(dot(ax).tolist()),
+            mv(fa),
+            mv(jax),
+            mv(jf),
+            bil(ax, ax),
+            bil(ax, f),
             bil(f, f),
         )
         c3 = t**3 / 6.0
@@ -173,9 +182,51 @@ class DiscreteModel:
         return self.a_d @ x + self.f_t(x, u)
 
 
-def _mv(mats, vecs) -> np.ndarray:
-    """Matrix times vector, for one point or row by row of a stack."""
-    return np.einsum("...ij,...j->...i", mats, vecs)
+def _einsum_lanes(support, n: int) -> tuple:
+    """For each row i of an (n, n) matrix whose entries that are not a
+    constant zero sit at ``support`` (C order), its two lanes: the
+    (position in ``support``, column j) of its entries in the order that
+    :func:`_matvec` adds them.
+
+    That is the order of numpy's two-operand einsum inner loop
+    (``sum_of_products_contig_contig_outstride0_two``), which sums
+    ``np.einsum("...ij,...j->...i")`` over j in two float64 lanes,
+    multiply then add.  Column j goes to lane j mod 2; each full block of
+    8 columns adds in descending order (j+6, j+4, j+2, j on lane 0 and
+    j+7, j+5, j+3, j+1 on lane 1), the last n mod 8 columns in ascending
+    order, and the result is lane 0 + lane 1, each lane begun at +0.0.
+    Skipping a constant-zero entry is exact for a finite v_j: its term is
+    +-0.0, and a lane begun at +0.0 never holds -0.0, so adding +-0.0
+    leaves it unchanged.  The module docstring covers a non-finite v_j.
+    """
+    full = n - n % 8
+    columns = [b + d for b in range(0, full, 8) for d in (6, 4, 2, 0, 7, 5, 3, 1)]
+    columns += range(full, n)
+    position = {ij: p for p, ij in enumerate(support)}
+    lanes = []
+    for i in range(n):
+        even, odd = [], []
+        for j in columns:
+            if (i, j) in position:
+                (odd if j % 2 else even).append((position[i, j], j))
+        lanes.append((tuple(even), tuple(odd)))
+    return tuple(lanes)
+
+
+def _matvec(jac, lanes, v, acc):
+    """J v stored into ``acc``, where ``jac`` holds the entries of J at
+    its support and ``lanes`` orders them (:func:`_einsum_lanes`): the
+    bits of ``np.einsum("...ij,...j->...i")`` over the whole J.  One point
+    passes floats and lists of n floats; a stack of N rows passes
+    columns, with v and acc of shape (n, N)."""
+    for i, (even, odd) in enumerate(lanes):
+        lane0 = lane1 = 0.0
+        for p, j in even:
+            lane0 += jac[p] * v[j]  # 0.0 + column makes a new array, then in place
+        for p, j in odd:
+            lane1 += jac[p] * v[j]
+        acc[i] = lane0 + lane1
+    return acc
 
 
 def _bilinear(hess, support, va, vb, acc):

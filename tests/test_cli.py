@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from lipdisc import benchmarks
+from lipdisc import benchmarks, cli
 from lipdisc.cli import OUTPUT_SCHEMAS, dumps_json, main
 
 
@@ -228,6 +228,24 @@ def test_invalid_sampling_flags_exit_2(capsys, spec_path):
     assert code == 2
     code, _, _ = _run(capsys, "constants", spec_path("pendulum"), "--grid", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value, least",
+    [("--seed", "-1", 0), ("--pairs", "10", 1000), ("--grid", "1", 2), ("--polish-iters", "-1", 0)],
+)
+@pytest.mark.parametrize("command", ["constants", "verify"])
+def test_bad_sampling_flag_exits_2_naming_it_before_any_work(
+    capsys, monkeypatch, spec_path, command, flag, value, least
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("estimation ran before the sampling flags were checked")
+
+    monkeypatch.setattr(cli, "estimate_all", no_work)
+    monkeypatch.setattr(cli, "verify_bounds", no_work)
+    code, _, stderr = _run(capsys, command, spec_path("pendulum"), flag, value)
+    assert code == 2
+    assert stderr == f"error: {flag}: must be >= {least}, got {value}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,8 @@ def test_sampling_config_validation():
         SamplingConfig(grid_per_axis=1)
     with pytest.raises(ValueError):
         SamplingConfig(pair_budget=10)
+    with pytest.raises(ValueError, match="^seed: must be >= 0, got -1$"):
+        SamplingConfig(seed=-1)
 
 
 # ---------------------------------------------------------------------------

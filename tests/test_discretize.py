@@ -177,6 +177,51 @@ def test_sparse_contraction_is_bit_equal_to_the_dense_einsum(n):
             assert float_bits(np.where(meets[r], np.nan, got)) == float_bits(want), r
 
 
+_EINSUM_ORDER = (
+    "discretize._matvec assumes numpy's two-operand einsum sums J v in two "
+    "float64 lanes (column j on lane j mod 2, full blocks of 8 in descending "
+    "order, the last n mod 8 columns ascending, lane 0 + lane 1, multiply "
+    "then add); this numpy build sums in another order"
+)
+
+
+@pytest.mark.parametrize("density", [1.0, 0.5, 0.0])
+@pytest.mark.parametrize("n", range(1, 21))
+def test_matvec_keeps_the_bits_of_the_einsum(n, density):
+    rng = np.random.default_rng(500 + n)
+    rows = 300
+    jac = rng.standard_normal((rows, n, n)) * 10.0 ** rng.integers(-6, 7, (rows, n, n))
+    v = rng.standard_normal((rows, n)) * 10.0 ** rng.integers(-6, 7, (rows, n))
+    skipped = rng.random((n, n)) >= density  # density 0: an empty support, as in linear-2d
+    jac[:, skipped] = np.where(rng.random(int(skipped.sum())) < 0.5, 0.0, -0.0)
+    support = tuple(zip(*(ix.tolist() for ix in np.nonzero(~skipped))))
+    # some entries are positive constants, passed as one float for the stack
+    constant = [rng.random() < 0.3 for _ in support]
+    varying = ~skipped
+    for (i, j), c in zip(support, constant):
+        if c:
+            jac[:, i, j] = abs(jac[0, i, j])
+            varying[i, j] = False
+    # signed-zero products: varying entries at +-0.0, v of +-0.0, both at once
+    jac[-30:-20, varying] = np.where(rng.random((10, int(varying.sum()))) < 0.5, 0.0, -0.0)
+    v[-20:-10] = np.where(rng.random((10, n)) < 0.5, 0.0, -0.0)
+    v[-10:] = -0.0
+    jac[-5:, varying] = np.abs(jac[-5:, varying])  # every product is -0.0
+    lanes = discretize._einsum_lanes(support, n)
+    columns = [
+        float(jac[0, i, j]) if c else jac[:, i, j] for (i, j), c in zip(support, constant)
+    ]
+    got = discretize._matvec(columns, lanes, v.T, np.empty((n, rows))).T
+    want = np.einsum("...ij,...j->...i", jac, v)
+    assert float_bits(want[-10:]) == float_bits(np.zeros((10, n))), _EINSUM_ORDER
+    assert float_bits(got) == float_bits(want), _EINSUM_ORDER
+    for r in range(rows):
+        entries = [float(jac[r, i, j]) for i, j in support]
+        got = discretize._matvec(entries, lanes, v[r].tolist(), [0.0] * n)
+        want = np.einsum("ij,j->i", jac[r], v[r])
+        assert float_bits(got) == float_bits(want), (r, _EINSUM_ORDER)
+
+
 def _reference_series(mdl, x, u, bilinear):
     """F_T as one numpy series on a point (n,) or a stack (N, n), with f,
     J and the whole H from the spec's public evaluators and H(a, b) from
@@ -250,8 +295,9 @@ def _signed_zero_points(spec, count, seed):
 def test_point_series_keeps_the_bits_of_the_numpy_series(bench, probe, order):
     # on the synthetic spec every H(a, b) term is nonzero (on the others
     # H(Ax, f) or H(f, f) vanishes), and at T = 1.5 the last bits of the
-    # order-3 bracket reach F_T
-    for spec in [*bench.values(), probe, _synthetic_spec(3, t=1.5)]:
+    # order-3 bracket reach F_T; the n = 9 spec has a full J, so each J v
+    # sums one full block of 8 columns and a tail of 1
+    for spec in [*bench.values(), probe, _synthetic_spec(3, t=1.5), _full_jacobian_spec(9)]:
         mdl = build_taylor_model(spec, order)
         xs, us = _signed_zero_points(spec, 200, seed=41 + order)
         for x, u in zip(xs, us):
@@ -264,6 +310,35 @@ def test_point_series_keeps_the_bits_of_the_numpy_series(bench, probe, order):
         batch = mdl.f_t_batch(xs, us)
         want = _reference_series(mdl, xs, us, _sparse_bilinear)
         assert batch.tobytes() == want.tobytes(), spec.name
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_batch_rows_where_f_fails_stay_non_finite(order):
+    # J = diag(exp(x1) + 3 x1^2, 1/(2 sqrt(x2)) + 1): J v skips the
+    # constant zeros J[0, 1] and J[1, 0], whose dense terms 0 * inf are
+    # NaN where the other component of f is not finite
+    spec = SystemSpec(
+        name="split",
+        a=[[-0.5, 0.2], [0.1, -0.3]],
+        c=np.eye(2),
+        f=(parse("exp(x1) + x1^3"), parse("sqrt(x2) + x2")),
+        region=BoxRegion([-1e3, -1e3], [1e3, 1e3]),
+        sampling_time=0.1,
+    )
+    mdl = build_taylor_model(spec, order)
+    xs = np.array(
+        [[0.5, 0.25], [710.0, 0.25], [720.0, 4.0], [-1e120, 1.0], [0.5, -1.0], [1.0, -3.0],
+         [710.0, -1.0], [-0.0, 0.25], [2.0, 9.0]]
+    )
+    us = np.zeros((xs.shape[0], 0))
+    with np.errstate(all="ignore"):  # inf - inf and 0 * inf in both series
+        got = mdl.f_t_batch(xs, us)
+        want = _reference_series(mdl, xs, us, _dense_bilinear)
+    failed = ~np.isfinite(spec.eval_f_batch(xs, us)).all(axis=1)
+    assert failed.tolist() == [False, True, True, True, True, True, True, False, False]
+    assert (~np.isfinite(got).all(axis=1)).tolist() == failed.tolist()
+    assert (~np.isfinite(want).all(axis=1)).tolist() == failed.tolist()
+    assert float_bits(got[~failed]) == float_bits(want[~failed])
 
 
 def _scalar_plant(text, a=0.0):
@@ -417,6 +492,28 @@ def _synthetic_spec(n, t=0.1):
     return SystemSpec(
         name=f"synthetic-{n}",
         a=rng.uniform(-1.0, 1.0, size=(n, n)),
+        c=np.eye(n),
+        f=f,
+        region=BoxRegion(-np.ones(n), np.ones(n)),
+        sampling_time=t,
+    )
+
+
+def _full_jacobian_spec(n, t=0.5):
+    """Every f_i depends on every state through a sine of a weighted sum,
+    so no entry of J is a constant zero."""
+    rng = np.random.default_rng(700 + n)
+    weights = rng.uniform(0.1, 1.0, size=(n, n)).round(2)
+    f = tuple(
+        parse(
+            "0.3*sin(" + " + ".join(f"{float(w)!r}*x{j + 1}" for j, w in enumerate(row)) + ")"
+            + f" - 0.2*x{i + 1}*x{(i + 1) % n + 1}"
+        )
+        for i, row in enumerate(weights)
+    )
+    return SystemSpec(
+        name=f"full-jacobian-{n}",
+        a=rng.uniform(-1.0, 1.0, size=(n, n)) / 3.0,
         c=np.eye(n),
         f=f,
         region=BoxRegion(-np.ones(n), np.ones(n)),
