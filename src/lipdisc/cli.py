@@ -558,6 +558,7 @@ def _input_sequence(args, s: SystemSpec) -> np.ndarray:
 def cmd_discretize(args, s: SystemSpec) -> tuple[int, dict]:
     if args.exact:
         _check_tol(args.tol)
+    _sampling_config(args)  # unused here, but echoed into --out: reject a bad value
     x0 = _parse_vector(args.x0, "--x0")
     if x0.shape[0] != s.n:
         raise SpecValidationError("--x0", f"dimension {x0.shape[0]}, expected {s.n}")

@@ -257,7 +257,8 @@ def sup_pair_quotient(
     """
     m1, m2 = images
     dx, dist_sq = pairs.dx, pairs.dist_sq
-    dm = m1 - m2
+    with np.errstate(invalid="ignore"):  # inf - inf: a row skipped below
+        dm = m1 - m2
     ok = np.isfinite(m1[:, 0])
     for column in (*m1.T[1:], *m2.T):
         ok &= np.isfinite(column)

@@ -1,15 +1,17 @@
 """Zero-order-hold discrete maps: Taylor-Lie truncations of orders 1-3
 plus a high-accuracy adaptive Runge-Kutta reference for the exact map.
 
-With u held constant on the sampling interval, repeated total
-differentiation of dx/dt = A x + f(x, u) gives the series
+With u held constant on the sampling interval, the flow of
+dx/dt = F(x, u) = A x + f(x, u) has the series
 
-    x(k+1) = x(k) + sum_l (T^l / l!) d^l x/dt^l .
+    x(k+1) = x(k) + sum_l (T^l / l!) (A^l x + N_l) ,
 
-The order-k model keeps terms through T^k and splits into a linear part
-a_d = sum_{l<=k} (T^l/l!) A^l and a nonlinear part F_T.  Writing J for
-df/dx, H for the (n, n, n) second-derivative tensor, and H(a, b)_i =
-sum_{jk} H[i,j,k] a_j b_k (the contraction convention used throughout):
+with the Lie terms N_1 = f and N_{l+1} = A^l f + (dN_l/dx) F (Groebner
+1967; Kazantzis & Kravaris, Comput. Chem. Eng. 23, 1999).  The order-k
+model keeps terms through T^k (local error O(T^{k+1}), which the
+convergence study checks): a linear part a_d = sum_{l<=k} (T^l/l!) A^l
+and F_T = sum_{l<=k} (T^l/l!) N_l.  With J = df/dx, H the (n, n, n)
+second-derivative tensor and H(a, b)_i = sum_{jk} H[i,j,k] a_j b_k:
 
     order 1:  F_T = T f
     order 2:  adds (T^2/2) (A f + J A x + J f)
@@ -17,40 +19,28 @@ sum_{jk} H[i,j,k] a_j b_k (the contraction convention used throughout):
                             + J^2 A x + J^2 f
                             + H(Ax, Ax) + 2 H(Ax, f) + H(f, f))
 
-so each map is the genuine order-k truncation of the series (local
-error O(T^{k+1})), which the convergence study checks empirically.
-
-Products with J and H read them only at the entries that are not a
-constant zero (their templates' ``support``), never as a dense stack.
-H(a, b) adds (H[i,j,k] a_j) b_k in C order to an accumulator that starts
-at +0.0.  That is the order in which ``np.einsum("ijk,j,k->i")`` sums all
-n^3 entries, so the bits are the same: a skipped entry's term is +-0.0,
-which leaves a sum begun at +0.0 unchanged.  J v adds J[i,j] v_j in the
-order of the two-operand ``np.einsum("...ij,...j->...i")``, for the same
-reason bit for bit (see :func:`_einsum_lanes`).  Only a non-finite a_j,
-b_k or v_j makes a skipped term NaN.  Such a value comes from a
-non-finite f or a non-finite entry of J at its support, which reaches
-the row of F_T through T f or a term that is not skipped, so the row is
-non-finite anyway; at most the kind of non-finite value (inf or NaN) in
-a component can differ from the dense sum.  A batch reads the entries as
-the columns of their trees and their constants, a point as floats.
-
-One point runs the same series on Python floats, whose arithmetic is
-numpy's elementwise arithmetic, in the same order of operations: the
-scalings, the sums, J v and H(a, b).  Only the products with A (one
-gemv each) stay numpy, since BLAS does not sum sequentially: a Python
-dot product differs from it in the last bit on most random 3×3 and 4×4
-operands.
+One point evaluates N_1..N_k as expression trees, through one kernel per
+spec and order that every sampling time shares.  A batch runs the series
+written out above on numpy columns; the two agree to rounding.  The
+batch reads J and H only at the entries that are not a constant zero
+(their templates' ``support``) and keeps the bits of the dense einsums:
+H(a, b) adds (H[i,j,k] a_j) b_k in C order from +0.0, the order of
+``np.einsum("ijk,j,k->i")``, and J v the order of the two-operand
+``np.einsum("...ij,...j->...i")`` (see :func:`_einsum_lanes`).  A
+skipped term is +-0.0 and leaves a sum begun at +0.0 unchanged.  Only a
+non-finite a_j, b_k or v_j makes it NaN; that value comes from a
+non-finite f or J entry, which makes the row of F_T non-finite anyway,
+so at most the kind of non-finite value in a component can differ.
 
 The reference integrator runs each Dormand-Prince trial step through
 one straight-line Python function generated per state dimension n (the
 tableau is fixed, so nothing else enters).  It works on Python floats
-too and sums the stages in the order a Python ``sum`` over the stage
-vectors does.  A·v stays one gemv, and the error norm's mean of squares
-is numpy's for n >= 8, where numpy sums pairwise, but a sequential sum
-for n <= 7, which is numpy's own order there.  f comes from its point
-kernel as a list of floats, and each step reuses its last stage as the
-next step's first (see :func:`exact_step`).
+and sums the stages in the order a Python ``sum`` over the stage
+vectors does.  Each stage is one call of the point kernel of the field
+F; the error norm's mean of squares is numpy's for n >= 8, where numpy
+sums pairwise, but a sequential sum for n <= 7, which is numpy's own
+order there.  Each step reuses its last stage as the next step's first
+(see :func:`exact_step`).
 """
 
 from __future__ import annotations
@@ -87,8 +77,16 @@ class DiscreteModel:
     a_d: np.ndarray
 
     def f_t(self, x, u=()) -> np.ndarray:
-        """Nonlinear part of the discrete map at one point."""
-        return np.array(self._point_series(np.asarray(x, dtype=float), u))
+        """Nonlinear part of the discrete map at one point: the spec's Lie
+        terms from one kernel call, summed as T N_1 + (T^2/2) N_2 +
+        (T^3/6) N_3 on Python floats."""
+        s = self.spec
+        n, t = s.n, s.sampling_time
+        terms = s._lie_template(self.order).point(x, u)
+        out = [t * v for v in terms[:n]]
+        for l, c in ((1, t * t / 2.0), (2, t**3 / 6.0))[: self.order - 1]:
+            out = [o + c * v for o, v in zip(out, terms[l * n : l * n + n])]
+        return np.array(out)
 
     def f_t_batch(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Vectorized F_T over rows of (x, u), in chunks of _CHUNK_ROWS rows
@@ -134,48 +132,6 @@ class DiscreteModel:
             + bil(f, f)
         )
         return out + (t**3 / 6.0) * bracket
-
-    def _point_series(self, x: np.ndarray, u) -> list:
-        """The series of :meth:`_series` at one point, as a list of
-        floats: the same operations in the same order, with only the
-        products with A on numpy arrays.  ``a.dot(v)`` runs the gemv that
-        ``v @ a.T`` runs."""
-        s = self.spec
-        t, dot = s.sampling_time, s.a.dot
-        f = s._f_template.point(x, u)
-        out = [t * v for v in f]
-        if self.order == 1:
-            return out
-        jac = s._jac_template.point(x, u)
-        jac, lanes = [jac[j] for j in s._jac_template.support_flat], self._jac_lanes
-        mv = lambda v: _matvec(jac, lanes, v, [0.0] * len(f))
-        ax, fa = dot(x).tolist(), dot(f).tolist()
-        jax, jf = mv(ax), mv(f)
-        c2 = t * t / 2.0
-        out = [o + c2 * (a + b + c) for o, a, b, c in zip(out, fa, jax, jf)]
-        if self.order == 2:
-            return out
-        hess = s._hess_template.point(x, u)
-        hess = [hess[j] for j in s._hess_template.support_flat]
-        support = s.hessian_support
-        bil = lambda va, vb: _bilinear(hess, support, va, vb, [0.0] * len(f))
-        terms = zip(
-            dot(fa).tolist(),
-            dot(jax).tolist(),
-            dot(jf).tolist(),
-            mv(dot(ax).tolist()),
-            mv(fa),
-            mv(jax),
-            mv(jf),
-            bil(ax, ax),
-            bil(ax, f),
-            bil(f, f),
-        )
-        c3 = t**3 / 6.0
-        return [
-            o + c3 * (a + b + c + d + e + g + k + haa + 2.0 * haf + hff)
-            for o, (a, b, c, d, e, g, k, haa, haf, hff) in zip(out, terms)
-        ]
 
     def step(self, x, u=()) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -288,15 +244,14 @@ def _tol_problem(tol: float) -> str | None:
 @functools.cache
 def _dp_trial(n: int) -> Callable:
     """One Dormand-Prince trial step for states of dimension n >= 1,
-    generated as straight-line code: ``trial(dot, f, y, u, h, tol, k0)``
+    generated as straight-line code: ``trial(f, y, u, h, tol, k0)``
     takes y and its first stage k0 as lists of n floats and returns
     ``(y_new, err, k6)``, y_new and the seventh stage k6 as lists.
 
-    A stage's right-hand side is ``dot(v).tolist()`` plus ``f(v, u)``, a
-    list, added entry by entry.  Every stage, B5 and E sum is
-    ``0.0 + c0*k0[i] + c1*k1[i] + ...`` with the tableau's literals in
-    stage order, zeros kept.  The error norm takes the larger of |y_i| and
-    |y_new_i| with NaN winning, as ``np.maximum`` does.
+    A stage's right-hand side is ``f(v, u)``, a list.  Every stage, B5
+    and E sum is ``0.0 + c0*k0[i] + c1*k1[i] + ...`` with the tableau's
+    literals in stage order, zeros kept.  The error norm takes the larger
+    of |y_i| and |y_new_i| with NaN winning, as ``np.maximum`` does.
     """
     ix = range(n)
 
@@ -309,9 +264,7 @@ def _dp_trial(n: int) -> Callable:
     lines = [f"    {listed('y')} = y", f"    {listed('k0_')} = k0"]
     for stage, row in enumerate(_DP_A[1:], start=1):
         lines.append("    v = [" + ", ".join(f"y{i} + h * ({combo(row, i)})" for i in ix) + "]")
-        lines.append(f"    {listed('p')} = dot(v).tolist()")
-        lines.append(f"    {listed('q')} = f(v, u)")
-        lines += [f"    k{stage}_{i} = p{i} + q{i}" for i in ix]
+        lines.append(f"    {listed(f'k{stage}_')} = f(v, u)")
     for i in ix:
         lines.append(f"    n{i} = y{i} + h * ({combo(_DP_B5, i)})")
         lines.append(f"    a, b = abs(y{i}), abs(n{i})")
@@ -324,7 +277,7 @@ def _dp_trial(n: int) -> Callable:
     else:
         lines.append(f"    err = float(np.sqrt(np.mean(np.array({listed('r')}) ** 2)))")
     lines.append(f"    return {listed('n')}, err, {listed('k6_')}")
-    source = "\n".join(["def trial(dot, f, y, u, h, tol, k0):", *lines])
+    source = "\n".join(["def trial(f, y, u, h, tol, k0):", *lines])
     namespace = {"np": np, "sqrt": math.sqrt}
     exec(compile(source, f"<dormand-prince trial, n={n}>", "exec"), namespace)
     return namespace["trial"]
@@ -338,11 +291,10 @@ def exact_step(s: SystemSpec, x, u=(), tol: float = 1e-10) -> np.ndarray:
     step runs the straight-line code that :func:`_dp_trial` generates
     once per state dimension, shared by every spec of that dimension,
     on Python floats; it has the bits of the same sums over numpy stage
-    vectors.  f comes as a list of floats from the point kernel of f.
-    A·v stays one numpy gemv: a sequential Python dot product differs
-    from it in the last bit on most random 3×3 and 4×4 products.  The
-    mean of the squared error quotients is a sequential sum for n <= 7,
-    numpy's own order there, and ``np.mean`` above.
+    vectors.  Each stage is one call of the point kernel of the spec's
+    field F = A x + f, a list of floats.  The mean of the squared error
+    quotients is a sequential sum for n <= 7, numpy's own order there,
+    and ``np.mean`` above.
 
     The first stage is evaluated once per call: after an accepted trial
     the seventh stage is the next trial's first (first same as last,
@@ -356,9 +308,9 @@ def exact_step(s: SystemSpec, x, u=(), tol: float = 1e-10) -> np.ndarray:
         raise ValueError(f"tol {problem}")
     t_end = s.sampling_time
     t_done = 4.0 * np.finfo(float).eps * t_end
-    trial, dot, f = _dp_trial(s.n), s.a.dot, s._f_template.point
+    trial, f = _dp_trial(s.n), s._field_template.point
     y = np.asarray(x, dtype=float).tolist()
-    k0 = [p + q for p, q in zip(dot(y).tolist(), f(y, u))]
+    k0 = f(y, u)
 
     t = 0.0
     h = t_end
@@ -367,7 +319,7 @@ def exact_step(s: SystemSpec, x, u=(), tol: float = 1e-10) -> np.ndarray:
         if remaining <= t_done:
             return np.array(y, dtype=float)
         h = min(h, remaining)
-        y_new, err, k6 = trial(dot, f, y, u, h, tol, k0)
+        y_new, err, k6 = trial(f, y, u, h, tol, k0)
         if err <= 1.0:
             t += h
             y, k0 = y_new, k6

@@ -27,6 +27,8 @@ def max_singular_value(a: np.ndarray) -> float:
     (normalized all-ones perturbed by 1/(i+1) per coordinate), stopping
     when the Rayleigh quotient changes by less than _POWER_TOL relative
     to max(1, lambda), and failing after _POWER_MAX_ITER iterations.
+    Where lambda or ||A^T A v|| overflows, it runs again on A scaled by
+    an exact power of two to max |a_ij| in [0.5, 1) and scales back.
     """
     a = np.asarray(a, dtype=float)
     if a.size == 0:
@@ -37,20 +39,28 @@ def max_singular_value(a: np.ndarray) -> float:
     v = np.full(n, 1.0 / math.sqrt(n)) + 1.0 / (np.arange(n) + 1.0)
     v /= math.sqrt(v @ v)  # the expression np.linalg.norm evaluates for a vector
     lam_prev = None
-    for _ in range(_POWER_MAX_ITER):
-        av = a @ v
-        lam = float(av @ av)
-        if lam_prev is not None and abs(lam - lam_prev) <= _POWER_TOL * max(1.0, lam):
-            return math.sqrt(lam)
-        lam_prev = lam
-        w = a.T @ av
-        norm_w = math.sqrt(w @ w)
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-    raise NumericalError(
-        f"power iteration did not converge within {_POWER_MAX_ITER} iterations"
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_POWER_MAX_ITER):
+            av = a @ v
+            lam = float(av @ av)
+            if not math.isfinite(lam):
+                break
+            if lam_prev is not None and abs(lam - lam_prev) <= _POWER_TOL * max(1.0, lam):
+                return math.sqrt(lam)
+            lam_prev = lam
+            w = a.T @ av
+            norm_w = math.sqrt(w @ w)
+            if not math.isfinite(norm_w):
+                break
+            if norm_w == 0.0:
+                return 0.0
+            v = w / norm_w
+        else:
+            raise NumericalError(
+                f"power iteration did not converge within {_POWER_MAX_ITER} iterations"
+            )
+    _, e = math.frexp(float(np.max(np.abs(a))))
+    return math.ldexp(max_singular_value(np.ldexp(a, -e)), e)
 
 
 def tensor3_norm_surrogate(t3: np.ndarray) -> float:

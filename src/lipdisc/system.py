@@ -5,7 +5,8 @@ expression per state, the operating box D, the input box U (possibly
 zero-dimensional) and the sampling time.  First and second derivative
 expressions of f are differentiated symbolically once at construction
 and cached, since the estimators evaluate them at thousands of points;
-a point evaluates them through compiled kernels built on first use.
+a point evaluates them, the field F = A x + f and the Lie terms of each
+Taylor-Lie order through compiled kernels built on first use.
 Instances are immutable apart from that cache and safe for concurrent
 evaluation.
 """
@@ -13,6 +14,7 @@ evaluation.
 from __future__ import annotations
 
 import copy
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -131,6 +133,8 @@ class SystemSpec:
         object.__setattr__(self, "_f_template", _Template(self.f, (n,)))
         object.__setattr__(self, "_jac_template", _Template(jac, (n, n)))
         object.__setattr__(self, "_hess_template", _Template(hess, (n, n, n)))
+        # key 0: the field F; key k: the Lie terms of order k
+        object.__setattr__(self, "_point_templates", {})
 
     @property
     def n(self) -> int:
@@ -145,8 +149,9 @@ class SystemSpec:
         return self.c.shape[0]
 
     def with_sampling_time(self, t: float) -> "SystemSpec":
-        """The same plant at sampling time ``t``.  The copy shares the
-        derivative templates and their kernels, which depend only on f."""
+        """The same plant at sampling time ``t``.  The copy shares every
+        template and kernel, built or yet to be built, since none depends
+        on T."""
         out = copy.copy(self)
         object.__setattr__(out, "sampling_time", _sampling_time(t))
         return out
@@ -171,6 +176,35 @@ class SystemSpec:
         """The (i, j, k) of every entry of d^2 f/dx^2 that is not a
         constant zero, in C order; every other entry is 0.0 or -0.0."""
         return self._hess_template.support
+
+    @property
+    def _field_template(self) -> "_Template":
+        """The vector field F_i = sum_j A_ij x_j + f_i, shape (n,)."""
+        return self._lie_template(0)
+
+    def _lie_template(self, order: int) -> "_Template":
+        """The Lie terms N_1, ..., N_order, shape (order, n), with
+        d^l x/dt^l = A^l x + N_l under the held input: N_1 = f and
+        N_{l+1} = A^l f + (dN_l/dx) F.  Order 0 gives the field F.  A's
+        nonzero entries enter as constants; nothing depends on T, and
+        each template is built on first use."""
+        templates = self._point_templates
+        if order not in templates:
+            n = self.n
+            xs = [ex.Var("x", j + 1) for j in range(n)]
+            consts = lambda m: [[ex.Const(v) for v in row] for row in m.tolist()]
+            # sum_j c_j t_j, added in order of j; a constant-zero c_j adds nothing
+            dot = lambda cs, ts: functools.reduce(ex._add, map(ex._mul, cs, ts), ex.Const(0.0))
+            rhs = [ex._add(dot(row, xs), fi) for row, fi in zip(consts(self.a), self.f)]
+            terms, power = [list(self.f) if order else rhs], np.eye(n)
+            for _ in range(1, order):
+                power = power @ self.a
+                terms.append([
+                    ex._add(dot(row, self.f), dot([ex.differentiate(nl, x.name) for x in xs], rhs))
+                    for row, nl in zip(consts(power), terms[-1])
+                ])
+            templates[order] = _Template(sum(terms, []), (order, n) if order else (n,))
+        return templates[order]
 
     # ------------------------------------------------------------------
     # vectorized evaluation; bad samples come back non-finite

@@ -248,6 +248,72 @@ def test_bad_sampling_flag_exits_2_naming_it_before_any_work(
     assert stderr == f"error: {flag}: must be >= {least}, got {value}\n"
 
 
+@pytest.mark.parametrize(
+    "flag, value, least",
+    [("--seed", "-1", 0), ("--pairs", "10", 1000), ("--grid", "1", 2), ("--polish-iters", "-1", 0)],
+)
+def test_discretize_bad_sampling_flag_exits_2_naming_it_before_any_work(
+    capsys, monkeypatch, spec_path, tmp_path, flag, value, least
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("simulation ran before the sampling flags were checked")
+
+    monkeypatch.setattr(cli, "simulate", no_work)
+    out = tmp_path / "disc.json"
+    code, _, stderr = _run(
+        capsys, "discretize", spec_path("pendulum"), "--x0", "0.1,0.2", "--steps", "2",
+        flag, value, "--out", str(out),
+    )
+    assert code == 2
+    assert stderr == f"error: {flag}: must be >= {least}, got {value}\n"
+    assert not out.exists()
+
+
+def test_load_system_builds_no_point_template(spec_path):
+    # the field and Lie templates wait for the first pointwise call
+    assert cli.load_system(spec_path("van-der-pol"))._point_templates == {}
+
+
+def test_constants_on_an_overflowing_jacobian_norm_reads_the_true_scale(capsys, tmp_path):
+    # J = exp(x1) reaches e^300 = 1.94e130, whose square is finite but
+    # whose ||A^T A v||^2 overflows in the power iteration
+    data = {
+        "name": "steep",
+        "A": [[0.0]],
+        "C": [[1.0]],
+        "f": ["exp(x1)"],
+        "region": {"lower": [-1.0], "upper": [300.0]},
+        "T": 0.1,
+    }
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "constants.json"
+    code, _, stderr = _run(capsys, "constants", str(path), "--pairs", "2000", "--out", str(out))
+    assert code == 0 and stderr == ""
+    constants = json.loads(out.read_text())["constants"]
+    for name in ("gamma_c", "beta", "big_m"):
+        assert constants[name] == pytest.approx(math.exp(300.0), rel=1e-12), name
+
+
+def test_overflowing_grid_failure_exits_3_without_numpy_warnings(capsys, tmp_path):
+    # exp(x1) overflows for x1 > 709.78: J's power iteration overflows at
+    # finite points and the pair images hold inf, yet stderr carries only
+    # the failure (a RuntimeWarning would be raised as an error here)
+    data = {
+        "name": "overflowing",
+        "A": [[0.0, 0.0], [0.0, 0.0]],
+        "C": [[1.0, 0.0]],
+        "f": ["exp(x1) - x2", "x1"],
+        "region": {"lower": [-100.0, -1.0], "upper": [712.0, 1.0]},
+        "T": 0.1,
+    }
+    path = tmp_path / "overflowing.json"
+    path.write_text(json.dumps(data))
+    code, _, stderr = _run(capsys, "verify", str(path), "--order", "3", "--pairs", "1000")
+    assert code == 3
+    assert stderr == "numerical failure: 189/441 grid evaluations failed\n"
+
+
 # ---------------------------------------------------------------------------
 # bounds
 

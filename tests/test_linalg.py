@@ -128,3 +128,28 @@ def test_tensor_surrogate_bounds_bilinear_action():
         z /= np.linalg.norm(z)
         worst = max(worst, float(np.linalg.norm(np.einsum("ijk,j,k->i", t3, y, z))))
     assert bound >= worst - 1e-12
+
+
+@pytest.mark.parametrize(
+    "a, sigma",
+    [
+        ([[1e150]], 1e150),  # sigma^2 is finite, ||A^T A v||^2 is not
+        ([[1e100, 1e100], [1e100, 1e100]], 2e100),
+        ([[1e200]], 1e200),  # sigma^2 overflows too
+        ([[1e300, -1e300], [1e300, 1e300]], 2.0**0.5 * 1e300),
+        ([[3e307, 0.0, 1.0], [0.0, 4e307, 0.0]], 4e307),
+    ],
+)
+def test_msv_of_an_overflowing_power_reads_the_true_scale(a, sigma):
+    # no RuntimeWarning either: pytest turns one into an error
+    assert max_singular_value(np.array(a)) == pytest.approx(sigma, rel=1e-12)
+    assert tensor3_norm_surrogate(np.array(a)[:, :, None]) == pytest.approx(sigma, rel=1e-12)
+
+
+def test_msv_rescaled_rerun_agrees_with_the_unscaled_matrix():
+    rng = np.random.default_rng(91)
+    for _ in range(50):
+        a = rng.normal(size=(int(rng.integers(1, 6)), int(rng.integers(1, 6))))
+        big = np.ldexp(a, 1000)
+        want = np.ldexp(max_singular_value(a), 1000)
+        assert max_singular_value(big) == pytest.approx(want, rel=1e-12)

@@ -319,6 +319,10 @@ def test_with_sampling_time_shares_the_templates(bench, probe):
         assert fast.sampling_time == 0.05 and spec.sampling_time != 0.05
         for name in ("_f_template", "_jac_template", "_hess_template"):
             assert getattr(fast, name) is getattr(spec, name)
+        # the point templates too, whichever side builds them
+        assert fast._field_template is spec._field_template
+        for order in (1, 2, 3):
+            assert spec._lie_template(order) is fast._lie_template(order)
         for name in ("eval_f", "jacobian", "second_derivative"):
             assert getattr(fast, name)(x, u).tobytes() == getattr(spec, name)(x, u).tobytes()
     for t in (0.0, -0.1, float("nan")):

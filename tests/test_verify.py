@@ -5,11 +5,13 @@ import pytest
 
 from lipdisc import (
     SamplingConfig,
+    SystemSpec,
     build_taylor_model,
     convergence_study,
     estimate_rho_c,
     verify_bounds,
 )
+from lipdisc import expr as ex
 from lipdisc.constants import sample_pairs
 from lipdisc.verify import verify_tolerance
 
@@ -147,3 +149,19 @@ def test_convergence_study_needs_three_distinct_sampling_times_and_an_order(benc
 def test_convergence_study_rejects_sampling_times_below_the_minimum_step(bench, fast_cfg):
     with pytest.raises(ValueError, match="minimum step"):
         convergence_study(bench["pendulum"], (1,), (0.2, 0.1, 1e-300), fast_cfg)
+
+
+def test_convergence_study_compiles_one_lie_kernel_per_order(probe, monkeypatch):
+    spec = SystemSpec.from_dict(probe.to_dict())  # no point kernel built yet
+    compiled = []
+    point_kernel = ex.point_kernel
+
+    def counted(trees, slots):
+        compiled.append(len(trees))
+        return point_kernel(trees, slots)
+
+    monkeypatch.setattr(ex, "point_kernel", counted)
+    convergence_study(spec, [1, 2, 3], [0.2, 0.1, 0.05, 0.025])
+    # the field's kernel and one Lie kernel per order, shared by all four T
+    assert sorted(spec._point_templates) == [0, 1, 2, 3]
+    assert len(compiled) == 4
