@@ -80,9 +80,8 @@ class DiscreteModel:
         """Nonlinear part of the discrete map at one point: the spec's Lie
         terms from one kernel call, summed as T N_1 + (T^2/2) N_2 +
         (T^3/6) N_3 on Python floats."""
-        s = self.spec
-        n, t = s.n, s.sampling_time
-        terms = s._lie_template(self.order).point(x, u)
+        n, t = self.spec.n, self.spec.sampling_time
+        terms = self.spec._lie_template(self.order).point(x, u)
         out = [t * v for v in terms[:n]]
         for l, c in ((1, t * t / 2.0), (2, t**3 / 6.0))[: self.order - 1]:
             out = [o + c * v for o, v in zip(out, terms[l * n : l * n + n])]

@@ -28,7 +28,8 @@ def max_singular_value(a: np.ndarray) -> float:
     when the Rayleigh quotient changes by less than _POWER_TOL relative
     to max(1, lambda), and failing after _POWER_MAX_ITER iterations.
     Where lambda or ||A^T A v|| overflows, it runs again on A scaled by
-    an exact power of two to max |a_ij| in [0.5, 1) and scales back.
+    an exact power of two to max |a_ij| in [0.5, 1) and scales back; a
+    2-norm above the largest float raises NumericalError.
     """
     a = np.asarray(a, dtype=float)
     if a.size == 0:
@@ -60,7 +61,10 @@ def max_singular_value(a: np.ndarray) -> float:
                 f"power iteration did not converge within {_POWER_MAX_ITER} iterations"
             )
     _, e = math.frexp(float(np.max(np.abs(a))))
-    return math.ldexp(max_singular_value(np.ldexp(a, -e)), e)
+    try:
+        return math.ldexp(max_singular_value(np.ldexp(a, -e)), e)
+    except OverflowError:
+        raise NumericalError("2-norm overflows") from None
 
 
 def tensor3_norm_surrogate(t3: np.ndarray) -> float:

@@ -188,8 +188,7 @@ class SystemSpec:
         N_{l+1} = A^l f + (dN_l/dx) F.  Order 0 gives the field F.  A's
         nonzero entries enter as constants; nothing depends on T, and
         each template is built on first use."""
-        templates = self._point_templates
-        if order not in templates:
+        if order not in self._point_templates:
             n = self.n
             xs = [ex.Var("x", j + 1) for j in range(n)]
             consts = lambda m: [[ex.Const(v) for v in row] for row in m.tolist()]
@@ -203,8 +202,8 @@ class SystemSpec:
                     ex._add(dot(row, self.f), dot([ex.differentiate(nl, x.name) for x in xs], rhs))
                     for row, nl in zip(consts(power), terms[-1])
                 ])
-            templates[order] = _Template(sum(terms, []), (order, n) if order else (n,))
-        return templates[order]
+            self._point_templates[order] = _Template(sum(terms, []), (order, n) if order else (n,))
+        return self._point_templates[order]
 
     # ------------------------------------------------------------------
     # vectorized evaluation; bad samples come back non-finite

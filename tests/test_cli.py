@@ -295,6 +295,26 @@ def test_constants_on_an_overflowing_jacobian_norm_reads_the_true_scale(capsys, 
         assert constants[name] == pytest.approx(math.exp(300.0), rel=1e-12), name
 
 
+def test_constants_counts_a_jacobian_norm_above_the_largest_float_as_failed(capsys, tmp_path):
+    # J has the rows (e^x1, e^x2) twice, so sigma = sqrt(2) * ||(e^x1, e^x2)||
+    # exceeds the largest float wherever a coordinate is 709.5: the 5 grid
+    # points on those edges fail, and (354.75, 354.75), whose sigma is
+    # finite though its square is not, does not
+    data = {
+        "name": "twin-exp",
+        "A": [[0.0, 0.0], [0.0, 0.0]],
+        "C": [[1.0, 0.0]],
+        "f": ["exp(x1) + exp(x2)", "exp(x1) + exp(x2)"],
+        "region": {"lower": [0.0, 0.0], "upper": [709.5, 709.5]},
+        "T": 0.1,
+    }
+    path = tmp_path / "twin-exp.json"
+    path.write_text(json.dumps(data))
+    code, _, stderr = _run(capsys, "constants", str(path), "--pairs", "1000", "--grid", "3")
+    assert code == 3
+    assert stderr == "numerical failure: 5/9 grid evaluations failed\n"
+
+
 def test_overflowing_grid_failure_exits_3_without_numpy_warnings(capsys, tmp_path):
     # exp(x1) overflows for x1 > 709.78: J's power iteration overflows at
     # finite points and the pair images hold inf, yet stderr carries only

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lipdisc.linalg import max_singular_value, tensor3_norm_surrogate
+from lipdisc.linalg import NumericalError, max_singular_value, tensor3_norm_surrogate
 
 from conftest import expm
 
@@ -153,3 +153,10 @@ def test_msv_rescaled_rerun_agrees_with_the_unscaled_matrix():
         big = np.ldexp(a, 1000)
         want = np.ldexp(max_singular_value(a), 1000)
         assert max_singular_value(big) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("a", [[[1e308, 1e308], [1e308, 1e308]], [[1.5e308, 1.5e308]]])
+def test_msv_above_the_largest_float_raises_numerical_error(a):
+    # sigma = 2e308 and 2.1e308: finite entries, a 2-norm no float holds
+    with pytest.raises(NumericalError, match="2-norm overflows"):
+        max_singular_value(np.array(a))
