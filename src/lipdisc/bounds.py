@@ -24,9 +24,11 @@ verify module rather than assumed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .constants import ConstantEstimates
+from .linalg import NumericalError
 
 
 class UnsupportedOrderError(ValueError):
@@ -93,10 +95,14 @@ class BoundResult:
 
 
 def evaluate_bounds(order: int, t: float, c: ConstantEstimates) -> BoundResult:
-    """Both formula constants for one order (rho_d absent at order 3)."""
-    return BoundResult(
-        order=order,
-        sampling_time=t,
-        gamma_d=gamma_d(order, t, c),
-        rho_d=rho_d(order, t, c) if order <= 2 else None,
-    )
+    """Both formula constants for one order (rho_d absent at order 3).
+
+    A formula that overflows or is not finite raises NumericalError."""
+    try:
+        gamma = gamma_d(order, t, c)
+        rho = rho_d(order, t, c) if order <= 2 else None
+    except OverflowError:  # a float power such as gamma**3
+        gamma = rho = math.inf
+    if not all(math.isfinite(v) for v in (gamma, rho) if v is not None):
+        raise NumericalError(f"the order-{order} bound formula overflows at T = {t}")
+    return BoundResult(order=order, sampling_time=t, gamma_d=gamma, rho_d=rho)

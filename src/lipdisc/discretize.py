@@ -87,13 +87,15 @@ class DiscreteModel:
             out = [o + c * v for o, v in zip(out, terms[l * n : l * n + n])]
         return np.array(out)
 
-    def f_t_batch(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def f_t_batch(self, x: np.ndarray, u: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:
         """Vectorized F_T over rows of (x, u), in chunks of _CHUNK_ROWS rows
-        so the temporaries never exceed one chunk."""
+        so the temporaries never exceed one chunk.  ``f`` holds f(x, u)
+        if the caller has already evaluated it."""
         out = np.empty((x.shape[0], self.spec.n))
         for lo in range(0, x.shape[0], _CHUNK_ROWS):
             rows = slice(lo, lo + _CHUNK_ROWS)
-            out[rows] = self._series(x[rows], u[rows])
+            f_rows = self.spec.eval_f_batch(x[rows], u[rows]) if f is None else f[rows]
+            out[rows] = self._series(x[rows], u[rows], f_rows)
         return out
 
     @functools.cached_property
@@ -101,11 +103,10 @@ class DiscreteModel:
         """The lanes of J's support, for :func:`_matvec`."""
         return _einsum_lanes(self.spec._jac_template.support, self.spec.n)
 
-    def _series(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """The order-k series on a stack of rows (N, n)."""
+    def _series(self, x: np.ndarray, u: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """The order-k series on a stack of rows (N, n) with f = f(x, u)."""
         s = self.spec
         t, at = s.sampling_time, s.a.T
-        f = s.eval_f_batch(x, u)
         out = t * f
         if self.order == 1:
             return out

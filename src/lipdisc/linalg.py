@@ -27,9 +27,11 @@ def max_singular_value(a: np.ndarray) -> float:
     (normalized all-ones perturbed by 1/(i+1) per coordinate), stopping
     when the Rayleigh quotient changes by less than _POWER_TOL relative
     to max(1, lambda), and failing after _POWER_MAX_ITER iterations.
-    Where lambda or ||A^T A v|| overflows, it runs again on A scaled by
-    an exact power of two to max |a_ij| in [0.5, 1) and scales back; a
-    2-norm above the largest float raises NumericalError.
+    Where lambda or ||A^T A v|| overflows, or ||A^T A v||^2 underflows
+    to zero, it runs again on A scaled by an exact power of two to
+    max |a_ij| in [0.5, 1) and scales back; a 2-norm above the largest
+    float raises NumericalError.  On A so scaled (or zero), a zero
+    A^T A v means a zero 2-norm.
     """
     a = np.asarray(a, dtype=float)
     if a.size == 0:
@@ -53,14 +55,16 @@ def max_singular_value(a: np.ndarray) -> float:
             norm_w = math.sqrt(w @ w)
             if not math.isfinite(norm_w):
                 break
-            if norm_w == 0.0:
-                return 0.0
+            if norm_w == 0.0:  # A^T A v is zero, or its square underflows
+                break
             v = w / norm_w
         else:
             raise NumericalError(
                 f"power iteration did not converge within {_POWER_MAX_ITER} iterations"
             )
     _, e = math.frexp(float(np.max(np.abs(a))))
+    if e == 0:  # A is already scaled, or zero (frexp(0) = (0, 0)): A^T A v = 0
+        return 0.0
     try:
         return math.ldexp(max_singular_value(np.ldexp(a, -e)), e)
     except OverflowError:

@@ -1,5 +1,6 @@
-"""Shared fixtures, finite-difference and matrix-exponential oracles, and
-the pair-quotient Lipschitz estimates of f and of F_T."""
+"""Shared fixtures, finite-difference and matrix-exponential oracles,
+the pair-quotient Lipschitz estimates of f and of F_T, and a whole-array
+reference for the chunked pair pass."""
 
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from lipdisc import SamplingConfig, SystemSpec, benchmarks
+from lipdisc import NumericalError, SamplingConfig, SystemSpec, benchmarks
 from lipdisc.constants import sample_pairs, sup_pair_quotient
 from lipdisc.expr import Binary, Const, Pow, Unary, Var
 
@@ -127,8 +128,46 @@ def pair_quotient(map_batch, s, cfg, one_sided, pairs=None):
     ``cfg`` (or ``pairs``), evaluating the map on both endpoints."""
     if pairs is None:
         pairs = sample_pairs(s, cfg)
-    images = map_batch(pairs.x1, pairs.u), map_batch(pairs.x2, pairs.u)
-    return sup_pair_quotient(pairs, images, one_sided)
+    x1, x2, u = pairs.x1, pairs.x2, pairs.u
+    (sup,) = sup_pair_quotient(
+        pairs, lambda rows: [(map_batch(x1[rows], u[rows]), map_batch(x2[rows], u[rows]))],
+        (one_sided,),
+    )
+    return sup.result()
+
+
+def whole_array_pair_quotient(pairs, images, one_sided):
+    """The quotient supremum over whole image arrays, with the masks,
+    the -inf rule and the single ``argmax`` that the chunked pass of
+    ``sup_pair_quotient`` must reproduce bit for bit."""
+    m1, m2 = images
+    dx = pairs.x1 - pairs.x2
+    dist_sq = np.einsum("ij,ij->i", dx, dx)
+    with np.errstate(all="ignore"):
+        dm = m1 - m2
+        ok = np.isfinite(m1[:, 0])
+        for column in (*m1.T[1:], *m2.T):
+            ok &= np.isfinite(column)
+        failures = len(ok) - int(np.count_nonzero(ok))
+        if failures > 0.1 * len(ok):
+            raise NumericalError(f"{failures}/{len(ok)} pair evaluations failed (domain errors)")
+        ok &= dist_sq > 0.0
+        if not np.any(ok):
+            raise NumericalError("no valid pairs to evaluate")
+        quotients = np.einsum("ij,ij->i", dm, dx if one_sided else dm)
+        np.divide(quotients, dist_sq, out=quotients, where=ok)
+        if not one_sided:
+            np.sqrt(quotients, out=quotients, where=ok)
+    quotients[~ok] = -np.inf
+    best = int(np.argmax(quotients))
+    if quotients[best] == -np.inf:  # every valid quotient is -inf: the first valid pair
+        best = int(np.argmax(ok))
+    witness = {
+        "x1": pairs.x1[best].tolist(),
+        "x2": pairs.x2[best].tolist(),
+        "u": pairs.u[best].tolist(),
+    }
+    return float(quotients[best]), witness
 
 
 def empirical_gamma_c(s, cfg, pairs=None):

@@ -315,23 +315,65 @@ def test_constants_counts_a_jacobian_norm_above_the_largest_float_as_failed(caps
     assert stderr == "numerical failure: 5/9 grid evaluations failed\n"
 
 
-def test_overflowing_grid_failure_exits_3_without_numpy_warnings(capsys, tmp_path):
-    # exp(x1) overflows for x1 > 709.78: J's power iteration overflows at
-    # finite points and the pair images hold inf, yet stderr carries only
-    # the failure (a RuntimeWarning would be raised as an error here)
+def _exp_spec(tmp_path, lower, upper):
     data = {
         "name": "overflowing",
         "A": [[0.0, 0.0], [0.0, 0.0]],
         "C": [[1.0, 0.0]],
         "f": ["exp(x1) - x2", "x1"],
-        "region": {"lower": [-100.0, -1.0], "upper": [712.0, 1.0]},
+        "region": {"lower": [lower, -1.0], "upper": [upper, 1.0]},
         "T": 0.1,
     }
     path = tmp_path / "overflowing.json"
     path.write_text(json.dumps(data))
-    code, _, stderr = _run(capsys, "verify", str(path), "--order", "3", "--pairs", "1000")
+    return str(path)
+
+
+def test_overflowing_grid_failure_exits_3_without_numpy_warnings(capsys, tmp_path):
+    # exp(x1) overflows for x1 > 709.78: J's power iteration overflows at
+    # finite points and the pair images hold inf, yet stderr carries only
+    # the failure (a RuntimeWarning would be raised as an error here).
+    # The grids skip the 21 of 441 points at x1 = 712; the first failure
+    # is rho_c, whose pair quotients of finite images near x1 = 709 overflow
+    path = _exp_spec(tmp_path, -100.0, 712.0)
+    code, _, stderr = _run(capsys, "verify", path, "--order", "3", "--pairs", "1000")
     assert code == 3
-    assert stderr == "numerical failure: 189/441 grid evaluations failed\n"
+    assert stderr == "numerical failure: rho_c: a pair quotient overflows to inf\n"
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_verify_near_overflow_exits_3_with_one_line(capsys, tmp_path, order):
+    path = _exp_spec(tmp_path, -7000.0, 712.0)
+    code, _, stderr = _run(capsys, "verify", path, "--order", str(order), "--pairs", "20000")
+    assert code == 3
+    assert stderr == "numerical failure: rho_c: a pair quotient overflows to inf\n"
+
+
+@pytest.mark.parametrize(
+    "f, order, failure",
+    [
+        # F_T differs by about 1e206 between pair endpoints: its square overflows
+        ("1e103*x1", 2, "empirical gamma_d: a pair quotient overflows to inf"),
+        ("1e160*x1", 1, "empirical gamma_d: a pair quotient overflows to inf"),
+        # gamma_c**3 and gamma_c**2 overflow (F_T's pair failures come later)
+        ("1e103*x1", 3, "the order-3 bound formula overflows at T = 0.1"),
+        ("1e155*x1", 2, "the order-2 bound formula overflows at T = 0.1"),
+    ],
+)
+def test_verify_overflowing_quotient_or_formula_exits_3(capsys, tmp_path, f, order, failure):
+    data = {
+        "name": "steep-linear",
+        "A": [[0.0]],
+        "C": [[1.0]],
+        "f": [f],
+        "region": {"lower": [-1.0], "upper": [1.0]},
+        "T": 0.1,
+    }
+    path = tmp_path / "steep-linear.json"
+    path.write_text(json.dumps(data))
+    code, _, stderr = _run(capsys, "verify", str(path), "--order", str(order), "--pairs", "1000")
+    assert code == 3
+    assert stderr == f"numerical failure: {failure}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 and the screen-and-re-rank grid norm reduction."""
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -20,10 +21,11 @@ from lipdisc import (
 )
 from lipdisc import constants
 from lipdisc.constants import _norm_rows, grid_points, sup_pair_quotient
+from lipdisc.discretize import _CHUNK_ROWS as _CHUNK
 from lipdisc.expr import ExprError
 from lipdisc.linalg import max_singular_value, tensor3_norm_surrogate
 
-from conftest import float_bits
+from conftest import float_bits, whole_array_pair_quotient
 
 
 def _scalar_spec(f_text, lower, upper, name="scalar"):
@@ -463,6 +465,41 @@ def test_screened_polish_scores_each_distinct_jacobian_once(probe, monkeypatch):
     assert len(calls) <= 100  # 282 without the screen and the memo
 
 
+def _exp_spec(upper):
+    return SystemSpec.from_dict({
+        "name": "overflowing",
+        "A": [[0.0, 0.0], [0.0, 0.0]],
+        "C": [[1.0, 0.0]],
+        "f": ["exp(x1) - x2", "x1"],
+        "region": {"lower": [0.0, -1.0], "upper": [upper, 1.0]},
+        "T": 0.1,
+    })
+
+
+def test_m_grid_counts_only_non_finite_f_as_failed():
+    # exp(x1) overflows only at x1 = 715 (21 of 441 points); at the 210
+    # points with x1 in [357.5, 679.25] ||f||^2 overflows but ||f|| does not
+    spec = _exp_spec(715.0)
+    _, big_m, witnesses = estimate_beta_and_m(spec, SamplingConfig(pair_budget=1000))
+    assert big_m == pytest.approx(math.exp(679.25), rel=1e-15)
+    assert witnesses["big_m"]["x"] == [679.25, -1.0]
+    # rows whose square sum is finite keep the plain norm's bits
+    _, small_m, _ = estimate_beta_and_m(_exp_spec(350.0), SamplingConfig(pair_budget=1000))
+    f = spec.eval_f_batch(np.array([[350.0, -1.0]]), np.zeros((1, 0)))
+    assert small_m == np.sqrt(np.einsum("ij,ij->i", f, f))[0]
+
+
+def test_probe_pairs_of_an_overflowing_gram_matrix_emit_no_warning():
+    # at the center x1 = 357.5, J^T J overflows; pytest turns a RuntimeWarning
+    # into an error, and the rescaled J still gives a finite probe direction
+    spec = _exp_spec(715.0)
+    pairs = constants.sample_pairs(spec, SamplingConfig(pair_budget=1000))
+    probes = pairs.x1[1000:], pairs.x2[1000:]
+    assert probes[0].shape[0] >= 2
+    assert np.isfinite(probes[1]).all()
+    assert [357.5, 0.0] in probes[0].tolist()
+
+
 # ---------------------------------------------------------------------------
 # grid cap and metamorphic scaling
 
@@ -518,26 +555,6 @@ def test_scaling_the_probe_by_a_quarter_scales_the_constants_exactly(probe):
     _assert_scales_exactly(probe, 0.25)
 
 
-def _reference_pair_quotient(pairs, images, one_sided):
-    """The quotient with a row-wise finiteness mask and the valid rows
-    copied out: the reference for sup_pair_quotient's column masks."""
-    m1, m2 = images
-    dm = m1 - m2
-    ok = np.isfinite(m1).all(axis=1) & np.isfinite(m2).all(axis=1)
-    failures = int(np.count_nonzero(~ok))
-    if failures > constants._MAX_FAIL_FRACTION * len(ok):
-        raise NumericalError(f"{failures}/{len(ok)} pair evaluations failed (domain errors)")
-    ok &= pairs.dist_sq > 0.0
-    if not np.any(ok):
-        raise NumericalError("no valid pairs to evaluate")
-    other = pairs.dx if one_sided else dm
-    quotients = np.einsum("ij,ij->i", dm, other)[ok] / pairs.dist_sq[ok]
-    if not one_sided:
-        quotients = np.sqrt(quotients)
-    best = int(np.flatnonzero(ok)[np.argmax(quotients)])
-    return float(np.max(quotients)), best
-
-
 def _quotient_case(rng, rows, n, bad_rows, coincident, image_scale=1.0):
     x1 = rng.standard_normal((rows, n))
     x2 = x1 + rng.standard_normal((rows, n))
@@ -545,50 +562,104 @@ def _quotient_case(rng, rows, n, bad_rows, coincident, image_scale=1.0):
     m1, m2 = (image_scale * rng.standard_normal((rows, n)) for _ in range(2))
     for r in bad_rows:
         (m1 if r % 2 else m2)[r, rng.integers(n)] = rng.choice([np.inf, -np.inf, np.nan])
-    return constants.PairSample(x1, x2, np.zeros((rows, 1))), (m1, m2)
+    u = np.arange(rows, dtype=float)[:, None]  # names the row in a witness
+    return constants.PairSample(x1, x2, u), (m1, m2)
+
+
+def _streamed(pairs, images, one_sided):
+    m1, m2 = images
+    (sup,) = sup_pair_quotient(pairs, lambda rows: [(m1[rows], m2[rows])], (one_sided,))
+    return sup.result()
+
+
+def _plant(pairs, images, rows, source):
+    """Copy the pair and the images of row ``source`` into ``rows``,
+    leaving their u, which names the row."""
+    for array in (pairs.x1, pairs.x2, *images):
+        array[rows] = array[source]
 
 
 @pytest.mark.parametrize("one_sided", [False, True])
 def test_pair_quotient_keeps_the_value_and_first_witness(one_sided):
+    """The chunked pass against the whole-array reduction, bit for bit."""
     rng = np.random.default_rng(77)
     cases = []
     for n in (1, 2, 4):
-        for rows in (1, 7, 500):
+        for rows in (1, 7, 500, _CHUNK + 1, 2 * _CHUNK + 333):
             bad = rng.choice(rows, size=rows // 10, replace=False)
             coincident = rng.choice(rows, size=rows // 5, replace=False)
-            cases.append(_quotient_case(rng, rows, n, bad, coincident))
-    # planted ties: the best quotient repeats, first index wins
-    pairs, (m1, m2) = _quotient_case(rng, 50, 2, [], [])
-    m1[[30, 10, 40]] = m1[5] + 1e3 * (pairs.dx[5] if one_sided else 1.0)
-    pairs = constants.PairSample(pairs.x1.copy(), pairs.x2.copy(), pairs.u)
-    pairs.x1[[30, 10, 40]], pairs.x2[[30, 10, 40]] = pairs.x1[5], pairs.x2[5]
-    m2[[30, 10, 40]] = m2[5]
-    cases.append((pairs, (m1, m2)))
-    # every valid quotient is -inf (one-sided) or inf; NaN quotients from inf - inf
-    cases.append(_quotient_case(rng, 20, 2, [3], [0, 1], image_scale=1e300))
-    # a coincident first pair before valid pairs whose quotients overflow:
-    # -inf one-sided, inf two-sided
-    x1 = np.full((4, 1), 1e-3)
-    x1[0] = 0.0
-    pairs = constants.PairSample(x1, np.zeros((4, 1)), np.zeros((4, 1)))
-    cases.append((pairs, (np.full((4, 1), -1e308), np.full((4, 1), 1e308))))
-    for pairs, images in cases:
-        with np.errstate(all="ignore"):
-            want, best = _reference_pair_quotient(pairs, images, one_sided)
-            got, witness = sup_pair_quotient(pairs, images, one_sided)
-        assert float_bits([got]) == float_bits([want])
-        assert witness == {
-            "x1": pairs.x1[best].tolist(),
-            "x2": pairs.x2[best].tolist(),
-            "u": pairs.u[best].tolist(),
-        }
+            cases.append((*_quotient_case(rng, rows, n, bad, coincident), None))
+    # planted exact ties: the best quotient repeats on both sides of each
+    # chunk boundary, and the first index wins
+    for first in (5, _CHUNK - 1, _CHUNK, 2 * _CHUNK - 1):
+        pairs, images = _quotient_case(rng, 3 * _CHUNK + 10, 2, [], [])
+        images[0][first] = images[1][first] + 1e9 * (pairs.x1[first] - pairs.x2[first])
+        _plant(pairs, images, [first + 1, _CHUNK * (first // _CHUNK + 1), 3 * _CHUNK + 9], first)
+        cases.append((pairs, images, first))
+    # images of 1e300: some quotients overflow; a non-finite row is skipped
+    cases.append((*_quotient_case(rng, 2 * _CHUNK + 20, 2, [3, _CHUNK + 4], [0, 1], 1e300), None))
+    # quotients of finite images that overflow to NaN (one-sided) or inf,
+    # first in the second chunk, again in the third: the first one wins
+    pairs, images = _quotient_case(rng, 3 * _CHUNK, 2, [], [])
+    pairs.x2[:] = pairs.x1 + 1.0
+    images[0][_CHUNK + 7], images[1][_CHUNK + 7] = (1e308, -1e308), (-1e308, 1e308)
+    _plant(pairs, images, [2 * _CHUNK + 2], _CHUNK + 7)
+    cases.append((pairs, images, _CHUNK + 7))
+    # every valid quotient is -inf (one-sided) or inf, and the first chunk
+    # holds only coincident pairs: the first valid pair of the second chunk
+    x1 = np.full((2 * _CHUNK + 4, 1), 1e-3)
+    x1[: _CHUNK + 2] = 0.0
+    u = np.arange(x1.shape[0], dtype=float)[:, None]
+    pairs = constants.PairSample(x1, np.zeros_like(x1), u)
+    cases.append((pairs, (np.full_like(x1, -1e308), np.full_like(x1, 1e308)), _CHUNK + 2))
+    for pairs, images, row in cases:
+        want = whole_array_pair_quotient(pairs, images, one_sided)
+        got = _streamed(pairs, images, one_sided)
+        assert float_bits([got[0]]) == float_bits([want[0]])
+        assert got[1] == want[1]
+        if row is not None:
+            assert got[1]["u"] == [row]
+
+
+def test_pair_quotient_shares_one_pass_between_quotients():
+    """Several quotients in one pass equal each taken on its own."""
+    rng = np.random.default_rng(3)
+    pairs, (m1, m2) = _quotient_case(rng, 2 * _CHUNK + 50, 3, [10, _CHUNK + 3], [4, _CHUNK])
+    calls = []
+
+    def images(rows):
+        calls.append(rows)
+        return [(m1[rows], m2[rows]), (m2[rows], m1[rows]), (m1[rows], m2[rows])]
+
+    sups = sup_pair_quotient(pairs, images, (True, True, False))
+    assert [(r.start, r.stop) for r in calls] == [
+        (0, _CHUNK), (_CHUNK, 2 * _CHUNK), (2 * _CHUNK, 3 * _CHUNK)
+    ]
+    for sup, swap, side in zip(sups, (False, True, False), (True, True, False)):
+        want = whole_array_pair_quotient(pairs, (m2, m1) if swap else (m1, m2), side)
+        assert sup.result() == want
 
 
 def test_pair_quotient_failure_rule_and_no_valid_pairs():
     rng = np.random.default_rng(5)
     pairs, images = _quotient_case(rng, 100, 3, range(11), [])
     with pytest.raises(NumericalError, match="^11/100 pair evaluations failed"):
-        sup_pair_quotient(pairs, images, one_sided=False)
+        _streamed(pairs, images, one_sided=False)
     pairs, images = _quotient_case(rng, 100, 3, range(10), range(10, 100))
     with pytest.raises(NumericalError, match="no valid pairs"):
-        sup_pair_quotient(pairs, images, one_sided=True)
+        _streamed(pairs, images, one_sided=True)
+    # failures counted over every chunk: 10% passes, one more fails
+    rows = 3 * _CHUNK
+    spread = np.linspace(0, rows - 1, rows // 10).astype(int)
+    pairs, images = _quotient_case(rng, rows, 2, spread, [])
+    for one_sided in (False, True):
+        assert _streamed(pairs, images, one_sided) == whole_array_pair_quotient(
+            pairs, images, one_sided
+        )
+    images[0][np.setdiff1d(np.arange(rows), spread)[-1], 0] = np.nan
+    with pytest.raises(NumericalError, match=f"^{rows // 10 + 1}/{rows} pair evaluations"):
+        _streamed(pairs, images, one_sided=False)
+    # no valid pair in any chunk
+    pairs, images = _quotient_case(rng, 2 * _CHUNK + 1, 1, [], range(2 * _CHUNK + 1))
+    with pytest.raises(NumericalError, match="no valid pairs"):
+        _streamed(pairs, images, one_sided=False)

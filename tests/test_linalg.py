@@ -160,3 +160,25 @@ def test_msv_above_the_largest_float_raises_numerical_error(a):
     # sigma = 2e308 and 2.1e308: finite entries, a 2-norm no float holds
     with pytest.raises(NumericalError, match="2-norm overflows"):
         max_singular_value(np.array(a))
+
+
+@pytest.mark.parametrize(
+    "a, sigma",
+    [
+        ([[1e-150]], 1e-150),  # ||A^T A v||^2 underflows to zero
+        ([[1e-200]], 1e-200),  # sigma^2 underflows too
+        ([[1e-170, 0.0], [0.0, 2e-170]], 2e-170),
+        ([[5e-324]], 5e-324),  # the smallest subnormal
+    ],
+)
+def test_msv_of_an_underflowing_power_reads_the_true_scale(a, sigma):
+    a = np.array(a)
+    assert max_singular_value(a) == pytest.approx(sigma, rel=1e-15)
+    e = np.frexp(np.max(np.abs(a)))[1]
+    assert max_singular_value(a) == np.ldexp(max_singular_value(np.ldexp(a, -e)), e)
+
+
+def test_msv_of_a_zero_matrix_is_zero():
+    # frexp(0) gives exponent 0: the rescale must not run again
+    for shape in ((1, 1), (2, 3)):
+        assert max_singular_value(np.zeros(shape)) == 0.0

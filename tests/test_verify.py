@@ -1,4 +1,7 @@
-"""Empirical verification: tightness identities, reports, convergence."""
+"""Empirical verification: tightness identities, reports, convergence,
+and the chunked pair pass against a whole-array reference."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +16,16 @@ from lipdisc import (
 )
 from lipdisc import expr as ex
 from lipdisc.constants import sample_pairs
+from lipdisc.discretize import _CHUNK_ROWS
 from lipdisc.verify import verify_tolerance
 
-from conftest import empirical_gamma_c, empirical_lipschitz, empirical_one_sided, pair_quotient
+from conftest import (
+    empirical_gamma_c,
+    empirical_lipschitz,
+    empirical_one_sided,
+    pair_quotient,
+    whole_array_pair_quotient,
+)
 
 
 def test_euler_two_sided_is_scaled_continuous_estimate(bench, default_cfg):
@@ -62,6 +72,84 @@ def test_shared_pair_pass_matches_separate_estimators(bench, probe, order):
         assert report.empirical_gamma_witness == gamma_wit
         assert report.empirical_rho_witness == rho_wit
         assert report.constants.witnesses["rho_c"] == rho_c_wit
+
+
+def _whole_array_pair_pass(spec, order, cfg):
+    """verify's four pair quotients over whole image arrays: f for rho_c
+    on every row at once, F_T through f_t_batch (which evaluates f
+    again) and the full map as one matrix product."""
+    pairs = sample_pairs(spec, cfg)
+    x1, x2, u = pairs.x1, pairs.x2, pairs.u
+    mdl = build_taylor_model(spec, order)
+    f = spec.eval_f_batch(x1, u), spec.eval_f_batch(x2, u)
+    f_t = mdl.f_t_batch(x1, u), mdl.f_t_batch(x2, u)
+    full = x1 @ mdl.a_d.T + f_t[0], x2 @ mdl.a_d.T + f_t[1]
+    return [
+        whole_array_pair_quotient(pairs, images, side)
+        for images, side in ((f, True), (f_t, False), (f_t, True), (full, False))
+    ]
+
+
+def _probe_count(spec):
+    return sample_pairs(spec, SamplingConfig(pair_budget=1000)).x1.shape[0] - 1000
+
+
+@pytest.mark.parametrize(
+    "chunks, orders, specs",
+    [(1, (1, 2, 3), ("pendulum", "probe")), (2, (1, 2, 3), ("van-der-pol", "probe")),
+     (13, (3,), ("probe",))],
+)
+def test_streamed_pair_pass_equals_the_whole_array_reference(bench, probe, chunks, orders, specs):
+    """The chunked pass at 1, 2 and 13 chunks plus a tail of 777 rows."""
+    for spec in (probe if name == "probe" else bench[name] for name in specs):
+        budget = chunks * _CHUNK_ROWS + 777 - _probe_count(spec)
+        cfg = SamplingConfig(grid_per_axis=2, pair_budget=budget, seed=11, polish_iters=1)
+        for order in orders:
+            report = verify_bounds(spec, order, cfg)
+            rho_c, gamma_d, rho_d, full = _whole_array_pair_pass(spec, order, cfg)
+            got = [
+                (report.constants.rho_c, report.constants.witnesses["rho_c"]),
+                (report.empirical_gamma_d, report.empirical_gamma_witness),
+                (report.empirical_rho_d, report.empirical_rho_witness),
+                (report.full_map_gamma_d, full[1]),  # its witness is not reported
+            ]
+            want = [rho_c, gamma_d, rho_d, full]
+            assert [(v.hex(), w) for v, w in got] == [(v.hex(), w) for v, w in want], (
+                spec.name, order
+            )
+
+
+def test_verify_evaluates_f_once_per_pair_endpoint(probe, monkeypatch):
+    rows = []
+    eval_f_batch = SystemSpec.eval_f_batch
+
+    def counted(self, x, u):
+        rows.append(x.shape[0])
+        return eval_f_batch(self, x, u)
+
+    cfg = SamplingConfig(grid_per_axis=2, pair_budget=2 * _CHUNK_ROWS)
+    pair_rows = sample_pairs(probe, cfg).x1.shape[0]
+    monkeypatch.setattr(SystemSpec, "eval_f_batch", counted)
+    for order in (1, 2, 3):
+        rows.clear()
+        verify_bounds(probe, order, cfg)
+        # both endpoints of every pair, plus the M grid of 2^5 points
+        assert sum(rows) == 2 * pair_rows + 2**5, order
+
+
+def test_verify_memory_is_bounded_by_the_pair_sample(probe):
+    cfg = SamplingConfig(grid_per_axis=2, pair_budget=200_000)
+    pairs = sample_pairs(probe, cfg)
+    sample_bytes = pairs.x1.nbytes + pairs.x2.nbytes + pairs.u.nbytes
+    del pairs
+    verify_bounds(probe, 3, SamplingConfig(grid_per_axis=2, pair_budget=1000))  # build kernels
+    tracemalloc.start()
+    try:
+        verify_bounds(probe, 3, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < sample_bytes + 12 * 2**20
 
 
 def test_zero_nonlinearity_yields_zero_everything(bench, fast_cfg):
