@@ -13,20 +13,22 @@ true values.  gamma_c, beta, big_m use a uniform grid (gamma_c refined
 by a coordinate-descent polish); rho_c uses seeded random pairs plus
 near-coincident pairs that capture the local limit of the quotient.
 
-The grid norms of gamma_c and beta are reduced in two steps: one
-batched LAPACK 2-norm screens every row, then the rows within a small
-relative band of the screened maximum are re-ranked by the pointwise
-kernels of ``linalg``, once per distinct matrix.  The supremum and its
-witness are therefore those of the pointwise kernel over the whole
-grid; exact ties go to the first grid point in C order.
+The grid norms of gamma_c and beta are reduced in two steps: a Gram
+screen (the root of the largest eigenvalue of each row's smaller Gram
+matrix, batched) bounds every row, then the rows within a small
+relative band of the screened maximum are re-ranked by the power
+iteration ``linalg.max_singular_values``, in one stacked call over the
+distinct matrices.  The supremum and its witness are therefore those of
+the kernel over the whole grid; exact ties go to the first grid point
+in C order.
 
-The gamma_c polish screens its candidates the same way.  A candidate is
-accepted only if its kernel value exceeds the current best, and the
-kernel never exceeds the LAPACK 2-norm, so a Jacobian whose 2-norm lies
-more than the band below the best is rejected without the kernel.  Each
-distinct Jacobian (by its bytes) is scored once.  Every accept and
-reject decision is the one the unscreened polish makes, so its path,
-value and witness are unchanged.
+The gamma_c polish scores its candidates in batches: those of the next
+few polish iterations, laid out as if none were accepted, are screened
+the same way against the current best (a kernel value cannot beat a
+best its screen lies more than the band below) and the survivors scored
+in one stacked call, each distinct Jacobian once.  The walk through a
+batch stops at its first acceptance, so every decision, and the path,
+value and witness, are those of scoring one candidate at a time.
 
 A grid over more than 1e6 points is coarsened per axis; ``estimate_all``
 then warns once, naming the requested and the effective grid.
@@ -35,6 +37,9 @@ Pair quotients are reduced in one pass over the sample in the chunks of
 F_T's batch (``sup_pair_quotient``); each quotient keeps a running
 supremum that a later chunk takes over only with a strictly greater
 value, so value and witness are those of one argmax over the sample.
+A row whose quotient overflows is taken again with its images and
+x1 - x2 scaled by powers of two, so only a quotient above the largest
+float reads inf.
 Beside the sample (filled in place), a pass holds one chunk's
 temporaries: verify at 200k pairs on the 4-state probe peaks 4.6 MB
 (order 1) to 8.8 MB (order 3) above its 13.7 MB sample (tracemalloc).
@@ -51,7 +56,7 @@ import numpy as np
 
 from .discretize import _CHUNK_ROWS
 from .expr import ExprError
-from .linalg import NumericalError, max_singular_value, sym_max_eig, tensor3_norm_surrogate
+from .linalg import NumericalError, max_singular_value, max_singular_values, sym_max_eig
 from .system import SpecValidationError, SystemSpec
 
 _GRID_CAP = 1_000_000  # total grid points across all axes
@@ -255,13 +260,14 @@ def sup_pair_quotient(pairs: PairSample, images, one_sided) -> list[_PairSup]:
     in one pass of chunks of _CHUNK_ROWS rows under np.errstate, so an
     overflow shows as a non-finite image or quotient.
 
-    ``images(rows)`` returns, for the pairs in the slice ``rows``, one
-    image pair (m(x1,u), m(x2,u)) per entry of ``one_sided``, so several
-    quotients share one evaluation.  Two-sided quotient:
-    ||m(x1,u)-m(x2,u)|| / ||x1-x2||; one-sided:
+    ``images(rows)`` returns (or yields), for the pairs in the slice
+    ``rows``, one image pair (m(x1,u), m(x2,u)) per entry of
+    ``one_sided``, so several quotients share one evaluation.  Two-sided
+    quotient: ||m(x1,u)-m(x2,u)|| / ||x1-x2||; one-sided:
     <m(x1,u)-m(x2,u), x1-x2> / ||x1-x2||^2.  Returns one running supremum
-    per quotient; a caller reads their ``result()`` in the order its
-    failures should surface.
+    per quotient; a caller reads their ``result()`` in this order, the
+    order its failures should surface, so once a quotient has failed,
+    later chunks stop after it (a generator ``images`` computes no more).
     """
     sups = [_PairSup(pairs, side) for side in one_sided]
     with np.errstate(all="ignore"):
@@ -271,6 +277,8 @@ def sup_pair_quotient(pairs: PairSample, images, one_sided) -> list[_PairSup]:
             dist_sq = np.einsum("ij,ij->i", dx, dx)
             for sup, chunk in zip(sups, images(rows), strict=True):
                 sup.update(lo, chunk, dx, dist_sq)
+                if sup.failed:
+                    break
     return sups
 
 
@@ -278,8 +286,9 @@ class _PairSup:
     """The running supremum of one pair quotient: its value, its first
     winning row, the first valid row and the count of rows with a
     non-finite image.  Chunks arrive in row order and a later chunk
-    takes over only with a strictly greater value (or the first NaN), so
-    value and witness are those of one ``argmax`` over the whole sample."""
+    takes over only with a strictly greater value, so value and witness
+    are those of one ``argmax`` over the whole sample (no quotient is
+    NaN: a row whose quotient overflows is taken again, scaled)."""
 
     def __init__(self, pairs: PairSample, one_sided: bool):
         self.pairs, self.one_sided = pairs, one_sided
@@ -301,20 +310,29 @@ class _PairSup:
         np.divide(quotients, dist_sq, out=quotients, where=ok)
         if not self.one_sided:
             np.sqrt(quotients, out=quotients, where=ok)
+        # the product or ||x1-x2||^2 overflows: again on scaled rows, which
+        # leaves every other row
+        redo = ok & ~(np.isfinite(quotients) & np.isfinite(dist_sq))
+        if redo.any():
+            quotients[redo] = _scaled_quotients(m1[redo], m2[redo], dx[redo], self.one_sided)
         quotients[~ok] = -np.inf
-        best = int(np.argmax(quotients))  # the first NaN, if any
+        best = int(np.argmax(quotients))
         value = float(quotients[best])
-        if value > self.value or (math.isnan(value) and not math.isnan(self.value)):
+        if value > self.value:
             self.value, self.best = value, lo + best
+
+    @property
+    def failed(self) -> bool:
+        return self.failures > _MAX_FAIL_FRACTION * self.pairs.x1.shape[0]
 
     def result(self) -> tuple[float, dict]:
         """The supremum and its witness pair.  Samples where a map is
         non-finite are skipped; more than 10% failures is an error.  If
         every valid quotient is -inf, the first valid pair is the witness."""
-        rows = self.pairs.x1.shape[0]
-        if self.failures > _MAX_FAIL_FRACTION * rows:
+        if self.failed:
             raise NumericalError(
-                f"{self.failures}/{rows} pair evaluations failed (domain errors)"
+                f"{self.failures}/{self.pairs.x1.shape[0]} pair evaluations failed "
+                "(domain errors)"
             )
         if self.first_valid < 0:
             raise NumericalError("no valid pairs to evaluate")
@@ -325,6 +343,17 @@ class _PairSup:
             "u": self.pairs.u[best].tolist(),
         }
         return self.value, witness
+
+
+def _scaled_quotients(m1, m2, dx, one_sided: bool) -> np.ndarray:
+    """Pair quotients with each row's images and dx = x1 - x2 scaled by
+    powers of two to max |entry| < 1: inf only above the largest float."""
+    _, em = np.frexp(np.maximum(np.max(np.abs(m1), axis=1), np.max(np.abs(m2), axis=1)))
+    _, ex = np.frexp(np.max(np.abs(dx), axis=1))
+    dm = np.ldexp(m1, -em[:, None]) - np.ldexp(m2, -em[:, None])
+    dx = np.ldexp(dx, -ex[:, None])
+    quotients = np.einsum("ij,ij->i", dm, dx if one_sided else dm) / np.einsum("ij,ij->i", dx, dx)
+    return np.ldexp(quotients if one_sided else np.sqrt(quotients), em - ex)
 
 
 def _finite_result(sup: _PairSup, name: str) -> tuple[float, dict]:
@@ -339,36 +368,6 @@ def _finite_result(sup: _PairSup, name: str) -> tuple[float, dict]:
 # ---------------------------------------------------------------------------
 # grid suprema with polish
 
-def _coordinate_polish(objective, start, lower, upper, steps, iters):
-    """Local coordinate descent with per-iteration step halving.
-
-    Only accepts improvements, so the returned value never falls below
-    objective(start, -inf); candidates are clipped into the box.
-    ``objective(z, best)`` receives the current best, which never
-    decreases, and may return -inf for a candidate it can prove does
-    not exceed it: the candidate would be rejected either way, so the
-    path is that of the exact objective.
-    """
-    x = start.astype(float).copy()
-    best = objective(x, -np.inf)
-    h = steps.astype(float).copy()
-    for _ in range(iters):
-        for d in range(x.shape[0]):
-            if h[d] <= 0.0:
-                continue
-            for sign in (1.0, -1.0):
-                cand = x.copy()
-                cand[d] = min(max(cand[d] + sign * h[d], lower[d]), upper[d])
-                if cand[d] == x[d]:
-                    continue
-                val = objective(cand, best)
-                if val > best:
-                    best = val
-                    x = cand
-        h *= 0.5
-    return best, x
-
-
 def _grid_sup(s: SystemSpec, cfg: SamplingConfig, values_for_rows) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate a row objective over the D x U grid; returns (values, points)."""
     pts = grid_points(s, cfg)
@@ -380,29 +379,43 @@ def _grid_sup(s: SystemSpec, cfg: SamplingConfig, values_for_rows) -> tuple[np.n
     return vals, pts
 
 
-def _norm_rows(stack: np.ndarray, kernel, band: float = _SCREEN_BAND) -> np.ndarray:
-    """Per-row norms of a (P, d1, ...) stack whose max and first argmax are
-    exactly those of ``kernel`` applied to every row; NaN marks rows that
-    are non-finite or where ``kernel`` fails.
+def _gram_norms(mats: np.ndarray) -> np.ndarray:
+    """2-norms of a (k, r, c) stack of finite matrices within about 1e-15: the
+    root of the top eigenvalue of each smaller Gram matrix, formed after
+    scaling by a power of two; +inf for all if LAPACK fails (no screen)."""
+    _, e = np.frexp(np.max(np.abs(mats), axis=(1, 2), initial=0.0))
+    scaled = np.ldexp(mats, -e[:, None, None])
+    flip = scaled.transpose(0, 2, 1)
+    gram = scaled @ flip if mats.shape[1] <= mats.shape[2] else flip @ scaled
+    try:
+        lam = np.linalg.eigvalsh(gram)[:, -1]
+    except np.linalg.LinAlgError:
+        return np.full(mats.shape[0], np.inf)
+    with np.errstate(over="ignore"):  # a 2-norm above the largest float: inf
+        return np.ldexp(np.sqrt(np.maximum(lam, 0.0)), e)
 
-    One batched LAPACK 2-norm of the (P, d1, rest) unfoldings screens all
-    rows.  Rows within ``band`` (relative) of the screened max get the
-    ``kernel`` value, evaluated once per distinct matrix; the others keep
-    their screened value.  ``kernel`` never exceeds the 2-norm (a Rayleigh
-    quotient is at most sigma_max^2), so an unranked row stays below
-    top * (1 - band / 2); if the re-ranked best falls short of that, the
-    band widens until it holds or every row is re-ranked.
+
+def _norm_rows(stack: np.ndarray, band: float = _SCREEN_BAND) -> np.ndarray:
+    """Per-row norms of a (P, d1, ...) stack whose max and first argmax are
+    exactly those of ``max_singular_values`` over the (P, d1, rest)
+    unfoldings (for an order-3 tensor, ``tensor3_norm_surrogate``); NaN
+    marks rows that are non-finite or where the kernel fails.
+
+    ``_gram_norms`` screens all rows.  Rows within ``band`` (relative) of
+    the screened max get the kernel value, from one stacked call over the
+    distinct matrices; the others keep their screened value.  The kernel
+    never exceeds the 2-norm (a Rayleigh quotient is at most sigma_max^2),
+    so an unranked row stays below top * (1 - band / 2); if the re-ranked
+    best falls short of that, the band widens until it holds or every row
+    is re-ranked.
     """
     unfold = stack.reshape(stack.shape[0], stack.shape[1], -1)
     finite = np.isfinite(unfold).all(axis=(1, 2))
     screen = np.full(stack.shape[0], np.nan)
-    try:
-        if finite.all():  # no copy of the stack in the common case
-            screen = np.linalg.norm(unfold, ord=2, axis=(1, 2))
-        elif finite.any():
-            screen[finite] = np.linalg.norm(unfold[finite], ord=2, axis=(1, 2))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"batched 2-norm failed: {exc}") from exc
+    if finite.all():  # no copy of the stack in the common case
+        screen = _gram_norms(unfold)
+    elif finite.any():
+        screen[finite] = _gram_norms(unfold[finite])
     vals = screen.copy()
     ranked = ~finite
     top = float(np.max(screen, where=finite, initial=-np.inf))
@@ -410,40 +423,65 @@ def _norm_rows(stack: np.ndarray, kernel, band: float = _SCREEN_BAND) -> np.ndar
         idx = np.flatnonzero(~ranked & (screen >= top * (1.0 - band)))
         if idx.size:
             ranked[idx] = True
-            distinct, inverse = np.unique(
-                stack[idx].reshape(idx.size, -1), axis=0, return_inverse=True
-            )
-            exact = [_kernel_or_nan(kernel, d.reshape(stack.shape[1:])) for d in distinct]
-            vals[idx] = np.array(exact)[inverse.ravel()]
+            band_rows = unfold[idx]  # a copy: contiguous rows, keyed by their bytes
+            keys = band_rows.reshape(idx.size, -1).view(np.dtype((np.void, unfold[0].nbytes)))
+            _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+            vals[idx] = max_singular_values(band_rows[first])[inverse]
         if np.fmax.reduce(vals[ranked & finite]) >= top * (1.0 - 0.5 * band):
             break
         band *= 1e3
     return vals
 
 
-def _kernel_or_nan(kernel, mat: np.ndarray) -> float:
-    try:
-        return kernel(mat)
-    except NumericalError:
-        return np.nan
+def _polish(s: SystemSpec, start, lower, upper, steps, iters) -> tuple[float, np.ndarray]:
+    """Coordinate ascent of ||df/dx|| from ``start``: iteration i tries
+    x +- steps / 2^i along each axis (clipped into the box), and a
+    candidate replaces x when it beats the best.  Returns the best value
+    (-inf where every point fails) and its point.  A batch holds the
+    candidates of the next ``horizon`` iterations as if none were
+    accepted; the walk through it stops at the first acceptance, after
+    which the horizon is 1, and a batch without one doubles it."""
+    memo: dict[bytes, float] = {}  # by Jacobian bytes; -inf if failed or screened
 
+    def scores(points, best):
+        keys, fresh = [], {}
+        for z in points:
+            try:
+                jac = s.jacobian(z[: s.n], z[s.n :])
+            except (ExprError, ValueError):
+                jac = np.full((s.n, s.n), np.nan)  # scores -inf, as a non-finite J
+            keys.append(jac.tobytes())
+            if keys[-1] not in memo and np.isfinite(jac).all():
+                fresh[keys[-1]] = jac
+        if fresh:
+            jacs = np.array(list(fresh.values()))
+            vals = np.full(len(jacs), -np.inf)
+            live = _gram_norms(jacs) >= best * (1.0 - _SCREEN_BAND)
+            if live.any():
+                vals[live] = max_singular_values(jacs[live])
+            memo.update(zip(fresh, np.where(np.isnan(vals), -np.inf, vals).tolist()))
+        return [memo.get(key, -np.inf) for key in keys]
 
-def _polish_score(jac: np.ndarray, best: float) -> float:
-    """``max_singular_value(jac)``, or -inf where it fails or where the
-    LAPACK 2-norm of ``jac`` lies below ``best * (1 - _SCREEN_BAND)``, so
-    the kernel cannot exceed ``best``.  As ``best`` never decreases
-    during a polish, a screened matrix stays screened."""
-    if not np.isfinite(jac).all():
-        return -np.inf
-    try:
-        if np.linalg.norm(jac, 2) < best * (1.0 - _SCREEN_BAND):
-            return -np.inf
-    except np.linalg.LinAlgError:
-        pass  # no screen; the kernel decides
-    try:
-        return max_singular_value(jac)
-    except NumericalError:
-        return -np.inf
+    hs = list(itertools.accumulate(range(1, iters), lambda h, _: h * 0.5, initial=steps))
+    moves = [(d, sign) for d in range(start.shape[0]) for sign in (1.0, -1.0)]
+    m, x = len(moves), start.astype(float).copy()
+    (best,) = scores([x], -np.inf)
+    t, horizon = 0, 1  # t: the next candidate, moves[t % m] of iteration t // m
+    while t < iters * m:
+        end, batch = min((t // m + horizon) * m, iters * m), []
+        for f in range(t, end):
+            h, (d, sign) = hs[f // m], moves[f % m]
+            cand = x.copy()
+            cand[d] = min(max(x[d] + sign * h[d], lower[d]), upper[d])
+            if cand[d] != x[d]:  # also where h[d] = 0
+                batch.append((f, cand))
+        for (f, cand), val in zip(batch, scores([c for _, c in batch], best)):
+            if val > best:
+                best, x, t, horizon = val, cand, f + 1, 1
+                break
+        else:
+            t, horizon = end, 2 * horizon
+    return best, x
 
 
 def _polish_setup(s: SystemSpec, cfg: SamplingConfig):
@@ -460,29 +498,11 @@ def estimate_gamma_c(s: SystemSpec, cfg: SamplingConfig) -> tuple[float, dict]:
     attaining point.
     """
 
-    def rows(x, u):
-        return _norm_rows(s.jacobian_batch(x, u), max_singular_value)
-
-    vals, pts = _grid_sup(s, cfg, rows)
+    vals, pts = _grid_sup(s, cfg, lambda x, u: _norm_rows(s.jacobian_batch(x, u)))
     best_row = int(np.argmax(vals))
     grid_best = float(vals[best_row])
-
-    scores: dict[bytes, float] = {}
-
-    def objective(z, best):
-        try:
-            jac = s.jacobian(z[: s.n], z[s.n :])
-        except (ExprError, ValueError):
-            return -np.inf
-        key = jac.tobytes()
-        if key not in scores:
-            scores[key] = _polish_score(jac, best)
-        return scores[key]
-
     lower, upper, steps = _polish_setup(s, cfg)
-    polished, zbest = _coordinate_polish(
-        objective, pts[best_row], lower, upper, steps, cfg.polish_iters
-    )
+    polished, zbest = _polish(s, pts[best_row], lower, upper, steps, cfg.polish_iters)
     if polished > grid_best:
         value, point = polished, zbest
     else:
@@ -508,10 +528,7 @@ def estimate_rho_c(s: SystemSpec, cfg: SamplingConfig) -> tuple[float, dict]:
 def estimate_beta_and_m(s: SystemSpec, cfg: SamplingConfig) -> tuple[float, float, dict]:
     """Grid suprema of ||d^2 f/dx^2|| (mode-1 surrogate) and ||f||."""
 
-    def beta_rows(x, u):
-        return _norm_rows(s.second_derivative_batch(x, u), tensor3_norm_surrogate)
-
-    beta_vals, pts = _grid_sup(s, cfg, beta_rows)
+    beta_vals, pts = _grid_sup(s, cfg, lambda x, u: _norm_rows(s.second_derivative_batch(x, u)))
 
     def m_rows(x, u):
         f = s.eval_f_batch(x, u)

@@ -12,8 +12,9 @@ images, the full map as x a_d^T + F_T.  So no image array of the whole
 sample exists: at 200k pairs on the 4-state probe the pass holds 4.6 MB
 (order 1) to 8.8 MB (order 3) beside the 13.7 MB sample (tracemalloc).
 Failures surface in the order gamma_c grid, rho_c pairs, beta/M grid,
-bound formula, F_T pairs; a quotient of finite images or a formula that
-overflows raises NumericalError.  A bound passes when
+bound formula, F_T pairs, so once rho_c has failed the later chunks
+evaluate f only; a quotient of finite images above the largest float or
+a formula that overflows raises NumericalError.  A bound passes when
 
     formula >= empirical - tol_verify,
     tol_verify = 1e-9 + 1e-6 |formula|,
@@ -115,10 +116,12 @@ def verify_bounds(s: SystemSpec, order: int, cfg: SamplingConfig) -> Verificatio
     def images(rows):  # f once per endpoint, for rho_c and F_T
         a, b, w = x1[rows], x2[rows], u[rows]
         f1, f2 = s.eval_f_batch(a, w), s.eval_f_batch(b, w)
+        yield f1, f2  # once rho_c has failed, the pass asks for nothing more
         m1, m2 = mdl.f_t_batch(a, w, f1), mdl.f_t_batch(b, w, f2)
+        yield m1, m2
+        yield m1, m2
         # the complete map a_d x + F_T, reported for information
-        full = a @ mdl.a_d.T + m1, b @ mdl.a_d.T + m2
-        return (f1, f2), (m1, m2), (m1, m2), full
+        yield a @ mdl.a_d.T + m1, b @ mdl.a_d.T + m2
 
     rho_c, gamma_d, rho_d, full_map = sup_pair_quotient(
         pairs, images, (True, False, True, False)

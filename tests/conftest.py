@@ -138,8 +138,9 @@ def pair_quotient(map_batch, s, cfg, one_sided, pairs=None):
 
 def whole_array_pair_quotient(pairs, images, one_sided):
     """The quotient supremum over whole image arrays, with the masks,
-    the -inf rule and the single ``argmax`` that the chunked pass of
-    ``sup_pair_quotient`` must reproduce bit for bit."""
+    the rescale of overflowing rows, the -inf rule and the single
+    ``argmax`` that the chunked pass of ``sup_pair_quotient`` must
+    reproduce bit for bit."""
     m1, m2 = images
     dx = pairs.x1 - pairs.x2
     dist_sq = np.einsum("ij,ij->i", dx, dx)
@@ -158,6 +159,16 @@ def whole_array_pair_quotient(pairs, images, one_sided):
         np.divide(quotients, dist_sq, out=quotients, where=ok)
         if not one_sided:
             np.sqrt(quotients, out=quotients, where=ok)
+        # rows whose quotient overflows, again with both images and dx
+        # scaled by powers of two: only a quotient above the largest float
+        # stays infinite
+        redo = ok & ~(np.isfinite(quotients) & np.isfinite(dist_sq))
+        em = np.frexp(np.maximum(np.abs(m1).max(axis=1), np.abs(m2).max(axis=1)))[1][redo]
+        ex = np.frexp(np.abs(dx).max(axis=1))[1][redo]
+        sdm = np.ldexp(m1[redo], -em[:, None]) - np.ldexp(m2[redo], -em[:, None])
+        sdx = np.ldexp(dx[redo], -ex[:, None])
+        q = np.einsum("ij,ij->i", sdm, sdx if one_sided else sdm) / np.einsum("ij,ij->i", sdx, sdx)
+        quotients[redo] = np.ldexp(q if one_sided else np.sqrt(q), em - ex)
     quotients[~ok] = -np.inf
     best = int(np.argmax(quotients))
     if quotients[best] == -np.inf:  # every valid quotient is -inf: the first valid pair

@@ -315,14 +315,14 @@ def test_constants_counts_a_jacobian_norm_above_the_largest_float_as_failed(caps
     assert stderr == "numerical failure: 5/9 grid evaluations failed\n"
 
 
-def _exp_spec(tmp_path, lower, upper):
+def _exp_spec(tmp_path, lower, upper, t=0.1):
     data = {
         "name": "overflowing",
         "A": [[0.0, 0.0], [0.0, 0.0]],
         "C": [[1.0, 0.0]],
         "f": ["exp(x1) - x2", "x1"],
         "region": {"lower": [lower, -1.0], "upper": [upper, 1.0]},
-        "T": 0.1,
+        "T": t,
     }
     path = tmp_path / "overflowing.json"
     path.write_text(json.dumps(data))
@@ -333,28 +333,41 @@ def test_overflowing_grid_failure_exits_3_without_numpy_warnings(capsys, tmp_pat
     # exp(x1) overflows for x1 > 709.78: J's power iteration overflows at
     # finite points and the pair images hold inf, yet stderr carries only
     # the failure (a RuntimeWarning would be raised as an error here).
-    # The grids skip the 21 of 441 points at x1 = 712; the first failure
-    # is rho_c, whose pair quotients of finite images near x1 = 709 overflow
+    # The grids skip the 21 of 441 points at x1 = 712, and rho_c, whose
+    # pair products of finite images near x1 = 709 overflow, is read on
+    # scaled rows; the first failure is gamma_c^3 (gamma_c near e^709.78)
     path = _exp_spec(tmp_path, -100.0, 712.0)
     code, _, stderr = _run(capsys, "verify", path, "--order", "3", "--pairs", "1000")
     assert code == 3
-    assert stderr == "numerical failure: rho_c: a pair quotient overflows to inf\n"
+    assert stderr == "numerical failure: the order-3 bound formula overflows at T = 0.1\n"
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_verify_near_overflow_exits_3_with_one_line(capsys, tmp_path, order):
-    path = _exp_spec(tmp_path, -7000.0, 712.0)
+    # at T = 10, T gamma_c (gamma_c near e^709.78) overflows at every order
+    path = _exp_spec(tmp_path, -7000.0, 712.0, t=10.0)
     code, _, stderr = _run(capsys, "verify", path, "--order", str(order), "--pairs", "20000")
     assert code == 3
-    assert stderr == "numerical failure: rho_c: a pair quotient overflows to inf\n"
+    assert stderr == f"numerical failure: the order-{order} bound formula overflows at T = 10.0\n"
+
+
+def test_pair_quotients_whose_products_overflow_are_read(capsys, tmp_path):
+    # f = exp(x1) - x2 differs by about 1e308 between pair endpoints, so
+    # <df, dx> overflows for x1 far apart though each quotient fits a float
+    path = _exp_spec(tmp_path, 0.0, 715.0)
+    out = tmp_path / "constants.json"
+    code, _, stderr = _run(capsys, "constants", path, "--out", str(out))
+    assert (code, stderr) == (0, "")
+    rho_c = json.loads(out.read_text())["constants"]["rho_c"]
+    assert math.exp(709.0) < rho_c < math.inf  # the sup of exp' where exp is finite
+    path = _exp_spec(tmp_path, -7000.0, 712.0)
+    code, _, stderr = _run(capsys, "verify", path, "--order", "1", "--pairs", "20000")
+    assert (code, stderr) == (0, "")
 
 
 @pytest.mark.parametrize(
     "f, order, failure",
     [
-        # F_T differs by about 1e206 between pair endpoints: its square overflows
-        ("1e103*x1", 2, "empirical gamma_d: a pair quotient overflows to inf"),
-        ("1e160*x1", 1, "empirical gamma_d: a pair quotient overflows to inf"),
         # gamma_c**3 and gamma_c**2 overflow (F_T's pair failures come later)
         ("1e103*x1", 3, "the order-3 bound formula overflows at T = 0.1"),
         ("1e155*x1", 2, "the order-2 bound formula overflows at T = 0.1"),
@@ -374,6 +387,73 @@ def test_verify_overflowing_quotient_or_formula_exits_3(capsys, tmp_path, f, ord
     code, _, stderr = _run(capsys, "verify", str(path), "--order", str(order), "--pairs", "1000")
     assert code == 3
     assert stderr == f"numerical failure: {failure}\n"
+
+
+def _steep_spec(tmp_path, a, f, t):
+    data = {
+        "name": "steep-linear",
+        "A": [[a]],
+        "C": [[1.0]],
+        "f": [f],
+        "region": {"lower": [-0.5], "upper": [0.5]},
+        "T": t,
+    }
+    path = tmp_path / "steep-linear.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "f, order, code, gamma_d",
+    [
+        # F_T differs by about 1e159 and 5e203 between pair endpoints: the
+        # square of the difference overflows, the quotient does not.  Order
+        # 2 reports rho_d violated: with A = 0 its formula T rho_c lacks the
+        # (T^2/2) gamma_c^2 of F_T's one-sided constant
+        ("1e160*x1", 1, 0, 1e159),
+        ("1e103*x1", 2, 1, 5e203),
+    ],
+)
+def test_verify_reads_an_f_t_quotient_whose_square_overflows(capsys, tmp_path, f, order, code, gamma_d):
+    out = tmp_path / "verify.json"
+    path = _steep_spec(tmp_path, 0.0, f, 0.1)
+    got = _run(capsys, "verify", path, "--order", str(order), "--pairs", "1000", "--out", str(out))
+    assert (got[0], got[2]) == (code, "")
+    report = json.loads(out.read_text())
+    assert report["empirical"]["gamma_d"]["value"] == pytest.approx(gamma_d, rel=1e-9)
+
+
+def test_verify_stops_f_t_once_rho_c_has_failed(capsys, tmp_path, monkeypatch):
+    # ln(x1) fails on x1 <= 0; once rho_c's failures pass 10% of the
+    # sample, later chunks evaluate f only, and the failure reads as before
+    from lipdisc import discretize
+
+    data = {
+        "name": "log", "A": [[0.0, 0.0], [0.0, 0.0]], "C": [[1.0, 0.0]], "T": 0.1,
+        "f": ["ln(x1)", "0"], "region": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+    }
+    path = tmp_path / "log.json"
+    path.write_text(json.dumps(data))
+    real, rows = discretize.DiscreteModel.f_t_batch, []
+
+    def counting(self, x, u, f=None):
+        rows.append(x.shape[0])
+        return real(self, x, u, f)
+
+    monkeypatch.setattr(discretize.DiscreteModel, "f_t_batch", counting)
+    code, _, stderr = _run(capsys, "verify", str(path), "--order", "3", "--pairs", "200000")
+    assert code == 3
+    assert stderr == "numerical failure: 125145/200008 pair evaluations failed (domain errors)\n"
+    assert 0 < sum(rows) <= 4 * discretize._CHUNK_ROWS  # not 2 * 200008
+
+
+def test_verify_full_map_quotient_above_the_largest_float_exits_3(capsys, tmp_path):
+    # a_d = 1 + 1e308 and F_T = 1e308 x: every image fits a float, the
+    # full map's quotient 2e308 does not; the order-1 formulas use no sigma
+    path = _steep_spec(tmp_path, 1e308, "1e308*x1", 1.0)
+    code, _, stderr = _run(capsys, "verify", path, "--order", "1", "--pairs", "1000")
+    assert code == 3
+    assert stderr == "numerical failure: full-map gamma_d: a pair quotient overflows to inf\n"
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ and the screen-and-re-rank grid norm reduction."""
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -229,7 +230,7 @@ def _kernel_rows(stack, kernel):
 
 
 def _assert_same_sup(stack, kernel, **kwargs):
-    got = _norm_rows(stack, kernel, **kwargs)
+    got = _norm_rows(stack, **kwargs)
     want = _kernel_rows(stack, kernel)
     # NaN only where the kernel fails too; off the band a kernel failure
     # (power iteration not converging) keeps the screened value
@@ -283,36 +284,40 @@ def test_screen_resolves_planted_ties_like_the_exact_kernel(gap):
     _assert_same_sup(stack.reshape(-1, 3, 3, 1), tensor3_norm_surrogate)
 
 
-def test_screen_calls_kernel_once_per_distinct_band_matrix():
+def _record_slices(monkeypatch, kernel=max_singular_value):
+    """Replace the stacked kernel of ``constants`` by ``kernel`` on each
+    slice; returns the list of the slices it was given."""
     calls = []
 
-    def kernel(mat):
-        calls.append(mat)
-        return max_singular_value(mat)
+    def stacked(mats):
+        calls.extend(mats)
+        return np.array([kernel(mat) for mat in mats])
 
+    monkeypatch.setattr(constants, "max_singular_values", stacked)
+    return calls
+
+
+def test_screen_calls_kernel_once_per_distinct_band_matrix(monkeypatch):
+    calls = _record_slices(monkeypatch)
     tied = np.array([[[3.0, 0.0], [0.0, 1.0]]] * 4 + [[[1.0, 0.0], [0.0, 1.0]]] * 3)
-    vals = _norm_rows(tied, kernel)
+    vals = _norm_rows(tied)
     assert len(calls) == 1
     assert np.array_equal(vals[:4], [3.0] * 4)
     assert int(np.argmax(vals)) == 0
 
 
-def test_screen_widens_band_when_kernel_falls_short():
+def test_screen_widens_band_when_kernel_falls_short(monkeypatch):
     # kernel <= 2-norm on every row, but row 0 falls far below its screen
     stack = np.array([np.diag([1.0, 0.0]), np.diag([0.9, 0.0]), np.diag([0.5, 0.0])])
     exact = {1.0: 0.8, 0.9: 0.9, 0.5: 0.5}
-    calls = []
-
-    def kernel(mat):
-        calls.append(mat[0, 0])
-        return exact[mat[0, 0]]
-
-    vals = _norm_rows(stack, kernel, band=0.01)
+    slices = _record_slices(monkeypatch, lambda mat: exact[mat[0, 0]])
+    vals = _norm_rows(stack, band=0.01)
+    calls = [mat[0, 0] for mat in slices]
     assert calls[0] == 1.0 and len(calls) == 3  # band {row 0} widened to all rows
     assert vals.tolist() == [0.8, 0.9, 0.5]
 
 
-def test_screen_widening_with_a_tiny_band_keeps_the_exact_sup():
+def test_screen_widening_with_a_tiny_band_keeps_the_exact_sup(monkeypatch):
     # the power iteration on ``slow`` stops about 1e-12 below its 2-norm;
     # ``fast`` screens 1e-14 lower but is exact, so it is the true argmax,
     # found only after the 1e-15 band around ``slow`` widens
@@ -323,28 +328,23 @@ def test_screen_widening_with_a_tiny_band_keeps_the_exact_sup():
     assert undershoot.max() > 1e-13
     fast = np.diag([np.linalg.norm(slow, ord=2) * (1.0 - 1e-14), 0.5, 0.1])
     stack = np.array([slow, fast])
-    calls = []
-
-    def kernel(mat):
-        calls.append(mat)
-        return max_singular_value(mat)
-
-    vals = _norm_rows(stack, kernel, band=1e-15)
-    assert len(calls) == 2 and int(np.argmax(vals)) == 1
     _assert_same_sup(stack, max_singular_value, band=1e-15)
+    calls = _record_slices(monkeypatch)
+    vals = _norm_rows(stack, band=1e-15)
+    assert len(calls) == 2 and int(np.argmax(vals)) == 1
 
 
 def test_screen_all_zero_stacks():
-    vals = _norm_rows(np.zeros((6, 2, 2)), max_singular_value)
+    vals = _norm_rows(np.zeros((6, 2, 2)))
     assert vals.tolist() == [0.0] * 6
-    vals = _norm_rows(np.zeros((6, 2, 2, 2)), tensor3_norm_surrogate)
+    vals = _norm_rows(np.zeros((6, 2, 2, 2)))
     assert vals.tolist() == [0.0] * 6
 
 
 def test_screen_all_nonfinite_stack_fails_the_grid(fast_cfg):
     stack = np.full((5, 2, 2), np.nan)
     stack[0, 0, 0] = np.inf
-    assert np.isnan(_norm_rows(stack, max_singular_value)).all()
+    assert np.isnan(_norm_rows(stack)).all()
     spec = _scalar_spec("sqrt(x1)", -3.0, 0.0)  # J, H: NaN below 0, inf at 0
     with pytest.raises(NumericalError):
         estimate_gamma_c(spec, fast_cfg)
@@ -354,7 +354,7 @@ def test_screen_all_nonfinite_stack_fails_the_grid(fast_cfg):
 
 def test_screen_keeps_finite_rows_beside_nonfinite_ones():
     stack = np.array([np.diag([2.0, 1.0]), np.full((2, 2), np.nan), np.diag([3.0, 1.0])])
-    vals = _norm_rows(stack, max_singular_value)
+    vals = _norm_rows(stack)
     assert np.isnan(vals[1])
     assert vals[2] == max_singular_value(stack[2]) and vals[0] == pytest.approx(2.0)
 
@@ -379,7 +379,8 @@ def test_nonfinite_grid_rows_count_toward_failure_rule(lower, upper, fails):
 
 
 # ---------------------------------------------------------------------------
-# gamma_c polish: 2-norm screen and one kernel call per distinct Jacobian
+# gamma_c polish: batched candidates, 2-norm screen and one kernel call
+# per distinct Jacobian
 
 def _unscreened_polish(objective, start, lower, upper, steps, iters):
     # the polish before the screen: the exact objective at every candidate
@@ -411,15 +412,15 @@ def _exact_sigma(spec, z):
 
 
 def _assert_polish_unchanged(spec, cfg, monkeypatch):
-    real, seen = constants._coordinate_polish, []
+    real, seen = constants._polish, []
 
-    def spy(objective, start, lower, upper, steps, iters):
-        got = real(objective, start, lower, upper, steps, iters)
+    def spy(s, start, lower, upper, steps, iters):
+        got = real(s, start, lower, upper, steps, iters)
         want = _unscreened_polish(lambda z: _exact_sigma(spec, z), start, lower, upper, steps, iters)
         seen.append((got, want))
         return got
 
-    monkeypatch.setattr(constants, "_coordinate_polish", spy)
+    monkeypatch.setattr(constants, "_polish", spy)
     estimate_gamma_c(spec, cfg)
     [((value, point), (ref_value, ref_point))] = seen
     assert float(value).hex() == float(ref_value).hex(), spec.name
@@ -435,15 +436,8 @@ def test_screened_polish_keeps_the_unscreened_path(bench, probe, monkeypatch, gr
 
 @pytest.mark.parametrize("grid", [2, 5, 11])
 def test_screened_polish_keeps_the_path_to_interior_peaks(monkeypatch, grid):
-    # peaks between mesh nodes: the polish accepts ever smaller gains
-    peaked = SystemSpec.from_dict({
-        "name": "peaked", "A": [[0, 1], [-1, 0]], "C": [[1, 0]], "T": 0.1,
-        "f": ["-sin(x1 - 0.3) * cos(x2 + 0.2) + 0.1*u1*x2", "0.5*sin(x1*x2 - 0.1)"],
-        "region": {"lower": [-1, -1], "upper": [1, 1]},
-        "input_region": {"lower": [-0.5], "upper": [0.5]},
-    })
     cfg = SamplingConfig(grid_per_axis=grid, pair_budget=1000)
-    for spec in (_scalar_spec("-sin(x1 - 0.3)", -1.0, 1.0), peaked):
+    for spec in (_scalar_spec("-sin(x1 - 0.3)", -1.0, 1.0), _peaked_spec()):
         _assert_polish_unchanged(spec, cfg, monkeypatch)
 
 
@@ -453,16 +447,51 @@ def test_screened_polish_keeps_the_path_through_failing_points(monkeypatch):
     _assert_polish_unchanged(spec, SamplingConfig(grid_per_axis=21, pair_budget=1000), monkeypatch)
 
 
+def _peaked_spec():
+    # peaks between mesh nodes: the polish accepts ever smaller gains
+    return SystemSpec.from_dict({
+        "name": "peaked", "A": [[0, 1], [-1, 0]], "C": [[1, 0]], "T": 0.1,
+        "f": ["-sin(x1 - 0.3) * cos(x2 + 0.2) + 0.1*u1*x2", "0.5*sin(x1*x2 - 0.1)"],
+        "region": {"lower": [-1, -1], "upper": [1, 1]},
+        "input_region": {"lower": [-0.5], "upper": [0.5]},
+    })
+
+
 def test_screened_polish_scores_each_distinct_jacobian_once(probe, monkeypatch):
-    calls = []
+    slices, real, start = _record_slices(monkeypatch), constants._polish, []
 
-    def counting(mat):
-        calls.append(mat.tobytes())
-        return max_singular_value(mat)
+    def spy(*args):
+        start.append(len(slices))  # the slices before it are the grid's
+        return real(*args)
 
-    monkeypatch.setattr(constants, "max_singular_value", counting)
+    monkeypatch.setattr(constants, "_polish", spy)
     estimate_gamma_c(probe, SamplingConfig(grid_per_axis=2, pair_budget=1000))
-    assert len(calls) <= 100  # 282 without the screen and the memo
+    polish = [mat.tobytes() for mat in slices[start[0]:]]
+    assert polish and len(polish) == len(set(polish))
+    assert len(slices) <= 100  # 282 without the screen and the memo
+
+
+@pytest.mark.parametrize("grid", [5, 11])
+def test_batched_polish_evaluates_at_most_twice_the_sequential_jacobians(monkeypatch, grid):
+    spec, cfg = _peaked_spec(), SamplingConfig(grid_per_axis=grid, pair_budget=1000)
+    real_polish, real_jacobian, counts = constants._polish, SystemSpec.jacobian, []
+
+    def counting_jacobian(self, x, u=()):
+        counts[-1] += 1
+        return real_jacobian(self, x, u)
+
+    def spy(s, start, lower, upper, steps, iters):
+        counts.append(0)  # the unscreened polish: one Jacobian per candidate
+        _unscreened_polish(lambda z: _exact_sigma(spec, z), start, lower, upper, steps, iters)
+        counts.append(0)
+        return real_polish(s, start, lower, upper, steps, iters)
+
+    monkeypatch.setattr(SystemSpec, "jacobian", counting_jacobian)
+    monkeypatch.setattr(constants, "_polish", spy)
+    estimate_gamma_c(spec, cfg)
+    sequential, batched = counts
+    assert sequential > 100
+    assert batched <= 2 * sequential
 
 
 def _exp_spec(upper):
@@ -596,13 +625,14 @@ def test_pair_quotient_keeps_the_value_and_first_witness(one_sided):
         images[0][first] = images[1][first] + 1e9 * (pairs.x1[first] - pairs.x2[first])
         _plant(pairs, images, [first + 1, _CHUNK * (first // _CHUNK + 1), 3 * _CHUNK + 9], first)
         cases.append((pairs, images, first))
-    # images of 1e300: some quotients overflow; a non-finite row is skipped
+    # images of 1e300: some products overflow, their quotients do not; a
+    # non-finite row is skipped
     cases.append((*_quotient_case(rng, 2 * _CHUNK + 20, 2, [3, _CHUNK + 4], [0, 1], 1e300), None))
-    # quotients of finite images that overflow to NaN (one-sided) or inf,
-    # first in the second chunk, again in the third: the first one wins
+    # quotients of finite images above the largest float (2e308), first in
+    # the second chunk, again in the third: inf, and the first one wins
     pairs, images = _quotient_case(rng, 3 * _CHUNK, 2, [], [])
-    pairs.x2[:] = pairs.x1 + 1.0
-    images[0][_CHUNK + 7], images[1][_CHUNK + 7] = (1e308, -1e308), (-1e308, 1e308)
+    pairs.x2[:] = pairs.x1 - 1.0
+    images[0][_CHUNK + 7], images[1][_CHUNK + 7] = (1e308, 1e308), (-1e308, -1e308)
     _plant(pairs, images, [2 * _CHUNK + 2], _CHUNK + 7)
     cases.append((pairs, images, _CHUNK + 7))
     # every valid quotient is -inf (one-sided) or inf, and the first chunk
@@ -615,10 +645,35 @@ def test_pair_quotient_keeps_the_value_and_first_witness(one_sided):
     for pairs, images, row in cases:
         want = whole_array_pair_quotient(pairs, images, one_sided)
         got = _streamed(pairs, images, one_sided)
+        assert not math.isnan(got[0])
         assert float_bits([got[0]]) == float_bits([want[0]])
         assert got[1] == want[1]
         if row is not None:
             assert got[1]["u"] == [row]
+
+
+def test_pair_quotient_whose_product_overflows_reads_the_exact_value():
+    # images of about 1e300 and, 10 apart per axis, 1e307: the squared
+    # difference overflows, and for the 1e307 pair <dm, dx> too
+    rng = np.random.default_rng(12)
+    pairs, (m1, m2) = _quotient_case(rng, 60, 3, [], [], 1e300)
+    pairs.x2[7] = pairs.x1[7] + 10.0
+    m1[7], m2[7] = (-1e307, -1e307, -3e306), (1e307, 1e307, 3e306)
+    for one_sided in (False, True):
+        got, witness = _streamed(pairs, (m1, m2), one_sided)
+        quotients = []
+        for a, b, c, d in zip(m1, m2, pairs.x1, pairs.x2):
+            dm = [Fraction(p) - Fraction(q) for p, q in zip(a, b)]
+            dx = [Fraction(p) - Fraction(q) for p, q in zip(c, d)]
+            dist = sum(v * v for v in dx)
+            if one_sided:
+                quotients.append(sum(p * q for p, q in zip(dm, dx)) / dist)
+            else:  # the square of the two-sided quotient
+                quotients.append(sum(v * v for v in dm) / dist)
+        best = max(quotients)
+        assert quotients.index(best) == witness["u"][0] == 7
+        exact = Fraction(got) / best if one_sided else Fraction(got) ** 2 / best
+        assert float(exact) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_pair_quotient_shares_one_pass_between_quotients():

@@ -1,9 +1,19 @@
 """Norm and matrix exponential kernels."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lipdisc.linalg import NumericalError, max_singular_value, tensor3_norm_surrogate
+from lipdisc.constants import _gram_norms
+from lipdisc.linalg import (
+    NumericalError,
+    max_singular_value,
+    max_singular_values,
+    tensor3_norm_surrogate,
+)
 
 from conftest import expm
 
@@ -169,6 +179,8 @@ def test_msv_above_the_largest_float_raises_numerical_error(a):
         ([[1e-200]], 1e-200),  # sigma^2 underflows too
         ([[1e-170, 0.0], [0.0, 2e-170]], 2e-170),
         ([[5e-324]], 5e-324),  # the smallest subnormal
+        ([[6.5e-79]], 6.5e-79),  # ||A^T A v||^2 is subnormal: its root loses bits
+        ([[6.5e-79, 0.0], [0.0, 1e-79]], 6.5e-79),
     ],
 )
 def test_msv_of_an_underflowing_power_reads_the_true_scale(a, sigma):
@@ -182,3 +194,89 @@ def test_msv_of_a_zero_matrix_is_zero():
     # frexp(0) gives exponent 0: the rescale must not run again
     for shape in ((1, 1), (2, 3)):
         assert max_singular_value(np.zeros(shape)) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the stacked power iteration: lockstep matmuls keep every slice's bits
+
+def _scalar_or_nan(a):
+    try:
+        return max_singular_value(a)
+    except (NumericalError, ValueError):
+        return math.nan
+
+
+def _near_degenerate(rng, shape, gap):
+    """A matrix with sigma2 / sigma1 = 1 - gap, where the iteration is slow
+    (gap 1e-2 converges, 1e-5 does not within its 10,000 steps)."""
+    r, c = shape
+    u, _ = np.linalg.qr(rng.normal(size=(r, r)))
+    v, _ = np.linalg.qr(rng.normal(size=(c, c)))
+    sigma = np.zeros(shape)
+    sigma[0, 0], sigma[1, 1] = 2.0, 2.0 * (1.0 - gap)
+    return u @ sigma @ v.T
+
+
+_STACK_SHAPES = [(1, 1), (2, 2), (2, 4), (4, 4), (4, 16), (9, 9)]
+
+
+@pytest.mark.parametrize("shape", _STACK_SHAPES, ids=str)
+def test_stacked_msv_keeps_the_bits_of_each_slice(shape):
+    rng = np.random.default_rng(sum(shape))
+    mats = [rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4) for _ in range(40)]
+    mats += [np.zeros(shape), np.full(shape, 1e308), np.full(shape, np.nan)]
+    mats += [np.ldexp(rng.normal(size=shape), e) for e in (1000, -1000, 1000, -1000)]
+    if min(shape) > 1:
+        mats += [_near_degenerate(rng, shape, gap) for gap in (1e-2, 1e-4, 1e-5)]
+    stack = np.array(mats)
+    got = max_singular_values(stack)
+    assert got.shape == (len(mats),)
+    for mat, value in zip(mats, got):
+        want = _scalar_or_nan(mat)
+        if math.isnan(want):
+            assert math.isnan(value)
+        else:
+            assert float(value).hex() == want.hex()
+    # NaN exactly where the scalar raises: non-finite, a 2-norm above the
+    # largest float (1e308 sqrt(r c)) and no convergence (gap 1e-5)
+    assert np.isnan(got[42]) and np.isnan(got[41]) == (shape[0] * shape[1] >= 4)
+    if min(shape) > 1:
+        assert np.isnan(got[-1]) and not np.isnan(got[-3])
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (4, 16)])
+def test_stacked_msv_slices_match_the_two_dimensional_loop(shape):
+    # pins "a stacked matmul runs the per-slice BLAS call" against a loop
+    # over single matrices that never builds a stack
+    rng = np.random.default_rng(5)
+    stack = rng.normal(size=(100, *shape)) * 10.0 ** rng.integers(-3, 4, size=(100, 1, 1))
+    got = max_singular_values(stack)
+    want = [_power_iteration_with_np_norm(mat) for mat in stack]
+    assert [float(v).hex() for v in got] == [w.hex() for w in want]
+
+
+def test_stacked_msv_rejects_empty_matrices_and_takes_an_empty_stack():
+    with pytest.raises(ValueError):
+        max_singular_values(np.zeros((3, 0, 2)))
+    with pytest.raises(ValueError):
+        max_singular_values(np.zeros((2, 2)))
+    assert max_singular_values(np.zeros((0, 3, 3))).shape == (0,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(_STACK_SHAPES + [(3, 1), (1, 5), (5, 3)]),
+    st.integers(-1020, 1020),
+)
+def test_gram_screen_never_falls_below_the_kernel(seed, shape, exponent):
+    rng = np.random.default_rng(seed)
+    stack = np.ldexp(rng.normal(size=(8, *shape)), exponent)
+    stack[0] = 0.0
+    stack[1, 0] = 0.0  # a zero row
+    stack[2] *= np.ldexp(1.0, -60)  # scales apart by 2^60 within the stack
+    kernel = max_singular_values(stack)
+    screen = _gram_norms(stack)
+    ok = ~np.isnan(kernel)
+    assert (screen[ok] >= kernel[ok] * (1.0 - 1e-12)).all()
+    assert screen[0] == 0.0
