@@ -32,15 +32,11 @@ non-finite a_j, b_k or v_j makes it NaN; that value comes from a
 non-finite f or J entry, which makes the row of F_T non-finite anyway,
 so at most the kind of non-finite value in a component can differ.
 
-The reference integrator runs each Dormand-Prince trial step through
-one straight-line Python function generated per state dimension n (the
-tableau is fixed, so nothing else enters).  It works on Python floats
-and sums the stages in the order a Python ``sum`` over the stage
-vectors does.  Each stage is one call of the point kernel of the field
-F; the error norm's mean of squares is numpy's for n >= 8, where numpy
-sums pairwise, but a sequential sum for n <= 7, which is numpy's own
-order there.  Each step reuses its last stage as the next step's first
-(see :func:`exact_step`).
+The reference integrator is one straight-line Python function per spec
+that runs the whole adaptive Dormand-Prince loop on Python floats with
+F written out in every stage (see :func:`_integrator`).  It sums the
+stages in the order a Python ``sum`` over the stage vectors does, and
+each step reuses its last stage as the next step's first.
 """
 
 from __future__ import annotations
@@ -53,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import expr as ex
 from .system import SystemSpec
 
 _CHUNK_ROWS = 16_384  # rows per F_T batch chunk; bounds the Hessian's memory
@@ -241,94 +238,95 @@ def _tol_problem(tol: float) -> str | None:
     return f"must lie in [1e-13, 1e-6], got {tol!r}"
 
 
-@functools.cache
-def _dp_trial(n: int) -> Callable:
-    """One Dormand-Prince trial step for states of dimension n >= 1,
-    generated as straight-line code: ``trial(f, y, u, h, tol, k0)``
-    takes y and its first stage k0 as lists of n floats and returns
-    ``(y_new, err, k6)``, y_new and the seventh stage k6 as lists.
+# the adaptive loop of exact_step; _integrator writes out the trial step
+_LOOP = """def integrate(y, u, tol, t_end):
+    [{k0}] = field(y, u)
+    [{y}] = y{inputs}
+    t, h, t_done = 0.0, t_end, {done!r} * t_end
+    for _ in range({max_steps}):
+        remaining = t_end - t
+        if remaining <= t_done:
+            return [{y}]
+        h = min(h, remaining){trial}
+        if err <= 1.0:
+            t, {y}, {k0} = t + h, {n}, {k6}
+        factor = 5.0 if err == 0.0 else {safety!r} * err ** (-0.2)
+        h = min(h * min(5.0, max(0.2, factor)), t_end)
+        if h < {min_step!r}:
+            raise IntegrationError("step size underflow", t, np.array([{y}], dtype=float), h)
+    raise IntegrationError("step budget exhausted", t, np.array([{y}], dtype=float), h)
+"""
 
-    A stage's right-hand side is ``f(v, u)``, a list.  Every stage, B5
-    and E sum is ``0.0 + c0*k0[i] + c1*k1[i] + ...`` with the tableau's
-    literals in stage order, zeros kept.  The error norm takes the larger
-    of |y_i| and |y_new_i| with NaN winning, as ``np.maximum`` does.
-    """
-    ix = range(n)
 
-    def listed(name: str) -> str:
-        return "[" + ", ".join(f"{name}{i}" for i in ix) + "]"
+def _integrator(s: SystemSpec) -> Callable:
+    """The spec's Dormand-Prince loop as one generated function
+    ``integrate(y, u, tol, t_end)`` of a list of floats, built on first
+    use into the slot ``s._exact_integrator`` that the copies of
+    ``with_sampling_time`` share.  Its first stage calls the field
+    template F; then the inputs F reads are loaded once, and each other
+    stage is F written out by the point kernel's emitter, in a ``try``
+    that falls back to the template, whose walk names a domain error's
+    node or saturates an overflow.  Every stage, B5 and E sum is
+    ``0.0 + c0*k0_i + c1*k1_i + ...`` in stage order, zeros kept; the
+    error norm takes max(|y_i|, |y_new_i|) with NaN winning."""
+    if s._exact_integrator:
+        return s._exact_integrator[0]
+    field, ix, inputs = s._field_template, range(s.n), set()
 
-    def combo(weights, i: int) -> str:
-        return "0.0" + "".join(f" + ({w!r}) * k{j}_{i}" for j, w in enumerate(weights))
+    def operand(v) -> str:
+        if v.kind == "u":
+            inputs.add(v.index - 1)
+        return f"{'v' if v.kind == 'x' else 'u'}{v.index - 1}"
 
-    lines = [f"    {listed('y')} = y", f"    {listed('k0_')} = k0"]
+    namespace = dict(field=field.point, np=np, root=math.sqrt, IntegrationError=IntegrationError)
+    lines: list[str] = []
+    emit = ex.emitter(operand, namespace, lines)
+    live = {j: tree for tree, filled in field.live for j in filled}
+    values = [emit(live.get(j, ex.Const(c))) for j, c in enumerate(field.const_list)]
+    listed = lambda name: ", ".join(f"{name}{i}" for i in ix)
+    combo = lambda ws, i: "0.0" + "".join(f" + ({w!r}) * k{j}_{i}" for j, w in enumerate(ws))
+    trial = []
     for stage, row in enumerate(_DP_A[1:], start=1):
-        lines.append("    v = [" + ", ".join(f"y{i} + h * ({combo(row, i)})" for i in ix) + "]")
-        lines.append(f"    {listed(f'k{stage}_')} = f(v, u)")
+        trial += [f"v{i} = y{i} + h * ({combo(row, i)})" for i in ix]
+        trial += ["try:", *(f"    {line}" for line in lines)]
+        trial += [f"    k{stage}_{i} = {values[i]}" for i in ix]
+        trial += ["except (ArithmeticError, ValueError, IndexError):",
+                  f"    [{listed(f'k{stage}_')}] = field([{listed('v')}], u)"]
     for i in ix:
-        lines.append(f"    n{i} = y{i} + h * ({combo(_DP_B5, i)})")
-        lines.append(f"    a, b = abs(y{i}), abs(n{i})")
-        lines.append(
-            f"    r{i} = h * ({combo(_DP_E, i)}) / (tol + tol * (a if a >= b or a != a else b))"
-        )
-    if n <= _SEQUENTIAL_MEAN_MAX_N:
-        squares = " + ".join(f"r{i} * r{i}" for i in ix)
-        lines.append(f"    err = sqrt(({squares}) / {n})")
-    else:
-        lines.append(f"    err = float(np.sqrt(np.mean(np.array({listed('r')}) ** 2)))")
-    lines.append(f"    return {listed('n')}, err, {listed('k6_')}")
-    source = "\n".join(["def trial(f, y, u, h, tol, k0):", *lines])
-    namespace = {"np": np, "sqrt": math.sqrt}
-    exec(compile(source, f"<dormand-prince trial, n={n}>", "exec"), namespace)
-    return namespace["trial"]
+        trial += [f"n{i} = y{i} + h * ({combo(_DP_B5, i)})", f"a, b = abs(y{i}), abs(n{i})",
+                  f"r{i} = h * ({combo(_DP_E, i)}) / (tol + tol * (a if a >= b or a != a else b))"]
+    squares = " + ".join(f"r{i} * r{i}" for i in ix)
+    trial += [f"err = root(({squares}) / {s.n})" if s.n <= _SEQUENTIAL_MEAN_MAX_N
+              else f"err = float(np.sqrt(np.mean(np.array([{listed('r')}]) ** 2)))"]
+    source = _LOOP.format(
+        y=listed("y"), k0=listed("k0_"), n=listed("n"), k6=listed("k6_"),
+        inputs="".join(f"\n    u{k} = float(u[{k}])" for k in sorted(inputs)),
+        done=4.0 * float(np.finfo(float).eps), max_steps=_MAX_STEPS, safety=_SAFETY,
+        min_step=_MIN_STEP, trial="".join(f"\n        {line}" for line in trial),
+    )
+    exec(compile(source, f"<dormand-prince integrator of {s.name}>", "exec"), namespace)
+    s._exact_integrator.append(namespace["integrate"])
+    return namespace["integrate"]
 
 
 def exact_step(s: SystemSpec, x, u=(), tol: float = 1e-10) -> np.ndarray:
-    """x(T) under the true flow of dx/dt = A x + f(x, u) with u held.
-
-    Adaptive Dormand-Prince 5(4) with absolute and relative tolerance
-    both equal to ``tol``; step sizes live in [1e-12, T].  Each trial
-    step runs the straight-line code that :func:`_dp_trial` generates
-    once per state dimension, shared by every spec of that dimension,
-    on Python floats; it has the bits of the same sums over numpy stage
-    vectors.  Each stage is one call of the point kernel of the spec's
-    field F = A x + f, a list of floats.  The mean of the squared error
+    """x(T) under the true flow of dx/dt = A x + f(x, u) with u held:
+    adaptive Dormand-Prince 5(4) with absolute and relative tolerance
+    both ``tol`` and step sizes in [1e-12, T], as one call of the spec's
+    generated loop (:func:`_integrator`).  It has the bits of the same
+    sums over numpy stage vectors; the mean of the squared error
     quotients is a sequential sum for n <= 7, numpy's own order there,
-    and ``np.mean`` above.
-
-    The first stage is evaluated once per call: after an accepted trial
-    the seventh stage is the next trial's first (first same as last,
-    Dormand & Prince 1980), bit for bit, since the last row of A equals
-    B5 up to a zero weight on the seventh stage; a rejected trial keeps
-    y and its first stage.  So one call evaluates the right-hand side
-    1 + 6·trials times.
+    and ``np.mean`` above.  After an accepted trial the seventh stage is
+    the next trial's first (first same as last, Dormand & Prince 1980),
+    bit for bit, since the last row of A equals B5 up to a zero weight
+    on the seventh stage; a rejected trial keeps its first stage.  So
+    one call evaluates the right-hand side 1 + 6·trials times.
     """
     problem = _tol_problem(tol)
     if problem:
         raise ValueError(f"tol {problem}")
-    t_end = s.sampling_time
-    t_done = 4.0 * np.finfo(float).eps * t_end
-    trial, f = _dp_trial(s.n), s._field_template.point
-    y = np.asarray(x, dtype=float).tolist()
-    k0 = f(y, u)
-
-    t = 0.0
-    h = t_end
-    for _ in range(_MAX_STEPS):
-        remaining = t_end - t
-        if remaining <= t_done:
-            return np.array(y, dtype=float)
-        h = min(h, remaining)
-        y_new, err, k6 = trial(f, y, u, h, tol, k0)
-        if err <= 1.0:
-            t += h
-            y, k0 = y_new, k6
-        factor = 5.0 if err == 0.0 else _SAFETY * err ** (-0.2)
-        h = h * min(5.0, max(0.2, factor))
-        h = min(h, t_end)
-        if h < _MIN_STEP:
-            raise IntegrationError("step size underflow", t, np.array(y, dtype=float), h)
-    raise IntegrationError("step budget exhausted", t, np.array(y, dtype=float), h)
+    y = _integrator(s)(np.asarray(x, dtype=float).tolist(), u, tol, s.sampling_time)
+    return np.array(y, dtype=float)
 
 
 # ---------------------------------------------------------------------------

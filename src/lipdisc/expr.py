@@ -442,14 +442,33 @@ def point_kernel(trees, slots) -> Callable:
     a variable out of range raises a bare error before anything is
     stored: rerun the walk to name the node or to saturate the overflow.
     """
-    namespace = {"float": float, **_POINT.unary}
+    namespace = {"float": float}
     lines: list[str] = []
+    emit = emitter(lambda v: f"float({v.kind}[{v.index - 1}])", namespace, lines)
+    values = [emit(tree) for tree in trees]
+    stores = [f"out[{j:d}] = {v}" for v, js in zip(values, slots) for j in js]
+    source = "\n    ".join(["def kernel(x, u, out):", *lines, *stores, "return out"])
+    exec(compile(source, "<point kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def emitter(variable: Callable[[Var], str], namespace: dict, lines: list) -> Callable:
+    """A function ``emit(tree)`` that appends to ``lines`` unindented
+    statements computing the tree at one point, with the point primitives
+    (bound in ``namespace``) in the walk's order of operations, and
+    returns the operand holding its value.  ``variable(v)`` is the text
+    of a variable: an identifier is used as it is, other text such as
+    ``float(x[0])`` is computed once into a local.  Each distinct subtree
+    is computed once (a right-hand side's text identifies it), and a
+    node seen before is not walked again (the memo keeps it alive)."""
+    namespace.update(_POINT.unary)
     local: dict[str, str] = {}  # right-hand side -> the local holding it
+    memo: dict[int, tuple] = {}  # id(node) -> (node, operand)
 
     def emit(e: Expression) -> str:
-        # an operand: a literal, a bound constant or a local; the text of
-        # a right-hand side over operands identifies its subtree, and a
-        # constant's repr tells 0.0 from -0.0
+        if id(e) in memo:
+            return memo[id(e)][1]
+        # a constant's repr tells 0.0 from -0.0
         if isinstance(e, Const):
             if math.isfinite(e.value):
                 return f"({e.value!r})"
@@ -457,7 +476,7 @@ def point_kernel(trees, slots) -> Callable:
             namespace[name] = e.value
             return name
         if isinstance(e, Var):
-            rhs = f"float({'x' if e.kind == 'x' else 'u'}[{e.index - 1}])"
+            rhs = variable(e)
         elif isinstance(e, Unary):
             a = emit(e.arg)
             if e.op not in _POINT.unary:
@@ -470,16 +489,13 @@ def point_kernel(trees, slots) -> Callable:
             rhs = f"{emit(e.left)} {op} {emit(e.right)}"
         else:
             raise TypeError(f"not an expression node: {e!r}")
-        if rhs not in local:
+        if rhs not in local and not rhs.isidentifier():
             local[rhs] = f"t{len(lines)}"
-            lines.append(f"    {local[rhs]} = {rhs}")
-        return local[rhs]
+            lines.append(f"{local[rhs]} = {rhs}")
+        memo[id(e)] = (e, local.get(rhs, rhs))
+        return memo[id(e)][1]
 
-    values = [emit(tree) for tree in trees]
-    stores = [f"    out[{j:d}] = {v}" for v, js in zip(values, slots) for j in js]
-    source = "\n".join(["def kernel(x, u, out):", *lines, *stores, "    return out"])
-    exec(compile(source, "<point kernel>", "exec"), namespace)
-    return namespace["kernel"]
+    return emit
 
 
 def evaluate_batch(e: Expression, x: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -135,6 +135,7 @@ class SystemSpec:
         object.__setattr__(self, "_hess_template", _Template(hess, (n, n, n)))
         # key 0: the field F; key k: the Lie terms of order k
         object.__setattr__(self, "_point_templates", {})
+        object.__setattr__(self, "_exact_integrator", [])  # discretize._integrator's slot
 
     @property
     def n(self) -> int:

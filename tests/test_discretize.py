@@ -1,5 +1,6 @@
 """Taylor-Lie maps, the reference integrator and trajectory simulation."""
 
+import math
 import sys
 import warnings
 
@@ -601,79 +602,107 @@ def test_exact_step_stage_outside_the_domain_raises_as_before():
     assert got.node == want.node
 
 
-def test_exact_step_generates_one_trial_per_dimension(bench, probe):
-    discretize._dp_trial.cache_clear()
+def test_exact_step_generates_one_integrator_per_spec(bench):
     pend = bench["pendulum"]
-    for spec in (pend, bench["van-der-pol"], pend.with_sampling_time(0.05), probe):
+    fresh = SystemSpec.from_dict(pend.to_dict())
+    early = fresh.with_sampling_time(0.05)  # copied before the integrator exists
+    assert fresh._exact_integrator == []
+    for spec in (fresh, early, fresh.with_sampling_time(0.3), pend, bench["van-der-pol"]):
         exact_step(spec, 0.5 * spec.region.upper, 0.5 * spec.input_region.upper)
-    info = discretize._dp_trial.cache_info()
-    assert (info.misses, info.currsize) == (2, 2)  # n = 2 and n = 4
-    assert discretize._dp_trial(2) is discretize._dp_trial(pend.with_sampling_time(0.3).n)
+    assert len(fresh._exact_integrator) == 1
+    integrate = discretize._integrator(fresh)
+    assert discretize._integrator(early) is integrate
+    assert discretize._integrator(fresh.with_sampling_time(0.2)) is integrate
+    # every spec has its own, also one of the same dimension and field
+    assert discretize._integrator(pend) is not integrate
+    assert discretize._integrator(bench["van-der-pol"]) is not discretize._integrator(pend)
+    assert list(fresh._point_templates) == [0]  # the field's template only
 
 
-def _count_stages(monkeypatch, spec):
-    """Wrap the field kernel of ``spec`` and the generated trial step: the
-    returned log counts kernel calls, trials and accepted trials.  With
-    ``log["fail_after_accept"]`` set, the first kernel call after each
-    accepted trial raises OverflowError, counted in ``log["failed"]``."""
+def _plant_counters(monkeypatch, spec):
+    """Count the work of exact_step on ``spec`` through the names its
+    generated code looks up: calls of the field kernel (the first stage of
+    a call, and the first try of a fallback), calls of ``sin`` in the
+    kernel and in the integrator (the same number in every stage), and
+    trials and accepted trials through the error norm's ``root``.  With
+    ``log["fail_after_accept"]`` set, ``sin`` raises OverflowError from
+    each accepted trial on until ``log["fail_next"]`` is cleared, and
+    ``log["failed"]`` counts the written-out stages that raised."""
     field = spec._field_template
-    field.point(0.5 * spec.region.upper, 0.5 * spec.input_region.upper)
-    log = dict(kernel=0, trials=0, accepted=0, failed=0, fail_after_accept=False, fail_next=False)
-    kernel, dp_trial = field.kernel, discretize._dp_trial
+    field.point(0.5 * spec.region.upper, 0.5 * spec.input_region.upper)  # builds the kernel
+    kernel, integrate = field.kernel, discretize._integrator(spec)
+    log = dict(kernel=0, sin=0, trials=0, accepted=0, failed=0)
+    log.update(fail_after_accept=False, fail_next=False)
 
     def counted_kernel(x, u, out):
         log["kernel"] += 1
-        if log["fail_next"]:
-            log["fail_next"] = False
-            log["failed"] += 1
-            raise OverflowError("planted")
         return kernel(x, u, out)
 
-    def counted_dp_trial(n):
-        trial = dp_trial(n)
+    def planted_sin(written_out):
+        def sin(a):
+            log["sin"] += 1
+            if log["fail_next"]:
+                log["failed"] += written_out
+                raise OverflowError("planted")
+            return math.sin(a)
 
-        def counted(*args):
-            y_new, err, k6 = trial(*args)
-            log["trials"] += 1
-            log["accepted"] += err <= 1.0
-            log["fail_next"] = log["fail_after_accept"] and err <= 1.0
-            return y_new, err, k6
+        return sin
 
-        return counted
+    def root(a):
+        err = math.sqrt(a)
+        log["trials"] += 1
+        log["accepted"] += err <= 1.0
+        log["fail_next"] = log["fail_after_accept"] and err <= 1.0
+        return err
 
     monkeypatch.setattr(field, "kernel", counted_kernel)
-    monkeypatch.setattr(discretize, "_dp_trial", counted_dp_trial)
+    monkeypatch.setitem(kernel.__globals__, "sin", planted_sin(False))
+    monkeypatch.setitem(integrate.__globals__, "sin", planted_sin(True))
+    monkeypatch.setitem(integrate.__globals__, "root", root)
     return log
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-6])
 def test_exact_step_evaluates_the_first_stage_once_per_call(bench, probe, monkeypatch, tol):
-    rejected = reused = 0
+    rejected = reused = counted = 0
     for spec in [*bench.values(), probe]:
         xs, us = sample_points(spec, 50, seed=61)
         with monkeypatch.context() as patch:
-            log = _count_stages(patch, spec)
+            log = _plant_counters(patch, spec)
+            log["sin"] = 0
+            spec._field_template.point(xs[0], us[0])
+            per_stage = log["sin"]  # sin calls of one evaluation of F
             for x, u in zip(xs, us):
-                log.update(kernel=0, trials=0, accepted=0)
+                log.update(kernel=0, sin=0, trials=0, accepted=0)
                 got = exact_step(spec, x, u, tol=tol)
-                assert log["kernel"] == 1 + 6 * log["trials"], spec.name
+                # the kernel gives the first stage, each trial six written-out ones
+                assert log["kernel"] == 1, spec.name
+                assert log["sin"] == per_stage * (1 + 6 * log["trials"]), spec.name
+                counted += per_stage > 0
                 rejected += log["trials"] - log["accepted"]
                 reused += log["accepted"] - 1
                 want = _reference_exact_step(spec, x, u, tol)
                 assert got.tobytes() == want.tobytes(), spec.name
-    assert rejected > 0 and reused > 0
+    assert rejected > 0 and reused > 0 and counted > 0
 
 
 def test_exact_step_falls_back_when_a_stage_fails_right_after_an_accepted_step(
     probe, monkeypatch
 ):
-    # the first right-hand side after each accepted trial raises in the
-    # kernel, so the walk must give it, with the same bits
-    log = _count_stages(monkeypatch, probe)
+    # the first stage after each accepted trial raises in its written-out
+    # field and again in the kernel, so the walk must give it, with the
+    # same bits
+    log = _plant_counters(monkeypatch, probe)
     log["fail_after_accept"] = True
     walked = []
     evaluate = ex.evaluate
-    monkeypatch.setattr(ex, "evaluate", lambda *args: walked.append(1) or evaluate(*args))
+
+    def walk(*args):
+        walked.append(1)
+        log["fail_next"] = False
+        return evaluate(*args)
+
+    monkeypatch.setattr(ex, "evaluate", walk)
     xs, us = sample_points(probe, 30, seed=67)
     failed = 0
     for x, u in zip(xs, us):
@@ -682,8 +711,33 @@ def test_exact_step_falls_back_when_a_stage_fails_right_after_an_accepted_step(
         # every accepted trial but the last is followed by a failing stage
         assert log["failed"] == log["accepted"] - 1 and log["fail_next"]
         failed += log["failed"]
+        log["fail_next"] = False
         assert got.tobytes() == _reference_exact_step(probe, x, u).tobytes()
     assert failed > 0 and len(walked) >= failed
+
+
+def test_exact_step_on_a_missing_input_raises_as_before(probe):
+    x = 0.5 * probe.region.upper
+    got = _raised(exact_step, probe, x, ())
+    want = _raised(_reference_exact_step, probe, x, ())
+    assert isinstance(got, ExprEvalError)
+    assert type(got) is type(want) and str(got) == str(want)
+    assert str(got).startswith("variable u1 is out of range for dimension 0")
+
+
+@pytest.mark.parametrize("u1", [np.nan, np.inf])
+def test_exact_step_on_a_non_finite_input_fails_as_before(probe, u1):
+    # nan: every error norm is nan, so every trial is rejected until the
+    # step underflows; inf: a later stage takes sin(inf), a domain error
+    x = 0.5 * probe.region.upper
+    with np.errstate(all="ignore"):  # inf - inf in the reference's stage sums
+        got = _raised(exact_step, probe, x, [u1])
+        want = _raised(_reference_exact_step, probe, x, [u1])
+    assert type(got) is type(want) and str(got) == str(want)
+    if isinstance(want, IntegrationError):
+        assert (got.t, got.h, got.x.tobytes()) == (want.t, want.h, want.x.tobytes())
+    else:
+        assert isinstance(want, ExprEvalError) and got.node == want.node
 
 
 def test_exact_step_makes_no_dot_call(bench, probe):

@@ -23,6 +23,8 @@ from lipdisc.expr import (
     unparse,
 )
 
+from lipdisc.system import _Template
+
 from conftest import central_diff, expr_points, expr_trees, float_bits
 
 
@@ -229,6 +231,28 @@ def test_point_kernel_fills_every_slot_of_a_tree():
     out = kernel([0.5], (), [7.0] * 5)
     assert out == [math.sin(0.5) * 0.5, -0.0, 7.0, math.sin(0.5) * 0.5, 7.0]
     assert math.copysign(1.0, out[1]) == -1.0
+
+
+def test_point_kernel_walks_a_shared_subtree_once():
+    # s_{k+1} = s_k + s_k for 80 levels: 2^80 paths down to x1 but one
+    # object per level, so only an emitter that stops at a node it has
+    # seen builds this kernel
+    tree = Var("x", 1)
+    for _ in range(80):
+        tree = Binary("+", tree, tree)
+    kernel = ex.point_kernel([tree, tree], [[0], [1]])
+    # the load of x1 and one line per level
+    assert kernel.__code__.co_varnames == ("x", "u", "out", *(f"t{i}" for i in range(81)))
+    assert kernel([0.75], (), [None, None]) == [0.75 * 2.0**80] * 2
+
+
+def test_template_trees_sharing_a_subtree_emit_its_line_once():
+    shared = parse("sin(x1) * x2")
+    template = _Template([Binary("+", shared, Var("x", 1)), Unary("neg", shared), shared], (3,))
+    value = math.sin(0.5) * 2.0
+    assert template.point([0.5, 2.0], ()) == [value + 0.5, -value, value]
+    # the loads of x1 and x2, sin, the product, the sum and the negation
+    assert len(template.kernel.__code__.co_varnames) == 3 + 6
 
 
 def test_evaluate_batch_constant_expression_broadcasts():

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from lipdisc import (
+    BoxRegion,
     SamplingConfig,
     SystemSpec,
     build_taylor_model,
     convergence_study,
     estimate_rho_c,
+    parse,
     verify_bounds,
 )
 from lipdisc import expr as ex
@@ -177,6 +179,24 @@ def test_pendulum_order2_bound_dominates(bench, fast_cfg):
     assert report.all_passed
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 3: the paper's order-2 rho_d, T rho_c + (T^2/2) sigma_A (rho_c + "
+    "gamma_c + rho_c gamma_c), has no gamma_c^2 term, so with A = 0 it falls below the "
+    "one-sided constant of F_T = T f + (T^2/2) J f",
+)
+def test_order2_rho_d_formula_dominates_with_a_zero_a(fast_cfg):
+    # f = x1: F_T = 0.105 x1 at T = 0.1, whose one-sided constant is 0.105
+    spec = SystemSpec(
+        name="identity", a=[[0.0]], c=[[1.0]], f=(parse("x1"),),
+        region=BoxRegion([-1.0], [1.0]), sampling_time=0.1,
+    )
+    report = verify_bounds(spec, 2, fast_cfg)
+    assert report.empirical_rho_d == pytest.approx(0.105, rel=1e-9)
+    assert report.formula_rho_d >= report.empirical_rho_d
+
+
 def test_order3_report_has_no_rho_formula(bench, fast_cfg):
     report = verify_bounds(bench["pendulum"], 3, fast_cfg)
     assert report.formula_rho_d is None
@@ -253,3 +273,5 @@ def test_convergence_study_compiles_one_lie_kernel_per_order(probe, monkeypatch)
     # the field's kernel and one Lie kernel per order, shared by all four T
     assert sorted(spec._point_templates) == [0, 1, 2, 3]
     assert len(compiled) == 4
+    # and one integrator, generated into the slot that the copies share
+    assert len(spec._exact_integrator) == 1
