@@ -21,10 +21,10 @@ from .bounds import evaluate_bounds
 from .constants import NumericalError, SamplingConfig, estimate_all
 from .discretize import (
     _MIN_STEP,
+    ExactMap,
     IntegrationError,
     _tol_problem,
     build_taylor_model,
-    exact_step,
     simulate,
 )
 from .expr import ExprError
@@ -42,7 +42,8 @@ _INDENT = 2  # spaces per nesting level of JSON output
 # full-precision JSON
 
 def dumps_json(obj) -> str:
-    """Serialize to JSON with floats at 17 significant digits."""
+    """Serialize to JSON with floats at 17 significant digits; a float
+    ndarray takes one ``%`` operation over :func:`_float_template`."""
     pieces: list[str] = []
     _write_json(obj, pieces, 0)
     return "".join(pieces) + "\n"
@@ -69,7 +70,7 @@ def _write_json(obj, out: list[str], level: int):
         if not finite.all():
             value = float(obj[~finite][0])  # the first in C order
             raise ValueError(f"cannot serialize non-finite number {value!r}")
-        out.append(_float_rows(obj.tolist(), level))
+        out.append(_float_template(obj.shape, level) % tuple(obj.ravel().tolist()))
     elif isinstance(obj, (list, tuple, np.ndarray)):
         items = list(obj.tolist()) if isinstance(obj, np.ndarray) else list(obj)
         if not items:
@@ -98,17 +99,15 @@ def _write_json(obj, out: list[str], level: int):
         raise TypeError(f"cannot serialize {type(obj).__name__}: {obj!r}")
 
 
-def _float_rows(rows: list, level: int) -> str:
-    """The nested lists of a finite float array, as the general case
-    writes them, but one join per innermost list."""
-    if not rows:
+def _float_template(shape: tuple, level: int) -> str:
+    """A float array of ``shape`` at nesting ``level`` as the general case
+    writes its nested lists, with ``%.17g`` for each value: ``"%.17g" % v``
+    is the text of ``format(v, ".17g")``."""
+    if not shape[0]:
         return "[]"
     pad = " " * (_INDENT * (level + 1))
-    if isinstance(rows[0], list):
-        items = [_float_rows(row, level + 1) for row in rows]
-    else:
-        items = [format(v, ".17g") for v in rows]
-    return "[\n" + pad + (",\n" + pad).join(items) + "\n" + " " * (_INDENT * level) + "]"
+    item = _float_template(shape[1:], level + 1) if len(shape) > 1 else "%.17g"
+    return "[\n" + pad + (",\n" + pad).join([item] * shape[0]) + "\n" + pad[_INDENT:] + "]"
 
 
 def _write_out(path: str, payload: dict):
@@ -573,15 +572,16 @@ def cmd_discretize(args, s: SystemSpec) -> tuple[int, dict]:
         "first_exit": traj.first_exit,
     }
     if args.exact:
-        exact = simulate(lambda x, u: exact_step(s, x, u, tol=args.tol), s, x0, u_seq)
-        errors = np.linalg.norm(traj.states - exact.states, axis=1)
+        exact = simulate(ExactMap(s, args.tol), s, x0, u_seq)
         body["exact_states"] = exact.states
-        body["errors"] = errors
-        print(f"{s.name} order {args.order}: {len(u_seq)} steps, "
-              f"max |approx - exact| = {float(errors.max()):.6g}")
-    else:
-        print(f"{s.name} order {args.order}: {len(u_seq)} steps, "
-              f"final state {traj.states[-1].tolist()}")
+        body["errors"] = np.linalg.norm(traj.states - exact.states, axis=1)
+    for key, values in body.items():  # an overflow fails the command, with --out or without
+        if isinstance(values, np.ndarray) and not np.isfinite(values).all():
+            step = np.isfinite(values.reshape(len(values), -1)).all(axis=1).argmin()
+            raise NumericalError(f"{key}: first non-finite value at step {step}")
+    summary = (f"max |approx - exact| = {float(body['errors'].max()):.6g}" if args.exact
+               else f"final state {traj.states[-1].tolist()}")
+    print(f"{s.name} order {args.order}: {len(u_seq)} steps, {summary}")
     return EXIT_OK, body
 
 

@@ -74,15 +74,19 @@ class DiscreteModel:
     a_d: np.ndarray
 
     def f_t(self, x, u=()) -> np.ndarray:
-        """Nonlinear part of the discrete map at one point: the spec's Lie
-        terms from one kernel call, summed as T N_1 + (T^2/2) N_2 +
-        (T^3/6) N_3 on Python floats."""
+        """Nonlinear part of the discrete map at one point, as an array."""
+        return np.array(self._f_t_floats(x, u))
+
+    def _f_t_floats(self, x, u) -> list:
+        """F_T at one point on Python floats, the one float step behind
+        :meth:`f_t`, :meth:`step` and :func:`simulate`: the spec's Lie terms
+        from one kernel call, summed as T N_1 + (T^2/2) N_2 + (T^3/6) N_3."""
         n, t = self.spec.n, self.spec.sampling_time
         terms = self.spec._lie_template(self.order).point(x, u)
         out = [t * v for v in terms[:n]]
         for l, c in ((1, t * t / 2.0), (2, t**3 / 6.0))[: self.order - 1]:
             out = [o + c * v for o, v in zip(out, terms[l * n : l * n + n])]
-        return np.array(out)
+        return out
 
     def f_t_batch(self, x: np.ndarray, u: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:
         """Vectorized F_T over rows of (x, u), in chunks of _CHUNK_ROWS rows
@@ -131,6 +135,7 @@ class DiscreteModel:
         return out + (t**3 / 6.0) * bracket
 
     def step(self, x, u=()) -> np.ndarray:
+        """a_d x + F_T(x, u) at one point; F_T from :meth:`f_t`."""
         x = np.asarray(x, dtype=float)
         return self.a_d @ x + self.f_t(x, u)
 
@@ -309,6 +314,25 @@ def _integrator(s: SystemSpec) -> Callable:
     return namespace["integrate"]
 
 
+@dataclass(frozen=True)
+class ExactMap:
+    """The map x -> x(T) under the true flow of ``spec``: :func:`exact_step`
+    at ``tol``, checked once, when it is built.  :func:`simulate` steps it
+    on lists of floats through the spec's integrator."""
+
+    spec: SystemSpec
+    tol: float = 1e-10
+
+    def __post_init__(self):
+        problem = _tol_problem(self.tol)
+        if problem:
+            raise ValueError(f"tol {problem}")
+
+    def __call__(self, x, u=()) -> np.ndarray:
+        y = np.asarray(x, dtype=float).tolist()
+        return np.array(_integrator(self.spec)(y, u, self.tol, self.spec.sampling_time))
+
+
 def exact_step(s: SystemSpec, x, u=(), tol: float = 1e-10) -> np.ndarray:
     """x(T) under the true flow of dx/dt = A x + f(x, u) with u held:
     adaptive Dormand-Prince 5(4) with absolute and relative tolerance
@@ -322,11 +346,7 @@ def exact_step(s: SystemSpec, x, u=(), tol: float = 1e-10) -> np.ndarray:
     on the seventh stage; a rejected trial keeps its first stage.  So
     one call evaluates the right-hand side 1 + 6·trials times.
     """
-    problem = _tol_problem(tol)
-    if problem:
-        raise ValueError(f"tol {problem}")
-    y = _integrator(s)(np.asarray(x, dtype=float).tolist(), u, tol, s.sampling_time)
-    return np.array(y, dtype=float)
+    return ExactMap(s, tol)(x, u)
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +362,13 @@ class Trajectory:
 def simulate(stepper, s: SystemSpec, x0, u_seq) -> Trajectory:
     """Iterate a one-step map over an input sequence; y_k = C x_k.
 
-    ``stepper`` is a :class:`DiscreteModel` or any callable (x, u) -> x.
-    Leaving the region D only warns (the estimated constants are valid
-    inside D, the iteration itself stays meaningful).
+    ``stepper`` is a :class:`DiscreteModel`, an :class:`ExactMap` or any
+    callable (x, u) -> x of arrays.  One loop steps lists of floats and
+    builds ``states`` once, with the bits of iterating ``step``,
+    :func:`exact_step` or the callable over rows of ``states``.  Leaving
+    the region D only warns (the estimated constants are valid inside D,
+    the iteration itself stays meaningful).
     """
-    step_fn = stepper.step if isinstance(stepper, DiscreteModel) else stepper
     u_seq = np.asarray(u_seq, dtype=float)
     if u_seq.size == 0:
         # zero steps, or an input-free system: the row count is the step count
@@ -356,11 +378,23 @@ def simulate(stepper, s: SystemSpec, x0, u_seq) -> Trajectory:
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (s.n,):
         raise ValueError(f"x0 must have shape ({s.n},), got {x0.shape}")
-    count = u_seq.shape[0]
-    states = np.empty((count + 1, s.n))
-    states[0] = x0
-    for k in range(count):
-        states[k + 1] = step_fn(states[k], u_seq[k])
+    if isinstance(stepper, DiscreteModel):  # a_d x keeps the gemv, so the bits, of `a_d @ x`
+        a_d, f_t = stepper.a_d, stepper._f_t_floats
+        advance = lambda x, u: [l + v for l, v in zip(a_d.dot(x).tolist(), f_t(x, u))]
+    elif isinstance(stepper, ExactMap):
+        spec = stepper.spec
+        advance = functools.partial(_integrator(spec), tol=stepper.tol, t_end=spec.sampling_time)
+    else:
+        row = np.empty(s.n)
+
+        def advance(x, u):
+            row[...] = stepper(np.array(x), np.array(u))
+            return row.tolist()
+
+    rows = [x0.tolist()]
+    for u in u_seq.tolist():
+        rows.append(advance(rows[-1], u))
+    states = np.array(rows)
     outside = np.flatnonzero(~s.region.contains(states))
     first_exit = int(outside[0]) if outside.size else None
     if first_exit is not None:

@@ -85,7 +85,13 @@ def test_dumps_json_float_arrays_match_the_general_writer():
 
 
 @pytest.mark.parametrize(
-    "values", [[[1.0, np.nan], [np.inf, 2.0]], [[1.0, -np.inf], [np.nan, 2.0]], [np.inf]]
+    "values",
+    [
+        [[1.0, np.nan], [np.inf, 2.0]],
+        [[1.0, -np.inf], [np.nan, 2.0]],
+        [np.inf],
+        [[[1.0, 2.0], [3.0, -np.inf]], [[np.nan, 1.0], [1.0, 1.0]]],
+    ],
 )
 def test_dumps_json_float_array_names_the_first_nonfinite_value(values):
     with pytest.raises(ValueError) as want:
@@ -94,6 +100,40 @@ def test_dumps_json_float_array_names_the_first_nonfinite_value(values):
         dumps_json({"v": np.array(values)})
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith("cannot serialize non-finite number")
+
+
+def _float_rows(rows: list, level: int) -> str:
+    """The row-by-row writer that the one-format-call template replaced."""
+    if not rows:
+        return "[]"
+    pad = " " * (2 * (level + 1))
+    if isinstance(rows[0], list):
+        items = [_float_rows(row, level + 1) for row in rows]
+    else:
+        items = [format(v, ".17g") for v in rows]
+    return "[\n" + pad + (",\n" + pad).join(items) + "\n" + " " * (2 * level) + "]"
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (4, 0), (7,), (2001, 4), (3, 2, 2), (1, 1)])
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_dumps_json_float_template_keeps_the_row_writers_text(shape, level):
+    rng = np.random.default_rng(len(shape) * 10 + level)
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape)
+    values.reshape(-1)[:3] = [-0.0, 5e-324, 1.7976931348623157e308][: values.size]
+    out: list[str] = []
+    cli._write_json(values, out, level)
+    assert "".join(out) == _float_rows(values.tolist(), level)
+    doc = {"v": [values]} if level == 2 else {"v": values} if level == 1 else values
+    assert dumps_json(doc) == dumps_json(_as_lists(doc))
+
+
+def test_float_format_operator_matches_format_call():
+    rng = np.random.default_rng(8)
+    values = rng.standard_normal(100_000) * 10.0 ** rng.integers(-320, 300, 100_000)
+    values = [*values.tolist(), 0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308]
+    assert "|".join(["%.17g"] * len(values)) % tuple(values) == "|".join(
+        format(v, ".17g") for v in values
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -599,6 +639,27 @@ def test_cmd_discretize_nonfinite_x0_exits_2(capsys, spec_path, tmp_path, x0):
     assert code == 2
     assert "--x0" in stderr and "finite" in stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("write_out", [False, True])
+def test_cmd_discretize_overflowing_trajectory_exits_3(capsys, spec_path, tmp_path, write_out):
+    out = tmp_path / "traj.json"
+    argv = ["discretize", spec_path("cubic-scalar"), "--order", "3", "--x0=1e120", "--steps", "3"]
+    with pytest.warns(UserWarning, match="leaves the region"):
+        code, stdout, stderr = _run(capsys, *argv, *(["--out", str(out)] if write_out else []))
+    assert code == 3
+    assert stderr == "numerical failure: states: first non-finite value at step 1\n"
+    assert stdout == "" and not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+def test_cmd_discretize_overflowing_outputs_exit_3(capsys, spec_path):
+    path = spec_path("linear-2d", C=[[1e308, 1e308]])
+    with pytest.warns(UserWarning, match="leaves the region"):
+        code, stdout, stderr = _run(capsys, "discretize", path, "--x0", "1,1", "--steps", "2")
+    assert code == 3
+    assert stderr == "numerical failure: outputs: first non-finite value at step 0\n"
+    assert stdout == ""
 
 
 def test_cmd_discretize_nonfinite_constant_input_exits_2(capsys, spec_path):

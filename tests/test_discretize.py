@@ -767,6 +767,8 @@ def test_exact_step_validates_tolerance(bench):
         exact_step(bench["pendulum"], [0.0, 0.0], tol=1e-3)
     with pytest.raises(ValueError):
         exact_step(bench["pendulum"], [0.0, 0.0], tol=1e-14)
+    with pytest.raises(ValueError, match="tol must lie"):
+        discretize.ExactMap(bench["pendulum"], tol=1e-3)  # before any trajectory runs
 
 
 def test_local_error_shrinks_with_order(bench):
@@ -812,6 +814,109 @@ def test_simulate_order2_beats_order1(bench):
         approx = simulate(build_taylor_model(pend, order), pend, x0, u_seq)
         err[order] = np.max(np.linalg.norm(approx.states - exact.states, axis=1))
     assert err[2] < err[1]
+
+
+def _reference_f_t(mdl, x, u):
+    """The float sum that DiscreteModel.f_t wrapped in an array before
+    simulate stepped lists of floats."""
+    n, t = mdl.spec.n, mdl.spec.sampling_time
+    terms = mdl.spec._lie_template(mdl.order).point(x, u)
+    out = [t * v for v in terms[:n]]
+    for l, c in ((1, t * t / 2.0), (2, t**3 / 6.0))[: mdl.order - 1]:
+        out = [o + c * v for o, v in zip(out, terms[l * n : l * n + n])]
+    return np.array(out)
+
+
+def _reference_model_step(mdl):
+    return lambda x, u: mdl.a_d @ x + _reference_f_t(mdl, x, u)
+
+
+def _reference_states(step_fn, spec, x0, u_seq):
+    """The row loop simulate ran before: each step reads a row of the
+    states array and its result is stored into the next."""
+    states = np.empty((len(u_seq) + 1, spec.n))
+    states[0] = x0
+    for k in range(len(u_seq)):
+        states[k + 1] = step_fn(states[k], u_seq[k])
+    return states
+
+
+def _trajectory_inputs(spec, steps, seed):
+    xs, us = sample_points(spec, steps + 1, seed)
+    return xs[0], us[1:]
+
+
+def test_model_step_and_f_t_keep_the_bits_of_the_array_sum(bench, probe):
+    for spec in [*bench.values(), probe]:
+        xs, us = sample_points(spec, 200, seed=23)
+        for order in (1, 2, 3):
+            mdl = build_taylor_model(spec, order)
+            want_step = _reference_model_step(mdl)
+            for x, u in zip(xs, us):
+                assert float_bits(mdl.f_t(x, u)) == float_bits(_reference_f_t(mdl, x, u))
+                assert float_bits(mdl.step(x, u)) == float_bits(want_step(x, u))
+                assert float_bits(mdl.f_t(x.tolist(), u.tolist())) == float_bits(mdl.f_t(x, u))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_simulate_keeps_the_bits_of_the_row_loop(bench, probe, order):
+    specs = [*bench.values(), probe]
+    assert any(spec.m == 0 for spec in specs)  # input-free specs are among them
+    for spec in specs:
+        x0, u_seq = _trajectory_inputs(spec, 200, seed=order)
+        mdl = build_taylor_model(spec, order)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a trajectory may leave D
+            traj = simulate(mdl, spec, x0, u_seq)
+        want = _reference_states(_reference_model_step(mdl), spec, x0, u_seq)
+        assert float_bits(traj.states) == float_bits(want), spec.name
+        assert float_bits(traj.outputs) == float_bits(want @ spec.c.T), spec.name
+
+
+def test_simulate_exact_map_keeps_the_bits_of_chained_exact_steps(bench, probe):
+    for spec in [*bench.values(), probe]:
+        x0, u_seq = _trajectory_inputs(spec, 200, seed=5)
+        for tol in (1e-10, 1e-6):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                traj = simulate(discretize.ExactMap(spec, tol), spec, x0, u_seq)
+            want = _reference_states(lambda x, u: exact_step(spec, x, u, tol=tol), spec, x0, u_seq)
+            assert traj.states.tobytes() == want.tobytes(), (spec.name, tol)
+
+
+def test_simulate_makes_no_exact_step_call(bench, monkeypatch):
+    calls = []
+    monkeypatch.setattr(discretize, "exact_step", lambda *a, **k: calls.append(a))
+    vdp = bench["van-der-pol"]
+    simulate(discretize.ExactMap(vdp), vdp, [0.1, 0.2], np.zeros((20, 1)))
+    assert calls == []
+
+
+def test_simulate_zero_steps_for_every_stepper(probe):
+    x0 = [0.3, -0.0, 0.1, 0.2]
+    for stepper in (build_taylor_model(probe, 3), discretize.ExactMap(probe), lambda x, u: x + 1.0):
+        for u_seq in (np.zeros((0, 1)), [], np.zeros(0)):
+            traj = simulate(stepper, probe, x0, u_seq)
+            assert float_bits(traj.states) == float_bits([x0])
+            assert traj.first_exit is None
+
+
+def test_simulate_callable_stepper_keeps_the_bits_of_the_row_store(bench, probe):
+    cubic = bench["cubic-scalar"]
+    cases = [
+        (probe, lambda x, u: np.sin(x) * 1.5 + u[0]),  # an array
+        (probe, lambda x, u: [v / 3.0 for v in x]),  # a list, converted on store
+        (probe, lambda x, u: (x * 0.7).astype(np.float32)),  # a cast on store
+        (cubic, lambda x, u: float(x[0]) * 0.9 - 1e-3),  # a scalar, broadcast on store
+        (cubic, lambda x, u: np.array([[x[0] / 7.0]])),  # leading unit axis dropped on store
+    ]
+    for spec, step_fn in cases:
+        x0, u_seq = _trajectory_inputs(spec, 50, seed=11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            traj = simulate(step_fn, spec, x0, u_seq)
+        want = _reference_states(step_fn, spec, x0, u_seq)
+        assert float_bits(traj.states) == float_bits(want), spec.name
 
 
 def test_simulate_warns_on_region_exit():
