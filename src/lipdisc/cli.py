@@ -574,7 +574,8 @@ def cmd_discretize(args, s: SystemSpec) -> tuple[int, dict]:
     if args.exact:
         exact = simulate(ExactMap(s, args.tol), s, x0, u_seq)
         body["exact_states"] = exact.states
-        body["errors"] = np.linalg.norm(traj.states - exact.states, axis=1)
+        with np.errstate(over="ignore"):  # reported as non-finite below
+            body["errors"] = np.linalg.norm(traj.states - exact.states, axis=1)
     for key, values in body.items():  # an overflow fails the command, with --out or without
         if isinstance(values, np.ndarray) and not np.isfinite(values).all():
             step = np.isfinite(values.reshape(len(values), -1)).all(axis=1).argmin()

@@ -395,19 +395,19 @@ def _gram_norms(mats: np.ndarray) -> np.ndarray:
         return np.ldexp(np.sqrt(np.maximum(lam, 0.0)), e)
 
 
-def _norm_rows(stack: np.ndarray, band: float = _SCREEN_BAND) -> np.ndarray:
+def _norm_rows(stack: np.ndarray) -> np.ndarray:
     """Per-row norms of a (P, d1, ...) stack whose max and first argmax are
     exactly those of ``max_singular_values`` over the (P, d1, rest)
     unfoldings (for an order-3 tensor, ``tensor3_norm_surrogate``); NaN
     marks rows that are non-finite or where the kernel fails.
 
-    ``_gram_norms`` screens all rows.  Rows within ``band`` (relative) of
-    the screened max get the kernel value, from one stacked call over the
-    distinct matrices; the others keep their screened value.  The kernel
-    never exceeds the 2-norm (a Rayleigh quotient is at most sigma_max^2),
-    so an unranked row stays below top * (1 - band / 2); if the re-ranked
-    best falls short of that, the band widens until it holds or every row
-    is re-ranked.
+    ``_gram_norms`` screens all rows.  Rows within a band of
+    ``_SCREEN_BAND`` (relative) of the screened max get the kernel value,
+    from one stacked call over the distinct matrices; the others keep
+    their screened value.  The kernel never exceeds the 2-norm (a Rayleigh
+    quotient is at most sigma_max^2), so an unranked row stays below
+    top * (1 - band / 2); if the re-ranked best falls short of that, the
+    band widens until it holds or every row is re-ranked.
     """
     unfold = stack.reshape(stack.shape[0], stack.shape[1], -1)
     finite = np.isfinite(unfold).all(axis=(1, 2))
@@ -417,7 +417,7 @@ def _norm_rows(stack: np.ndarray, band: float = _SCREEN_BAND) -> np.ndarray:
     elif finite.any():
         screen[finite] = _gram_norms(unfold[finite])
     vals = screen.copy()
-    ranked = ~finite
+    ranked, band = ~finite, _SCREEN_BAND
     top = float(np.max(screen, where=finite, initial=-np.inf))
     while not ranked.all():
         idx = np.flatnonzero(~ranked & (screen >= top * (1.0 - band)))

@@ -37,6 +37,9 @@ that runs the whole adaptive Dormand-Prince loop on Python floats with
 F written out in every stage (see :func:`_integrator`).  It sums the
 stages in the order a Python ``sum`` over the stage vectors does, and
 each step reuses its last stage as the next step's first.
+
+Both one-step maps, a :class:`DiscreteModel` and an :class:`ExactMap`,
+are callables (x, u) -> list of floats, which :func:`simulate` iterates.
 """
 
 from __future__ import annotations
@@ -67,20 +70,22 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class DiscreteModel:
-    """Order-k ZOH model x_{k+1} = a_d x_k + F_T(x_k, u_k)."""
+    """Order-k ZOH model x_{k+1} = a_d x_k + F_T(x_k, u_k); calling it
+    takes one step."""
 
     spec: SystemSpec
     order: int
     a_d: np.ndarray
 
-    def f_t(self, x, u=()) -> np.ndarray:
-        """Nonlinear part of the discrete map at one point, as an array."""
-        return np.array(self._f_t_floats(x, u))
+    def __call__(self, x, u=()) -> list:
+        """a_d x + F_T(x, u) at one point, as a list of floats; a_d x is
+        numpy's gemv on a contiguous vector, which a Python sum does not
+        reproduce bit for bit."""
+        return [l + v for l, v in zip(self.a_d.dot(x).tolist(), self.f_t(x, u))]
 
-    def _f_t_floats(self, x, u) -> list:
-        """F_T at one point on Python floats, the one float step behind
-        :meth:`f_t`, :meth:`step` and :func:`simulate`: the spec's Lie terms
-        from one kernel call, summed as T N_1 + (T^2/2) N_2 + (T^3/6) N_3."""
+    def f_t(self, x, u=()) -> list:
+        """F_T at one point on Python floats: the spec's Lie terms from one
+        kernel call, summed as T N_1 + (T^2/2) N_2 + (T^3/6) N_3."""
         n, t = self.spec.n, self.spec.sampling_time
         terms = self.spec._lie_template(self.order).point(x, u)
         out = [t * v for v in terms[:n]]
@@ -133,11 +138,6 @@ class DiscreteModel:
             + bil(f, f)
         )
         return out + (t**3 / 6.0) * bracket
-
-    def step(self, x, u=()) -> np.ndarray:
-        """a_d x + F_T(x, u) at one point; F_T from :meth:`f_t`."""
-        x = np.asarray(x, dtype=float)
-        return self.a_d @ x + self.f_t(x, u)
 
 
 def _einsum_lanes(support, n: int) -> tuple:
@@ -233,7 +233,6 @@ _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 
 _MIN_STEP = 1e-12
 _SAFETY = 0.9
 _MAX_STEPS = 1_000_000
-_SEQUENTIAL_MEAN_MAX_N = 7  # np.mean of n <= 7 floats sums them in order
 
 
 def _tol_problem(tol: float) -> str | None:
@@ -243,7 +242,7 @@ def _tol_problem(tol: float) -> str | None:
     return f"must lie in [1e-13, 1e-6], got {tol!r}"
 
 
-# the adaptive loop of exact_step; _integrator writes out the trial step
+# the adaptive loop of ExactMap; _integrator writes out the trial step
 _LOOP = """def integrate(y, u, tol, t_end):
     [{k0}] = field(y, u)
     [{y}] = y{inputs}
@@ -273,7 +272,8 @@ def _integrator(s: SystemSpec) -> Callable:
     that falls back to the template, whose walk names a domain error's
     node or saturates an overflow.  Every stage, B5 and E sum is
     ``0.0 + c0*k0_i + c1*k1_i + ...`` in stage order, zeros kept; the
-    error norm takes max(|y_i|, |y_new_i|) with NaN winning."""
+    error norm takes max(|y_i|, |y_new_i|) with NaN winning and the root
+    of the mean of the squared quotients, summed in order."""
     if s._exact_integrator:
         return s._exact_integrator[0]
     field, ix, inputs = s._field_template, range(s.n), set()
@@ -301,8 +301,7 @@ def _integrator(s: SystemSpec) -> Callable:
         trial += [f"n{i} = y{i} + h * ({combo(_DP_B5, i)})", f"a, b = abs(y{i}), abs(n{i})",
                   f"r{i} = h * ({combo(_DP_E, i)}) / (tol + tol * (a if a >= b or a != a else b))"]
     squares = " + ".join(f"r{i} * r{i}" for i in ix)
-    trial += [f"err = root(({squares}) / {s.n})" if s.n <= _SEQUENTIAL_MEAN_MAX_N
-              else f"err = float(np.sqrt(np.mean(np.array([{listed('r')}]) ** 2)))"]
+    trial.append(f"err = root(({squares}) / {s.n})")
     source = _LOOP.format(
         y=listed("y"), k0=listed("k0_"), n=listed("n"), k6=listed("k6_"),
         inputs="".join(f"\n    u{k} = float(u[{k}])" for k in sorted(inputs)),
@@ -316,9 +315,17 @@ def _integrator(s: SystemSpec) -> Callable:
 
 @dataclass(frozen=True)
 class ExactMap:
-    """The map x -> x(T) under the true flow of ``spec``: :func:`exact_step`
-    at ``tol``, checked once, when it is built.  :func:`simulate` steps it
-    on lists of floats through the spec's integrator."""
+    """The map x -> x(T) under the true flow of dx/dt = A x + f(x, u) with
+    u held, on lists of floats: adaptive Dormand-Prince 5(4) with absolute
+    and relative tolerance both ``tol`` (checked once, when the map is
+    built) and step sizes in [1e-12, T], as one call of the spec's
+    generated loop (:func:`_integrator`).  It has the bits of the same
+    sums over numpy stage vectors, with the mean of the squared error
+    quotients summed in order.  After an accepted trial the seventh stage
+    is the next trial's first (first same as last, Dormand & Prince 1980),
+    bit for bit, since the last row of A equals B5 up to a zero weight on
+    the seventh stage; a rejected trial keeps its first stage.  So one
+    call evaluates the right-hand side 1 + 6·trials times."""
 
     spec: SystemSpec
     tol: float = 1e-10
@@ -328,25 +335,14 @@ class ExactMap:
         if problem:
             raise ValueError(f"tol {problem}")
 
-    def __call__(self, x, u=()) -> np.ndarray:
-        y = np.asarray(x, dtype=float).tolist()
-        return np.array(_integrator(self.spec)(y, u, self.tol, self.spec.sampling_time))
+    def __call__(self, x, u=()) -> list:
+        y = [float(v) for v in x]
+        return _integrator(self.spec)(y, u, self.tol, self.spec.sampling_time)
 
 
 def exact_step(s: SystemSpec, x, u=(), tol: float = 1e-10) -> np.ndarray:
-    """x(T) under the true flow of dx/dt = A x + f(x, u) with u held:
-    adaptive Dormand-Prince 5(4) with absolute and relative tolerance
-    both ``tol`` and step sizes in [1e-12, T], as one call of the spec's
-    generated loop (:func:`_integrator`).  It has the bits of the same
-    sums over numpy stage vectors; the mean of the squared error
-    quotients is a sequential sum for n <= 7, numpy's own order there,
-    and ``np.mean`` above.  After an accepted trial the seventh stage is
-    the next trial's first (first same as last, Dormand & Prince 1980),
-    bit for bit, since the last row of A equals B5 up to a zero weight
-    on the seventh stage; a rejected trial keeps its first stage.  So
-    one call evaluates the right-hand side 1 + 6·trials times.
-    """
-    return ExactMap(s, tol)(x, u)
+    """x(T) under the true flow, as an array: one call of :class:`ExactMap`."""
+    return np.array(ExactMap(s, tol)(x, u))
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +359,10 @@ def simulate(stepper, s: SystemSpec, x0, u_seq) -> Trajectory:
     """Iterate a one-step map over an input sequence; y_k = C x_k.
 
     ``stepper`` is a :class:`DiscreteModel`, an :class:`ExactMap` or any
-    callable (x, u) -> x of arrays.  One loop steps lists of floats and
-    builds ``states`` once, with the bits of iterating ``step``,
-    :func:`exact_step` or the callable over rows of ``states``.  Leaving
-    the region D only warns (the estimated constants are valid inside D,
-    the iteration itself stays meaningful).
+    callable (x, u) -> n floats that takes x and u as lists of floats.
+    One loop steps the lists and builds ``states`` once.  Leaving the
+    region D only warns (the estimated constants are valid inside D, the
+    iteration itself stays meaningful).
     """
     u_seq = np.asarray(u_seq, dtype=float)
     if u_seq.size == 0:
@@ -378,22 +373,9 @@ def simulate(stepper, s: SystemSpec, x0, u_seq) -> Trajectory:
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (s.n,):
         raise ValueError(f"x0 must have shape ({s.n},), got {x0.shape}")
-    if isinstance(stepper, DiscreteModel):  # a_d x keeps the gemv, so the bits, of `a_d @ x`
-        a_d, f_t = stepper.a_d, stepper._f_t_floats
-        advance = lambda x, u: [l + v for l, v in zip(a_d.dot(x).tolist(), f_t(x, u))]
-    elif isinstance(stepper, ExactMap):
-        spec = stepper.spec
-        advance = functools.partial(_integrator(spec), tol=stepper.tol, t_end=spec.sampling_time)
-    else:
-        row = np.empty(s.n)
-
-        def advance(x, u):
-            row[...] = stepper(np.array(x), np.array(u))
-            return row.tolist()
-
     rows = [x0.tolist()]
     for u in u_seq.tolist():
-        rows.append(advance(rows[-1], u))
+        rows.append(stepper(rows[-1], u))
     states = np.array(rows)
     outside = np.flatnonzero(~s.region.contains(states))
     first_exit = int(outside[0]) if outside.size else None
@@ -403,5 +385,6 @@ def simulate(stepper, s: SystemSpec, x0, u_seq) -> Trajectory:
             UserWarning,
             stacklevel=2,
         )
-    outputs = states @ s.c.T
+    with np.errstate(over="ignore"):  # an overflowing output is the caller's to report
+        outputs = states @ s.c.T
     return Trajectory(states=states, outputs=outputs, first_exit=first_exit)

@@ -40,7 +40,7 @@ from .constants import (
     sample_pairs,
     sup_pair_quotient,
 )
-from .discretize import _MIN_STEP, build_taylor_model, exact_step
+from .discretize import _MIN_STEP, ExactMap, build_taylor_model
 from .system import SystemSpec
 
 _CONVERGENCE_POINTS = 25  # seeded sample size of the convergence study
@@ -195,10 +195,11 @@ def convergence_study(
     """Fit the local truncation error order of each Taylor map.
 
     For each T, the max over a seeded sample of _CONVERGENCE_POINTS
-    points of ||exact_step - step_k|| is recorded; the least-squares slope of
-    log error against log T should be close to k + 1.  Points are drawn
-    from the central half of the region (and inputs from U) so the
-    series stays well inside its convergence zone.
+    points of the gap between the exact map and the order-k model is
+    recorded; the least-squares slope of log error against log T should
+    be close to k + 1.  Points are drawn from the central half of the
+    region (and inputs from U) so the series stays well inside its
+    convergence zone.
     """
     t_values = [float(t) for t in t_values]
     if len(set(t_values)) < 3:
@@ -219,10 +220,11 @@ def convergence_study(
     errors: dict[int, list[float]] = {k: [] for k in orders}
     for t in t_values:
         s_t = s.with_sampling_time(t)
-        models = {k: build_taylor_model(s_t, k) for k in orders}
-        exact = np.stack([exact_step(s_t, x, u, tol=integrator_tol) for x, u in zip(xs, us)])
+        exact_map = ExactMap(s_t, integrator_tol)
+        exact = np.array([exact_map(x, u) for x, u in zip(xs, us)])
         for k in orders:
-            approx = np.stack([models[k].step(x, u) for x, u in zip(xs, us)])
+            model = build_taylor_model(s_t, k)
+            approx = np.array([model(x, u) for x, u in zip(xs, us)])
             gap = np.max(np.linalg.norm(exact - approx, axis=1))
             errors[k].append(float(max(gap, 1e-300)))
 

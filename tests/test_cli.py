@@ -652,14 +652,19 @@ def test_cmd_discretize_overflowing_trajectory_exits_3(capsys, spec_path, tmp_pa
     assert stdout == "" and not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
 def test_cmd_discretize_overflowing_outputs_exit_3(capsys, spec_path):
-    path = spec_path("linear-2d", C=[[1e308, 1e308]])
-    with pytest.warns(UserWarning, match="leaves the region"):
-        code, stdout, stderr = _run(capsys, "discretize", path, "--x0", "1,1", "--steps", "2")
-    assert code == 3
-    assert stderr == "numerical failure: outputs: first non-finite value at step 0\n"
-    assert stdout == ""
+    # the suite turns a RuntimeWarning into an error: each overflow is reported once, as exit 3
+    cases = [
+        ({"C": [[1e308, 1e308]]}, ("--x0", "1,1"), "outputs: first non-finite value at step 0"),
+        ({}, ("--x0", "1e200,1e200", "--exact"), "errors: first non-finite value at step 1"),
+    ]
+    for overrides, argv, message in cases:
+        path = spec_path("linear-2d", **overrides)
+        with pytest.warns(UserWarning, match="leaves the region"):
+            code, stdout, stderr = _run(capsys, "discretize", path, *argv, "--steps", "2")
+        assert code == 3
+        assert stderr == f"numerical failure: {message}\n"
+        assert stdout == ""
 
 
 def test_cmd_discretize_nonfinite_constant_input_exits_2(capsys, spec_path):

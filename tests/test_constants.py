@@ -229,8 +229,8 @@ def _kernel_rows(stack, kernel):
     return np.array(out)[inverse.ravel()]
 
 
-def _assert_same_sup(stack, kernel, **kwargs):
-    got = _norm_rows(stack, **kwargs)
+def _assert_same_sup(stack, kernel):
+    got = _norm_rows(stack)
     want = _kernel_rows(stack, kernel)
     # NaN only where the kernel fails too; off the band a kernel failure
     # (power iteration not converging) keeps the screened value
@@ -311,7 +311,8 @@ def test_screen_widens_band_when_kernel_falls_short(monkeypatch):
     stack = np.array([np.diag([1.0, 0.0]), np.diag([0.9, 0.0]), np.diag([0.5, 0.0])])
     exact = {1.0: 0.8, 0.9: 0.9, 0.5: 0.5}
     slices = _record_slices(monkeypatch, lambda mat: exact[mat[0, 0]])
-    vals = _norm_rows(stack, band=0.01)
+    monkeypatch.setattr(constants, "_SCREEN_BAND", 0.01)
+    vals = _norm_rows(stack)
     calls = [mat[0, 0] for mat in slices]
     assert calls[0] == 1.0 and len(calls) == 3  # band {row 0} widened to all rows
     assert vals.tolist() == [0.8, 0.9, 0.5]
@@ -328,9 +329,10 @@ def test_screen_widening_with_a_tiny_band_keeps_the_exact_sup(monkeypatch):
     assert undershoot.max() > 1e-13
     fast = np.diag([np.linalg.norm(slow, ord=2) * (1.0 - 1e-14), 0.5, 0.1])
     stack = np.array([slow, fast])
-    _assert_same_sup(stack, max_singular_value, band=1e-15)
+    monkeypatch.setattr(constants, "_SCREEN_BAND", 1e-15)
+    _assert_same_sup(stack, max_singular_value)
     calls = _record_slices(monkeypatch)
-    vals = _norm_rows(stack, band=1e-15)
+    vals = _norm_rows(stack)
     assert len(calls) == 2 and int(np.argmax(vals)) == 1
 
 

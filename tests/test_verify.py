@@ -19,7 +19,7 @@ from lipdisc import (
 from lipdisc import expr as ex
 from lipdisc.constants import sample_pairs
 from lipdisc.discretize import _CHUNK_ROWS
-from lipdisc.verify import verify_tolerance
+from lipdisc.verify import _CONVERGENCE_POINTS, verify_tolerance
 
 from conftest import (
     empirical_gamma_c,
@@ -28,6 +28,7 @@ from conftest import (
     pair_quotient,
     whole_array_pair_quotient,
 )
+from test_discretize import _reference_exact_step
 
 
 def test_euler_two_sided_is_scaled_continuous_estimate(bench, default_cfg):
@@ -275,3 +276,32 @@ def test_convergence_study_compiles_one_lie_kernel_per_order(probe, monkeypatch)
     assert len(compiled) == 4
     # and one integrator, generated into the slot that the copies share
     assert len(spec._exact_integrator) == 1
+
+
+def _reference_local_errors(s, orders, t_values, seed, tol):
+    """The convergence study's max local errors from the same seeded
+    sample, stepped on arrays: a_d @ x + F_T for the order-k model and
+    the list-sum Dormand-Prince reference for the exact map."""
+    rng = np.random.default_rng(seed)
+    inner = s.region.scaled(0.5)
+    xs = inner.lower + rng.random((_CONVERGENCE_POINTS, s.n)) * inner.width
+    us = s.input_region.lower + rng.random((_CONVERGENCE_POINTS, s.m)) * s.input_region.width
+    errors = {k: [] for k in orders}
+    for t in t_values:
+        s_t = s.with_sampling_time(t)
+        exact = np.stack([_reference_exact_step(s_t, x, u, tol) for x, u in zip(xs, us)])
+        for k in orders:
+            mdl = build_taylor_model(s_t, k)
+            approx = np.stack([mdl.a_d @ x + np.asarray(mdl.f_t(x, u)) for x, u in zip(xs, us)])
+            gap = np.max(np.linalg.norm(exact - approx, axis=1))
+            errors[k].append(float(max(gap, 1e-300)))
+    return errors
+
+
+def test_convergence_errors_keep_the_bits_of_the_array_steps(bench, probe):
+    t_values = (0.2, 0.1, 0.05, 0.025)
+    for spec in [*bench.values(), probe]:
+        study = convergence_study(spec, (1, 2, 3), t_values, SamplingConfig(seed=7))
+        want = _reference_local_errors(spec, (1, 2, 3), t_values, seed=7, tol=1e-12)
+        for k in (1, 2, 3):
+            assert [v.hex() for v in study.errors[k]] == [v.hex() for v in want[k]], (spec.name, k)
