@@ -444,7 +444,7 @@ def _reference_exact_step(s, x, u=(), tol=1e-10):
     """Dormand-Prince with the stage sums as Python sums over lists of
     vectors, term by term in stage order from 0, each stage from the
     spec's field template F = A x + f, and the error norm's mean of
-    squares as a Python sum: the bit-level reference for exact_step's
+    squares summed left to right: the bit-level reference for exact_step's
     generated stages."""
     t_end = s.sampling_time
     y = np.asarray(x, dtype=float).copy()
@@ -466,7 +466,10 @@ def _reference_exact_step(s, x, u=(), tol=1e-10):
         y_new = y + h * sum(b * ki for b, ki in zip(discretize._DP_B5, k))
         err_vec = h * sum(e * ki for e, ki in zip(discretize._DP_E, k))
         scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = math.sqrt(sum(q * q for q in (err_vec / scale).tolist()) / y.size)
+        squares = 0.0  # left to right, as generated: builtin sum compensates on 3.12+
+        for q in (err_vec / scale).tolist():
+            squares += q * q
+        err = math.sqrt(squares / y.size)
         if err <= 1.0:
             t += h
             y = y_new
