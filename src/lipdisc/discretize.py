@@ -286,7 +286,7 @@ def _integrator(s: SystemSpec) -> Callable:
     namespace = dict(field=field.point, np=np, root=math.sqrt, IntegrationError=IntegrationError)
     lines: list[str] = []
     emit = ex.emitter(operand, namespace, lines)
-    live = {j: tree for tree, filled in field.live for j in filled}
+    live = {j: tree for tree, j in field.live}
     values = [emit(live.get(j, ex.Const(c))) for j, c in enumerate(field.const_list)]
     listed = lambda name: ", ".join(f"{name}{i}" for i in ix)
     combo = lambda ws, i: "0.0" + "".join(f" + ({w!r}) * k{j}_{i}" for j, w in enumerate(ws))
@@ -364,12 +364,7 @@ def simulate(stepper, s: SystemSpec, x0, u_seq) -> Trajectory:
     region D only warns (the estimated constants are valid inside D, the
     iteration itself stays meaningful).
     """
-    u_seq = np.asarray(u_seq, dtype=float)
-    if u_seq.size == 0:
-        # zero steps, or an input-free system: the row count is the step count
-        u_seq = np.zeros((u_seq.shape[0] if u_seq.ndim >= 1 else 0, s.m))
-    else:
-        u_seq = u_seq.reshape(-1, s.m)
+    u_seq = _input_rows(u_seq, s.m)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (s.n,):
         raise ValueError(f"x0 must have shape ({s.n},), got {x0.shape}")
@@ -388,3 +383,14 @@ def simulate(stepper, s: SystemSpec, x0, u_seq) -> Trajectory:
     with np.errstate(over="ignore"):  # an overflowing output is the caller's to report
         outputs = states @ s.c.T
     return Trajectory(states=states, outputs=outputs, first_exit=first_exit)
+
+
+def _input_rows(u_seq, m: int) -> np.ndarray:
+    """Input rows of m numbers as a (steps, m) array; for m = 1 a flat
+    sequence also serves, and an empty one is zero steps for any m."""
+    u_seq = np.asarray(u_seq, dtype=float)
+    if u_seq.ndim == 1 and (m == 1 or not len(u_seq)):
+        u_seq = u_seq.reshape(len(u_seq), m)
+    if u_seq.ndim != 2 or u_seq.shape[1] != m:
+        raise ValueError(f"expected rows of m = {m} numbers, got shape {u_seq.shape}")
+    return u_seq

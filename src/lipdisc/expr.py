@@ -15,14 +15,13 @@ x<k> or u<k> with k >= 1.  Derivative trees may additionally contain
 sign(.) (from abs; sign(0) = 0), which evaluates but is not accepted by
 the input grammar.
 
-Evaluation is one recursive walk over the tree with two tables of the
-primitives that differ between the modes.  A point evaluates on Python
-floats with ``math``: a domain error raises :class:`ExprEvalError`
-naming the failing node, and an overflow saturates to +-inf.  A batch
-evaluates on numpy columns with ufuncs: a bad sample comes back nan or
-inf and nothing raises.  :func:`point_kernel` compiles straight-line
-code for many trees at one point with the walk's bits; the walk stays
-its error path.
+Evaluation is generated code: :func:`emitter` writes straight-line
+statements, each distinct subtree once, which :func:`point_kernel` and
+:func:`batch_kernel` compile.  A point runs on Python floats with
+``math``; where a statement raises, the walk :func:`evaluate` reruns the
+point to name the failing node in an :class:`ExprEvalError`, or to
+saturate an overflow to +-inf.  A batch runs on numpy columns with
+ufuncs: a bad sample comes back nan or inf and nothing raises.
 
 Trees are immutable after construction and safe to share across threads.
 """
@@ -33,7 +32,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -312,15 +311,8 @@ def _is_neg_zero(v: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# evaluation: one walk over the tree; the primitives that differ between
-# a point and a batch of points come from one of two tables
-
-
-class _Ops(NamedTuple):
-    load: Callable  # a variable's value from its coordinate
-    unary: dict  # op name -> function of the argument
-    divide: Callable
-    power: Callable  # (base, nonnegative integer exponent)
+# evaluation: generated straight-line code for one point or for a batch of
+# points; a walk over the tree is the point's error path
 
 
 def _ln(a: float) -> float:
@@ -339,74 +331,64 @@ def _sqrt(a: float) -> float:
 # and one point costs far less than with numpy scalars.  Powers round as
 # libm pow does, which differs from numpy's array power in the last bit
 # for about 3 % of bases at exponents 3 and 4.
-_POINT = _Ops(
-    float,
-    {
-        "sin": math.sin,
-        "cos": math.cos,
-        "tan": math.tan,
-        "exp": math.exp,
-        "ln": _ln,
-        "sqrt": _sqrt,
-        "abs": abs,
-        "tanh": math.tanh,
-        "sign": lambda a: float((a > 0) - (a < 0)),
-        "neg": operator.neg,
-    },
-    operator.truediv,
-    operator.pow,
-)
+_POINT = {
+    "sin": math.sin,
+    "cos": math.cos,
+    "tan": math.tan,
+    "exp": math.exp,
+    "ln": _ln,
+    "sqrt": _sqrt,
+    "abs": abs,
+    "tanh": math.tanh,
+    "sign": lambda a: float((a > 0) - (a < 0)),
+    "neg": operator.neg,
+}
 # numpy columns and ufuncs: a bad sample comes back nan or inf
-_BATCH = _Ops(
-    lambda col: col,
-    {
-        "sin": np.sin,
-        "cos": np.cos,
-        "tan": np.tan,
-        "exp": np.exp,
-        "ln": np.log,
-        "sqrt": np.sqrt,
-        "abs": np.abs,
-        "tanh": np.tanh,
-        "sign": np.sign,
-        "neg": np.negative,
-    },
-    np.divide,
-    np.power,
-)
+_BATCH = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "exp": np.exp,
+    "ln": np.log,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+    "tanh": np.tanh,
+    "sign": np.sign,
+    "neg": np.negative,
+    "divide": np.divide,
+    "power": np.power,
+}
 
 
-def _eval(e: Expression, x, u, ops: _Ops):
-    """Value of ``e`` where ``x[i]`` and ``u[i]`` hold variable i + 1:
-    floats for a point, columns for a batch.  Only the point table's
-    primitives raise; errors are reported against the node here."""
+def _eval(e: Expression, x, u):
+    """Value of ``e`` at one point on Python floats, where ``x[i]`` and
+    ``u[i]`` hold variable i + 1: the kernels' error path, which raises
+    :class:`ExprEvalError` naming the failing node or saturates an overflow."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
         vec = x if e.kind == "x" else u
         if e.index > len(vec):
-            raise ExprEvalError(
-                e, f"variable {e.name} is out of range for dimension {len(vec)}"
-            )
-        return ops.load(vec[e.index - 1])
+            raise ExprEvalError(e, f"variable {e.name} is out of range for dimension {len(vec)}")
+        return float(vec[e.index - 1])
     if isinstance(e, Unary):
-        a = _eval(e.arg, x, u, ops)
+        a = _eval(e.arg, x, u)
         try:
-            return ops.unary[e.op](a)
+            return _POINT[e.op](a)
         except OverflowError:
             # IEEE-754 semantics: overflow saturates to infinity
             return math.inf
         except ValueError as exc:
             raise ExprEvalError(e, str(exc)) from exc
     if isinstance(e, Pow):
-        b = _eval(e.base, x, u, ops)
+        b = _eval(e.base, x, u)
         try:
-            return ops.power(b, e.exponent)
+            return b**e.exponent
         except OverflowError:
             return -math.inf if b < 0.0 and e.exponent % 2 == 1 else math.inf
     if isinstance(e, Binary):
-        lv = _eval(e.left, x, u, ops)
-        rv = _eval(e.right, x, u, ops)
+        lv = _eval(e.left, x, u)
+        rv = _eval(e.right, x, u)
         if e.op == "+":
             return lv + rv
         if e.op == "-":
@@ -414,7 +396,7 @@ def _eval(e: Expression, x, u, ops: _Ops):
         if e.op == "*":
             return lv * rv
         try:
-            return ops.divide(lv, rv)
+            return lv / rv
         except ZeroDivisionError:
             raise ExprEvalError(e, "division by zero") from None
     raise TypeError(f"not an expression node: {e!r}")
@@ -427,7 +409,7 @@ def evaluate(e: Expression, x, u=()) -> float:
     non-positive value, sqrt of a negative, division by zero) raise
     :class:`ExprEvalError` naming the offending subexpression.
     """
-    return _eval(e, x, u, _POINT)
+    return _eval(e, x, u)
 
 
 def point_kernel(trees, slots) -> Callable:
@@ -439,29 +421,61 @@ def point_kernel(trees, slots) -> Callable:
     Every distinct subtree is computed once, with the point primitives
     in the walk's order of operations, so each value has the bits of
     :func:`evaluate`.  A domain error, division by zero, an overflow or
-    a variable out of range raises a bare error before anything is
-    stored: rerun the walk to name the node or to saturate the overflow.
+    a variable out of range raises a bare error, with the entries of the
+    trees before it stored: rerun the walk to name the node or to
+    saturate the overflow.
     """
+    return _kernel(trees, slots, lambda v: f"float({v.kind}[{v.index - 1}])", False)
+
+
+def batch_kernel(trees, slots, n: int, m: int) -> Callable:
+    """:func:`point_kernel` for N rows of n states and m inputs: ``x[i]``
+    and ``u[i]`` are columns, ``out`` a list or an array of rows, and a
+    tree that reads no variable is a scalar.  A column is freed after
+    its last read.  Under ``np.errstate(all="ignore")`` a bad sample
+    comes back nan or inf; a variable beyond n or m raises
+    :class:`ExprEvalError` here."""
+    zeros = [0.0] * n, [0.0] * m
+
+    def column(v: Var) -> str:
+        _eval(v, *zeros)  # the walk names a variable out of range
+        return f"{v.kind}[{v.index - 1}]"
+
+    return _kernel(trees, slots, column, True)
+
+
+def _kernel(trees, slots, variable: Callable[[Var], str], batch: bool) -> Callable:
     namespace = {"float": float}
     lines: list[str] = []
-    emit = emitter(lambda v: f"float({v.kind}[{v.index - 1}])", namespace, lines)
-    values = [emit(tree) for tree in trees]
-    stores = [f"out[{j:d}] = {v}" for v, js in zip(values, slots) for j in js]
-    source = "\n    ".join(["def kernel(x, u, out):", *lines, *stores, "return out"])
-    exec(compile(source, "<point kernel>", "exec"), namespace)
+    emit = emitter(variable, namespace, lines, batch)
+    for tree, js in zip(trees, slots):
+        value = emit(tree)
+        lines += [f"out[{j:d}] = {value}" for j in js]
+    if batch:  # free each column after its last read, as a walk of each tree would
+        read, backward = set(), []
+        for line in reversed(lines):
+            names = dict.fromkeys(re.findall(r"\bt\d+\b", line.partition(" = ")[2]))
+            dead = [t for t in names if t not in read]
+            read.update(dead)
+            backward += [f"del {', '.join(dead)}"] * bool(dead) + [line]
+        lines = backward[::-1]
+    source = "\n    ".join(["def kernel(x, u, out):", *lines, "return out"])
+    exec(compile(source, "<kernel>", "exec"), namespace)
     return namespace["kernel"]
 
 
-def emitter(variable: Callable[[Var], str], namespace: dict, lines: list) -> Callable:
+def emitter(variable: Callable[[Var], str], namespace: dict, lines: list, batch=False):
     """A function ``emit(tree)`` that appends to ``lines`` unindented
-    statements computing the tree at one point, with the point primitives
-    (bound in ``namespace``) in the walk's order of operations, and
-    returns the operand holding its value.  ``variable(v)`` is the text
-    of a variable: an identifier is used as it is, other text such as
-    ``float(x[0])`` is computed once into a local.  Each distinct subtree
-    is computed once (a right-hand side's text identifies it), and a
+    statements making the walk's operations on the tree, and returns the
+    operand holding its value: at a point with the point table and
+    Python's -a, a / b and a ** k, which raise; on a batch with ufuncs.
+    ``variable(v)`` is a variable's text: an identifier is used as it
+    is, other text such as ``x[0]`` is computed once into a local.  Each
+    distinct subtree is computed once (its text identifies it), and a
     node seen before is not walked again (the memo keeps it alive)."""
-    namespace.update(_POINT.unary)
+    namespace.update(_BATCH if batch else _POINT)
+    point = ("-{}", "{} / {}", "{} ** {:d}")  # Python's operators, which raise
+    neg, divide, power = ("neg({})", "divide({}, {})", "power({}, {:d})") if batch else point
     local: dict[str, str] = {}  # right-hand side -> the local holding it
     memo: dict[int, tuple] = {}  # id(node) -> (node, operand)
 
@@ -479,18 +493,18 @@ def emitter(variable: Callable[[Var], str], namespace: dict, lines: list) -> Cal
             rhs = variable(e)
         elif isinstance(e, Unary):
             a = emit(e.arg)
-            if e.op not in _POINT.unary:
+            if e.op not in _POINT:
                 raise TypeError(f"unknown unary operator {e.op!r}")
-            rhs = f"-{a}" if e.op == "neg" else f"{e.op}({a})"
+            rhs = neg.format(a) if e.op == "neg" else f"{e.op}({a})"
         elif isinstance(e, Pow):
-            rhs = f"{emit(e.base)} ** {e.exponent:d}"
+            rhs = power.format(emit(e.base), e.exponent)
         elif isinstance(e, Binary):
-            op = e.op if e.op in ("+", "-", "*") else "/"
-            rhs = f"{emit(e.left)} {op} {emit(e.right)}"
+            a, b = emit(e.left), emit(e.right)
+            rhs = f"{a} {e.op} {b}" if e.op in ("+", "-", "*") else divide.format(a, b)
         else:
             raise TypeError(f"not an expression node: {e!r}")
         if rhs not in local and not rhs.isidentifier():
-            local[rhs] = f"t{len(lines)}"
+            local[rhs] = f"t{len(local)}"
             lines.append(f"{local[rhs]} = {rhs}")
         memo[id(e)] = (e, local.get(rhs, rhs))
         return memo[id(e)][1]
@@ -504,13 +518,10 @@ def evaluate_batch(e: Expression, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     Domain errors do not raise: offending samples come back non-finite
     (nan/inf) and are left to the caller's skip policy.
     """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
+    x, u = np.asarray(x, dtype=float).T, np.asarray(u, dtype=float).T
     with np.errstate(all="ignore"):
-        out = _eval(e, x.T, u.T, _BATCH)
-    if np.ndim(out) == 0:
-        return np.full(x.shape[0], float(out))
-    return out
+        (out,) = batch_kernel([e], [[0]], len(x), len(u))(x, u, [None])
+    return np.full(x.shape[-1], float(out)) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +596,7 @@ def _pow(base, k: int):
         return base
     if _is_const(base):
         # folded as evaluation does it, so an overflow saturates
-        return _const(_eval(Pow(base, k), (), (), _POINT))
+        return _const(_eval(Pow(base, k), (), ()))
     return Pow(base, k)
 
 

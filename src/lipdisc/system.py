@@ -274,30 +274,31 @@ class SystemSpec:
 
 class _Template:
     """A flattened stack of trees in C order split into the constant
-    entries and the distinct non-constant trees, each with the flat
-    indices of the entries it fills.  ``support`` lists, in C order, the
-    index tuples of the entries that are not a constant zero, and
-    ``support_flat`` their flat indices.  The point kernel of the live
-    trees is generated on the first pointwise call, so a spec that is
-    only evaluated in batches never builds it."""
+    entries and the live ones, each tree with its flat index.  ``support``
+    lists, in C order, the index tuples of the entries that are not a
+    constant zero, and ``support_flat`` their flat indices.  The point and
+    the batch kernels of the live trees, which compute equal subtrees once,
+    are generated on first use."""
 
     def __init__(self, entries, shape: tuple):
         self.shape = shape
         self.consts = np.zeros(int(np.prod(shape)))
-        live: dict[str, tuple] = {}
+        live = []
         for j, tree in enumerate(entries):
             if isinstance(tree, ex.Const):
                 self.consts[j] = tree.value
             else:
-                # keyed by repr, which unlike == tells 0.0 from -0.0
-                live.setdefault(repr(tree), (tree, []))[1].append(j)
-        self.live = tuple((tree, tuple(filled)) for tree, filled in live.values())
+                live.append((tree, j))
+        self.live = tuple(live)
         nonzero = self.consts != 0.0
-        nonzero[[j for _, filled in self.live for j in filled]] = True
+        nonzero[[j for _, j in self.live]] = True
         self.support = tuple(zip(*(ix.tolist() for ix in np.nonzero(nonzero.reshape(shape)))))
         self.support_flat = tuple(np.flatnonzero(nonzero).tolist())
         self.const_list = self.consts.tolist()
-        self.kernel = None
+        self.kernel, self.batch_kernels = None, {}  # the batch kernel for each (n, m)
+
+    def _kernel_args(self) -> tuple:
+        return [tree for tree, _ in self.live], [[j] for _, j in self.live]
 
     def point(self, x, u) -> list:
         """Every entry at one point as a flat list of floats in C order."""
@@ -309,42 +310,42 @@ class _Template:
 
     def _point_into(self, out, x, u):
         """Store the live entries at one point into ``out``, a flat copy of
-        the constants, through the kernel.  On an error the walk runs
-        instead: a domain error raises for the first failing entry, naming
-        its node, and an overflow saturates."""
-        live = self.live
+        the constants, through the point kernel.  On an error the walk runs
+        instead: a domain error raises for the first failing entry in C
+        order, naming its node, and an overflow saturates."""
         if self.kernel is None:
-            self.kernel = ex.point_kernel([t for t, _ in live], [j for _, j in live])
+            self.kernel = ex.point_kernel(*self._kernel_args())
         try:
             return self.kernel(x, u, out)
         except (ArithmeticError, ValueError, IndexError):
-            _fill(out, live, [ex.evaluate(tree, x, u) for tree, _ in live])
+            for tree, j in self.live:
+                out[j] = ex.evaluate(tree, x, u)
             return out
 
     def batch(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """An (N, *shape) stack; bad rows come back non-finite."""
         out = np.empty((x.shape[0], self.consts.shape[0]))
         out[...] = self.consts
-        _fill(out.T, self.live, (ex.evaluate_batch(tree, x, u) for tree, _ in self.live))
+        self._batch_into(out.T, x, u)
         return out.reshape(x.shape[:1] + self.shape)
 
     def support_batch(self, x: np.ndarray, u: np.ndarray) -> list:
         """The entries at ``support`` over the rows of (x, u), in its
-        order: a live entry as its column, a constant one as its float.
+        order: a live entry as its column, or as a scalar if it reads no
+        variable, and a constant one as its float.
         No (N, *shape) stack is filled."""
-        values: list = self.const_list.copy()
-        _fill(values, self.live, (ex.evaluate_batch(tree, x, u) for tree, _ in self.live))
+        values = self._batch_into(self.const_list.copy(), x, u)
         return [values[j] for j in self.support_flat]
 
-
-def _fill(out, live: tuple, values) -> None:
-    """Store each live tree's value from ``values`` in every entry it
-    fills of ``out``, which holds the constants, entries on the first
-    axis.  Equal to evaluating every entry, since a constant evaluates
-    to its value."""
-    for (_, filled), v in zip(live, values):
-        for j in filled:
-            out[j] = v
+    def _batch_into(self, out, x, u):
+        """Store the live entries over the rows of (x, u) into ``out``, the
+        constants with entries on the first axis, through the batch kernel."""
+        x, u = np.asarray(x, dtype=float).T, np.asarray(u, dtype=float).T
+        dims = len(x), len(u)  # a variable beyond them raises ExprEvalError naming it
+        if dims not in self.batch_kernels:
+            self.batch_kernels[dims] = ex.batch_kernel(*self._kernel_args(), *dims)
+        with np.errstate(all="ignore"):
+            return self.batch_kernels[dims](x, u, out)
 
 
 def _sampling_time(t) -> float:

@@ -6,11 +6,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from lipdisc import NumericalError, SamplingConfig, SystemSpec, benchmarks
 from lipdisc.constants import sample_pairs, sup_pair_quotient
 from lipdisc.expr import Binary, Const, Pow, Unary, Var
+
+
+# ``--hypothesis-profile=ci`` runs the same examples on every run and
+# keeps no example database, so a failure in CI reproduces locally with
+# the same flag; without it, runs draw new examples
+settings.register_profile("ci", derandomize=True, database=None)
 
 
 @pytest.fixture(scope="session")

@@ -741,6 +741,33 @@ def test_cmd_discretize_input_free_spec_wrong_rows_exit_2(capsys, spec_path, tmp
     assert "--inputs" in stderr
 
 
+@pytest.mark.parametrize("steps", ["2", "4"])
+def test_cmd_discretize_input_rows_of_the_wrong_width_exit_2(capsys, spec_path, tmp_path, steps):
+    # van-der-pol has m = 1: two rows of two inputs are two steps of the
+    # wrong width, not four steps of one input
+    inputs = tmp_path / "inputs.json"
+    inputs.write_text("[[0.1, 0.2], [0.3, 0.4]]")
+    code, stdout, stderr = _run(
+        capsys, "discretize", spec_path("van-der-pol"), "--x0", "0.0,0.0",
+        "--steps", steps, "--inputs", str(inputs),
+    )
+    assert code == 2
+    assert stderr == "error: --inputs: expected rows of m = 1 numbers, got shape (2, 2)\n"
+    assert stdout == ""
+
+
+def test_cmd_discretize_flat_input_file_for_one_input(capsys, spec_path, tmp_path):
+    flat, rows = tmp_path / "flat.json", tmp_path / "rows.json"
+    flat.write_text("[0.1, -0.1, 0.0]")
+    rows.write_text("[[0.1], [-0.1], [0.0]]")
+    argv = ["discretize", spec_path("van-der-pol"), "--x0", "0.1,0.1", "--steps", "3"]
+    outs = []
+    for inputs in (flat, rows):
+        outs.append(tmp_path / f"traj-{inputs.name}")
+        assert _run(capsys, *argv, "--inputs", str(inputs), "--out", str(outs[-1]))[0] == 0
+    assert json.loads(outs[0].read_text())["states"] == json.loads(outs[1].read_text())["states"]
+
+
 @pytest.mark.parametrize("steps", ["0", "2"])
 @pytest.mark.parametrize("tol", ["1e-3", "1e-14", "nan"])
 def test_cmd_discretize_exact_bad_tol_exits_2(capsys, spec_path, tmp_path, steps, tol):

@@ -294,10 +294,8 @@ def _lie_tree_sum(mdl, x, u):
     spec's Lie terms N_1..N_k, summed as T N_1 + (T^2/2) N_2 + (T^3/6) N_3."""
     template = mdl.spec._lie_template(mdl.order)
     values = template.const_list.copy()
-    for tree, filled in template.live:
-        value = ex.evaluate(tree, x, u)
-        for j in filled:
-            values[j] = value
+    for tree, j in template.live:
+        values[j] = ex.evaluate(tree, x, u)
     t, n = mdl.spec.sampling_time, mdl.spec.n
     out = [t * v for v in values[:n]]
     if mdl.order >= 2:
@@ -902,6 +900,21 @@ def test_simulate_zero_steps_for_every_stepper(probe):
             traj = simulate(stepper, probe, x0, u_seq)
             assert float_bits(traj.states) == float_bits([x0])
             assert traj.first_exit is None
+
+
+def test_simulate_rejects_input_rows_of_the_wrong_width(bench):
+    vdp = bench["van-der-pol"]  # m = 1
+    mdl = build_taylor_model(vdp, 2)
+    for u_seq in (np.zeros((3, 2)), np.zeros((5, 0)), np.zeros((2, 1, 1)), 0.5):
+        with pytest.raises(ValueError, match="expected rows of m = 1 numbers"):
+            simulate(mdl, vdp, [0.1, 0.2], u_seq)
+    # a flat sequence is one input a step only for m = 1
+    flat = simulate(mdl, vdp, [0.1, 0.2], [0.1, -0.1, 0.0])
+    rows = simulate(mdl, vdp, [0.1, 0.2], [[0.1], [-0.1], [0.0]])
+    assert float_bits(flat.states) == float_bits(rows.states) and len(rows.states) == 4
+    pend = bench["pendulum"]  # m = 0
+    with pytest.raises(ValueError, match="expected rows of m = 0 numbers"):
+        simulate(build_taylor_model(pend, 1), pend, [0.1, 0.2], [0.1, 0.2])
 
 
 def test_simulate_warns_on_region_exit():

@@ -1,6 +1,7 @@
 """Parser, evaluator and symbolic derivative tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,6 +259,152 @@ def test_template_trees_sharing_a_subtree_emit_its_line_once():
 def test_evaluate_batch_constant_expression_broadcasts():
     vals = evaluate_batch(parse("3"), np.zeros((7, 2)), np.zeros((7, 0)))
     np.testing.assert_array_equal(vals, np.full(7, 3.0))
+
+
+# the batch walk that evaluated batches before the batch kernels: the
+# reference whose ufunc calls and operands a batch kernel must repeat
+_WALK_UFUNCS = {
+    "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "ln": np.log,
+    "sqrt": np.sqrt, "abs": np.abs, "tanh": np.tanh, "sign": np.sign, "neg": np.negative,
+}
+
+
+def _walk(e, x, u):
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        vec = x if e.kind == "x" else u
+        if e.index > len(vec):
+            raise ExprEvalError(e, f"variable {e.name} is out of range for dimension {len(vec)}")
+        return vec[e.index - 1]
+    if isinstance(e, Unary):
+        return _WALK_UFUNCS[e.op](_walk(e.arg, x, u))
+    if isinstance(e, Pow):
+        return np.power(_walk(e.base, x, u), e.exponent)
+    lv, rv = _walk(e.left, x, u), _walk(e.right, x, u)
+    if e.op == "+":
+        return lv + rv
+    if e.op == "-":
+        return lv - rv
+    if e.op == "*":
+        return lv * rv
+    return np.divide(lv, rv)
+
+
+def _walk_batch(e, x, u):
+    """One tree over the rows of (x, u), broadcast to N rows."""
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+    with np.errstate(all="ignore"):
+        out = _walk(e, x.T, u.T)
+    return np.full(x.shape[0], float(out)) if np.ndim(out) == 0 else out
+
+
+_batch_rows = st.lists(st.lists(
+    st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, 1e3, -1e3, 1e200]), min_size=4, max_size=4
+), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(expr_trees, min_size=1, max_size=4), _batch_rows)
+def test_batch_kernels_keep_the_bits_of_the_batch_walk(trees, rows):
+    # a derivative shares subtrees with its tree, so some are computed once
+    trees = trees + [differentiate(trees[0], "x1")]
+    points = np.array(rows, dtype=float).reshape(-1, 4)
+    x, u = points[:, :2], points[:, 2:]
+    want = [_walk_batch(tree, x, u) for tree in trees]
+    for tree, w in zip(trees, want):
+        got = evaluate_batch(tree, x, u)
+        assert got.shape == (len(rows),) and float_bits(got) == float_bits(w), unparse(tree)
+    template = _Template(trees, (len(trees),))
+    got = template.batch(x, u)
+    assert got.shape == (len(rows), len(trees))
+    assert float_bits(got) == float_bits(np.stack(want, axis=-1).reshape(got.shape))
+    live = {j for _, j in template.live}
+    for j, value in zip(template.support_flat, template.support_batch(x, u)):
+        if j in live:  # a column, or a numpy scalar for a tree that reads no variable
+            assert np.shape(value) in ((len(rows),), ())
+            assert float_bits(np.broadcast_to(value, len(rows))) == float_bits(want[j])
+        else:
+            assert type(value) is float and float_bits(value) == float_bits(trees[j].value)
+
+
+@pytest.mark.parametrize(
+    "text, n, m, name", [("x1 + x3", 2, 0, "x3"), ("u2 * x3 + u2", 2, 1, "u2"), ("u1", 1, 0, "u1")]
+)
+def test_evaluate_batch_names_the_first_variable_out_of_range(text, n, m, name):
+    tree = parse(text)
+    with pytest.raises(ExprEvalError) as want:
+        _walk_batch(tree, np.zeros((3, n)), np.zeros((3, m)))
+    with pytest.raises(ExprEvalError) as got:
+        evaluate_batch(tree, np.zeros((3, n)), np.zeros((3, m)))
+    assert str(got.value) == str(want.value) and got.value.node == Var(name[0], int(name[1]))
+
+
+def test_template_over_a_shared_subtree_builds_and_evaluates_once_per_level():
+    # the tree of test_point_kernel_walks_a_shared_subtree_once, 2^80 paths
+    tree = Var("x", 1)
+    for _ in range(80):
+        tree = Binary("+", tree, tree)
+    template = _Template([tree, Unary("neg", tree), Const(2.0)], (3,))
+    value = 0.75 * 2.0**80
+    assert template.point([0.75], ()) == [value, -value, 2.0]
+    got = template.batch(np.array([[0.75], [-1.5]]), np.zeros((2, 0)))
+    assert got.tolist() == [[value, -value, 2.0], [-2.0 * value, 2.0 * value, 2.0]]
+    # the load of x1, one line per level and the negation
+    names = ("x", "u", "out", *(f"t{i}" for i in range(82)))
+    assert template.kernel.__code__.co_varnames == names
+    assert template.batch_kernels[1, 0].__code__.co_varnames == names
+
+
+def test_batch_kernel_frees_each_column_after_its_last_read():
+    # 40 nested sines: a kernel that kept its temporaries to the end, not
+    # freeing them as a walk of the tree does, would hold 40 columns
+    tree = Var("x", 1)
+    for _ in range(40):
+        tree = Unary("sin", tree)
+    template = _Template([tree, Unary("neg", tree)], (2,))
+    x, u = np.full((10_000, 1), 0.5), np.zeros((10_000, 0))
+    want = template.batch(x, u)  # builds the kernel
+    tracemalloc.start()
+    try:
+        got = template.batch(x, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak < 6 * x.nbytes  # the two result columns and a few temporaries
+
+
+def test_template_batch_names_a_variable_out_of_range_on_every_call():
+    template = _Template([parse("x2 + u1")], (1,))
+    assert template.batch(np.ones((2, 2)), np.ones((2, 1))).tolist() == [[2.0], [2.0]]
+    for _ in range(2):
+        with pytest.raises(ExprEvalError, match="variable x2 is out of range for dimension 1"):
+            template.batch(np.ones((2, 1)), np.ones((2, 1)))
+
+
+def test_template_entries_differing_in_the_sign_of_zero_stay_distinct():
+    x1 = Var("x", 1)
+    entries = [Binary("*", x1, Const(0.0)), Binary("*", x1, Const(-0.0)), Unary("sin", Const(-0.0))]
+    template = _Template(entries, (3,))
+    assert float_bits(template.point([1.0], ())) == float_bits([0.0, -0.0, -0.0])
+    got = template.batch(np.ones((2, 1)), np.zeros((2, 0)))
+    assert float_bits(got) == float_bits([[0.0, -0.0, -0.0]] * 2)
+    support = template.support_batch(np.ones((2, 1)), np.zeros((2, 0)))
+    assert [float_bits(v) for v in support] == [float_bits(v) for v in ([0.0] * 2, [-0.0] * 2, -0.0)]
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_template_point_error_names_the_first_failing_entry_in_c_order(first):
+    failing = [parse("sqrt(x1 - 2)"), parse("ln(x1)")]
+    if first:
+        failing.reverse()
+    # the same trees again after the failing ones: the kernel computes them once
+    template = _Template([parse("x1 + 1"), *failing, *failing], (5,))
+    with pytest.raises(ExprEvalError) as err:
+        template.point([-1.0], ())
+    assert err.value.node == failing[0]
+    assert np.isnan(template.batch(np.array([[-1.0]]), np.zeros((1, 0)))[0, 1:]).all()
 
 
 # ---------------------------------------------------------------------------
