@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import ConstantEstimates
+from .discretize import ORDERS
 from .linalg import NumericalError
 
 
@@ -49,7 +50,7 @@ def _check_t(t: float):
 
 def gamma_d(order: int, t: float, c: ConstantEstimates) -> float:
     """Discrete Lipschitz constant of the order-k nonlinear map."""
-    _check_order(order, (1, 2, 3))
+    _check_order(order, ORDERS)
     _check_t(t)
     gamma = c.gamma_c
     value = t * gamma

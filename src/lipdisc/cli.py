@@ -20,13 +20,7 @@ from . import __version__
 from .bounds import evaluate_bounds
 from .constants import NumericalError, SamplingConfig, estimate_all
 from .discretize import (
-    _MIN_STEP,
-    ExactMap,
-    IntegrationError,
-    _input_rows,
-    _tol_problem,
-    build_taylor_model,
-    simulate,
+    ORDERS, ExactMap, IntegrationError, _input_rows, build_taylor_model, simulate
 )
 from .expr import ExprError
 from .system import SpecValidationError, SystemSpec
@@ -341,26 +335,28 @@ def load_system(path: str) -> SystemSpec:
     return SystemSpec.from_dict(data)
 
 
-_SAMPLING_FLAGS = {
+# the flag of each library parameter that the library's checks name; main
+# reports a SpecValidationError on one of them as an error of its flag
+_FLAGS = {
     "grid_per_axis": "--grid",
     "pair_budget": "--pairs",
     "seed": "--seed",
     "polish_iters": "--polish-iters",
+    "tol": "--tol",
+    "t_values": "--t-list",
+    "orders": "--orders",
+    "x0": "--x0",
+    "u_seq": "--inputs",
 }
 
 
 def _sampling_config(args) -> SamplingConfig:
-    """The sampling flags as a config; a bad value raises naming its flag."""
-    try:
-        return SamplingConfig(
-            grid_per_axis=args.grid,
-            pair_budget=args.pairs,
-            seed=args.seed,
-            polish_iters=args.polish_iters,
-        )
-    except SpecValidationError as err:
-        message = str(err).removeprefix(f"{err.path}: ")
-        raise SpecValidationError(_SAMPLING_FLAGS[err.path], message) from err
+    return SamplingConfig(
+        grid_per_axis=args.grid,
+        pair_budget=args.pairs,
+        seed=args.seed,
+        polish_iters=args.polish_iters,
+    )
 
 
 def _config_echo(args) -> dict:
@@ -398,12 +394,6 @@ def _finite(values: np.ndarray, label: str) -> np.ndarray:
     return values
 
 
-def _check_tol(tol: float):
-    problem = _tol_problem(tol)
-    if problem:
-        raise SpecValidationError("--tol", problem)
-
-
 def _parse_vector(text: str, label: str) -> np.ndarray:
     try:
         values = _numbers(text)
@@ -430,20 +420,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="evaluate the formula constants")
     p_bounds.add_argument("spec")
-    p_bounds.add_argument("--order", type=int, choices=(1, 2, 3), default=None,
+    p_bounds.add_argument("--order", type=int, choices=ORDERS, default=None,
                           help="single order (default: all three)")
     _add_sampling_flags(p_bounds)
     p_bounds.add_argument("--out")
 
     p_verify = sub.add_parser("verify", help="check formula vs empirical constants")
     p_verify.add_argument("spec")
-    p_verify.add_argument("--order", type=int, choices=(1, 2, 3), default=1)
+    p_verify.add_argument("--order", type=int, choices=ORDERS, default=1)
     _add_sampling_flags(p_verify)
     p_verify.add_argument("--out")
 
     p_disc = sub.add_parser("discretize", help="simulate the discrete model")
     p_disc.add_argument("spec")
-    p_disc.add_argument("--order", type=int, choices=(1, 2, 3), default=1)
+    p_disc.add_argument("--order", type=int, choices=ORDERS, default=1)
     p_disc.add_argument("--x0", required=True, help="initial state, comma-separated")
     p_disc.add_argument(
         "--inputs", default=None,
@@ -485,7 +475,7 @@ def cmd_constants(args, s: SystemSpec) -> tuple[int, dict]:
 
 def cmd_bounds(args, s: SystemSpec) -> tuple[int, dict]:
     est = estimate_all(s, _sampling_config(args))
-    orders = [args.order] if args.order else [1, 2, 3]
+    orders = [args.order] if args.order else ORDERS
     rows = [evaluate_bounds(k, s.sampling_time, est) for k in orders]
     for row in rows:
         rho = "n/a" if row.rho_d is None else f"{row.rho_d:.12g}"
@@ -531,21 +521,14 @@ def _input_sequence(args, s: SystemSpec) -> np.ndarray:
         constant = _numbers(args.inputs)
     except ValueError:
         constant = None  # not a number list: a file name
-    if constant is not None:
-        if constant.shape[0] != s.m:
-            raise SpecValidationError(
-                "--inputs", f"constant input has dimension {constant.shape[0]}, expected {s.m}"
-            )
-        return np.tile(_finite(constant, "--inputs"), (steps, 1))
+    if constant is not None:  # one row, held for every step
+        return np.tile(_finite(_input_rows([constant], s.m), "--inputs"), (steps, 1))
     try:
         with open(args.inputs) as fp:
             rows = json.load(fp)
     except (OSError, json.JSONDecodeError) as err:
         raise SpecValidationError("--inputs", f"cannot read input file: {err}") from err
-    try:
-        seq = _input_rows(rows, s.m)
-    except (TypeError, ValueError) as err:
-        raise SpecValidationError("--inputs", str(err)) from err
+    seq = _input_rows(rows, s.m)
     if seq.shape[0] != steps:
         raise SpecValidationError(
             "--inputs", f"file provides {seq.shape[0]} steps, --steps is {steps}"
@@ -554,12 +537,9 @@ def _input_sequence(args, s: SystemSpec) -> np.ndarray:
 
 
 def cmd_discretize(args, s: SystemSpec) -> tuple[int, dict]:
-    if args.exact:
-        _check_tol(args.tol)
+    exact_map = ExactMap(s, args.tol) if args.exact else None  # checks --tol and T first
     _sampling_config(args)  # unused here, but echoed into --out: reject a bad value
     x0 = _parse_vector(args.x0, "--x0")
-    if x0.shape[0] != s.n:
-        raise SpecValidationError("--x0", f"dimension {x0.shape[0]}, expected {s.n}")
     u_seq = _input_sequence(args, s)
     mdl = build_taylor_model(s, args.order)
     traj = simulate(mdl, s, x0, u_seq)
@@ -571,7 +551,7 @@ def cmd_discretize(args, s: SystemSpec) -> tuple[int, dict]:
         "first_exit": traj.first_exit,
     }
     if args.exact:
-        exact = simulate(ExactMap(s, args.tol), s, x0, u_seq)
+        exact = simulate(exact_map, s, x0, u_seq)
         body["exact_states"] = exact.states
         with np.errstate(over="ignore"):  # reported as non-finite below
             body["errors"] = np.linalg.norm(traj.states - exact.states, axis=1)
@@ -586,7 +566,6 @@ def cmd_discretize(args, s: SystemSpec) -> tuple[int, dict]:
 
 
 def cmd_convergence(args, s: SystemSpec) -> tuple[int, dict]:
-    _check_tol(args.tol)
     cfg = _sampling_config(args)
     try:
         orders = [int(v) for v in args.orders.split(",") if v.strip()]
@@ -595,16 +574,6 @@ def cmd_convergence(args, s: SystemSpec) -> tuple[int, dict]:
             "--orders", f"expected comma-separated integers, got {args.orders!r}"
         ) from err
     t_values = _parse_vector(args.t_list, "--t-list").tolist()
-    if len(set(t_values)) < 3:
-        raise SpecValidationError("--t-list", "need at least 3 distinct sampling times")
-    if min(t_values) < _MIN_STEP:
-        raise SpecValidationError(
-            "--t-list", f"sampling times must be at least the integrator's minimum step {_MIN_STEP}"
-        )
-    if not orders:
-        raise SpecValidationError("--orders", "need at least one order")
-    if any(k not in (1, 2, 3) for k in orders):
-        raise SpecValidationError("--orders", "orders must be among 1, 2, 3")
     study = convergence_study(s, orders, t_values, cfg, integrator_tol=args.tol)
     for k in sorted(study.slopes):
         print(f"order {k}: slope {study.slopes[k]:.3f} (expected about {k + 1})")
@@ -632,6 +601,9 @@ def main(argv=None) -> int:
             payload["config"] = {**_config_echo(args), **payload.get("config", {})}
             _write_out(args.out, payload)
         return code
+    except SpecValidationError as err:
+        print(f"error: {_FLAGS.get(err.path, err.path)}: {err.message}", file=sys.stderr)
+        return EXIT_INPUT
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -53,8 +53,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .system import SystemSpec
+from .system import SpecValidationError, SystemSpec
 
+ORDERS = (1, 2, 3)  # the Taylor-Lie orders with a model and a bound formula
 _CHUNK_ROWS = 16_384  # rows per F_T batch chunk; bounds the Hessian's memory
 
 
@@ -201,9 +202,9 @@ def _bilinear(hess, support, va, vb, acc):
 
 
 def build_taylor_model(s: SystemSpec, order: int) -> DiscreteModel:
-    """Order-k ZOH Taylor-Lie model, k in {1, 2, 3}."""
-    if order not in (1, 2, 3):
-        raise ValueError(f"unsupported order {order!r}; expected 1, 2 or 3")
+    """Order-k ZOH Taylor-Lie model, k in :data:`ORDERS`."""
+    if order not in ORDERS:
+        raise SpecValidationError("order", f"must be one of {ORDERS}, got {order!r}")
     t = s.sampling_time
     n = s.n
     a_d = np.eye(n) + t * s.a
@@ -233,13 +234,6 @@ _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 
 _MIN_STEP = 1e-12
 _SAFETY = 0.9
 _MAX_STEPS = 1_000_000
-
-
-def _tol_problem(tol: float) -> str | None:
-    """What is wrong with an integrator tolerance, or None if it is usable."""
-    if 1e-13 <= tol <= 1e-6:
-        return None
-    return f"must lie in [1e-13, 1e-6], got {tol!r}"
 
 
 # the adaptive loop of ExactMap; _integrator writes out the trial step
@@ -317,23 +311,29 @@ def _integrator(s: SystemSpec) -> Callable:
 class ExactMap:
     """The map x -> x(T) under the true flow of dx/dt = A x + f(x, u) with
     u held, on lists of floats: adaptive Dormand-Prince 5(4) with absolute
-    and relative tolerance both ``tol`` (checked once, when the map is
-    built) and step sizes in [1e-12, T], as one call of the spec's
-    generated loop (:func:`_integrator`).  It has the bits of the same
-    sums over numpy stage vectors, with the mean of the squared error
-    quotients summed in order.  After an accepted trial the seventh stage
-    is the next trial's first (first same as last, Dormand & Prince 1980),
-    bit for bit, since the last row of A equals B5 up to a zero weight on
-    the seventh stage; a rejected trial keeps its first stage.  So one
-    call evaluates the right-hand side 1 + 6·trials times."""
+    and relative tolerance both ``tol`` and step sizes in [1e-12, T], as
+    one call of the spec's generated loop (:func:`_integrator`).  It has
+    the bits of the same sums over numpy stage vectors, with the mean of
+    the squared error quotients summed in order.  After an accepted trial
+    the seventh stage is the next trial's first (first same as last,
+    Dormand & Prince 1980), bit for bit, since the last row of A equals B5
+    up to a zero weight on the seventh stage; a rejected trial keeps its
+    first stage.  So one call evaluates the right-hand side 1 + 6·trials
+    times."""
 
     spec: SystemSpec
     tol: float = 1e-10
 
     def __post_init__(self):
-        problem = _tol_problem(self.tol)
-        if problem:
-            raise ValueError(f"tol {problem}")
+        """Check ``tol`` and T once, when the map is built: a T below the
+        minimum step would underflow after the last accepted step."""
+        if not 1e-13 <= self.tol <= 1e-6:
+            raise SpecValidationError("tol", f"must lie in [1e-13, 1e-6], got {self.tol!r}")
+        t = self.spec.sampling_time
+        if t < _MIN_STEP:
+            raise SpecValidationError(
+                "T", f"must be at least the integrator's minimum step {_MIN_STEP}, got {t!r}"
+            )
 
     def __call__(self, x, u=()) -> list:
         y = [float(v) for v in x]
@@ -367,7 +367,7 @@ def simulate(stepper, s: SystemSpec, x0, u_seq) -> Trajectory:
     u_seq = _input_rows(u_seq, s.m)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (s.n,):
-        raise ValueError(f"x0 must have shape ({s.n},), got {x0.shape}")
+        raise SpecValidationError("x0", f"must have shape ({s.n},), got {x0.shape}")
     rows = [x0.tolist()]
     for u in u_seq.tolist():
         rows.append(stepper(rows[-1], u))
@@ -388,9 +388,14 @@ def simulate(stepper, s: SystemSpec, x0, u_seq) -> Trajectory:
 def _input_rows(u_seq, m: int) -> np.ndarray:
     """Input rows of m numbers as a (steps, m) array; for m = 1 a flat
     sequence also serves, and an empty one is zero steps for any m."""
-    u_seq = np.asarray(u_seq, dtype=float)
+    try:
+        u_seq = np.asarray(u_seq, dtype=float)
+    except (TypeError, ValueError) as err:  # not numbers, or ragged rows
+        raise SpecValidationError("u_seq", str(err)) from err
     if u_seq.ndim == 1 and (m == 1 or not len(u_seq)):
         u_seq = u_seq.reshape(len(u_seq), m)
     if u_seq.ndim != 2 or u_seq.shape[1] != m:
-        raise ValueError(f"expected rows of m = {m} numbers, got shape {u_seq.shape}")
+        raise SpecValidationError(
+            "u_seq", f"expected rows of m = {m} numbers, got shape {u_seq.shape}"
+        )
     return u_seq

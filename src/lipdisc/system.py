@@ -24,11 +24,13 @@ from . import expr as ex
 
 
 class SpecValidationError(ValueError):
-    """A system description is inconsistent; ``path`` names the field."""
+    """An input is invalid: ``path`` names a spec field or a library
+    parameter, ``message`` says what is wrong with it."""
 
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+        self.message = message
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,4 +397,4 @@ def _box(data: dict, key: str, required: bool) -> BoxRegion:
     try:
         return BoxRegion(np.asarray(obj["lower"], float), np.asarray(obj["upper"], float))
     except SpecValidationError as err:
-        raise SpecValidationError(f"{key}", str(err)) from err
+        raise SpecValidationError(key, err.message) from err

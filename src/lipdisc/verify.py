@@ -40,8 +40,8 @@ from .constants import (
     sample_pairs,
     sup_pair_quotient,
 )
-from .discretize import _MIN_STEP, ExactMap, build_taylor_model
-from .system import SystemSpec
+from .discretize import _MIN_STEP, ORDERS, ExactMap, build_taylor_model
+from .system import SpecValidationError, SystemSpec
 
 _CONVERGENCE_POINTS = 25  # seeded sample size of the convergence study
 
@@ -199,18 +199,21 @@ def convergence_study(
     recorded; the least-squares slope of log error against log T should
     be close to k + 1.  Points are drawn from the central half of the
     region (and inputs from U) so the series stays well inside its
-    convergence zone.
+    convergence zone.  Every argument is checked before any work.
     """
     t_values = [float(t) for t in t_values]
     if len(set(t_values)) < 3:
-        raise ValueError("need at least 3 distinct sampling times")
+        raise SpecValidationError("t_values", "need at least 3 distinct sampling times")
     if min(t_values) < _MIN_STEP:
-        raise ValueError(
-            f"sampling times must be at least the integrator's minimum step {_MIN_STEP}"
+        raise SpecValidationError(
+            "t_values", f"sampling times must be at least the integrator's minimum step {_MIN_STEP}"
         )
     orders = sorted(set(int(k) for k in orders))
     if not orders:
-        raise ValueError("need at least one order")
+        raise SpecValidationError("orders", "need at least one order")
+    if not set(orders) <= set(ORDERS):
+        raise SpecValidationError("orders", f"must be among {ORDERS}, got {orders}")
+    exact_maps = [ExactMap(s.with_sampling_time(t), integrator_tol) for t in t_values]
     seed = cfg.seed if cfg is not None else 42
     rng = np.random.default_rng(seed)
     inner = s.region.scaled(0.5)
@@ -218,12 +221,10 @@ def convergence_study(
     us = s.input_region.lower + rng.random((_CONVERGENCE_POINTS, s.m)) * s.input_region.width
 
     errors: dict[int, list[float]] = {k: [] for k in orders}
-    for t in t_values:
-        s_t = s.with_sampling_time(t)
-        exact_map = ExactMap(s_t, integrator_tol)
+    for exact_map in exact_maps:
         exact = np.array([exact_map(x, u) for x, u in zip(xs, us)])
         for k in orders:
-            model = build_taylor_model(s_t, k)
+            model = build_taylor_model(exact_map.spec, k)
             approx = np.array([model(x, u) for x, u in zip(xs, us)])
             gap = np.max(np.linalg.norm(exact - approx, axis=1))
             errors[k].append(float(max(gap, 1e-300)))

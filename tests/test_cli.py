@@ -11,7 +11,16 @@ import jsonschema
 import numpy as np
 import pytest
 
-from lipdisc import benchmarks, cli
+from lipdisc import (
+    SamplingConfig,
+    SpecValidationError,
+    benchmarks,
+    build_taylor_model,
+    cli,
+    convergence_study,
+    discretize,
+    simulate,
+)
 from lipdisc.cli import OUTPUT_SCHEMAS, dumps_json, main
 
 
@@ -307,6 +316,112 @@ def test_discretize_bad_sampling_flag_exits_2_naming_it_before_any_work(
     assert code == 2
     assert stderr == f"error: {flag}: must be >= {least}, got {value}\n"
     assert not out.exists()
+
+
+# a value of each flag in cli._FLAGS that the CLI parses and the library
+# rejects, with the message it gives; "{rows}" is an --inputs file
+_BAD_VALUES = {
+    "grid_per_axis": (("--grid", "1"), "must be >= 2, got 1"),
+    "pair_budget": (("--pairs", "10"), "must be >= 1000, got 10"),
+    "seed": (("--seed", "-1"), "must be >= 0, got -1"),
+    "polish_iters": (("--polish-iters", "-1"), "must be >= 0, got -1"),
+    "tol": (("--tol", "1"), "must lie in [1e-13, 1e-6], got 1.0"),
+    "t_values": (
+        ("--t-list", "0.2,0.1,1e-13"),
+        "sampling times must be at least the integrator's minimum step 1e-12",
+    ),
+    "orders": (("--orders", "1,4"), "must be among (1, 2, 3), got [1, 4]"),
+    "x0": (("--x0", "0.1"), "must have shape (2,), got (1,)"),
+    "u_seq": (("--inputs", "{rows}"), "expected rows of m = 1 numbers, got shape (2, 2)"),
+}
+_SAMPLING = ("grid_per_axis", "pair_budget", "seed", "polish_iters")
+_FLAG_CASES = [
+    *((command, name) for command in ("constants", "bounds", "verify") for name in _SAMPLING),
+    *(("discretize", name) for name in (*_SAMPLING, "tol", "x0", "u_seq")),
+    *(("convergence", name) for name in (*_SAMPLING, "tol", "t_values", "orders")),
+]
+
+
+def _forbid_work(monkeypatch):
+    """Make estimation, model stepping and integration fail the test."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the arguments were checked")
+
+    monkeypatch.setattr(cli, "estimate_all", no_work)
+    monkeypatch.setattr(cli, "verify_bounds", no_work)
+    monkeypatch.setattr(discretize.DiscreteModel, "__call__", no_work)
+    monkeypatch.setattr(discretize.ExactMap, "__call__", no_work)
+    monkeypatch.setattr(discretize, "_integrator", no_work)
+
+
+def test_flag_cases_cover_every_flag():
+    assert {name for _, name in _FLAG_CASES} == set(cli._FLAGS) == set(_BAD_VALUES)
+
+
+@pytest.mark.parametrize("command, name", _FLAG_CASES)
+def test_bad_flag_exits_2_naming_it_before_any_work(
+    capsys, monkeypatch, spec_path, tmp_path, command, name
+):
+    rows = tmp_path / "rows.json"
+    rows.write_text("[[0.1, 0.2], [0.3, 0.4]]")
+    (flag, value), message = _BAD_VALUES[name]
+    assert cli._FLAGS[name] == flag
+    base = ["--x0", "0.1,0.1", "--steps", "2", "--exact"] if command == "discretize" else []
+    out = tmp_path / "out.json"
+    _forbid_work(monkeypatch)
+    code, stdout, stderr = _run(
+        capsys, command, spec_path("van-der-pol"), *base,
+        flag, value.format(rows=rows), "--out", str(out),
+    )
+    assert code == 2
+    assert stderr == f"error: {flag}: {message}\n"
+    assert stdout == "" and not out.exists()
+
+
+def test_every_flag_maps_a_parameter_that_a_library_check_names(bench):
+    # each check is called by keyword, so each name is a real parameter
+    vdp = bench["van-der-pol"]
+    mdl = build_taylor_model(vdp, 1)
+    study = {"s": vdp, "orders": [1], "t_values": [0.2, 0.1, 0.05]}
+    steps = {"stepper": mdl, "s": vdp, "x0": [0.1, 0.2], "u_seq": [[0.0]]}
+    calls = {
+        "grid_per_axis": (SamplingConfig, {"grid_per_axis": 1}),
+        "pair_budget": (SamplingConfig, {"pair_budget": 10}),
+        "seed": (SamplingConfig, {"seed": -1}),
+        "polish_iters": (SamplingConfig, {"polish_iters": -1}),
+        "tol": (discretize.ExactMap, {"spec": vdp, "tol": 1.0}),
+        "t_values": (convergence_study, {**study, "t_values": [0.1, 0.1, 0.1]}),
+        "orders": (convergence_study, {**study, "orders": [4]}),
+        "x0": (simulate, {**steps, "x0": [0.1]}),
+        "u_seq": (simulate, {**steps, "u_seq": [[0.1, 0.2]]}),
+    }
+    assert set(calls) == set(cli._FLAGS)
+    for name, (check, kwargs) in calls.items():
+        with pytest.raises(SpecValidationError) as err:
+            check(**kwargs)
+        assert err.value.path == name, name
+
+
+def test_exact_with_a_sampling_time_below_the_minimum_step_exits_2(
+    capsys, monkeypatch, spec_path, tmp_path
+):
+    # it used to integrate to t = T, then exit 3 on a step-size underflow
+    path = spec_path("cubic-scalar", T=1e-13)
+    out = tmp_path / "traj.json"
+    _forbid_work(monkeypatch)
+    code, stdout, stderr = _run(
+        capsys, "discretize", path, "--x0", "0.5", "--steps", "2", "--exact", "--out", str(out)
+    )
+    assert code == 2
+    assert stderr == "error: T: must be at least the integrator's minimum step 1e-12, got 1e-13\n"
+    assert stdout == "" and not out.exists()
+    monkeypatch.undo()
+    assert _run(capsys, "discretize", path, "--x0", "0.5", "--steps", "2")[0] == 0
+    argv = ["convergence", path, "--orders", "1"]
+    code, _, stderr = _run(capsys, *argv, "--t-list", "0.2,0.1,1e-13")
+    assert code == 2 and stderr.startswith("error: --t-list: ")
+    # convergence integrates at its --t-list times, not at the spec's T
+    assert _run(capsys, *argv)[0] == 0
 
 
 def test_load_system_builds_no_point_template(spec_path):
@@ -753,6 +868,15 @@ def test_cmd_discretize_input_rows_of_the_wrong_width_exit_2(capsys, spec_path, 
     )
     assert code == 2
     assert stderr == "error: --inputs: expected rows of m = 1 numbers, got shape (2, 2)\n"
+    assert stdout == ""
+
+
+def test_cmd_discretize_constant_input_of_the_wrong_width_exits_2(capsys, spec_path):
+    code, stdout, stderr = _run(
+        capsys, "discretize", spec_path("van-der-pol"), "--x0", "0.0,0.0", "--inputs", "0.1,0.2"
+    )
+    assert code == 2
+    assert stderr == "error: --inputs: expected rows of m = 1 numbers, got shape (1, 2)\n"
     assert stdout == ""
 
 

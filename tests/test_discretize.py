@@ -10,6 +10,7 @@ import pytest
 from lipdisc import (
     BoxRegion,
     IntegrationError,
+    SpecValidationError,
     SystemSpec,
     build_taylor_model,
     exact_step,
@@ -497,14 +498,19 @@ def test_exact_step_keeps_the_bits_at_zero_states(bench):
     assert exact_step(pend, signed).tobytes() == _reference_exact_step(pend, signed).tobytes()
 
 
-def test_exact_step_underflow_message_is_unchanged(bench):
-    tiny = bench["pendulum"].with_sampling_time(1e-300)
+def test_exact_step_underflow_message_is_unchanged():
+    # dx/dt = x^2 from x = 1 blows up at t = 1, inside T = 5 (a T below the
+    # minimum step is rejected when the map is built, see below)
+    spec = SystemSpec(
+        name="blowup", a=[[0.0]], c=[[1.0]], f=(parse("x1^2"),),
+        region=BoxRegion([0.0], [2.0]), sampling_time=5.0,
+    )
     with pytest.raises(IntegrationError) as want:
-        _reference_exact_step(tiny, [0.5, 0.2])
+        _reference_exact_step(spec, [1.0])
     with pytest.raises(IntegrationError) as got:
-        exact_step(tiny, [0.5, 0.2])
+        exact_step(spec, [1.0])
     assert str(got.value) == str(want.value)
-    assert "step size underflow" in str(got.value)
+    assert "step size underflow" in str(got.value) and got.value.t < 1.0
 
 
 def _synthetic_spec(n, t=0.1):
@@ -769,8 +775,40 @@ def test_exact_step_validates_tolerance(bench):
         exact_step(bench["pendulum"], [0.0, 0.0], tol=1e-3)
     with pytest.raises(ValueError):
         exact_step(bench["pendulum"], [0.0, 0.0], tol=1e-14)
-    with pytest.raises(ValueError, match="tol must lie"):
+    with pytest.raises(SpecValidationError, match=r"^tol: must lie in \[1e-13, 1e-6\]") as err:
         discretize.ExactMap(bench["pendulum"], tol=1e-3)  # before any trajectory runs
+    assert (err.value.path, err.value.message) == ("tol", "must lie in [1e-13, 1e-6], got 0.001")
+
+
+def test_exact_map_rejects_a_sampling_time_below_the_minimum_step():
+    # with T = 1e-13 the first step reached t = T, then the step-size
+    # check raised an underflow: now the map is refused when it is built
+    tiny = _linear_spec([[0.0]], t=1e-13)
+    for build in (lambda: discretize.ExactMap(tiny), lambda: exact_step(tiny, [0.5])):
+        with pytest.raises(SpecValidationError) as err:
+            build()
+        assert err.value.path == "T"
+        assert err.value.message == (
+            "must be at least the integrator's minimum step 1e-12, got 1e-13"
+        )
+    assert exact_step(tiny.with_sampling_time(1e-12), [0.5]).tolist() == [0.5]
+
+
+def test_library_checks_name_their_parameter(bench):
+    vdp = bench["van-der-pol"]  # n = 2, m = 1
+    mdl = build_taylor_model(vdp, 1)
+    cases = [
+        ("order", lambda: build_taylor_model(vdp, 4), "must be one of (1, 2, 3), got 4"),
+        ("x0", lambda: simulate(mdl, vdp, [0.1], [0.0]), "must have shape (2,), got (1,)"),
+        ("u_seq", lambda: simulate(mdl, vdp, [0.1, 0.2], [[0.1, 0.2]]),
+         "expected rows of m = 1 numbers, got shape (1, 2)"),
+        ("u_seq", lambda: simulate(mdl, vdp, [0.1, 0.2], [["a"]]),
+         "could not convert string to float: 'a'"),
+    ]
+    for path, call, message in cases:
+        with pytest.raises(SpecValidationError) as err:
+            call()
+        assert (err.value.path, err.value.message) == (path, message)
 
 
 def test_local_error_shrinks_with_order(bench):

@@ -59,6 +59,26 @@ def test_from_dict_validation_errors_name_the_field(mutation, path):
     assert err.value.path == path
 
 
+@pytest.mark.parametrize("key", ["region", "input_region"])
+@pytest.mark.parametrize(
+    "box, message",
+    [
+        ({"lower": [1.0], "upper": [-1.0]}, "lower bound exceeds upper bound"),
+        ({"lower": [1.0, 0.0], "upper": [2.0]}, "lower and upper must be equal-length vectors"),
+    ],
+)
+def test_box_errors_name_the_box_once(key, box, message):
+    data = {
+        "name": "box", "A": [[0.0]], "C": [[1.0]], "f": ["0"], "T": 0.1,
+        "region": {"lower": [-1.0], "upper": [1.0]},
+        key: box,
+    }
+    with pytest.raises(SpecValidationError) as err:
+        SystemSpec.from_dict(data)
+    assert str(err.value) == f"{key}: {message}"
+    assert (err.value.path, err.value.message) == (key, message)
+
+
 def test_zero_state_plant_is_rejected():
     with pytest.raises(SpecValidationError, match="^A: must have at least one state") as err:
         SystemSpec(

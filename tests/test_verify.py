@@ -9,6 +9,7 @@ import pytest
 from lipdisc import (
     BoxRegion,
     SamplingConfig,
+    SpecValidationError,
     SystemSpec,
     build_taylor_model,
     convergence_study,
@@ -18,7 +19,7 @@ from lipdisc import (
 )
 from lipdisc import expr as ex
 from lipdisc.constants import sample_pairs
-from lipdisc.discretize import _CHUNK_ROWS
+from lipdisc.discretize import _CHUNK_ROWS, DiscreteModel, ExactMap
 from lipdisc.verify import _CONVERGENCE_POINTS, verify_tolerance
 
 from conftest import (
@@ -258,6 +259,29 @@ def test_convergence_study_needs_three_distinct_sampling_times_and_an_order(benc
 def test_convergence_study_rejects_sampling_times_below_the_minimum_step(bench, fast_cfg):
     with pytest.raises(ValueError, match="minimum step"):
         convergence_study(bench["pendulum"], (1,), (0.2, 0.1, 1e-300), fast_cfg)
+
+
+@pytest.mark.parametrize(
+    "path, orders, t_values, tol",
+    [
+        ("t_values", (1,), (0.1, 0.1, 0.05), 1e-10),
+        ("t_values", (1,), (0.2, 0.1, 1e-13), 1e-10),
+        ("orders", (), (0.2, 0.1, 0.05), 1e-10),
+        ("orders", (1, 4), (0.2, 0.1, 0.05), 1e-10),
+        ("tol", (1,), (0.2, 0.1, 0.05), 1e-3),
+    ],
+)
+def test_convergence_study_names_a_bad_argument_before_any_work(
+    bench, fast_cfg, monkeypatch, path, orders, t_values, tol
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a map was stepped before the arguments were checked")
+
+    monkeypatch.setattr(ExactMap, "__call__", no_work)
+    monkeypatch.setattr(DiscreteModel, "__call__", no_work)
+    with pytest.raises(SpecValidationError) as err:
+        convergence_study(bench["pendulum"], orders, t_values, fast_cfg, integrator_tol=tol)
+    assert err.value.path == path
 
 
 def test_convergence_study_compiles_one_lie_kernel_per_order(probe, monkeypatch):
