@@ -30,22 +30,23 @@ from dataclasses import dataclass
 from .constants import ConstantEstimates
 from .discretize import ORDERS
 from .linalg import NumericalError
+from .system import SpecValidationError
+
+_RHO_ORDERS = (1, 2)  # the orders with a one-sided formula
 
 
-class UnsupportedOrderError(ValueError):
-    pass
+class UnsupportedOrderError(SpecValidationError):
+    """An order without a formula, named by the path ``order``."""
 
 
 def _check_order(order: int, supported: tuple[int, ...]):
     if order not in supported:
-        raise UnsupportedOrderError(
-            f"unsupported order {order!r}; expected one of {supported}"
-        )
+        raise UnsupportedOrderError("order", f"must be one of {supported}, got {order!r}")
 
 
 def _check_t(t: float):
     if not t >= 0.0:
-        raise ValueError(f"sampling time must be nonnegative, got {t!r}")
+        raise SpecValidationError("t", f"must be nonnegative, got {t!r}")
 
 
 def gamma_d(order: int, t: float, c: ConstantEstimates) -> float:
@@ -77,7 +78,7 @@ def rho_d(order: int, t: float, c: ConstantEstimates) -> float:
 
     May be negative, like the continuous constant it scales.
     """
-    _check_order(order, (1, 2))
+    _check_order(order, _RHO_ORDERS)
     _check_t(t)
     rho = c.rho_c
     if order == 1:
@@ -101,7 +102,7 @@ def evaluate_bounds(order: int, t: float, c: ConstantEstimates) -> BoundResult:
     A formula that overflows or is not finite raises NumericalError."""
     try:
         gamma = gamma_d(order, t, c)
-        rho = rho_d(order, t, c) if order <= 2 else None
+        rho = rho_d(order, t, c) if order in _RHO_ORDERS else None
     except OverflowError:  # a float power such as gamma**3
         gamma = rho = math.inf
     if not all(math.isfinite(v) for v in (gamma, rho) if v is not None):

@@ -19,8 +19,7 @@ matrix, batched) bounds every row, then the rows within a small
 relative band of the screened maximum are re-ranked by the power
 iteration ``linalg.max_singular_values``, in one stacked call over the
 distinct matrices.  The supremum and its witness are therefore those of
-the kernel over the whole grid; exact ties go to the first grid point
-in C order.
+the kernel over the whole grid.
 
 The gamma_c polish scores its candidates in batches: those of the next
 few polish iterations, laid out as if none were accepted, are screened
@@ -33,16 +32,22 @@ value and witness, are those of scoring one candidate at a time.
 A grid over more than 1e6 points is coarsened per axis; ``estimate_all``
 then warns once, naming the requested and the effective grid.
 
+One reducer, ``_Sup``, takes every supremum, grid or pair, by one rule.
+A row fails where f, J, H or an image is not finite or a norm kernel
+does not converge; failed rows are skipped, and more than 10% of them
+raises.  A later row, in the same chunk or another, takes over only with
+a strictly greater value: the first maximum wins a tie.  A supremum of
+finite evaluations that is not finite (a norm or a quotient above the
+largest float) raises; if every valid value is -inf, the first valid
+row is the witness.  Each error is a NumericalError naming the constant.
+
 Pair quotients are reduced in one pass over the sample in the chunks of
-F_T's batch (``sup_pair_quotient``); each quotient keeps a running
-supremum that a later chunk takes over only with a strictly greater
-value, so value and witness are those of one argmax over the sample.
-A row whose quotient overflows is taken again with its images and
-x1 - x2 scaled by powers of two, so only a quotient above the largest
-float reads inf.
-Beside the sample (filled in place), a pass holds one chunk's
-temporaries: verify at 200k pairs on the 4-state probe peaks 4.6 MB
-(order 1) to 8.8 MB (order 3) above its 13.7 MB sample (tracemalloc).
+F_T's batch (``sup_pair_quotient``).  A row whose quotient or norm
+overflows is taken again scaled by powers of two, so only a value above
+the largest float reads inf.  Beside the sample (filled in place), a
+pass holds one chunk's temporaries: verify at 200k pairs on the 4-state
+probe peaks 4.6 MB (order 1) to 8.8 MB (order 3) above its 13.7 MB
+sample (tracemalloc).
 """
 
 from __future__ import annotations
@@ -253,9 +258,51 @@ def _probe_pairs(s: SystemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
+# the one reducer of every empirical supremum
+
+class _Sup:
+    """A running supremum under the module docstring's rule: ``value``,
+    witness row ``best`` (-1 before a valid row) and ``failures``;
+    ``points`` maps each witness key to the sample's array."""
+
+    def __init__(self, points: dict, sample: str, noun: str):
+        self.points, self.sample, self.noun = points, sample, noun
+        self.rows = len(next(iter(points.values())))
+        self.value, self.best, self.failures = -math.inf, -1, 0
+
+    def update(self, lo: int, values: np.ndarray, ok: np.ndarray, failures: int) -> None:
+        """Take the next chunk: rows lo, lo + 1, ..., valid in ``ok``, ``failures`` failed."""
+        self.failures += failures
+        if not ok.any():
+            return
+        values = np.where(ok, values, -np.inf)
+        row = int(np.argmax(values))
+        if values[row] == -np.inf:  # every valid value is -inf: the first valid row
+            row = int(np.argmax(ok))
+        if self.best < 0 or values[row] > self.value:
+            self.value, self.best = float(values[row]), lo + row
+
+    @property
+    def failed(self) -> bool:
+        return self.failures > _MAX_FAIL_FRACTION * self.rows
+
+    def result(self, name: str) -> tuple[float, dict]:
+        """The supremum and its witness, or NumericalError naming ``name``."""
+        if self.failed:
+            raise NumericalError(
+                f"{name}: {self.failures}/{self.rows} {self.sample} evaluations failed"
+            )
+        if self.best < 0:
+            raise NumericalError(f"{name}: no valid {self.sample} samples")
+        if not math.isfinite(self.value):
+            raise NumericalError(f"{name}: a {self.sample} {self.noun} overflows to {self.value}")
+        return self.value, {key: array[self.best].tolist() for key, array in self.points.items()}
+
+
+# ---------------------------------------------------------------------------
 # quotient suprema over pair samples
 
-def sup_pair_quotient(pairs: PairSample, images, one_sided) -> list[_PairSup]:
+def sup_pair_quotient(pairs: PairSample, images, one_sided) -> list[_Sup]:
     """Suprema of (one-sided) difference quotients of maps over ``pairs``,
     in one pass of chunks of _CHUNK_ROWS rows under np.errstate, so an
     overflow shows as a non-finite image or quotient.
@@ -264,119 +311,63 @@ def sup_pair_quotient(pairs: PairSample, images, one_sided) -> list[_PairSup]:
     ``rows``, one image pair (m(x1,u), m(x2,u)) per entry of
     ``one_sided``, so several quotients share one evaluation.  Two-sided
     quotient: ||m(x1,u)-m(x2,u)|| / ||x1-x2||; one-sided:
-    <m(x1,u)-m(x2,u), x1-x2> / ||x1-x2||^2.  Returns one running supremum
-    per quotient; a caller reads their ``result()`` in this order, the
-    order its failures should surface, so once a quotient has failed,
-    later chunks stop after it (a generator ``images`` computes no more).
+    <m(x1,u)-m(x2,u), x1-x2> / ||x1-x2||^2; a coincident pair is neither
+    failed nor valid.  Returns one running supremum per quotient; a
+    caller reads their ``result`` in this order, the order its failures
+    should surface, so once a quotient has failed, later chunks stop
+    after it (a generator ``images`` computes no more).
     """
-    sups = [_PairSup(pairs, side) for side in one_sided]
+    points = {"x1": pairs.x1, "x2": pairs.x2, "u": pairs.u}
+    sups = [_Sup(points, "pair", "quotient") for _ in one_sided]
     with np.errstate(all="ignore"):
         for lo in range(0, pairs.x1.shape[0], _CHUNK_ROWS):
             rows = slice(lo, lo + _CHUNK_ROWS)
             dx = pairs.x1[rows] - pairs.x2[rows]
             dist_sq = np.einsum("ij,ij->i", dx, dx)
-            for sup, chunk in zip(sups, images(rows), strict=True):
-                sup.update(lo, chunk, dx, dist_sq)
+            for sup, side, (m1, m2) in zip(sups, one_sided, images(rows), strict=True):
+                sup.update(lo, *_quotients(m1, m2, dx, dist_sq, side))
                 if sup.failed:
                     break
     return sups
 
 
-class _PairSup:
-    """The running supremum of one pair quotient: its value, its first
-    winning row, the first valid row and the count of rows with a
-    non-finite image.  Chunks arrive in row order and a later chunk
-    takes over only with a strictly greater value, so value and witness
-    are those of one ``argmax`` over the whole sample (no quotient is
-    NaN: a row whose quotient overflows is taken again, scaled)."""
-
-    def __init__(self, pairs: PairSample, one_sided: bool):
-        self.pairs, self.one_sided = pairs, one_sided
-        self.value, self.best, self.first_valid, self.failures = -np.inf, -1, -1, 0
-
-    def update(self, lo: int, images, dx: np.ndarray, dist_sq: np.ndarray) -> None:
-        m1, m2 = images
-        dm = m1 - m2
-        ok = np.isfinite(m1[:, 0])
-        for column in (*m1.T[1:], *m2.T):
-            ok &= np.isfinite(column)
-        self.failures += len(ok) - int(np.count_nonzero(ok))
-        ok &= dist_sq > 0.0
-        if not np.any(ok):
-            return
-        if self.first_valid < 0:
-            self.first_valid = lo + int(np.argmax(ok))
-        quotients = np.einsum("ij,ij->i", dm, dx if self.one_sided else dm)
-        np.divide(quotients, dist_sq, out=quotients, where=ok)
-        if not self.one_sided:
-            np.sqrt(quotients, out=quotients, where=ok)
-        # the product or ||x1-x2||^2 overflows: again on scaled rows, which
-        # leaves every other row
-        redo = ok & ~(np.isfinite(quotients) & np.isfinite(dist_sq))
-        if redo.any():
-            quotients[redo] = _scaled_quotients(m1[redo], m2[redo], dx[redo], self.one_sided)
-        quotients[~ok] = -np.inf
-        best = int(np.argmax(quotients))
-        value = float(quotients[best])
-        if value > self.value:
-            self.value, self.best = value, lo + best
-
-    @property
-    def failed(self) -> bool:
-        return self.failures > _MAX_FAIL_FRACTION * self.pairs.x1.shape[0]
-
-    def result(self) -> tuple[float, dict]:
-        """The supremum and its witness pair.  Samples where a map is
-        non-finite are skipped; more than 10% failures is an error.  If
-        every valid quotient is -inf, the first valid pair is the witness."""
-        if self.failed:
-            raise NumericalError(
-                f"{self.failures}/{self.pairs.x1.shape[0]} pair evaluations failed "
-                "(domain errors)"
-            )
-        if self.first_valid < 0:
-            raise NumericalError("no valid pairs to evaluate")
-        best = self.best if self.best >= 0 else self.first_valid
-        witness = {
-            "x1": self.pairs.x1[best].tolist(),
-            "x2": self.pairs.x2[best].tolist(),
-            "u": self.pairs.u[best].tolist(),
-        }
-        return self.value, witness
-
-
-def _scaled_quotients(m1, m2, dx, one_sided: bool) -> np.ndarray:
-    """Pair quotients with each row's images and dx = x1 - x2 scaled by
-    powers of two to max |entry| < 1: inf only above the largest float."""
-    _, em = np.frexp(np.maximum(np.max(np.abs(m1), axis=1), np.max(np.abs(m2), axis=1)))
-    _, ex = np.frexp(np.max(np.abs(dx), axis=1))
-    dm = np.ldexp(m1, -em[:, None]) - np.ldexp(m2, -em[:, None])
-    dx = np.ldexp(dx, -ex[:, None])
-    quotients = np.einsum("ij,ij->i", dm, dx if one_sided else dm) / np.einsum("ij,ij->i", dx, dx)
-    return np.ldexp(quotients if one_sided else np.sqrt(quotients), em - ex)
-
-
-def _finite_result(sup: _PairSup, name: str) -> tuple[float, dict]:
-    """``sup.result()``, where an infinite or NaN supremum (a quotient of
-    finite images that overflows) raises NumericalError naming ``name``."""
-    value, witness = sup.result()
-    if not math.isfinite(value):
-        raise NumericalError(f"{name}: a pair quotient overflows to {value}")
-    return value, witness
+def _quotients(m1, m2, dx, dist_sq, one_sided: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    """A chunk's quotients, valid rows and count of failed rows (a
+    non-finite image); a function, so its temporaries die on return."""
+    dm = m1 - m2
+    ok = np.isfinite(m1[:, 0])
+    for column in (*m1.T[1:], *m2.T):
+        ok &= np.isfinite(column)
+    failures = len(ok) - int(np.count_nonzero(ok))
+    ok &= dist_sq > 0.0
+    quotients = np.einsum("ij,ij->i", dm, dx if one_sided else dm)
+    np.divide(quotients, dist_sq, out=quotients, where=ok)
+    if not one_sided:
+        np.sqrt(quotients, out=quotients, where=ok)
+    # the product or ||x1-x2||^2 overflows: again with the row's images and
+    # x1 - x2 scaled by powers of two to max |entry| < 1, which leaves every
+    # other row, so a quotient is inf only above the largest float, never NaN
+    redo = ok & ~(np.isfinite(quotients) & np.isfinite(dist_sq))
+    if redo.any():
+        m1, m2, dx = m1[redo], m2[redo], dx[redo]
+        _, em = np.frexp(np.maximum(np.max(np.abs(m1), axis=1), np.max(np.abs(m2), axis=1)))
+        _, ex = np.frexp(np.max(np.abs(dx), axis=1))
+        dm = np.ldexp(m1, -em[:, None]) - np.ldexp(m2, -em[:, None])
+        dx = np.ldexp(dx, -ex[:, None])
+        scaled = np.einsum("ij,ij->i", dm, dx if one_sided else dm) / np.einsum("ij,ij->i", dx, dx)
+        quotients[redo] = np.ldexp(scaled if one_sided else np.sqrt(scaled), em - ex)
+    return quotients, ok, failures
 
 
 # ---------------------------------------------------------------------------
 # grid suprema with polish
 
-def _grid_sup(s: SystemSpec, cfg: SamplingConfig, values_for_rows) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate a row objective over the D x U grid; returns (values, points)."""
-    pts = grid_points(s, cfg)
-    vals = values_for_rows(pts[:, : s.n], pts[:, s.n :])
-    failures = int(np.count_nonzero(~np.isfinite(vals)))
-    if failures > _MAX_FAIL_FRACTION * len(vals):
-        raise NumericalError(f"{failures}/{len(vals)} grid evaluations failed")
-    vals = np.where(np.isfinite(vals), vals, -np.inf)
-    return vals, pts
+def _grid_sup(s: SystemSpec, pts: np.ndarray, values: np.ndarray) -> _Sup:
+    """The supremum of ``values`` over the rows ``pts``; NaN marks a failed row."""
+    sup = _Sup({"x": pts[:, : s.n], "u": pts[:, s.n :]}, "grid", "norm")
+    failed = np.isnan(values)
+    sup.update(0, values, ~failed, int(np.count_nonzero(failed)))
+    return sup
 
 
 def _gram_norms(mats: np.ndarray) -> np.ndarray:
@@ -399,7 +390,8 @@ def _norm_rows(stack: np.ndarray) -> np.ndarray:
     """Per-row norms of a (P, d1, ...) stack whose max and first argmax are
     exactly those of ``max_singular_values`` over the (P, d1, rest)
     unfoldings (for an order-3 tensor, ``tensor3_norm_surrogate``); NaN
-    marks rows that are non-finite or where the kernel fails.
+    marks rows that are non-finite or where the kernel fails, inf those
+    whose 2-norm is above the largest float.
 
     ``_gram_norms`` screens all rows.  Rows within a band of
     ``_SCREEN_BAND`` (relative) of the screened max get the kernel value,
@@ -437,10 +429,11 @@ def _polish(s: SystemSpec, start, lower, upper, steps, iters) -> tuple[float, np
     """Coordinate ascent of ||df/dx|| from ``start``: iteration i tries
     x +- steps / 2^i along each axis (clipped into the box), and a
     candidate replaces x when it beats the best.  Returns the best value
-    (-inf where every point fails) and its point.  A batch holds the
-    candidates of the next ``horizon`` iterations as if none were
-    accepted; the walk through it stops at the first acceptance, after
-    which the horizon is 1, and a batch without one doubles it."""
+    (-inf where every point fails, inf where a 2-norm overflows) and its
+    point.  A batch holds the candidates of the next ``horizon``
+    iterations as if none were accepted; the walk through it stops at
+    the first acceptance, after which the horizon is 1, and a batch
+    without one doubles it."""
     memo: dict[bytes, float] = {}  # by Jacobian bytes; -inf if failed or screened
 
     def scores(points, best):
@@ -484,31 +477,21 @@ def _polish(s: SystemSpec, start, lower, upper, steps, iters) -> tuple[float, np
     return best, x
 
 
-def _polish_setup(s: SystemSpec, cfg: SamplingConfig):
-    lower, upper = _domain_box(s)
-    g = _effective_grid(lower.shape[0], cfg.grid_per_axis)
-    steps = (upper - lower) / (g - 1)  # one mesh cell per axis
-    return lower, upper, steps
-
-
 def estimate_gamma_c(s: SystemSpec, cfg: SamplingConfig) -> tuple[float, dict]:
     """Empirical sup of ||df/dx|| over D x U: grid plus local polish.
 
     A lower bound on the true Lipschitz constant; the witness is the
     attaining point.
     """
-
-    vals, pts = _grid_sup(s, cfg, lambda x, u: _norm_rows(s.jacobian_batch(x, u)))
-    best_row = int(np.argmax(vals))
-    grid_best = float(vals[best_row])
-    lower, upper, steps = _polish_setup(s, cfg)
-    polished, zbest = _polish(s, pts[best_row], lower, upper, steps, cfg.polish_iters)
-    if polished > grid_best:
-        value, point = polished, zbest
-    else:
-        value, point = grid_best, pts[best_row]
-    witness = {"x": point[: s.n].tolist(), "u": point[s.n :].tolist()}
-    return value, witness
+    pts = grid_points(s, cfg)
+    sup = _grid_sup(s, pts, _norm_rows(s.jacobian_batch(pts[:, : s.n], pts[:, s.n :])))
+    sup.result("gamma_c")  # the grid's failures surface before the polish
+    lower, upper = _domain_box(s)
+    steps = (upper - lower) / (_effective_grid(lower.shape[0], cfg.grid_per_axis) - 1)
+    polished, point = _polish(s, pts[sup.best], lower, upper, steps, cfg.polish_iters)
+    if polished > sup.value:
+        sup = _grid_sup(s, point[None], np.array([polished]))
+    return sup.result("gamma_c")
 
 
 def estimate_rho_c(s: SystemSpec, cfg: SamplingConfig) -> tuple[float, dict]:
@@ -522,40 +505,38 @@ def estimate_rho_c(s: SystemSpec, cfg: SamplingConfig) -> tuple[float, dict]:
     (sup,) = sup_pair_quotient(
         pairs, lambda rows: [(f(x1[rows], u[rows]), f(x2[rows], u[rows]))], (True,)
     )
-    return _finite_result(sup, "rho_c")
+    return sup.result("rho_c")
+
+
+def _f_norms(f: np.ndarray) -> np.ndarray:
+    """||f|| per row: NaN where the row is not finite, inf only where the
+    norm is above the largest float."""
+    finite = np.isfinite(f).all(axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.einsum("ij,ij->i", f, f))
+        # a finite row whose sum of squares overflows: again on the row
+        # scaled by a power of two, which leaves every other row
+        redo = np.isinf(norms) & finite
+        if redo.any():
+            _, e = np.frexp(np.max(np.abs(f[redo]), axis=1))
+            scaled = np.ldexp(f[redo], -e[:, None])
+            norms[redo] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), e)
+    norms[~finite] = np.nan
+    return norms
 
 
 def estimate_beta_and_m(s: SystemSpec, cfg: SamplingConfig) -> tuple[float, float, dict]:
-    """Grid suprema of ||d^2 f/dx^2|| (mode-1 surrogate) and ||f||."""
-
-    beta_vals, pts = _grid_sup(s, cfg, lambda x, u: _norm_rows(s.second_derivative_batch(x, u)))
-
-    def m_rows(x, u):
-        f = s.eval_f_batch(x, u)
-        with np.errstate(over="ignore"):
-            norms = np.sqrt(np.einsum("ij,ij->i", f, f))
-            # a finite row whose sum of squares overflows: again on the
-            # row scaled by a power of two, which leaves every other row
-            redo = np.isinf(norms) & np.isfinite(f).all(axis=1)
-            if redo.any():
-                _, e = np.frexp(np.max(np.abs(f[redo]), axis=1))
-                scaled = np.ldexp(f[redo], -e[:, None])
-                norms[redo] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), e)
-        return norms
-
-    m_vals, _ = _grid_sup(s, cfg, m_rows)
-
-    beta_row = int(np.argmax(beta_vals))
-    m_row = int(np.argmax(m_vals))
-    witnesses = {
-        "beta": {"x": pts[beta_row, : s.n].tolist(), "u": pts[beta_row, s.n :].tolist()},
-        "big_m": {"x": pts[m_row, : s.n].tolist(), "u": pts[m_row, s.n :].tolist()},
-    }
-    return float(beta_vals[beta_row]), float(m_vals[m_row]), witnesses
+    """Grid suprema of ||d^2 f/dx^2|| (mode-1 surrogate) and ||f||, over
+    one grid."""
+    pts = grid_points(s, cfg)
+    x, u = pts[:, : s.n], pts[:, s.n :]
+    beta, beta_w = _grid_sup(s, pts, _norm_rows(s.second_derivative_batch(x, u))).result("beta")
+    big_m, m_w = _grid_sup(s, pts, _f_norms(s.eval_f_batch(x, u))).result("big_m")
+    return beta, big_m, {"beta": beta_w, "big_m": m_w}
 
 
 def estimate_all(
-    s: SystemSpec, cfg: SamplingConfig, rho_c: _PairSup | None = None
+    s: SystemSpec, cfg: SamplingConfig, rho_c: _Sup | None = None
 ) -> ConstantEstimates:
     """All constants the bound formulas need, with witnesses; ``rho_c``
     is the running pair supremum of f's one-sided quotient over the pair
@@ -569,7 +550,7 @@ def estimate_all(
     if rho_c is None:
         rho, rho_w = estimate_rho_c(s, cfg)
     else:
-        rho, rho_w = _finite_result(rho_c, "rho_c")
+        rho, rho_w = rho_c.result("rho_c")
     beta, big_m, bm_w = estimate_beta_and_m(s, cfg)
     sigma = max_singular_value(s.a)
     witnesses = {"gamma_c": gamma_w, "rho_c": rho_w, **bm_w}

@@ -27,22 +27,22 @@ class NumericalError(RuntimeError):
 def max_singular_value(a: np.ndarray) -> float:
     """Induced 2-norm (largest singular value) of a real matrix: the
     one-slice case of ``max_singular_values``, which raises
-    NumericalError where that gives NaN."""
+    NumericalError where that gives NaN or inf."""
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         raise ValueError("matrix is empty")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     value = float(max_singular_values(a[None])[0])
-    if math.isnan(value):
+    if not math.isfinite(value):
         raise NumericalError("power iteration did not converge, or the 2-norm overflows")
     return value
 
 
 def max_singular_values(stack: np.ndarray) -> np.ndarray:
     """Induced 2-norms of the matrices of a (k, r, c) stack; NaN for a
-    matrix with non-finite entries, one whose iteration does not
-    converge, or one whose 2-norm is above the largest float.
+    matrix with non-finite entries or one whose iteration does not
+    converge, inf for one whose 2-norm is above the largest float.
 
     Shifted power iteration on A^T A with a deterministic start vector
     (normalized all-ones perturbed by 1/(i+1) per coordinate), stopping
@@ -95,9 +95,8 @@ def max_singular_values(stack: np.ndarray) -> np.ndarray:
     out[redo[e == 0]] = 0.0  # already scaled, or zero (frexp(0) = (0, 0))
     redo, e = redo[e != 0], e[e != 0]
     if redo.size:
-        with np.errstate(over="ignore"):
-            norms = np.ldexp(max_singular_values(np.ldexp(full[redo], -e[:, None, None])), e)
-        out[redo] = np.where(np.isinf(norms), np.nan, norms)  # above the largest float
+        with np.errstate(over="ignore"):  # a 2-norm above the largest float: inf
+            out[redo] = np.ldexp(max_singular_values(np.ldexp(full[redo], -e[:, None, None])), e)
     return out
 
 

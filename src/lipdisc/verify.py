@@ -35,7 +35,6 @@ from . import bounds as bnd
 from .constants import (
     ConstantEstimates,
     SamplingConfig,
-    _finite_result,
     estimate_all,
     sample_pairs,
     sup_pair_quotient,
@@ -129,9 +128,9 @@ def verify_bounds(s: SystemSpec, order: int, cfg: SamplingConfig) -> Verificatio
     constants = estimate_all(s, cfg, rho_c=rho_c)
     t = s.sampling_time
     result = bnd.evaluate_bounds(order, t, constants)
-    emp_gamma, gamma_wit = _finite_result(gamma_d, "empirical gamma_d")
-    emp_rho, rho_wit = _finite_result(rho_d, "empirical rho_d")
-    full_map, _ = _finite_result(full_map, "full-map gamma_d")
+    emp_gamma, gamma_wit = gamma_d.result("empirical gamma_d")
+    emp_rho, rho_wit = rho_d.result("empirical rho_d")
+    full_map, _ = full_map.result("full-map gamma_d")
 
     gamma_tol = verify_tolerance(result.gamma_d)
     gamma_margin = result.gamma_d - emp_gamma

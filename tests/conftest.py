@@ -140,7 +140,7 @@ def pair_quotient(map_batch, s, cfg, one_sided, pairs=None):
         pairs, lambda rows: [(map_batch(x1[rows], u[rows]), map_batch(x2[rows], u[rows]))],
         (one_sided,),
     )
-    return sup.result()
+    return sup.result("empirical quotient")
 
 
 def whole_array_pair_quotient(pairs, images, one_sided):

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from lipdisc import ConstantEstimates, UnsupportedOrderError, evaluate_bounds, gamma_d, rho_d
+from lipdisc import (
+    ConstantEstimates,
+    SpecValidationError,
+    UnsupportedOrderError,
+    build_taylor_model,
+    evaluate_bounds,
+    gamma_d,
+    rho_d,
+)
 
 
 def _c(gamma=0.0, rho=0.0, beta=0.0, big_m=0.0, sigma=0.0):
@@ -52,9 +60,23 @@ def test_rho_order3_is_unsupported():
         rho_d(3, 0.1, _c(gamma=1.0))
 
 
-def test_gamma_unsupported_order():
+def test_gamma_unsupported_order(bench):
     with pytest.raises(UnsupportedOrderError):
         gamma_d(0, 0.1, _c(gamma=1.0))
+    # the path and message of build_taylor_model's order check
+    with pytest.raises(UnsupportedOrderError) as ours:
+        gamma_d(4, 0.1, _c(gamma=1.0))
+    with pytest.raises(SpecValidationError) as model:
+        build_taylor_model(bench["pendulum"], 4)
+    for err in (ours.value, model.value):
+        assert (err.path, err.message) == ("order", "must be one of (1, 2, 3), got 4")
+
+
+def test_negative_sampling_time_names_t():
+    for formula in (gamma_d, rho_d):
+        with pytest.raises(SpecValidationError) as err:
+            formula(1, -0.1, _c(gamma=1.0))
+        assert (err.value.path, err.value.message) == ("t", "must be nonnegative, got -0.1")
 
 
 def test_gamma_order3_requires_beta_and_m():

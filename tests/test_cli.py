@@ -279,45 +279,6 @@ def test_invalid_sampling_flags_exit_2(capsys, spec_path):
     assert code == 2
 
 
-@pytest.mark.parametrize(
-    "flag, value, least",
-    [("--seed", "-1", 0), ("--pairs", "10", 1000), ("--grid", "1", 2), ("--polish-iters", "-1", 0)],
-)
-@pytest.mark.parametrize("command", ["constants", "verify"])
-def test_bad_sampling_flag_exits_2_naming_it_before_any_work(
-    capsys, monkeypatch, spec_path, command, flag, value, least
-):
-    def no_work(*args, **kwargs):
-        raise AssertionError("estimation ran before the sampling flags were checked")
-
-    monkeypatch.setattr(cli, "estimate_all", no_work)
-    monkeypatch.setattr(cli, "verify_bounds", no_work)
-    code, _, stderr = _run(capsys, command, spec_path("pendulum"), flag, value)
-    assert code == 2
-    assert stderr == f"error: {flag}: must be >= {least}, got {value}\n"
-
-
-@pytest.mark.parametrize(
-    "flag, value, least",
-    [("--seed", "-1", 0), ("--pairs", "10", 1000), ("--grid", "1", 2), ("--polish-iters", "-1", 0)],
-)
-def test_discretize_bad_sampling_flag_exits_2_naming_it_before_any_work(
-    capsys, monkeypatch, spec_path, tmp_path, flag, value, least
-):
-    def no_work(*args, **kwargs):
-        raise AssertionError("simulation ran before the sampling flags were checked")
-
-    monkeypatch.setattr(cli, "simulate", no_work)
-    out = tmp_path / "disc.json"
-    code, _, stderr = _run(
-        capsys, "discretize", spec_path("pendulum"), "--x0", "0.1,0.2", "--steps", "2",
-        flag, value, "--out", str(out),
-    )
-    assert code == 2
-    assert stderr == f"error: {flag}: must be >= {least}, got {value}\n"
-    assert not out.exists()
-
-
 # a value of each flag in cli._FLAGS that the CLI parses and the library
 # rejects, with the message it gives; "{rows}" is an --inputs file
 _BAD_VALUES = {
@@ -450,11 +411,13 @@ def test_constants_on_an_overflowing_jacobian_norm_reads_the_true_scale(capsys, 
         assert constants[name] == pytest.approx(math.exp(300.0), rel=1e-12), name
 
 
-def test_constants_counts_a_jacobian_norm_above_the_largest_float_as_failed(capsys, tmp_path):
+def test_constants_reports_a_jacobian_norm_above_the_largest_float_as_an_overflow(
+    capsys, tmp_path
+):
     # J has the rows (e^x1, e^x2) twice, so sigma = sqrt(2) * ||(e^x1, e^x2)||
-    # exceeds the largest float wherever a coordinate is 709.5: the 5 grid
-    # points on those edges fail, and (354.75, 354.75), whose sigma is
-    # finite though its square is not, does not
+    # exceeds the largest float wherever a coordinate is 709.5, though
+    # every J is finite: gamma_c's supremum overflows, and no grid point
+    # counts as failed
     data = {
         "name": "twin-exp",
         "A": [[0.0, 0.0], [0.0, 0.0]],
@@ -467,7 +430,21 @@ def test_constants_counts_a_jacobian_norm_above_the_largest_float_as_failed(caps
     path.write_text(json.dumps(data))
     code, _, stderr = _run(capsys, "constants", str(path), "--pairs", "1000", "--grid", "3")
     assert code == 3
-    assert stderr == "numerical failure: 5/9 grid evaluations failed\n"
+    assert stderr == "numerical failure: gamma_c: a grid norm overflows to inf\n"
+
+
+def test_constants_reports_an_f_norm_above_the_largest_float_naming_big_m(capsys, tmp_path):
+    # ||f(+-1.3, +-1.3)|| = 1.84e308 with every f finite; gamma_c, rho_c
+    # and beta are finite
+    data = {
+        "name": "bigm", "A": [[0, 0], [0, 0]], "C": [[1, 0]], "T": 0.1,
+        "f": ["1e308*x1", "1e308*x2"], "region": {"lower": [-1.3, -1.3], "upper": [1.3, 1.3]},
+    }
+    path = tmp_path / "bigm.json"
+    path.write_text(json.dumps(data))
+    code, stdout, stderr = _run(capsys, "constants", str(path), "--pairs", "1000")
+    assert (code, stdout) == (3, "")
+    assert stderr == "numerical failure: big_m: a grid norm overflows to inf\n"
 
 
 def _exp_spec(tmp_path, lower, upper, t=0.1):
@@ -598,7 +575,7 @@ def test_verify_stops_f_t_once_rho_c_has_failed(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(discretize.DiscreteModel, "f_t_batch", counting)
     code, _, stderr = _run(capsys, "verify", str(path), "--order", "3", "--pairs", "200000")
     assert code == 3
-    assert stderr == "numerical failure: 125145/200008 pair evaluations failed (domain errors)\n"
+    assert stderr == "numerical failure: rho_c: 125145/200008 pair evaluations failed\n"
     assert 0 < sum(rows) <= 4 * discretize._CHUNK_ROWS  # not 2 * 200008
 
 

@@ -520,6 +520,33 @@ def test_m_grid_counts_only_non_finite_f_as_failed():
     assert small_m == np.sqrt(np.einsum("ij,ij->i", f, f))[0]
 
 
+def _twin_spec(g):
+    # f = (g, g) on [-1, 1]^2: J has two equal rows, so ||J|| = sqrt(2) ||dg/dx||
+    return SystemSpec.from_dict({
+        "name": "twin", "A": [[0, 0], [0, 0]], "C": [[1, 0]], "T": 0.1, "f": [g, g],
+        "region": {"lower": [-1, -1], "upper": [1, 1]},
+    })
+
+
+def test_gamma_c_grid_norm_above_the_largest_float_raises_naming_it():
+    # ||J|| = 2e308 at the corners, with every J finite
+    with pytest.raises(NumericalError, match="^gamma_c: a grid norm overflows to inf$"):
+        estimate_gamma_c(_twin_spec("1e308*x1*x2"), SamplingConfig())
+
+
+def test_gamma_c_polish_reaching_a_norm_above_the_largest_float_raises():
+    # g' = 1.2e308 (1 + 0.1 cos(10 pi (x1 - 0.3))) is 0.9 x 1.2e308 at every
+    # node of the 11-point mesh and 1.1 x 1.2e308 between them: the grid
+    # supremum is finite, and the polish steps onto a norm of 1.87e308
+    g = "1.2e308*(x1 + sin(31.41592653589793*(x1 - 0.3))/314.1592653589793)"
+    spec = _twin_spec(g)
+    cfg = SamplingConfig(grid_per_axis=11, pair_budget=1000)
+    values = _norm_rows(spec.jacobian_batch(grid_points(spec, cfg), np.zeros((121, 0))))
+    assert np.isfinite(values).all()
+    with pytest.raises(NumericalError, match="^gamma_c: a grid norm overflows to inf$"):
+        estimate_gamma_c(spec, cfg)
+
+
 def test_probe_pairs_of_an_overflowing_gram_matrix_emit_no_warning():
     # at the center x1 = 357.5, J^T J overflows; pytest turns a RuntimeWarning
     # into an error, and the rescaled J still gives a finite probe direction
@@ -598,9 +625,10 @@ def _quotient_case(rng, rows, n, bad_rows, coincident, image_scale=1.0):
 
 
 def _streamed(pairs, images, one_sided):
+    """The reducer of the chunked pass over ``images``."""
     m1, m2 = images
     (sup,) = sup_pair_quotient(pairs, lambda rows: [(m1[rows], m2[rows])], (one_sided,))
-    return sup.result()
+    return sup
 
 
 def _plant(pairs, images, rows, source):
@@ -646,12 +674,13 @@ def test_pair_quotient_keeps_the_value_and_first_witness(one_sided):
     cases.append((pairs, (np.full_like(x1, -1e308), np.full_like(x1, 1e308)), _CHUNK + 2))
     for pairs, images, row in cases:
         want = whole_array_pair_quotient(pairs, images, one_sided)
-        got = _streamed(pairs, images, one_sided)
-        assert not math.isnan(got[0])
-        assert float_bits([got[0]]) == float_bits([want[0]])
-        assert got[1] == want[1]
+        # the raw value and witness row, before result() refuses an inf
+        sup = _streamed(pairs, images, one_sided)
+        assert not math.isnan(sup.value)
+        assert float_bits([sup.value]) == float_bits([want[0]])
+        assert [sup.best] == want[1]["u"]  # u names the row
         if row is not None:
-            assert got[1]["u"] == [row]
+            assert sup.best == row
 
 
 def test_pair_quotient_whose_product_overflows_reads_the_exact_value():
@@ -662,7 +691,7 @@ def test_pair_quotient_whose_product_overflows_reads_the_exact_value():
     pairs.x2[7] = pairs.x1[7] + 10.0
     m1[7], m2[7] = (-1e307, -1e307, -3e306), (1e307, 1e307, 3e306)
     for one_sided in (False, True):
-        got, witness = _streamed(pairs, (m1, m2), one_sided)
+        got, witness = _streamed(pairs, (m1, m2), one_sided).result("q")
         quotients = []
         for a, b, c, d in zip(m1, m2, pairs.x1, pairs.x2):
             dm = [Fraction(p) - Fraction(q) for p, q in zip(a, b)]
@@ -694,29 +723,80 @@ def test_pair_quotient_shares_one_pass_between_quotients():
     ]
     for sup, swap, side in zip(sups, (False, True, False), (True, True, False)):
         want = whole_array_pair_quotient(pairs, (m2, m1) if swap else (m1, m2), side)
-        assert sup.result() == want
+        assert sup.result("q") == want
 
 
 def test_pair_quotient_failure_rule_and_no_valid_pairs():
     rng = np.random.default_rng(5)
     pairs, images = _quotient_case(rng, 100, 3, range(11), [])
-    with pytest.raises(NumericalError, match="^11/100 pair evaluations failed"):
-        _streamed(pairs, images, one_sided=False)
+    with pytest.raises(NumericalError, match="^q: 11/100 pair evaluations failed$"):
+        _streamed(pairs, images, one_sided=False).result("q")
     pairs, images = _quotient_case(rng, 100, 3, range(10), range(10, 100))
-    with pytest.raises(NumericalError, match="no valid pairs"):
-        _streamed(pairs, images, one_sided=True)
+    with pytest.raises(NumericalError, match="^q: no valid pair samples$"):
+        _streamed(pairs, images, one_sided=True).result("q")
     # failures counted over every chunk: 10% passes, one more fails
     rows = 3 * _CHUNK
     spread = np.linspace(0, rows - 1, rows // 10).astype(int)
     pairs, images = _quotient_case(rng, rows, 2, spread, [])
     for one_sided in (False, True):
-        assert _streamed(pairs, images, one_sided) == whole_array_pair_quotient(
+        assert _streamed(pairs, images, one_sided).result("q") == whole_array_pair_quotient(
             pairs, images, one_sided
         )
     images[0][np.setdiff1d(np.arange(rows), spread)[-1], 0] = np.nan
-    with pytest.raises(NumericalError, match=f"^{rows // 10 + 1}/{rows} pair evaluations"):
-        _streamed(pairs, images, one_sided=False)
+    with pytest.raises(NumericalError, match=f"^q: {rows // 10 + 1}/{rows} pair evaluations"):
+        _streamed(pairs, images, one_sided=False).result("q")
     # no valid pair in any chunk
     pairs, images = _quotient_case(rng, 2 * _CHUNK + 1, 1, [], range(2 * _CHUNK + 1))
-    with pytest.raises(NumericalError, match="no valid pairs"):
-        _streamed(pairs, images, one_sided=False)
+    with pytest.raises(NumericalError, match="^q: no valid pair samples$"):
+        _streamed(pairs, images, one_sided=False).result("q")
+
+
+# ---------------------------------------------------------------------------
+# one reducer: the grid and the pair pass under the same planted cases
+
+_ROWS = 30_000  # two chunks of pairs; 10% of it is 3000 rows
+_TIED = [_CHUNK - 1, _CHUNK, _ROWS - 1]  # the planted maximum, across a chunk boundary
+
+
+def _planted(case):
+    """Per-row values of a planted case: NaN marks a failed row, inf a
+    finite evaluation above the largest float."""
+    values = np.arange(_ROWS) % 97 * 0.5  # exact ties below the planted maximum
+    values[_TIED] = 100.0
+    if case in ("ten_percent", "one_more"):
+        values[7::10] = np.nan
+    if case == "one_more":
+        values[4] = np.nan
+    if case == "overflow":
+        values[_CHUNK + 3] = np.inf
+    return values
+
+
+def _reduced(path, values):
+    """The reducer of ``values`` through the grid or the pair pass.  A
+    pair's one-sided quotient over x1 - x2 = 1 is m1 - m2 = value, and
+    the images 1e308 and -1e308 give a quotient of 2e308."""
+    rows = np.arange(_ROWS, dtype=float)[:, None]  # the witness's x (grid) or u (pair)
+    if path == "grid":
+        return constants._grid_sup(_scalar_spec("x1", 0.0, float(_ROWS)), rows, values)
+    half = np.where(np.isinf(values), 1e308, 0.5 * values)[:, None]
+    pairs = constants.PairSample(np.ones((_ROWS, 1)), np.zeros((_ROWS, 1)), rows)
+    return _streamed(pairs, (half, -half), one_sided=True)
+
+
+@pytest.mark.parametrize("case", ["tie", "ten_percent", "one_more", "overflow"])
+@pytest.mark.parametrize("path, name", [("grid", "big_m"), ("pair", "rho_c")])
+def test_one_reducer_rules_on_the_grid_and_the_pair_pass(path, name, case):
+    sup = _reduced(path, _planted(case))
+    if case == "one_more":
+        with pytest.raises(NumericalError, match=f"^{name}: 3001/30000 {path} evaluations failed$"):
+            sup.result(name)
+    elif case == "overflow":
+        assert (sup.value, sup.best) == (math.inf, _CHUNK + 3)
+        with pytest.raises(NumericalError, match=f"^{name}: a {path} \\w+ overflows to inf$"):
+            sup.result(name)
+    else:
+        value, witness = sup.result(name)
+        assert (value, sup.best) == (100.0, _TIED[0])  # the first maximum wins
+        assert witness["x" if path == "grid" else "u"] == [_TIED[0]]
+        assert sup.failures == (3000 if case == "ten_percent" else 0)
