@@ -14,12 +14,15 @@ by a coordinate-descent polish); rho_c uses seeded random pairs plus
 near-coincident pairs that capture the local limit of the quotient.
 
 The grid norms of gamma_c and beta are reduced in two steps: a Gram
-screen (the root of the largest eigenvalue of each row's smaller Gram
-matrix, batched) bounds every row, then the rows within a small
-relative band of the screened maximum are re-ranked by the power
-iteration ``linalg.max_singular_values``, in one stacked call over the
-distinct matrices.  The supremum and its witness are therefore those of
-the kernel over the whole grid.
+screen bounds every row, then the rows within a small relative band of
+the screened maximum are re-ranked by the power iteration
+``linalg.max_singular_values``, in one stacked call over the distinct
+matrices.  The supremum and its witness are therefore those of the
+kernel over the whole grid.  The screen is the root of the largest
+eigenvalue of each row's smaller Gram matrix, taken on the rows and
+columns that are nonzero somewhere in the stack: in closed form where
+one or two are left (every bundled spec, and the 4-state probe), by one
+batched LAPACK call where more are.
 
 The gamma_c polish scores its candidates in batches: those of the next
 few polish iterations, laid out as if none were accepted, are screened
@@ -373,15 +376,28 @@ def _grid_sup(s: SystemSpec, pts: np.ndarray, values: np.ndarray) -> _Sup:
 def _gram_norms(mats: np.ndarray) -> np.ndarray:
     """2-norms of a (k, r, c) stack of finite matrices within about 1e-15: the
     root of the top eigenvalue of each smaller Gram matrix, formed after
-    scaling by a power of two; +inf for all if LAPACK fails (no screen)."""
+    scaling by a power of two, of the rows and columns nonzero anywhere in
+    the stack (sigma_max ignores the others); in closed form for up to two
+    of them, else by LAPACK, with +inf for all if it fails (no screen)."""
+    live = np.any(mats, axis=0)
+    rows, cols = np.flatnonzero(live.any(axis=1)), np.flatnonzero(live.any(axis=0))
+    if rows.size < mats.shape[1] or cols.size < mats.shape[2]:
+        mats = mats[:, rows[:, None], cols]
+    if mats.shape[1] > mats.shape[2]:
+        mats = mats.transpose(0, 2, 1)  # the Gram matrix of the rows is the smaller
     _, e = np.frexp(np.max(np.abs(mats), axis=(1, 2), initial=0.0))
     scaled = np.ldexp(mats, -e[:, None, None])
-    flip = scaled.transpose(0, 2, 1)
-    gram = scaled @ flip if mats.shape[1] <= mats.shape[2] else flip @ scaled
-    try:
-        lam = np.linalg.eigvalsh(gram)[:, -1]
-    except np.linalg.LinAlgError:
-        return np.full(mats.shape[0], np.inf)
+    if scaled.shape[1] <= 1:  # the sum of squares, 0 for no live row
+        lam = np.einsum("kij,kij->k", scaled, scaled)
+    elif scaled.shape[1] == 2:  # the top eigenvalue of [[a, b], [b, c]]: two terms >= 0
+        r0, r1 = scaled[:, 0], scaled[:, 1]
+        a, b, c = (np.einsum("ij,ij->i", p, q) for p, q in ((r0, r0), (r0, r1), (r1, r1)))
+        lam = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+    else:
+        try:
+            lam = np.linalg.eigvalsh(scaled @ scaled.transpose(0, 2, 1))[:, -1]
+        except np.linalg.LinAlgError:
+            return np.full(mats.shape[0], np.inf)
     with np.errstate(over="ignore"):  # a 2-norm above the largest float: inf
         return np.ldexp(np.sqrt(np.maximum(lam, 0.0)), e)
 
@@ -552,7 +568,10 @@ def estimate_all(
     else:
         rho, rho_w = rho_c.result("rho_c")
     beta, big_m, bm_w = estimate_beta_and_m(s, cfg)
-    sigma = max_singular_value(s.a)
+    try:
+        sigma = max_singular_value(s.a)
+    except NumericalError as err:
+        raise NumericalError(f"sigma_bar_a: {err}") from None
     witnesses = {"gamma_c": gamma_w, "rho_c": rho_w, **bm_w}
     return ConstantEstimates(
         gamma_c=gamma,

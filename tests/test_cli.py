@@ -447,6 +447,23 @@ def test_constants_reports_an_f_norm_above_the_largest_float_naming_big_m(capsys
     assert stderr == "numerical failure: big_m: a grid norm overflows to inf\n"
 
 
+@pytest.mark.parametrize("command", ["constants", "bounds", "verify"])
+def test_a_norm_above_the_largest_float_names_sigma_bar_a(capsys, tmp_path, command):
+    # ||A||_2 = 2e308 while f = 0 leaves every grid and pair constant 0
+    data = {
+        "name": "bigA", "A": [[1e308, 1e308], [1e308, 1e308]], "C": [[1, 0]], "T": 0.1,
+        "f": ["0", "0"], "region": {"lower": [-1, -1], "upper": [1, 1]},
+    }
+    path = tmp_path / "bigA.json"
+    path.write_text(json.dumps(data))
+    code, stdout, stderr = _run(capsys, command, str(path), "--pairs", "1000")
+    assert (code, stdout) == (3, "")
+    assert stderr == (
+        "numerical failure: sigma_bar_a: power iteration did not converge, "
+        "or the 2-norm overflows\n"
+    )
+
+
 def _exp_spec(tmp_path, lower, upper, t=0.1):
     data = {
         "name": "overflowing",

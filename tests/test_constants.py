@@ -3,6 +3,7 @@ and the screen-and-re-rank grid norm reduction."""
 
 import itertools
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -212,7 +213,7 @@ def test_sampling_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# grid norm reduction: LAPACK screen plus exact re-rank of the near-max band
+# grid norm reduction: Gram screen plus exact re-rank of the near-max band
 
 def _kernel_rows(stack, kernel):
     """``kernel`` on every row (NaN where non-finite or failing), computed
@@ -359,6 +360,47 @@ def test_screen_keeps_finite_rows_beside_nonfinite_ones():
     vals = _norm_rows(stack)
     assert np.isnan(vals[1])
     assert vals[2] == max_singular_value(stack[2]) and vals[0] == pytest.approx(2.0)
+
+
+def _count_constants_eigvalsh(monkeypatch) -> list:
+    """Patch np.linalg.eigvalsh to record the shape of each call made from
+    lipdisc.constants."""
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == "lipdisc.constants":
+            calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+def test_screen_of_one_or_two_live_rows_calls_no_lapack(bench, probe, monkeypatch):
+    # every bundled f has f1 = 0 (cubic-scalar has n = 1) and the probe's f
+    # is (0, ., 0, .): J and the H unfolding have at most two live rows
+    calls = _count_constants_eigvalsh(monkeypatch)
+    for name in ["linear-2d", "pendulum", "cubic-scalar", "van-der-pol"]:
+        estimate_all(bench[name], SamplingConfig(grid_per_axis=21, pair_budget=1000))
+    estimate_all(probe, SamplingConfig(grid_per_axis=5, pair_budget=1000))
+    assert calls == []
+
+
+def test_screen_of_three_live_rows_takes_lapack_and_keeps_the_2_norm(monkeypatch):
+    spec = SystemSpec.from_dict({
+        "name": "dense3", "A": [[0, 1, 0], [0, 0, 1], [-1, -1, -1]], "C": [[1, 0, 0]],
+        "f": ["sin(x2) + x3^2", "x1*x3 - cos(x1)", "x1*x2 + 0.5*x3^3"],
+        "region": {"lower": [-1, -1, -1], "upper": [1, 1, 1]}, "T": 0.1,
+    })
+    calls = _count_constants_eigvalsh(monkeypatch)
+    jac, hess = _grid_stacks(spec, 5)
+    for stack in (jac, hess.reshape(len(hess), 3, 9)):
+        want = np.linalg.svd(stack, compute_uv=False)[:, 0]
+        np.testing.assert_allclose(constants._gram_norms(stack), want, rtol=1e-13, atol=0.0)
+    assert calls == [(125, 3, 3), (125, 3, 3)]
+    estimate_all(spec, SamplingConfig(grid_per_axis=5, pair_budget=1000, polish_iters=2))
+    # the gamma_c and beta grids, then the polish's candidate batches
+    assert calls.count((125, 3, 3)) == 4 and len(calls) > 4
 
 
 @pytest.mark.parametrize(

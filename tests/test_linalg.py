@@ -270,7 +270,7 @@ def test_stacked_msv_rejects_empty_matrices_and_takes_an_empty_stack():
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
-    st.sampled_from(_STACK_SHAPES + [(3, 1), (1, 5), (5, 3)]),
+    st.sampled_from(_STACK_SHAPES + [(3, 1), (1, 5), (5, 3), (2, 7), (6, 2), (6, 1)]),
     st.integers(-1020, 1020),
 )
 def test_gram_screen_never_falls_below_the_kernel(seed, shape, exponent):
@@ -284,3 +284,38 @@ def test_gram_screen_never_falls_below_the_kernel(seed, shape, exponent):
     ok = ~np.isnan(kernel)
     assert (screen[ok] >= kernel[ok] * (1.0 - 1e-12)).all()
     assert screen[0] == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 5),
+    st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    st.integers(-1020, 1020),
+    st.booleans(),
+)
+def test_gram_screen_is_the_2_norm_on_the_stack_live_block(seed, k, shape, live, exponent, equal):
+    """Rows and columns zero in every matrix are dropped, those zero in only
+    some are kept; the live block's smaller side picks the sum of squares
+    (1), the closed form (2) or LAPACK (3 or more)."""
+    rng = np.random.default_rng(seed)
+    (r, c), (live_r, live_c) = shape, live
+    rows, cols = rng.permutation(r)[:live_r], rng.permutation(c)[:live_c]
+    block = rng.normal(size=(k, rows.size, cols.size))
+    if equal and block.size:  # equal singular values: orthonormal rows or columns
+        for i in range(k):
+            q, _ = np.linalg.qr(rng.normal(size=(max(block.shape[1:]), min(block.shape[1:]))))
+            block[i] = q if rows.size >= cols.size else q.T
+    stack = np.zeros((k, r, c))
+    stack[:, rows[:, None], cols] = block
+    stack[rng.random((k, r)) < 0.2] = 0.0  # rows zero in some matrices only
+    stack.transpose(0, 2, 1)[rng.random((k, c)) < 0.2] = 0.0  # and columns
+    stack = np.ldexp(stack, np.clip(exponent + rng.integers(-60, 61, size=(k, 1, 1)), -1020, 1020))
+    # the reference on each matrix scaled by a power of two to max |entry| < 1
+    _, e = np.frexp(np.max(np.abs(stack), axis=(1, 2), initial=0.0))
+    with np.errstate(over="ignore"):  # a 2-norm above the largest float: inf
+        want = np.ldexp(np.linalg.svd(np.ldexp(stack, -e[:, None, None]), compute_uv=False)[:, 0], e)
+    got = _gram_norms(stack)
+    assert got.shape == (k,)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
