@@ -610,6 +610,10 @@ def main(argv=None) -> int:
     except (NumericalError, IntegrationError, ExprError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as err:  # numpy's names the allocation, Python's own is empty
+        detail = f": {err}" if str(err) else ""
+        print(f"numerical failure: out of memory{detail}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 def console_main():

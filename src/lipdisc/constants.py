@@ -13,22 +13,21 @@ true values.  gamma_c, beta, big_m use a uniform grid (gamma_c refined
 by a coordinate-descent polish); rho_c uses seeded random pairs plus
 near-coincident pairs that capture the local limit of the quotient.
 
-The grid norms of gamma_c and beta are reduced in two steps: a Gram
-screen bounds every row, then the rows within a small relative band of
-the screened maximum are re-ranked by the power iteration
-``linalg.max_singular_values``, in one stacked call over the distinct
-matrices.  The supremum and its witness are therefore those of the
-kernel over the whole grid.  The screen is the root of the largest
-eigenvalue of each row's smaller Gram matrix, taken on the rows and
-columns that are nonzero somewhere in the stack: in closed form where
-one or two are left (every bundled spec, and the 4-state probe), by one
-batched LAPACK call where more are.
+Every 2-norm (of J, of H's mode-1 unfolding, of f and of A) is one
+kernel, ``linalg.max_singular_values``: the root of the largest
+eigenvalue of each matrix's smaller Gram matrix, taken on the rows and
+columns that are nonzero somewhere in the stack, in closed form where
+one or two are left (every bundled spec, and the 4-state probe) and by
+one batched LAPACK call where more are.  The grid norms of gamma_c and
+beta take one more step: the rows within a small relative band of the
+grid maximum are re-ranked by ``linalg._power_iteration``, in one
+stacked call over the distinct matrices, so the supremum and its
+witness are those of the power iteration over the whole grid.  This
+re-rank only breaks exact ties the way the benchmark references pin.
 
 The gamma_c polish scores its candidates in batches: those of the next
-few polish iterations, laid out as if none were accepted, are screened
-the same way against the current best (a kernel value cannot beat a
-best its screen lies more than the band below) and the survivors scored
-in one stacked call, each distinct Jacobian once.  The walk through a
+few polish iterations, laid out as if none were accepted, are scored
+in one kernel call, each distinct Jacobian once.  The walk through a
 batch stops at its first acceptance, so every decision, and the path,
 value and witness, are those of scoring one candidate at a time.
 
@@ -37,7 +36,7 @@ then warns once, naming the requested and the effective grid.
 
 One reducer, ``_Sup``, takes every supremum, grid or pair, by one rule.
 A row fails where f, J, H or an image is not finite or a norm kernel
-does not converge; failed rows are skipped, and more than 10% of them
+fails; failed rows are skipped, and more than 10% of them
 raises.  A later row, in the same chunk or another, takes over only with
 a strictly greater value: the first maximum wins a tie.  A supremum of
 finite evaluations that is not finite (a norm or a quotient above the
@@ -64,13 +63,13 @@ import numpy as np
 
 from .discretize import _CHUNK_ROWS
 from .expr import ExprError
-from .linalg import NumericalError, max_singular_value, max_singular_values, sym_max_eig
+from .linalg import NumericalError, _power_iteration, max_singular_value, max_singular_values
 from .system import SpecValidationError, SystemSpec
 
 _GRID_CAP = 1_000_000  # total grid points across all axes
 _PAIR_EPS = 1e-5  # offset of near-coincident pairs
 _MAX_FAIL_FRACTION = 0.1
-_SCREEN_BAND = 1e-9  # relative width of the re-ranked band below the screened max
+_SCREEN_BAND = 1e-9  # relative width of the re-ranked band below the grid max
 
 
 @dataclass(frozen=True)
@@ -247,9 +246,8 @@ def _probe_pairs(s: SystemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             if not np.all(np.isfinite(gram)):  # J scaled by 2^-e: the same eigenvectors
                 jac = np.ldexp(jac, -math.frexp(float(np.max(np.abs(jac))))[1])
                 gram = jac.T @ jac
-            _, v_one = sym_max_eig(0.5 * (jac + jac.T))
-            _, v_two = sym_max_eig(gram)
-            for v in (v_one, v_two):
+            for sym in (0.5 * (jac + jac.T), gram):
+                v = np.linalg.eigh(sym)[1][:, -1]  # the top eigenvector
                 xb = np.clip(xa + _PAIR_EPS * v, s.region.lower, s.region.upper)
                 if np.any(xb != xa):
                     x1.append(xa)
@@ -373,69 +371,34 @@ def _grid_sup(s: SystemSpec, pts: np.ndarray, values: np.ndarray) -> _Sup:
     return sup
 
 
-def _gram_norms(mats: np.ndarray) -> np.ndarray:
-    """2-norms of a (k, r, c) stack of finite matrices within about 1e-15: the
-    root of the top eigenvalue of each smaller Gram matrix, formed after
-    scaling by a power of two, of the rows and columns nonzero anywhere in
-    the stack (sigma_max ignores the others); in closed form for up to two
-    of them, else by LAPACK, with +inf for all if it fails (no screen)."""
-    live = np.any(mats, axis=0)
-    rows, cols = np.flatnonzero(live.any(axis=1)), np.flatnonzero(live.any(axis=0))
-    if rows.size < mats.shape[1] or cols.size < mats.shape[2]:
-        mats = mats[:, rows[:, None], cols]
-    if mats.shape[1] > mats.shape[2]:
-        mats = mats.transpose(0, 2, 1)  # the Gram matrix of the rows is the smaller
-    _, e = np.frexp(np.max(np.abs(mats), axis=(1, 2), initial=0.0))
-    scaled = np.ldexp(mats, -e[:, None, None])
-    if scaled.shape[1] <= 1:  # the sum of squares, 0 for no live row
-        lam = np.einsum("kij,kij->k", scaled, scaled)
-    elif scaled.shape[1] == 2:  # the top eigenvalue of [[a, b], [b, c]]: two terms >= 0
-        r0, r1 = scaled[:, 0], scaled[:, 1]
-        a, b, c = (np.einsum("ij,ij->i", p, q) for p, q in ((r0, r0), (r0, r1), (r1, r1)))
-        lam = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
-    else:
-        try:
-            lam = np.linalg.eigvalsh(scaled @ scaled.transpose(0, 2, 1))[:, -1]
-        except np.linalg.LinAlgError:
-            return np.full(mats.shape[0], np.inf)
-    with np.errstate(over="ignore"):  # a 2-norm above the largest float: inf
-        return np.ldexp(np.sqrt(np.maximum(lam, 0.0)), e)
-
-
 def _norm_rows(stack: np.ndarray) -> np.ndarray:
     """Per-row norms of a (P, d1, ...) stack whose max and first argmax are
-    exactly those of ``max_singular_values`` over the (P, d1, rest)
-    unfoldings (for an order-3 tensor, ``tensor3_norm_surrogate``); NaN
-    marks rows that are non-finite or where the kernel fails, inf those
-    whose 2-norm is above the largest float.
+    exactly those of ``_power_iteration`` over the (P, d1, rest)
+    unfoldings; NaN marks rows that are non-finite or where a kernel
+    fails, inf those whose 2-norm is above the largest float.
 
-    ``_gram_norms`` screens all rows.  Rows within a band of
-    ``_SCREEN_BAND`` (relative) of the screened max get the kernel value,
+    ``max_singular_values`` gives every row.  Rows within a band of
+    ``_SCREEN_BAND`` (relative) of its max get the power-iteration value,
     from one stacked call over the distinct matrices; the others keep
-    their screened value.  The kernel never exceeds the 2-norm (a Rayleigh
-    quotient is at most sigma_max^2), so an unranked row stays below
-    top * (1 - band / 2); if the re-ranked best falls short of that, the
-    band widens until it holds or every row is re-ranked.
+    their 2-norm.  The power iteration never exceeds the 2-norm (a
+    Rayleigh quotient is at most sigma_max^2), so an unranked row stays
+    below top * (1 - band / 2); if the re-ranked best falls short of
+    that, the band widens until it holds or every row is re-ranked.
     """
     unfold = stack.reshape(stack.shape[0], stack.shape[1], -1)
-    finite = np.isfinite(unfold).all(axis=(1, 2))
-    screen = np.full(stack.shape[0], np.nan)
-    if finite.all():  # no copy of the stack in the common case
-        screen = _gram_norms(unfold)
-    elif finite.any():
-        screen[finite] = _gram_norms(unfold[finite])
-    vals = screen.copy()
-    ranked, band = ~finite, _SCREEN_BAND
-    top = float(np.max(screen, where=finite, initial=-np.inf))
+    norms = max_singular_values(unfold)
+    vals, ranked, band = norms.copy(), np.isnan(norms), _SCREEN_BAND
+    valid = ~ranked
+    top = float(np.max(norms, where=valid, initial=-np.inf))
     while not ranked.all():
-        idx = np.flatnonzero(~ranked & (screen >= top * (1.0 - band)))
+        idx = np.flatnonzero(~ranked & (norms >= top * (1.0 - band)))
         if idx.size:
             ranked[idx] = True
             band_rows = unfold[idx]  # a copy: contiguous rows, keyed by their bytes
             keys = band_rows.reshape(idx.size, -1).view(np.dtype((np.void, unfold[0].nbytes)))
             _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-            vals[idx] = max_singular_values(band_rows[first])[inverse]
-        if np.fmax.reduce(vals[ranked & finite]) >= top * (1.0 - 0.5 * band):
+            vals[idx] = _power_iteration(band_rows[first])[inverse]
+        if np.fmax.reduce(vals[ranked & valid]) >= top * (1.0 - 0.5 * band):
             break
         band *= 1e3
     return vals
@@ -450,9 +413,12 @@ def _polish(s: SystemSpec, start, lower, upper, steps, iters) -> tuple[float, np
     iterations as if none were accepted; the walk through it stops at
     the first acceptance, after which the horizon is 1, and a batch
     without one doubles it."""
-    memo: dict[bytes, float] = {}  # by Jacobian bytes; -inf if failed or screened
+    # by Jacobian bytes, so each J keeps the one score of the stack it
+    # was first scored in (the kernel's live block is the stack's); -inf
+    # where it fails
+    memo: dict[bytes, float] = {}
 
-    def scores(points, best):
+    def scores(points):
         keys, fresh = [], {}
         for z in points:
             try:
@@ -460,21 +426,17 @@ def _polish(s: SystemSpec, start, lower, upper, steps, iters) -> tuple[float, np
             except (ExprError, ValueError):
                 jac = np.full((s.n, s.n), np.nan)  # scores -inf, as a non-finite J
             keys.append(jac.tobytes())
-            if keys[-1] not in memo and np.isfinite(jac).all():
+            if keys[-1] not in memo:
                 fresh[keys[-1]] = jac
         if fresh:
-            jacs = np.array(list(fresh.values()))
-            vals = np.full(len(jacs), -np.inf)
-            live = _gram_norms(jacs) >= best * (1.0 - _SCREEN_BAND)
-            if live.any():
-                vals[live] = max_singular_values(jacs[live])
+            vals = max_singular_values(np.array(list(fresh.values())))
             memo.update(zip(fresh, np.where(np.isnan(vals), -np.inf, vals).tolist()))
-        return [memo.get(key, -np.inf) for key in keys]
+        return [memo[key] for key in keys]
 
     hs = list(itertools.accumulate(range(1, iters), lambda h, _: h * 0.5, initial=steps))
     moves = [(d, sign) for d in range(start.shape[0]) for sign in (1.0, -1.0)]
     m, x = len(moves), start.astype(float).copy()
-    (best,) = scores([x], -np.inf)
+    (best,) = scores([x])
     t, horizon = 0, 1  # t: the next candidate, moves[t % m] of iteration t // m
     while t < iters * m:
         end, batch = min((t // m + horizon) * m, iters * m), []
@@ -484,7 +446,7 @@ def _polish(s: SystemSpec, start, lower, upper, steps, iters) -> tuple[float, np
             cand[d] = min(max(x[d] + sign * h[d], lower[d]), upper[d])
             if cand[d] != x[d]:  # also where h[d] = 0
                 batch.append((f, cand))
-        for (f, cand), val in zip(batch, scores([c for _, c in batch], best)):
+        for (f, cand), val in zip(batch, scores([c for _, c in batch])):
             if val > best:
                 best, x, t, horizon = val, cand, f + 1, 1
                 break
@@ -524,30 +486,14 @@ def estimate_rho_c(s: SystemSpec, cfg: SamplingConfig) -> tuple[float, dict]:
     return sup.result("rho_c")
 
 
-def _f_norms(f: np.ndarray) -> np.ndarray:
-    """||f|| per row: NaN where the row is not finite, inf only where the
-    norm is above the largest float."""
-    finite = np.isfinite(f).all(axis=1)
-    with np.errstate(over="ignore"):
-        norms = np.sqrt(np.einsum("ij,ij->i", f, f))
-        # a finite row whose sum of squares overflows: again on the row
-        # scaled by a power of two, which leaves every other row
-        redo = np.isinf(norms) & finite
-        if redo.any():
-            _, e = np.frexp(np.max(np.abs(f[redo]), axis=1))
-            scaled = np.ldexp(f[redo], -e[:, None])
-            norms[redo] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), e)
-    norms[~finite] = np.nan
-    return norms
-
-
 def estimate_beta_and_m(s: SystemSpec, cfg: SamplingConfig) -> tuple[float, float, dict]:
     """Grid suprema of ||d^2 f/dx^2|| (mode-1 surrogate) and ||f||, over
     one grid."""
     pts = grid_points(s, cfg)
     x, u = pts[:, : s.n], pts[:, s.n :]
     beta, beta_w = _grid_sup(s, pts, _norm_rows(s.second_derivative_batch(x, u))).result("beta")
-    big_m, m_w = _grid_sup(s, pts, _f_norms(s.eval_f_batch(x, u))).result("big_m")
+    f_norms = max_singular_values(s.eval_f_batch(x, u)[:, None])  # 1 x n matrices
+    big_m, m_w = _grid_sup(s, pts, f_norms).result("big_m")
     return beta, big_m, {"beta": beta_w, "big_m": m_w}
 
 

@@ -1,12 +1,12 @@
-"""Dense linear algebra kernels: induced 2-norm, order-3 tensor norm
-surrogate, symmetric top eigenpair.
+"""Dense linear algebra kernels: the induced 2-norm and the order-3
+tensor norm surrogate.
 
 Matrices and order-3 tensors are plain float ndarrays of shape (n, m)
-and (d1, d2, d3).  All functions are pure and deterministic: the power
-iteration uses a fixed start vector, no RNG.  There is one power
-iteration, ``max_singular_values``, which steps a (k, n, m) stack of
-matrices in lockstep; ``max_singular_value`` and
-``tensor3_norm_surrogate`` are its one-matrix cases.
+and (d1, d2, d3).  All functions are pure and deterministic.  There is
+one 2-norm kernel, ``max_singular_values`` over a (k, n, m) stack;
+``max_singular_value`` and ``tensor3_norm_surrogate`` are its
+one-matrix cases.  ``_power_iteration`` has one job left: the grid's
+band re-rank in ``constants._norm_rows``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ _TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 class NumericalError(RuntimeError):
-    """An iterative numerical routine failed to converge."""
+    """A numerical routine failed or a value overflowed."""
 
 
 def max_singular_value(a: np.ndarray) -> float:
@@ -35,14 +35,74 @@ def max_singular_value(a: np.ndarray) -> float:
         raise ValueError("matrix has non-finite entries")
     value = float(max_singular_values(a[None])[0])
     if not math.isfinite(value):
-        raise NumericalError("power iteration did not converge, or the 2-norm overflows")
+        raise NumericalError("the 2-norm overflows" if value > 0 else "LAPACK eigvalsh failed")
     return value
 
 
 def max_singular_values(stack: np.ndarray) -> np.ndarray:
-    """Induced 2-norms of the matrices of a (k, r, c) stack; NaN for a
+    """Induced 2-norms of a (k, r, c) stack within about 1e-15; NaN for a
+    matrix with non-finite entries (and for all if LAPACK fails), inf for
+    one whose 2-norm is above the largest float.  Each is the root of the
+    top eigenvalue of the smaller Gram matrix, formed after scaling by a
+    power of two, of the rows and columns nonzero in some finite matrix
+    of the stack (sigma_max ignores the others): in closed form for up to
+    two of them, else by one batched LAPACK ``eigvalsh``."""
+    mats = np.asarray(stack, dtype=float)
+    if mats.ndim != 3 or mats.shape[1] == 0 or mats.shape[2] == 0:
+        raise ValueError(f"expected a stack of nonempty matrices, got shape {mats.shape}")
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    if not finite.all():
+        out = np.full(mats.shape[0], np.nan)
+        out[finite] = max_singular_values(mats[finite])
+        return out
+    live = np.any(mats, axis=0)
+    rows, cols = np.flatnonzero(live.any(axis=1)), np.flatnonzero(live.any(axis=0))
+    if rows.size < mats.shape[1] or cols.size < mats.shape[2]:
+        mats = mats[:, rows[:, None], cols]
+    if mats.shape[1] > mats.shape[2]:
+        mats = mats.transpose(0, 2, 1)  # the Gram matrix of the rows is the smaller
+    _, e = np.frexp(np.max(np.abs(mats), axis=(1, 2), initial=0.0))
+    scaled = np.ldexp(mats, -e[:, None, None])
+    if scaled.shape[1] <= 1:  # the sum of squares, 0 for no live row
+        lam = np.einsum("kij,kij->k", scaled, scaled)
+    elif scaled.shape[1] == 2:  # the top eigenvalue of [[a, b], [b, c]]: two terms >= 0
+        r0, r1 = scaled[:, 0], scaled[:, 1]
+        a, b, c = (np.einsum("ij,ij->i", p, q) for p, q in ((r0, r0), (r0, r1), (r1, r1)))
+        lam = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+    else:
+        try:
+            lam = np.linalg.eigvalsh(scaled @ scaled.transpose(0, 2, 1))[:, -1]
+        except np.linalg.LinAlgError:
+            return np.full(mats.shape[0], np.nan)
+    with np.errstate(over="ignore"):  # a 2-norm above the largest float: inf
+        return np.ldexp(np.sqrt(np.maximum(lam, 0.0)), e)
+
+
+def tensor3_norm_surrogate(t3: np.ndarray) -> float:
+    """Upper bound on the bilinear induced norm of an order-3 tensor.
+
+    Returns the induced 2-norm of the mode-1 unfolding (d1 x d2*d3).
+    For unit y, z: ||T(., y, z)|| = ||unfold(T) (y kron z)|| <= sigma_max,
+    since ||y kron z|| = ||y|| ||z|| = 1, so the bound is conservative.
+    The exact bilinear norm is NP-hard in general.
+    """
+    t3 = np.asarray(t3, dtype=float)
+    if t3.ndim != 3:
+        raise ValueError(f"expected an order-3 tensor, got shape {t3.shape}")
+    if not np.all(np.isfinite(t3)):
+        raise ValueError("tensor has non-finite entries")
+    d1 = t3.shape[0]
+    return max_singular_value(t3.reshape(d1, -1))
+
+
+def _power_iteration(stack: np.ndarray) -> np.ndarray:
+    """The 2-norms of a (k, r, c) stack by power iteration; NaN for a
     matrix with non-finite entries or one whose iteration does not
     converge, inf for one whose 2-norm is above the largest float.
+
+    It stays only because ``perfbench/reference/`` pins probe witnesses
+    that the grid's band re-rank chose among exact ties by these bits;
+    it goes, with the band, when those references are regenerated.
 
     Shifted power iteration on A^T A with a deterministic start vector
     (normalized all-ones perturbed by 1/(i+1) per coordinate), stopping
@@ -59,8 +119,6 @@ def max_singular_values(stack: np.ndarray) -> np.ndarray:
     matrix, so every matrix gets the bits it would get alone.
     """
     full = np.ascontiguousarray(stack, dtype=float)
-    if full.ndim != 3 or full.shape[1] == 0 or full.shape[2] == 0:
-        raise ValueError(f"expected a stack of nonempty matrices, got shape {full.shape}")
     out = np.full(full.shape[0], np.nan)
     rows = np.flatnonzero(np.isfinite(full).all(axis=(1, 2)))  # full's index of a's matrices
     a = full if rows.size == full.shape[0] else full[rows]
@@ -96,28 +154,5 @@ def max_singular_values(stack: np.ndarray) -> np.ndarray:
     redo, e = redo[e != 0], e[e != 0]
     if redo.size:
         with np.errstate(over="ignore"):  # a 2-norm above the largest float: inf
-            out[redo] = np.ldexp(max_singular_values(np.ldexp(full[redo], -e[:, None, None])), e)
+            out[redo] = np.ldexp(_power_iteration(np.ldexp(full[redo], -e[:, None, None])), e)
     return out
-
-
-def tensor3_norm_surrogate(t3: np.ndarray) -> float:
-    """Upper bound on the bilinear induced norm of an order-3 tensor.
-
-    Returns the induced 2-norm of the mode-1 unfolding (d1 x d2*d3).
-    For unit y, z: ||T(., y, z)|| = ||unfold(T) (y kron z)|| <= sigma_max,
-    since ||y kron z|| = ||y|| ||z|| = 1, so the bound is conservative.
-    The exact bilinear norm is NP-hard in general.
-    """
-    t3 = np.asarray(t3, dtype=float)
-    if t3.ndim != 3:
-        raise ValueError(f"expected an order-3 tensor, got shape {t3.shape}")
-    if not np.all(np.isfinite(t3)):
-        raise ValueError("tensor has non-finite entries")
-    d1 = t3.shape[0]
-    return max_singular_value(t3.reshape(d1, -1))
-
-
-def sym_max_eig(s: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest (algebraic) eigenvalue and eigenvector of a symmetric matrix."""
-    w, v = np.linalg.eigh(np.asarray(s, dtype=float))
-    return float(w[-1]), v[:, -1]

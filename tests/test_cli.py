@@ -272,13 +272,6 @@ def test_power_overflow_exits_3(capsys, tmp_path):
     assert "grid evaluations failed" in stderr
 
 
-def test_invalid_sampling_flags_exit_2(capsys, spec_path):
-    code, _, _ = _run(capsys, "constants", spec_path("pendulum"), "--pairs", "10")
-    assert code == 2
-    code, _, _ = _run(capsys, "constants", spec_path("pendulum"), "--grid", "1")
-    assert code == 2
-
-
 # a value of each flag in cli._FLAGS that the CLI parses and the library
 # rejects, with the message it gives; "{rows}" is an --inputs file
 _BAD_VALUES = {
@@ -303,10 +296,11 @@ _FLAG_CASES = [
 ]
 
 
-def _forbid_work(monkeypatch):
-    """Make estimation, model stepping and integration fail the test."""
+def _forbid_work(monkeypatch, error=None):
+    """Make estimation, model stepping and integration raise ``error``, by
+    default one that fails the test."""
     def no_work(*args, **kwargs):
-        raise AssertionError("work ran before the arguments were checked")
+        raise error or AssertionError("work ran before the arguments were checked")
 
     monkeypatch.setattr(cli, "estimate_all", no_work)
     monkeypatch.setattr(cli, "verify_bounds", no_work)
@@ -337,6 +331,23 @@ def test_bad_flag_exits_2_naming_it_before_any_work(
     assert code == 2
     assert stderr == f"error: {flag}: {message}\n"
     assert stdout == "" and not out.exists()
+
+
+# numpy's text for an allocation that fails
+_OOM = "Unable to allocate 371. MiB for an array with shape (759375, 4, 4, 4) and data type float64"
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_out_of_memory_exits_3_naming_it(capsys, monkeypatch, spec_path, tmp_path, command):
+    base = ["--x0", "0.1,0.1", "--steps", "2"] if command == "discretize" else []
+    out = tmp_path / "out.json"
+    _forbid_work(monkeypatch, MemoryError(_OOM))
+    code, stdout, stderr = _run(
+        capsys, command, spec_path("van-der-pol"), *base, "--pairs", "1000", "--out", str(out)
+    )
+    assert (code, stdout) == (3, "")
+    assert stderr == f"numerical failure: out of memory: {_OOM}\n"
+    assert not out.exists()
 
 
 def test_every_flag_maps_a_parameter_that_a_library_check_names(bench):
@@ -459,8 +470,7 @@ def test_a_norm_above_the_largest_float_names_sigma_bar_a(capsys, tmp_path, comm
     code, stdout, stderr = _run(capsys, command, str(path), "--pairs", "1000")
     assert (code, stdout) == (3, "")
     assert stderr == (
-        "numerical failure: sigma_bar_a: power iteration did not converge, "
-        "or the 2-norm overflows\n"
+        "numerical failure: sigma_bar_a: the 2-norm overflows\n"
     )
 
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lipdisc.constants import _gram_norms
 from lipdisc.linalg import (
     NumericalError,
+    _power_iteration,
     max_singular_value,
     max_singular_values,
     tensor3_norm_surrogate,
@@ -51,8 +51,12 @@ def test_msv_agrees_with_svd():
         assert max_singular_value(a) == pytest.approx(np.linalg.svd(a, compute_uv=False)[0], rel=1e-9)
 
 
+def _one_power_iteration(a):
+    return float(_power_iteration(a[None])[0])
+
+
 def _power_iteration_with_np_norm(a):
-    # max_singular_value as it read with np.linalg.norm for the vector norms
+    # the power iteration as it read with np.linalg.norm for the vector norms
     n = a.shape[1]
     v = np.full(n, 1.0 / np.sqrt(n)) + 1.0 / (np.arange(n) + 1.0)
     v /= np.linalg.norm(v)
@@ -76,7 +80,7 @@ def test_msv_keeps_the_bits_of_the_np_norm_loop(shape):
     rng = np.random.default_rng(31)
     for _ in range(300):
         a = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4)
-        assert max_singular_value(a).hex() == _power_iteration_with_np_norm(a).hex()
+        assert _one_power_iteration(a).hex() == _power_iteration_with_np_norm(a).hex()
 
 
 def test_msv_rejects_bad_input():
@@ -190,6 +194,18 @@ def test_msv_of_an_underflowing_power_reads_the_true_scale(a, sigma):
     assert max_singular_value(a) == np.ldexp(max_singular_value(np.ldexp(a, -e)), e)
 
 
+def test_msv_where_lapack_fails_is_nan_for_the_stack(monkeypatch):
+    def failing(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    assert np.isnan(max_singular_values(np.ones((2, 3, 3)))).all()
+    # two live rows take the closed form, which calls no LAPACK
+    assert max_singular_values(np.ones((2, 2, 3))).tolist() == [math.sqrt(6.0)] * 2
+    with pytest.raises(NumericalError, match="^LAPACK eigvalsh failed$"):
+        max_singular_value(np.ones((3, 3)))
+
+
 def test_msv_of_a_zero_matrix_is_zero():
     # frexp(0) gives exponent 0: the rescale must not run again
     for shape in ((1, 1), (2, 3)):
@@ -197,14 +213,8 @@ def test_msv_of_a_zero_matrix_is_zero():
 
 
 # ---------------------------------------------------------------------------
-# the stacked power iteration: lockstep matmuls keep every slice's bits
-
-def _scalar_or_nan(a):
-    try:
-        return max_singular_value(a)
-    except (NumericalError, ValueError):
-        return math.nan
-
+# the stacked power iteration (the grid band's re-rank): lockstep matmuls
+# keep every slice's bits
 
 def _near_degenerate(rng, shape, gap):
     """A matrix with sigma2 / sigma1 = 1 - gap, where the iteration is slow
@@ -229,20 +239,12 @@ def test_stacked_msv_keeps_the_bits_of_each_slice(shape):
     if min(shape) > 1:
         mats += [_near_degenerate(rng, shape, gap) for gap in (1e-2, 1e-4, 1e-5)]
     stack = np.array(mats)
-    got = max_singular_values(stack)
+    got = _power_iteration(stack)
     assert got.shape == (len(mats),)
-    # where the scalar raises: inf for a 2-norm above the largest float
-    # (1e308 sqrt(r c), matrix 41), NaN for non-finite entries (matrix 42)
-    # and no convergence (gap 1e-5)
-    overflow = shape[0] * shape[1] >= 4
-    for i, (mat, value) in enumerate(zip(mats, got)):
-        want = _scalar_or_nan(mat)
-        if i == 41 and overflow:
-            assert value == math.inf and math.isnan(want)
-        elif math.isnan(want):
-            assert math.isnan(value)
-        else:
-            assert float(value).hex() == want.hex()
+    assert [float(v).hex() for v in got] == [_one_power_iteration(mat).hex() for mat in mats]
+    # inf for a 2-norm above the largest float (1e308 sqrt(r c), matrix 41),
+    # NaN for non-finite entries (matrix 42) and no convergence (gap 1e-5)
+    assert got[41] == (math.inf if shape[0] * shape[1] >= 4 else 1e308)
     assert np.isnan(got[42])
     if min(shape) > 1:
         assert np.isnan(got[-1]) and not np.isnan(got[-3])
@@ -254,7 +256,7 @@ def test_stacked_msv_slices_match_the_two_dimensional_loop(shape):
     # over single matrices that never builds a stack
     rng = np.random.default_rng(5)
     stack = rng.normal(size=(100, *shape)) * 10.0 ** rng.integers(-3, 4, size=(100, 1, 1))
-    got = max_singular_values(stack)
+    got = _power_iteration(stack)
     want = [_power_iteration_with_np_norm(mat) for mat in stack]
     assert [float(v).hex() for v in got] == [w.hex() for w in want]
 
@@ -279,8 +281,8 @@ def test_gram_screen_never_falls_below_the_kernel(seed, shape, exponent):
     stack[0] = 0.0
     stack[1, 0] = 0.0  # a zero row
     stack[2] *= np.ldexp(1.0, -60)  # scales apart by 2^60 within the stack
-    kernel = max_singular_values(stack)
-    screen = _gram_norms(stack)
+    kernel = _power_iteration(stack)
+    screen = max_singular_values(stack)
     ok = ~np.isnan(kernel)
     assert (screen[ok] >= kernel[ok] * (1.0 - 1e-12)).all()
     assert screen[0] == 0.0
@@ -316,6 +318,33 @@ def test_gram_screen_is_the_2_norm_on_the_stack_live_block(seed, k, shape, live,
     _, e = np.frexp(np.max(np.abs(stack), axis=(1, 2), initial=0.0))
     with np.errstate(over="ignore"):  # a 2-norm above the largest float: inf
         want = np.ldexp(np.linalg.svd(np.ldexp(stack, -e[:, None, None]), compute_uv=False)[:, 0], e)
-    got = _gram_norms(stack)
+    got = max_singular_values(stack)
     assert got.shape == (k,)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    st.lists(st.integers(-1074, 1023), min_size=1, max_size=6),
+    st.lists(st.sampled_from([math.nan, math.inf, -math.inf]), max_size=3),
+)
+def test_msv_is_nan_on_nonfinite_inf_above_the_largest_float_and_the_svd_elsewhere(
+    seed, shape, exponents, bad
+):
+    rng = np.random.default_rng(seed)
+    scale = np.array(exponents)[:, None, None]
+    with np.errstate(over="ignore"):  # an entry may overflow to inf: a non-finite matrix
+        stack = np.ldexp(rng.normal(size=(len(exponents), *shape)), scale)
+    for value in bad:  # into one entry of one matrix
+        stack[rng.integers(len(exponents)), rng.integers(shape[0]), rng.integers(shape[1])] = value
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    got = max_singular_values(stack)
+    assert np.array_equal(np.isnan(got), ~finite)
+    # the reference on each matrix scaled by a power of two to max |entry| < 1
+    _, e = np.frexp(np.max(np.abs(stack[finite]), axis=(1, 2), initial=0.0))
+    scaled = np.ldexp(stack[finite], -e[:, None, None])
+    with np.errstate(over="ignore"):  # a 2-norm above the largest float: inf
+        want = np.ldexp(np.linalg.svd(scaled, compute_uv=False)[:, 0], e) if scaled.size else []
+    np.testing.assert_allclose(got[finite], want, rtol=1e-13, atol=0.0)
