@@ -373,16 +373,6 @@ def _config_echo(args) -> dict:
     return echo
 
 
-def _add_sampling_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=42, help="sampling seed")
-    parser.add_argument("--pairs", type=int, default=20_000, help="pair budget")
-    parser.add_argument("--grid", type=int, default=21, help="grid points per axis")
-    parser.add_argument(
-        "--polish-iters", dest="polish_iters", type=int, default=40,
-        help="coordinate-descent polish iterations",
-    )
-
-
 def _numbers(text: str) -> np.ndarray:
     """Comma-separated floats; ValueError if an item is not a number."""
     return np.asarray([float(v) for v in text.split(",") if v.strip() != ""])
@@ -412,27 +402,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"lipdisc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # the flags of every subcommand
+    common.add_argument("spec", help="system spec JSON file")
+    common.add_argument("--seed", type=int, default=42, help="sampling seed")
+    common.add_argument("--pairs", type=int, default=20_000, help="pair budget")
+    common.add_argument("--grid", type=int, default=21, help="grid points per axis")
+    common.add_argument(
+        "--polish-iters", dest="polish_iters", type=int, default=40,
+        help="coordinate-descent polish iterations",
+    )
+    common.add_argument("--out", help="write the result as JSON")
 
-    p_const = sub.add_parser("constants", help="estimate the region constants")
-    p_const.add_argument("spec", help="system spec JSON file")
-    _add_sampling_flags(p_const)
-    p_const.add_argument("--out", help="write the estimates as JSON")
+    sub.add_parser("constants", parents=[common], help="estimate the region constants")
 
-    p_bounds = sub.add_parser("bounds", help="evaluate the formula constants")
-    p_bounds.add_argument("spec")
+    p_bounds = sub.add_parser("bounds", parents=[common], help="evaluate the formula constants")
     p_bounds.add_argument("--order", type=int, choices=ORDERS, default=None,
                           help="single order (default: all three)")
-    _add_sampling_flags(p_bounds)
-    p_bounds.add_argument("--out")
 
-    p_verify = sub.add_parser("verify", help="check formula vs empirical constants")
-    p_verify.add_argument("spec")
+    p_verify = sub.add_parser("verify", parents=[common],
+                              help="check formula vs empirical constants")
     p_verify.add_argument("--order", type=int, choices=ORDERS, default=1)
-    _add_sampling_flags(p_verify)
-    p_verify.add_argument("--out")
 
-    p_disc = sub.add_parser("discretize", help="simulate the discrete model")
-    p_disc.add_argument("spec")
+    p_disc = sub.add_parser("discretize", parents=[common], help="simulate the discrete model")
     p_disc.add_argument("--order", type=int, choices=ORDERS, default=1)
     p_disc.add_argument("--x0", required=True, help="initial state, comma-separated")
     p_disc.add_argument(
@@ -443,17 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_disc.add_argument("--exact", action="store_true",
                         help="add the integrated reference trajectory and errors")
     p_disc.add_argument("--tol", type=float, default=1e-10, help="integrator tolerance")
-    _add_sampling_flags(p_disc)
-    p_disc.add_argument("--out")
 
-    p_conv = sub.add_parser("convergence", help="local-error order study")
-    p_conv.add_argument("spec")
+    p_conv = sub.add_parser("convergence", parents=[common], help="local-error order study")
     p_conv.add_argument("--orders", default="1,2,3", help="comma-separated orders")
     p_conv.add_argument("--t-list", dest="t_list", default="0.2,0.1,0.05,0.025",
                         help="comma-separated sampling times (>= 3)")
     p_conv.add_argument("--tol", type=float, default=1e-10, help="integrator tolerance")
-    _add_sampling_flags(p_conv)
-    p_conv.add_argument("--out")
 
     return parser
 

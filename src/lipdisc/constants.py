@@ -11,7 +11,9 @@ Over the box D x U the estimators measure
 All estimates are empirical suprema: deterministic lower bounds on the
 true values.  gamma_c, beta, big_m use a uniform grid (gamma_c refined
 by a coordinate-descent polish); rho_c uses seeded random pairs plus
-near-coincident pairs that capture the local limit of the quotient.
+near-coincident pairs that capture the local limit of the quotient,
+among them probes along the top eigenvectors of J's symmetric part and
+Gram matrix at the box's anchors, all from one stacked eigh call.
 
 Every 2-norm (of J, of H's mode-1 unfolding, of f and of A) is one
 kernel, ``linalg.max_singular_values``: the root of the largest
@@ -224,38 +226,43 @@ def _box_anchors(lower: np.ndarray, upper: np.ndarray, pull: float) -> list[np.n
 
 
 def _probe_pairs(s: SystemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Near-coincident probes along locally extremal Jacobian directions.
+    """Near-coincident probes along locally extremal Jacobian directions:
+    at each (x-anchor, u-anchor) where J is finite, x1 moved 1e-5 along
+    the top eigenvector of (J + J^T)/2, then of J^T J, clipped into D; a
+    pair the clip leaves at x1 is dropped.  J comes from the point
+    kernel, the eigenvectors of every anchor from one eigh call.
 
     Directions come from the spec's f only, never from the map under
     test, so every measurement over the same spec sees the identical
     pair set.
     """
-    x1, x2, u = [], [], []
-    x_anchors = _box_anchors(s.region.lower, s.region.upper, _PAIR_EPS)
-    u_anchors = _box_anchors(s.input_region.lower, s.input_region.upper, 0.0)
-    for xa in x_anchors:
-        for ua in u_anchors:
+    xs, us, jacs = [], [], []
+    for xa in _box_anchors(s.region.lower, s.region.upper, _PAIR_EPS):
+        for ua in _box_anchors(s.input_region.lower, s.input_region.upper, 0.0):
             try:
                 jac = s.jacobian(xa, ua)
             except ExprError:
                 continue
-            if not np.all(np.isfinite(jac)):
-                continue
-            with np.errstate(over="ignore"):
-                gram = jac.T @ jac
-            if not np.all(np.isfinite(gram)):  # J scaled by 2^-e: the same eigenvectors
-                jac = np.ldexp(jac, -math.frexp(float(np.max(np.abs(jac))))[1])
-                gram = jac.T @ jac
-            for sym in (0.5 * (jac + jac.T), gram):
-                v = np.linalg.eigh(sym)[1][:, -1]  # the top eigenvector
-                xb = np.clip(xa + _PAIR_EPS * v, s.region.lower, s.region.upper)
-                if np.any(xb != xa):
-                    x1.append(xa)
-                    x2.append(xb)
-                    u.append(ua)
-    if not x1:
-        return np.zeros((0, s.n)), np.zeros((0, s.n)), np.zeros((0, s.m))
-    return np.asarray(x1), np.asarray(x2), np.asarray(u)
+            if np.all(np.isfinite(jac)):
+                xs.append(xa)
+                us.append(ua)
+                jacs.append(jac)
+    k = len(jacs)
+    x1, u = np.array(xs).reshape(k, s.n), np.array(us).reshape(k, s.m)
+    jac = np.array(jacs).reshape(k, s.n, s.n)
+    with np.errstate(over="ignore"):
+        gram = jac.transpose(0, 2, 1) @ jac
+    big = ~np.isfinite(gram).all(axis=(1, 2))
+    if big.any():  # such a J scaled by 2^-e: the same eigenvectors
+        over = jac[big]
+        over = np.ldexp(over, -np.frexp(np.abs(over).max(axis=(1, 2)))[1][:, None, None])
+        jac[big], gram[big] = over, over.transpose(0, 2, 1) @ over
+    sym = 0.5 * (jac + jac.transpose(0, 2, 1))
+    v = np.linalg.eigh(np.stack([sym, gram], axis=1))[1][..., -1]  # top eigenvectors, (k, 2, n)
+    x1 = np.broadcast_to(x1[:, None], v.shape)
+    x2 = np.clip(x1 + _PAIR_EPS * v, s.region.lower, s.region.upper)
+    moved = np.any(x2 != x1, axis=2)
+    return x1[moved], x2[moved], np.broadcast_to(u[:, None], (k, 2, s.m))[moved]
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +419,7 @@ def _polish(s: SystemSpec, start, lower, upper, steps, iters) -> tuple[float, np
     point.  A batch holds the candidates of the next ``horizon``
     iterations as if none were accepted; the walk through it stops at
     the first acceptance, after which the horizon is 1, and a batch
-    without one doubles it."""
+    without one doubles it.  The walk runs on lists of Python floats."""
     # by Jacobian bytes, so each J keeps the one score of the stack it
     # was first scored in (the kernel's live block is the stack's); -inf
     # where it fails
@@ -433,26 +440,26 @@ def _polish(s: SystemSpec, start, lower, upper, steps, iters) -> tuple[float, np
             memo.update(zip(fresh, np.where(np.isnan(vals), -np.inf, vals).tolist()))
         return [memo[key] for key in keys]
 
-    hs = list(itertools.accumulate(range(1, iters), lambda h, _: h * 0.5, initial=steps))
+    halve = lambda h, _: [v * 0.5 for v in h]
+    hs = list(itertools.accumulate(range(1, iters), halve, initial=steps.tolist()))
     moves = [(d, sign) for d in range(start.shape[0]) for sign in (1.0, -1.0)]
-    m, x = len(moves), start.astype(float).copy()
+    m, x, lower, upper = len(moves), start.tolist(), lower.tolist(), upper.tolist()
     (best,) = scores([x])
     t, horizon = 0, 1  # t: the next candidate, moves[t % m] of iteration t // m
     while t < iters * m:
         end, batch = min((t // m + horizon) * m, iters * m), []
         for f in range(t, end):
             h, (d, sign) = hs[f // m], moves[f % m]
-            cand = x.copy()
-            cand[d] = min(max(x[d] + sign * h[d], lower[d]), upper[d])
-            if cand[d] != x[d]:  # also where h[d] = 0
-                batch.append((f, cand))
+            xd = min(max(x[d] + sign * h[d], lower[d]), upper[d])
+            if xd != x[d]:  # also where h[d] = 0
+                batch.append((f, [*x[:d], xd, *x[d + 1 :]]))
         for (f, cand), val in zip(batch, scores([c for _, c in batch])):
             if val > best:
                 best, x, t, horizon = val, cand, f + 1, 1
                 break
         else:
             t, horizon = end, 2 * horizon
-    return best, x
+    return best, np.array(x)
 
 
 def estimate_gamma_c(s: SystemSpec, cfg: SamplingConfig) -> tuple[float, dict]:

@@ -124,7 +124,7 @@ class SystemSpec:
                 f"region of system {self.name!r} does not contain the origin; "
                 "estimates remain valid on the given box",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__ to its caller
             )
         # symbolic derivatives in C order, jac[i*n + j] = df_i/dx_j and
         # hess[(i*n + j)*n + k] = d^2 f_i / dx_j dx_k, cached as templates

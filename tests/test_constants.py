@@ -613,6 +613,93 @@ def test_probe_pairs_of_an_overflowing_gram_matrix_emit_no_warning():
     assert [357.5, 0.0] in probes[0].tolist()
 
 
+def _per_anchor_probe_pairs(s):
+    """The probe pairs one anchor and one eigh call at a time, with the
+    count of anchors whose J raises, is non-finite or has an overflowing
+    J^T J, and of the pairs that the clip leaves at x1."""
+    rows, counts = [], {"raises": 0, "non_finite": 0, "rescaled": 0, "dropped": 0}
+    for xa in constants._box_anchors(s.region.lower, s.region.upper, 1e-5):
+        for ua in constants._box_anchors(s.input_region.lower, s.input_region.upper, 0.0):
+            try:
+                jac = s.jacobian(xa, ua)
+            except ExprError:
+                counts["raises"] += 1
+                continue
+            if not np.isfinite(jac).all():
+                counts["non_finite"] += 1
+                continue
+            with np.errstate(over="ignore"):
+                gram = jac.T @ jac
+            if not np.isfinite(gram).all():
+                counts["rescaled"] += 1
+                jac = np.ldexp(jac, -math.frexp(float(np.abs(jac).max()))[1])
+                gram = jac.T @ jac
+            for mat in (0.5 * (jac + jac.T), gram):
+                v = np.linalg.eigh(mat)[1][:, -1]
+                xb = np.clip(xa + 1e-5 * v, s.region.lower, s.region.upper)
+                if (xb != xa).any():
+                    rows.append((xa, xb, ua))
+                else:
+                    counts["dropped"] += 1
+    return rows, counts
+
+
+def _wide_spec(n, m):
+    # n > 10 states: the x-anchors are the center and the 2n axis points
+    f = [f"sin(x{i + 1}) * x{(i + 1) % n + 1}" + (f" + u{i % m + 1} * x{i + 1}" if m else "")
+         for i in range(n)]
+    return SystemSpec.from_dict({
+        "name": f"wide-{n}", "A": np.eye(n).tolist(), "C": [[1.0] * n], "T": 0.1, "f": f,
+        "region": {"lower": [-1.0] * n, "upper": [0.5 + 0.1 * i for i in range(n)]},
+        **({"input_region": {"lower": [-1.0] * m, "upper": [1.0] * m}} if m else {}),
+    })
+
+
+_RAISING = {  # sqrt raises for x1 < 0, at half the corners
+    "name": "raising", "A": [[0, 1], [-1, 0]], "C": [[1, 0]], "T": 0.1,
+    "f": ["sqrt(x1 + 0.5) + x2^2", "x1*x2 + u1*x1"],
+    "region": {"lower": [-1, -1], "upper": [1, 1]},
+    "input_region": {"lower": [-1], "upper": [1]},
+}
+
+
+_PINNED = {  # x1 is pinned at 0: where u1 = 2 the top direction e1 moves no probe
+    "name": "pinned", "A": [[0, 1], [-1, 0]], "C": [[1, 0]], "T": 0.1, "f": ["u1*x1", "x2"],
+    "region": {"lower": [0, -1], "upper": [0, 1]},
+    "input_region": {"lower": [0], "upper": [2]},
+}
+
+
+@pytest.mark.parametrize("case, exercised", [
+    ("raising", "raises"),
+    ("pinned", "dropped"),
+    ("overflowing", "non_finite"),  # exp(x1) is inf at x1 = 800
+    ("overflowing", "rescaled"),  # J^T J overflows at the center x1 = 400
+    ("wide-11", None),  # m = 0
+    ("wide-12", None),
+    ("bundled", None),
+])
+def test_stacked_probe_pairs_keep_the_bits_of_one_eigh_call_per_anchor(bench, probe, case,
+                                                                        exercised):
+    specs = {
+        "raising": [SystemSpec.from_dict(_RAISING)],
+        "pinned": [SystemSpec.from_dict(_PINNED)],
+        "overflowing": [_exp_spec(800.0)],
+        "wide-11": [_wide_spec(11, 0)],
+        "wide-12": [_wide_spec(12, 2)],
+        "bundled": [*bench.values(), probe],
+    }[case]
+    for spec in specs:
+        rows, counts = _per_anchor_probe_pairs(spec)
+        if exercised:
+            assert counts[exercised] > 0
+        x1, x2, u = constants._probe_pairs(spec)
+        assert (x1.shape, x2.shape, u.shape) == ((len(rows), spec.n),) * 2 + ((len(rows), spec.m),)
+        for got, want in zip((x1, x2, u), zip(*rows)):
+            assert got.tobytes() == np.array(want).tobytes(), spec.name
+        assert len(rows) > (2 * spec.n if spec.n > 10 else 0)  # the axis anchors probe too
+
+
 # ---------------------------------------------------------------------------
 # grid cap and metamorphic scaling
 

@@ -92,8 +92,9 @@ def test_zero_state_plant_is_rejected():
 
 
 def test_region_without_origin_warns():
-    with pytest.warns(UserWarning, match="origin"):
+    with pytest.warns(UserWarning, match="origin") as record:
         _scalar_spec("x1^2", lower=1.0, upper=2.0)
+    assert record[0].filename == __file__  # the frame that built the spec
 
 
 def test_eval_f_examples(bench):
