@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import _CHUNK_ROWS
+from . import discretize
 from .expr import ExprError
 from .linalg import NumericalError, _power_iteration, max_singular_value, max_singular_values
 from .system import SpecValidationError, SystemSpec
@@ -312,8 +312,9 @@ class _Sup:
 
 def sup_pair_quotient(pairs: PairSample, images, one_sided) -> list[_Sup]:
     """Suprema of (one-sided) difference quotients of maps over ``pairs``,
-    in one pass of chunks of _CHUNK_ROWS rows under np.errstate, so an
-    overflow shows as a non-finite image or quotient.
+    in one pass of chunks of ``discretize._CHUNK_ROWS`` rows, the size
+    F_T's batch reads too, under np.errstate, so an overflow shows as a
+    non-finite image or quotient.
 
     ``images(rows)`` returns (or yields), for the pairs in the slice
     ``rows``, one image pair (m(x1,u), m(x2,u)) per entry of
@@ -328,8 +329,8 @@ def sup_pair_quotient(pairs: PairSample, images, one_sided) -> list[_Sup]:
     points = {"x1": pairs.x1, "x2": pairs.x2, "u": pairs.u}
     sups = [_Sup(points, "pair", "quotient") for _ in one_sided]
     with np.errstate(all="ignore"):
-        for lo in range(0, pairs.x1.shape[0], _CHUNK_ROWS):
-            rows = slice(lo, lo + _CHUNK_ROWS)
+        for lo in range(0, pairs.x1.shape[0], discretize._CHUNK_ROWS):
+            rows = slice(lo, lo + discretize._CHUNK_ROWS)
             dx = pairs.x1[rows] - pairs.x2[rows]
             dist_sq = np.einsum("ij,ij->i", dx, dx)
             for sup, side, (m1, m2) in zip(sups, one_sided, images(rows), strict=True):

@@ -20,23 +20,26 @@ second-derivative tensor and H(a, b)_i = sum_{jk} H[i,j,k] a_j b_k:
                             + H(Ax, Ax) + 2 H(Ax, f) + H(f, f))
 
 One point evaluates N_1..N_k as expression trees, through one kernel per
-spec and order that every sampling time shares.  A batch runs the series
-written out above on numpy columns; the two agree to rounding.  The
-batch reads J and H only at the entries that are not a constant zero
-(their templates' ``support``) and keeps the bits of the dense einsums:
-H(a, b) adds (H[i,j,k] a_j) b_k in C order from +0.0, the order of
-``np.einsum("ijk,j,k->i")``, and J v the order of the two-operand
-``np.einsum("...ij,...j->...i")`` (see :func:`_einsum_lanes`).  A
-skipped term is +-0.0 and leaves a sum begun at +0.0 unchanged.  Only a
-non-finite a_j, b_k or v_j makes it NaN; that value comes from a
-non-finite f or J entry, which makes the row of F_T non-finite anyway,
-so at most the kind of non-finite value in a component can differ.
+spec and order that every sampling time shares, and sums the kernel's
+terms in one pass with T, T^2/2 and T^3/6 taken once per model.  A
+batch runs the series written out above on numpy columns; the two agree
+to rounding.  The batch reads J and H only at the entries that are not
+a constant zero (their templates' ``support``) and keeps the bits of
+the dense einsums: H(a, b) adds (H[i,j,k] a_j) b_k in C order from
++0.0, the order of ``np.einsum("ijk,j,k->i")``, and J v the order of
+the two-operand ``np.einsum("...ij,...j->...i")`` (see
+:func:`_einsum_lanes`).  A skipped term is +-0.0 and leaves a sum begun
+at +0.0 unchanged.  Only a non-finite a_j, b_k or v_j makes it NaN;
+that value comes from a non-finite f or J entry, which makes the row of
+F_T non-finite anyway, so at most the kind of non-finite value in a
+component can differ.
 
 The reference integrator is one straight-line Python function per spec
 that runs the whole adaptive Dormand-Prince loop on Python floats with
-F written out in every stage (see :func:`_integrator`).  It sums the
-stages in the order a Python ``sum`` over the stage vectors does, and
-each step reuses its last stage as the next step's first.
+F written out in every stage, a call's first included, and no ``min``
+or ``max`` call in the step-size control (see :func:`_integrator`).  It
+sums the stages in the order a Python ``sum`` over the stage vectors
+does, and each step reuses its last stage as the next step's first.
 
 Both one-step maps, a :class:`DiscreteModel` and an :class:`ExactMap`,
 are callables (x, u) -> list of floats, which :func:`simulate` iterates.
@@ -86,13 +89,20 @@ class DiscreteModel:
 
     def f_t(self, x, u=()) -> list:
         """F_T at one point on Python floats: the spec's Lie terms from one
-        kernel call, summed as T N_1 + (T^2/2) N_2 + (T^3/6) N_3."""
-        n, t = self.spec.n, self.spec.sampling_time
-        terms = self.spec._lie_template(self.order).point(x, u)
-        out = [t * v for v in terms[:n]]
-        for l, c in ((1, t * t / 2.0), (2, t**3 / 6.0))[: self.order - 1]:
-            out = [o + c * v for o, v in zip(out, terms[l * n : l * n + n])]
-        return out
+        kernel call, summed in one pass as ((T N_1 + (T^2/2) N_2) + (T^3/6) N_3)."""
+        t, c2, c3, point, n = self._point_sum
+        terms = point(x, u)
+        if self.order == 1:
+            return [t * a for a in terms]
+        if self.order == 2:
+            return [t * a + c2 * b for a, b in zip(terms, terms[n:])]
+        return [t * a + c2 * b + c3 * c for a, b, c in zip(terms, terms[n:], terms[2 * n :])]
+
+    @functools.cached_property
+    def _point_sum(self) -> tuple:
+        """T, T^2/2, T^3/6, the Lie template's point function and n."""
+        t = self.spec.sampling_time
+        return t, t * t / 2.0, t**3 / 6.0, self.spec._lie_template(self.order).point, self.spec.n
 
     def f_t_batch(self, x: np.ndarray, u: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:
         """Vectorized F_T over rows of (x, u), in chunks of _CHUNK_ROWS rows
@@ -236,20 +246,20 @@ _SAFETY = 0.9
 _MAX_STEPS = 1_000_000
 
 
-# the adaptive loop of ExactMap; _integrator writes out the trial step
+# the adaptive loop of ExactMap; _integrator writes out the stages
 _LOOP = """def integrate(y, u, tol, t_end):
-    [{k0}] = field(y, u)
-    [{y}] = y{inputs}
+    [{y}] = [{v}] = y{first}
     t, h, t_done = 0.0, t_end, {done!r} * t_end
     for _ in range({max_steps}):
         remaining = t_end - t
         if remaining <= t_done:
             return [{y}]
-        h = min(h, remaining){trial}
+        h = remaining if remaining < h else h{trial}
         if err <= 1.0:
             t, {y}, {k0} = t + h, {n}, {k6}
         factor = 5.0 if err == 0.0 else {safety!r} * err ** (-0.2)
-        h = min(h * min(5.0, max(0.2, factor)), t_end)
+        h *= 5.0 if factor >= 5.0 else factor if factor > 0.2 else 0.2
+        h = t_end if t_end < h else h
         if h < {min_step!r}:
             raise IntegrationError("step size underflow", t, np.array([{y}], dtype=float), h)
     raise IntegrationError("step budget exhausted", t, np.array([{y}], dtype=float), h)
@@ -260,14 +270,16 @@ def _integrator(s: SystemSpec) -> Callable:
     """The spec's Dormand-Prince loop as one generated function
     ``integrate(y, u, tol, t_end)`` of a list of floats, built on first
     use into the slot ``s._exact_integrator`` that the copies of
-    ``with_sampling_time`` share.  Its first stage calls the field
-    template F; then the inputs F reads are loaded once, and each other
-    stage is F written out by the point kernel's emitter, in a ``try``
-    that falls back to the template, whose walk names a domain error's
-    node or saturates an overflow.  Every stage, B5 and E sum is
-    ``0.0 + c0*k0_i + c1*k1_i + ...`` in stage order, zeros kept; the
-    error norm takes max(|y_i|, |y_new_i|) with NaN winning and the root
-    of the mean of the squared quotients, summed in order."""
+    ``with_sampling_time`` share.  Every stage, the first included, is F
+    written out by the point kernel's emitter, in a ``try`` that falls
+    back to the field template, whose walk names a domain error's node
+    or saturates an overflow; the first stage's ``try`` also loads the
+    inputs F reads, so a missing one fails in the walk too.  Every stage,
+    B5 and E sum is ``0.0 + c0*k0_i + c1*k1_i + ...`` in stage order,
+    zeros kept; the error norm takes max(|y_i|, |y_new_i|) with NaN
+    winning and the root of the mean of the squared quotients, summed in
+    order.  The step-size control compares where it took ``min`` and
+    ``max``, with the same results, a NaN factor giving 0.2."""
     if s._exact_integrator:
         return s._exact_integrator[0]
     field, ix, inputs = s._field_template, range(s.n), set()
@@ -284,21 +296,24 @@ def _integrator(s: SystemSpec) -> Callable:
     values = [emit(live.get(j, ex.Const(c))) for j, c in enumerate(field.const_list)]
     listed = lambda name: ", ".join(f"{name}{i}" for i in ix)
     combo = lambda ws, i: "0.0" + "".join(f" + ({w!r}) * k{j}_{i}" for j, w in enumerate(ws))
+    stage = lambda k, head=(): [
+        "try:", *(f"    {line}" for line in (*head, *lines)),
+        *(f"    k{k}_{i} = {values[i]}" for i in ix),
+        "except (ArithmeticError, ValueError, IndexError):",
+        f"    [{listed(f'k{k}_')}] = field([{listed('v')}], u)",
+    ]
+    first = stage(0, [f"u{k} = float(u[{k}])" for k in sorted(inputs)])
     trial = []
-    for stage, row in enumerate(_DP_A[1:], start=1):
-        trial += [f"v{i} = y{i} + h * ({combo(row, i)})" for i in ix]
-        trial += ["try:", *(f"    {line}" for line in lines)]
-        trial += [f"    k{stage}_{i} = {values[i]}" for i in ix]
-        trial += ["except (ArithmeticError, ValueError, IndexError):",
-                  f"    [{listed(f'k{stage}_')}] = field([{listed('v')}], u)"]
+    for k, row in enumerate(_DP_A[1:], start=1):
+        trial += [f"v{i} = y{i} + h * ({combo(row, i)})" for i in ix] + stage(k)
     for i in ix:
         trial += [f"n{i} = y{i} + h * ({combo(_DP_B5, i)})", f"a, b = abs(y{i}), abs(n{i})",
                   f"r{i} = h * ({combo(_DP_E, i)}) / (tol + tol * (a if a >= b or a != a else b))"]
     squares = " + ".join(f"r{i} * r{i}" for i in ix)
     trial.append(f"err = root(({squares}) / {s.n})")
     source = _LOOP.format(
-        y=listed("y"), k0=listed("k0_"), n=listed("n"), k6=listed("k6_"),
-        inputs="".join(f"\n    u{k} = float(u[{k}])" for k in sorted(inputs)),
+        y=listed("y"), v=listed("v"), k0=listed("k0_"), n=listed("n"), k6=listed("k6_"),
+        first="".join(f"\n    {line}" for line in first),
         done=4.0 * float(np.finfo(float).eps), max_steps=_MAX_STEPS, safety=_SAFETY,
         min_step=_MIN_STEP, trial="".join(f"\n        {line}" for line in trial),
     )

@@ -219,12 +219,13 @@ def convergence_study(
     xs = inner.lower + rng.random((_CONVERGENCE_POINTS, s.n)) * inner.width
     us = s.input_region.lower + rng.random((_CONVERGENCE_POINTS, s.m)) * s.input_region.width
 
+    rows = list(zip(xs.tolist(), us.tolist()))  # stepped on Python floats, as simulate does
     errors: dict[int, list[float]] = {k: [] for k in orders}
     for exact_map in exact_maps:
-        exact = np.array([exact_map(x, u) for x, u in zip(xs, us)])
+        exact = np.array([exact_map(x, u) for x, u in rows])
         for k in orders:
             model = build_taylor_model(exact_map.spec, k)
-            approx = np.array([model(x, u) for x, u in zip(xs, us)])
+            approx = np.array([model(x, u) for x, u in rows])
             gap = np.max(np.linalg.norm(exact - approx, axis=1))
             errors[k].append(float(max(gap, 1e-300)))
 

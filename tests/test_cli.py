@@ -21,7 +21,9 @@ from lipdisc import (
     discretize,
     simulate,
 )
-from lipdisc.cli import OUTPUT_SCHEMAS, dumps_json, main
+from lipdisc.cli import dumps_json, main
+
+from output_schemas import OUTPUT_SCHEMAS
 
 
 @pytest.fixture()
@@ -148,16 +150,34 @@ def test_float_format_operator_matches_format_call():
 # ---------------------------------------------------------------------------
 # entry points and the shared --out envelope
 
-def test_module_entry_point_runs_main():
+def _console(*argv) -> subprocess.CompletedProcess:
+    """``python -m lipdisc.cli`` in a new process, as the console runs it."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run(
-        [sys.executable, "-m", "lipdisc.cli", "--version"],
+    return subprocess.run(
+        [sys.executable, "-m", "lipdisc.cli", *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_module_entry_point_runs_main():
+    done = _console("--version")
     assert done.returncode == 0
     assert done.stdout.strip() == "lipdisc 0.1.0"
+
+
+def test_console_prints_a_warning_on_one_line(spec_path):
+    # a region that misses the origin warns; the console prints the
+    # message alone, not the file, line and source line of Python's format
+    done = _console("constants", spec_path("cubic-scalar", region={"lower": [1], "upper": [2]}),
+                    "--pairs", "1000", "--grid", "5")
+    assert done.returncode == 0
+    assert done.stderr == (
+        "warning: region of system 'cubic-scalar' does not contain the origin; "
+        "estimates remain valid on the given box\n"
+    )
+    assert ".py:" not in done.stderr
 
 
 def test_out_file_key_order(capsys, spec_path, tmp_path):

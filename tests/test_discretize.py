@@ -1,5 +1,6 @@
 """Taylor-Lie maps, the reference integrator and trajectory simulation."""
 
+import itertools
 import math
 import sys
 import warnings
@@ -629,8 +630,8 @@ def test_exact_step_generates_one_integrator_per_spec(bench):
 
 def _plant_counters(monkeypatch, spec):
     """Count the work of exact_step on ``spec`` through the names its
-    generated code looks up: calls of the field kernel (the first stage of
-    a call, and the first try of a fallback), calls of ``sin`` in the
+    generated code looks up: calls of the field kernel (the first try of
+    a fallback, since every stage is written out), calls of ``sin`` in the
     kernel and in the integrator (the same number in every stage), and
     trials and accepted trials through the error norm's ``root``.  With
     ``log["fail_after_accept"]`` set, ``sin`` raises OverflowError from
@@ -683,8 +684,8 @@ def test_exact_step_evaluates_the_first_stage_once_per_call(bench, probe, monkey
             for x, u in zip(xs, us):
                 log.update(kernel=0, sin=0, trials=0, accepted=0)
                 got = exact_step(spec, x, u, tol=tol)
-                # the kernel gives the first stage, each trial six written-out ones
-                assert log["kernel"] == 1, spec.name
+                # every stage is written out: the first, then six per trial
+                assert log["kernel"] == 0, spec.name
                 assert log["sin"] == per_stage * (1 + 6 * log["trials"]), spec.name
                 counted += per_stage > 0
                 rejected += log["trials"] - log["accepted"]
@@ -886,15 +887,28 @@ def _trajectory_inputs(spec, steps, seed):
 
 
 def test_model_step_and_f_t_keep_the_bits_of_the_array_sum(bench, probe):
-    for spec in [*bench.values(), probe]:
+    zeros = set()  # the signs of the zero components of F_T met
+    for spec, t in itertools.product([*bench.values(), probe], (0.025, 0.1, 0.2)):
+        spec = spec.with_sampling_time(t)
         xs, us = sample_points(spec, 200, seed=23)
+        # rows of +-0.0 states and inputs, whole or in part, where F_T has
+        # zero components whose sign the one-pass sum must keep
+        rng = np.random.default_rng(5)
+        signed = np.where(rng.random((40, spec.n)) < 0.5, 0.0, -0.0)
+        part = rng.random((40, spec.n)) < 0.5
+        part[:20] = True
+        xs[:40] = np.where(part, signed, xs[:40])
+        us[:20] = np.copysign(0.0, us[:20])
         for order in (1, 2, 3):
             mdl = build_taylor_model(spec, order)
             want_step = _reference_model_step(mdl)
             for x, u in zip(xs, us):
-                assert float_bits(mdl.f_t(x, u)) == float_bits(_reference_f_t(mdl, x, u))
+                got = mdl.f_t(x, u)
+                assert float_bits(got) == float_bits(_reference_f_t(mdl, x, u))
                 assert float_bits(np.asarray(mdl(x, u))) == float_bits(want_step(x, u))
-                assert float_bits(mdl.f_t(x.tolist(), u.tolist())) == float_bits(mdl.f_t(x, u))
+                assert float_bits(mdl.f_t(x.tolist(), u.tolist())) == float_bits(got)
+                zeros.update(math.copysign(1.0, v) for v in got if v == 0.0)
+    assert zeros == {1.0, -1.0}
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])

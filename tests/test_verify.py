@@ -17,6 +17,7 @@ from lipdisc import (
     parse,
     verify_bounds,
 )
+from lipdisc import constants, discretize
 from lipdisc import expr as ex
 from lipdisc.constants import sample_pairs
 from lipdisc.discretize import _CHUNK_ROWS, DiscreteModel, ExactMap
@@ -27,6 +28,7 @@ from conftest import (
     empirical_lipschitz,
     empirical_one_sided,
     pair_quotient,
+    sample_points,
     whole_array_pair_quotient,
 )
 from test_discretize import _reference_exact_step
@@ -139,6 +141,36 @@ def test_verify_evaluates_f_once_per_pair_endpoint(probe, monkeypatch):
         verify_bounds(probe, order, cfg)
         # both endpoints of every pair, plus the M grid of 2^5 points
         assert sum(rows) == 2 * pair_rows + 2**5, order
+
+
+def test_the_pair_pass_and_f_t_batch_read_one_chunk_size(probe, monkeypatch):
+    # discretize._CHUNK_ROWS owns the chunk size: setting it sets the rows
+    # of the pair pass's chunks and of F_T's batch chunks alike
+    chunk = 100
+    monkeypatch.setattr(discretize, "_CHUNK_ROWS", chunk)
+    quotient_rows, series_rows = [], []
+    quotients, series = constants._quotients, DiscreteModel._series
+
+    def counted_quotients(m1, *args):
+        quotient_rows.append(m1.shape[0])
+        return quotients(m1, *args)
+
+    def counted_series(self, x, u, f):
+        series_rows.append(x.shape[0])
+        return series(self, x, u, f)
+
+    monkeypatch.setattr(constants, "_quotients", counted_quotients)
+    monkeypatch.setattr(DiscreteModel, "_series", counted_series)
+    cfg = SamplingConfig(grid_per_axis=2, pair_budget=1000)
+    full, tail = divmod(sample_pairs(probe, cfg).x1.shape[0], chunk)
+    chunks = [chunk] * full + [tail] * bool(tail)
+    verify_bounds(probe, 3, cfg)
+    assert quotient_rows == [rows for rows in chunks for _ in range(4)]  # four quotients each
+    assert series_rows == [rows for rows in chunks for _ in range(2)]  # both pair endpoints
+    series_rows.clear()
+    xs, us = sample_points(probe, 250, seed=3)
+    build_taylor_model(probe, 3).f_t_batch(xs, us)
+    assert series_rows == [100, 100, 50]
 
 
 def test_verify_memory_is_bounded_by_the_pair_sample(probe):
@@ -295,9 +327,10 @@ def test_convergence_study_compiles_one_lie_kernel_per_order(probe, monkeypatch)
 
     monkeypatch.setattr(ex, "point_kernel", counted)
     convergence_study(spec, [1, 2, 3], [0.2, 0.1, 0.05, 0.025])
-    # the field's kernel and one Lie kernel per order, shared by all four T
+    # one Lie kernel per order, shared by all four T; the field's template
+    # feeds the integrator, whose kernel is built only for a fallback
     assert sorted(spec._point_templates) == [0, 1, 2, 3]
-    assert len(compiled) == 4
+    assert len(compiled) == 3 and spec._field_template.kernel is None
     # and one integrator, generated into the slot that the copies share
     assert len(spec._exact_integrator) == 1
 
