@@ -5,14 +5,7 @@ __version__ = "0.1.0"
 
 from . import benchmarks
 from .bounds import BoundResult, UnsupportedOrderError, evaluate_bounds, gamma_d, rho_d
-from .constants import (
-    ConstantEstimates,
-    SamplingConfig,
-    estimate_all,
-    estimate_beta_and_m,
-    estimate_gamma_c,
-    estimate_rho_c,
-)
+from .constants import ConstantEstimates, SamplingConfig, estimate_all
 from .discretize import (
     DiscreteModel,
     IntegrationError,
@@ -31,7 +24,7 @@ from .expr import (
     parse,
     unparse,
 )
-from .linalg import NumericalError, max_singular_value, tensor3_norm_surrogate
+from .linalg import NumericalError, max_singular_value
 from .system import BoxRegion, SpecValidationError, SystemSpec
 from .verify import (
     ConvergenceStudy,
@@ -64,9 +57,6 @@ __all__ = [
     "convergence_study",
     "differentiate",
     "estimate_all",
-    "estimate_beta_and_m",
-    "estimate_gamma_c",
-    "estimate_rho_c",
     "evaluate",
     "evaluate_bounds",
     "exact_step",
@@ -75,7 +65,6 @@ __all__ = [
     "parse",
     "rho_d",
     "simulate",
-    "tensor3_norm_surrogate",
     "unparse",
     "verify_bounds",
 ]

@@ -4,13 +4,14 @@ Over the box D x U the estimators measure
 
   gamma_c     sup of the induced 2-norm of df/dx        (Lipschitz constant)
   rho_c       sup of <f(x1,u)-f(x2,u), x1-x2>/||x1-x2||^2   (one-sided)
-  beta        sup of the order-3 tensor norm surrogate of d^2 f/dx^2
+  beta        sup of the 2-norm of the mode-1 unfolding of d^2 f/dx^2
   big_m       sup of ||f(x, u)||
   sigma_bar_a max singular value of A
 
 All estimates are empirical suprema: deterministic lower bounds on the
-true values.  gamma_c, beta, big_m use a uniform grid (gamma_c refined
-by a coordinate-descent polish); rho_c uses seeded random pairs plus
+true values.  gamma_c, beta, big_m share one uniform grid, which
+``estimate_all`` builds once per call (gamma_c is refined by a
+coordinate-descent polish); rho_c uses seeded random pairs plus
 near-coincident pairs that capture the local limit of the quotient,
 among them probes along the top eigenvectors of J's symmetric part and
 Gram matrix at the box's anchors, all from one stacked eigh call.
@@ -56,8 +57,10 @@ sample (tracemalloc).
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -86,16 +89,14 @@ class SamplingConfig:
             ("grid_per_axis", 2), ("pair_budget", 1000), ("seed", 0), ("polish_iters", 0)
         ):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise SpecValidationError(name, f"must be an integer, got {value!r}")
             if value < least:
                 raise SpecValidationError(name, f"must be >= {least}, got {value}")
+            object.__setattr__(self, name, int(value))  # a numpy integer as an int
 
     def to_jsonable(self) -> dict:
-        return {
-            "grid_per_axis": self.grid_per_axis,
-            "pair_budget": self.pair_budget,
-            "seed": self.seed,
-            "polish_iters": self.polish_iters,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -137,14 +138,11 @@ def _effective_grid(dims: int, g: int) -> int:
     return g
 
 
-def grid_points(s: SystemSpec, cfg: SamplingConfig) -> np.ndarray:
-    """Uniform per-axis mesh over D x U including endpoints, shape (P, n+m).
-
-    The per-axis count is reduced if needed so the total stays under 1e6.
-    """
+def grid_points(s: SystemSpec, g: int) -> np.ndarray:
+    """Uniform mesh of ``g`` points per axis over D x U including
+    endpoints, shape (g^(n+m), n+m)."""
     lower, upper = _domain_box(s)
     dims = lower.shape[0]
-    g = _effective_grid(dims, cfg.grid_per_axis)
     axes = [np.linspace(lower[d], upper[d], g) for d in range(dims)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
@@ -463,41 +461,31 @@ def _polish(s: SystemSpec, start, lower, upper, steps, iters) -> tuple[float, np
     return best, np.array(x)
 
 
-def estimate_gamma_c(s: SystemSpec, cfg: SamplingConfig) -> tuple[float, dict]:
-    """Empirical sup of ||df/dx|| over D x U: grid plus local polish.
+def estimate_gamma_c(s: SystemSpec, pts: np.ndarray, g: int, iters: int) -> tuple[float, dict]:
+    """Empirical sup of ||df/dx|| over the grid ``pts`` of ``g`` points
+    per axis, then ``iters`` iterations of the polish from its witness,
+    with first steps of one mesh width.
 
     A lower bound on the true Lipschitz constant; the witness is the
     attaining point.
     """
-    pts = grid_points(s, cfg)
     sup = _grid_sup(s, pts, _norm_rows(s.jacobian_batch(pts[:, : s.n], pts[:, s.n :])))
     sup.result("gamma_c")  # the grid's failures surface before the polish
     lower, upper = _domain_box(s)
-    steps = (upper - lower) / (_effective_grid(lower.shape[0], cfg.grid_per_axis) - 1)
-    polished, point = _polish(s, pts[sup.best], lower, upper, steps, cfg.polish_iters)
+    polished, point = _polish(s, pts[sup.best], lower, upper, (upper - lower) / (g - 1), iters)
     if polished > sup.value:
         sup = _grid_sup(s, point[None], np.array([polished]))
     return sup.result("gamma_c")
 
 
-def estimate_rho_c(s: SystemSpec, cfg: SamplingConfig) -> tuple[float, dict]:
-    """Empirical sup of the one-sided Lipschitz quotient of f over D.
+def estimate_beta_and_m(s: SystemSpec, pts: np.ndarray) -> tuple[float, float, dict]:
+    """Grid suprema over ``pts`` of ||d^2 f/dx^2|| and ||f||.
 
-    May be negative; the near-coincident pair family makes quotients
-    attained in the x2 -> x1 limit reachable.
+    The norm of H is the 2-norm of its mode-1 unfolding (n x n^2), an
+    upper bound on the bilinear norm sup ||H(., y, z)|| over unit y, z:
+    H(., y, z) = unfold(H) (y kron z) and ||y kron z|| = ||y|| ||z|| = 1.
+    The exact bilinear norm is NP-hard in general.
     """
-    pairs = sample_pairs(s, cfg)
-    x1, x2, u, f = pairs.x1, pairs.x2, pairs.u, s.eval_f_batch
-    (sup,) = sup_pair_quotient(
-        pairs, lambda rows: [(f(x1[rows], u[rows]), f(x2[rows], u[rows]))], (True,)
-    )
-    return sup.result("rho_c")
-
-
-def estimate_beta_and_m(s: SystemSpec, cfg: SamplingConfig) -> tuple[float, float, dict]:
-    """Grid suprema of ||d^2 f/dx^2|| (mode-1 surrogate) and ||f||, over
-    one grid."""
-    pts = grid_points(s, cfg)
     x, u = pts[:, : s.n], pts[:, s.n :]
     beta, beta_w = _grid_sup(s, pts, _norm_rows(s.second_derivative_batch(x, u))).result("beta")
     f_norms = max_singular_values(s.eval_f_batch(x, u)[:, None])  # 1 x n matrices
@@ -510,18 +498,23 @@ def estimate_all(
 ) -> ConstantEstimates:
     """All constants the bound formulas need, with witnesses; ``rho_c``
     is the running pair supremum of f's one-sided quotient over the pair
-    sample of ``cfg`` if a caller has already taken it.  Failures surface
-    in the order gamma_c, rho_c, beta and M."""
+    sample of ``cfg`` if a caller has already taken it.  gamma_c, beta
+    and M share one grid.  Failures surface in the order gamma_c, rho_c,
+    beta, M and sigma_bar_a."""
     g = _effective_grid(s.n + s.m, cfg.grid_per_axis)
     if g != cfg.grid_per_axis:
         warnings.warn(f"grid of {cfg.grid_per_axis} points per axis exceeds {_GRID_CAP} "
                       f"points; running at {g} points per axis", UserWarning, stacklevel=2)
-    gamma, gamma_w = estimate_gamma_c(s, cfg)
+    pts = grid_points(s, g)
+    gamma, gamma_w = estimate_gamma_c(s, pts, g, cfg.polish_iters)
     if rho_c is None:
-        rho, rho_w = estimate_rho_c(s, cfg)
-    else:
-        rho, rho_w = rho_c.result("rho_c")
-    beta, big_m, bm_w = estimate_beta_and_m(s, cfg)
+        pairs, f = sample_pairs(s, cfg), s.eval_f_batch
+        (rho_c,) = sup_pair_quotient(
+            pairs, lambda r: [(f(pairs.x1[r], pairs.u[r]), f(pairs.x2[r], pairs.u[r]))], (True,)
+        )
+    rho, rho_w = rho_c.result("rho_c")
+    rho_c = pairs = None  # the pair sample dies before the beta pass
+    beta, big_m, bm_w = estimate_beta_and_m(s, pts)
     try:
         sigma = max_singular_value(s.a)
     except NumericalError as err:

@@ -1,12 +1,10 @@
-"""Dense linear algebra kernels: the induced 2-norm and the order-3
-tensor norm surrogate.
+"""Dense linear algebra kernels: the induced 2-norm.
 
-Matrices and order-3 tensors are plain float ndarrays of shape (n, m)
-and (d1, d2, d3).  All functions are pure and deterministic.  There is
-one 2-norm kernel, ``max_singular_values`` over a (k, n, m) stack;
-``max_singular_value`` and ``tensor3_norm_surrogate`` are its
-one-matrix cases.  ``_power_iteration`` has one job left: the grid's
-band re-rank in ``constants._norm_rows``.
+Matrices are plain float ndarrays of shape (n, m).  All functions are
+pure and deterministic.  There is one 2-norm kernel,
+``max_singular_values`` over a (k, n, m) stack; ``max_singular_value``
+is its one-matrix case.  ``_power_iteration`` has one job left: the
+grid's band re-rank in ``constants._norm_rows``.
 """
 
 from __future__ import annotations
@@ -76,23 +74,6 @@ def max_singular_values(stack: np.ndarray) -> np.ndarray:
             return np.full(mats.shape[0], np.nan)
     with np.errstate(over="ignore"):  # a 2-norm above the largest float: inf
         return np.ldexp(np.sqrt(np.maximum(lam, 0.0)), e)
-
-
-def tensor3_norm_surrogate(t3: np.ndarray) -> float:
-    """Upper bound on the bilinear induced norm of an order-3 tensor.
-
-    Returns the induced 2-norm of the mode-1 unfolding (d1 x d2*d3).
-    For unit y, z: ||T(., y, z)|| = ||unfold(T) (y kron z)|| <= sigma_max,
-    since ||y kron z|| = ||y|| ||z|| = 1, so the bound is conservative.
-    The exact bilinear norm is NP-hard in general.
-    """
-    t3 = np.asarray(t3, dtype=float)
-    if t3.ndim != 3:
-        raise ValueError(f"expected an order-3 tensor, got shape {t3.shape}")
-    if not np.all(np.isfinite(t3)):
-        raise ValueError("tensor has non-finite entries")
-    d1 = t3.shape[0]
-    return max_singular_value(t3.reshape(d1, -1))
 
 
 def _power_iteration(stack: np.ndarray) -> np.ndarray:

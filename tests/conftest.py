@@ -10,6 +10,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from lipdisc import NumericalError, SamplingConfig, SystemSpec, benchmarks
+from lipdisc import constants
 from lipdisc.constants import sample_pairs, sup_pair_quotient
 from lipdisc.expr import Binary, Const, Pow, Unary, Var
 
@@ -141,6 +142,30 @@ def pair_quotient(map_batch, s, cfg, one_sided, pairs=None):
         (one_sided,),
     )
     return sup.result("empirical quotient")
+
+
+def grid_of(s, cfg):
+    """The grid ``estimate_all`` runs on for ``cfg``: its rows and its
+    effective per-axis count."""
+    g = constants._effective_grid(s.n + s.m, cfg.grid_per_axis)
+    return constants.grid_points(s, g), g
+
+
+def gamma_c_of(s, cfg):
+    """gamma_c and its witness, as ``estimate_all`` takes them."""
+    pts, g = grid_of(s, cfg)
+    return constants.estimate_gamma_c(s, pts, g, cfg.polish_iters)
+
+
+def beta_and_m_of(s, cfg):
+    """beta, M and their witnesses, as ``estimate_all`` takes them."""
+    return constants.estimate_beta_and_m(s, grid_of(s, cfg)[0])
+
+
+def rho_c_of(s, cfg):
+    """f's one-sided quotient supremum over the pair sample of ``cfg``:
+    ``estimate_all``'s rho_c."""
+    return pair_quotient(s.eval_f_batch, s, cfg, one_sided=True)
 
 
 def whole_array_pair_quotient(pairs, images, one_sided):

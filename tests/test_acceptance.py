@@ -15,8 +15,7 @@ from lipdisc import (
     SystemSpec,
     build_taylor_model,
     convergence_study,
-    estimate_gamma_c,
-    estimate_rho_c,
+    estimate_all,
     exact_step,
     gamma_d,
     parse,
@@ -32,6 +31,7 @@ from conftest import (
     empirical_lipschitz,
     empirical_one_sided,
     expm,
+    rho_c_of,
     sample_points,
 )
 
@@ -59,7 +59,7 @@ def test_criterion_1_euler_exactness(bench, default_cfg):
         )
 
         discrete_one, _ = empirical_one_sided(mdl, spec, default_cfg, pairs=pairs)
-        continuous_one, _ = estimate_rho_c(spec, default_cfg)
+        continuous_one, _ = rho_c_of(spec, default_cfg)
         scale = max(1e-12, abs(t * continuous_one))
         rel_one = abs(discrete_one - t * continuous_one) / scale
 
@@ -210,8 +210,8 @@ def test_criterion_8_one_sided_ordering(bench, default_cfg):
     ok = True
     details = []
     for name, spec in bench.items():
-        gamma, _ = estimate_gamma_c(spec, default_cfg)
-        rho, _ = estimate_rho_c(spec, default_cfg)
+        est = estimate_all(spec, default_cfg)
+        gamma, rho = est.gamma_c, est.rho_c
         ok = ok and rho <= gamma + 1e-9
         if name == "cubic-scalar":
             ok = ok and abs(rho) <= 1e-3 and abs(gamma - 12.0) <= 1e-2

@@ -19,8 +19,12 @@ def _load_targets():
 
 TARGETS = _load_targets()
 
+# spans whose function lipdisc deleted on purpose: the traced run reports
+# them under missing_spans until the benchmark's target list drops them
+RETIRED = {"linalg.tensor3_norm_surrogate"}
 
-@pytest.mark.parametrize("span", sorted(TARGETS))
+
+@pytest.mark.parametrize("span", sorted(set(TARGETS) - RETIRED))
 def test_traced_span_resolves_to_a_lipdisc_function(span):
     module_name, attr, _ = TARGETS[span]
     assert module_name.split(".")[0] == "lipdisc"
@@ -28,3 +32,9 @@ def test_traced_span_resolves_to_a_lipdisc_function(span):
     for part in attr.split("."):
         obj = getattr(obj, part)
     assert callable(obj)
+
+
+@pytest.mark.parametrize("span", sorted(RETIRED))
+def test_retired_span_is_gone_from_lipdisc(span):
+    module_name, attr, _ = TARGETS[span]
+    assert not hasattr(importlib.import_module(module_name), attr)

@@ -21,6 +21,7 @@ from lipdisc import (
     discretize,
     simulate,
 )
+from lipdisc import constants as estimators
 from lipdisc.cli import dumps_json, main
 
 from output_schemas import OUTPUT_SCHEMAS
@@ -231,6 +232,21 @@ def test_cmd_constants_linear_all_zero(capsys, spec_path, tmp_path):
     constants = json.loads(out.read_text())["constants"]
     for key in ("gamma_c", "rho_c", "beta", "big_m"):
         assert constants[key] == 0.0
+
+
+@pytest.mark.parametrize("command", ["constants", "bounds", "verify"])
+def test_a_grid_command_builds_one_grid(capsys, spec_path, monkeypatch, command):
+    # gamma_c, beta and M share the grid that estimate_all builds
+    calls = {"grid_points": 0, "_effective_grid": 0}
+    for name in calls:
+        def counting(*args, real=getattr(estimators, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(estimators, name, counting)
+    code, _, _ = _run(capsys, command, spec_path("van-der-pol"), "--grid", "5", "--pairs", "1000")
+    assert code == 0
+    assert calls == {"grid_points": 1, "_effective_grid": 1}
 
 
 def test_malformed_json_exits_2(capsys, tmp_path):

@@ -14,11 +14,9 @@ from lipdisc import (
     BoxRegion,
     NumericalError,
     SamplingConfig,
+    SpecValidationError,
     SystemSpec,
     estimate_all,
-    estimate_beta_and_m,
-    estimate_gamma_c,
-    estimate_rho_c,
     parse,
 )
 from lipdisc import constants
@@ -27,7 +25,14 @@ from lipdisc.discretize import _CHUNK_ROWS as _CHUNK
 from lipdisc.expr import ExprError
 from lipdisc.linalg import _power_iteration
 
-from conftest import float_bits, whole_array_pair_quotient
+from conftest import (
+    beta_and_m_of,
+    float_bits,
+    gamma_c_of,
+    grid_of,
+    rho_c_of,
+    whole_array_pair_quotient,
+)
 
 
 def _scalar_spec(f_text, lower, upper, name="scalar"):
@@ -57,20 +62,20 @@ def _dense_grid_sup(fn, lower, upper, count=100_000):
 
 def test_gamma_sin_peaks_at_origin(fast_cfg):
     spec = _scalar_spec("-sin(x1)", -1.5, 2.0)
-    value, witness = estimate_gamma_c(spec, fast_cfg)
+    value, witness = gamma_c_of(spec, fast_cfg)
     oracle = _dense_grid_sup(lambda x: np.abs(-np.cos(x)), -1.5, 2.0)
     assert value == pytest.approx(oracle, abs=1e-3)
     assert abs(witness["x"][0]) <= 1e-6
 
 
 def test_gamma_linear_system_is_zero(bench, fast_cfg):
-    value, _ = estimate_gamma_c(bench["linear-2d"], fast_cfg)
+    value, _ = gamma_c_of(bench["linear-2d"], fast_cfg)
     assert value == 0.0
 
 
 def test_gamma_cubic_attained_at_boundary(fast_cfg):
     spec = _scalar_spec("x1^3", -2.0, 2.0)
-    value, witness = estimate_gamma_c(spec, fast_cfg)
+    value, witness = gamma_c_of(spec, fast_cfg)
     oracle = _dense_grid_sup(lambda x: 3.0 * x**2, -2.0, 2.0)
     assert value == pytest.approx(oracle, abs=1e-3)
     assert abs(abs(witness["x"][0]) - 2.0) <= 1e-9
@@ -79,7 +84,7 @@ def test_gamma_cubic_attained_at_boundary(fast_cfg):
 def test_gamma_polish_recovers_interior_peak(fast_cfg):
     # |cos| peaks at 0.3, strictly between the 11-point mesh nodes
     spec = _scalar_spec("-sin(x1 - 0.3)", -1.0, 1.0)
-    value, witness = estimate_gamma_c(spec, fast_cfg)
+    value, witness = gamma_c_of(spec, fast_cfg)
     assert value == pytest.approx(1.0, abs=1e-6)
     assert witness["x"][0] == pytest.approx(0.3, abs=1e-3)
 
@@ -89,20 +94,20 @@ def test_gamma_polish_recovers_interior_peak(fast_cfg):
 
 def test_rho_negative_cubic_approaches_zero(fast_cfg):
     spec = _scalar_spec("-x1^3", -2.0, 2.0)
-    value, _ = estimate_rho_c(spec, fast_cfg)
+    value, _ = rho_c_of(spec, fast_cfg)
     # quotient is -(x1^2 + x1 x2 + x2^2) <= 0 with sup 0 in the joint limit
     assert value <= 0.0
     assert value == pytest.approx(0.0, abs=1e-3)
 
 
 def test_rho_linear_system_is_zero(bench, fast_cfg):
-    value, _ = estimate_rho_c(bench["linear-2d"], fast_cfg)
+    value, _ = rho_c_of(bench["linear-2d"], fast_cfg)
     assert value == 0.0
 
 
 def test_rho_identity_nonlinearity(fast_cfg):
     spec = _scalar_spec("x1", -1.0, 1.0)
-    value, _ = estimate_rho_c(spec, fast_cfg)
+    value, _ = rho_c_of(spec, fast_cfg)
     assert value == pytest.approx(1.0, rel=1e-9)
 
 
@@ -110,20 +115,20 @@ def test_rho_identity_nonlinearity(fast_cfg):
 # beta and M
 
 def test_beta_m_linear(bench, fast_cfg):
-    beta, big_m, _ = estimate_beta_and_m(bench["linear-2d"], fast_cfg)
+    beta, big_m, _ = beta_and_m_of(bench["linear-2d"], fast_cfg)
     assert beta == 0.0 and big_m == 0.0
 
 
 def test_beta_m_cubic(fast_cfg):
     spec = _scalar_spec("x1^3", -2.0, 2.0)
-    beta, big_m, witnesses = estimate_beta_and_m(spec, fast_cfg)
+    beta, big_m, witnesses = beta_and_m_of(spec, fast_cfg)
     assert beta == pytest.approx(12.0, abs=1e-3)  # sup |6 x|
     assert big_m == pytest.approx(8.0, abs=1e-3)  # sup |x|^3
     assert abs(abs(witnesses["beta"]["x"][0]) - 2.0) <= 1e-9
 
 
 def test_beta_m_pendulum(bench, fast_cfg):
-    beta, big_m, _ = estimate_beta_and_m(bench["pendulum"], fast_cfg)
+    beta, big_m, _ = beta_and_m_of(bench["pendulum"], fast_cfg)
     assert beta == pytest.approx(np.sin(1.0), abs=1e-3)
     assert big_m == pytest.approx(np.sin(1.0), abs=1e-3)
 
@@ -133,9 +138,8 @@ def test_beta_m_pendulum(bench, fast_cfg):
 
 def test_one_sided_never_exceeds_two_sided(bench, default_cfg):
     for name, spec in bench.items():
-        gamma, _ = estimate_gamma_c(spec, default_cfg)
-        rho, _ = estimate_rho_c(spec, default_cfg)
-        assert rho <= gamma + 1e-9, name
+        est = estimate_all(spec, default_cfg)
+        assert est.rho_c <= est.gamma_c + 1e-9, name
 
 
 def test_estimates_monotone_in_region(bench, fast_cfg):
@@ -156,11 +160,11 @@ def test_grid_refinement_never_decreases(bench, fast_cfg):
 
     doubled = dataclasses.replace(fast_cfg, grid_per_axis=2 * fast_cfg.grid_per_axis - 1)
     for name, spec in bench.items():
-        coarse_gamma, _ = estimate_gamma_c(spec, fast_cfg)
-        fine_gamma, _ = estimate_gamma_c(spec, doubled)
+        coarse_gamma, _ = gamma_c_of(spec, fast_cfg)
+        fine_gamma, _ = gamma_c_of(spec, doubled)
         assert fine_gamma >= coarse_gamma - 1e-12, name
-        coarse = estimate_beta_and_m(spec, fast_cfg)
-        fine = estimate_beta_and_m(spec, doubled)
+        coarse = beta_and_m_of(spec, fast_cfg)
+        fine = beta_and_m_of(spec, doubled)
         assert fine[0] >= coarse[0] - 1e-12, name
         assert fine[1] >= coarse[1] - 1e-12, name
 
@@ -193,13 +197,13 @@ def test_majority_domain_failures_raise(fast_cfg):
     # ln is undefined on half of [-1, 1]; far beyond the 10% skip budget
     spec = _scalar_spec("ln(x1)", -1.0, 1.0)
     with pytest.raises(NumericalError):
-        estimate_rho_c(spec, fast_cfg)
+        rho_c_of(spec, fast_cfg)
 
 
 def test_grid_total_is_capped(bench):
     cfg = SamplingConfig(grid_per_axis=2000, pair_budget=1000)
-    pts = grid_points(bench["van-der-pol"], cfg)  # 3 axes
-    assert pts.shape[0] <= 1_000_000
+    pts, g = grid_of(bench["van-der-pol"], cfg)  # 3 axes
+    assert pts.shape[0] == g**3 <= 1_000_000
     assert pts.shape[1] == 3
 
 
@@ -210,6 +214,26 @@ def test_sampling_config_validation():
         SamplingConfig(pair_budget=10)
     with pytest.raises(ValueError, match="^seed: must be >= 0, got -1$"):
         SamplingConfig(seed=-1)
+
+
+@pytest.mark.parametrize("name, value, shown", [
+    ("grid_per_axis", 5.5, "5.5"),
+    ("pair_budget", 1500.0, "1500.0"),
+    ("polish_iters", 2.5, "2.5"),
+    ("seed", 1.5, "1.5"),
+    ("seed", "3", "'3'"),
+    ("polish_iters", True, "True"),
+])
+def test_sampling_config_rejects_a_non_integer(name, value, shown):
+    with pytest.raises(SpecValidationError, match=f"^{name}: must be an integer, got {shown}$"):
+        SamplingConfig(**{name: value})
+
+
+def test_sampling_config_takes_numpy_integers_as_ints():
+    cfg = SamplingConfig(grid_per_axis=np.int64(5), pair_budget=np.int32(1000), seed=np.uint8(3))
+    assert cfg == SamplingConfig(grid_per_axis=5, pair_budget=1000, seed=3)
+    assert all(type(v) is int for v in cfg.to_jsonable().values())
+    assert list(cfg.to_jsonable()) == ["grid_per_axis", "pair_budget", "seed", "polish_iters"]
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +268,7 @@ def _assert_same_sup(stack):
 
 
 def _grid_stacks(spec, grid):
-    cfg = SamplingConfig(grid_per_axis=grid, pair_budget=1000)
-    pts = grid_points(spec, cfg)
+    pts = grid_points(spec, grid)
     x, u = pts[:, : spec.n], pts[:, spec.n :]
     return spec.jacobian_batch(x, u), spec.second_derivative_batch(x, u)
 
@@ -353,9 +376,9 @@ def test_screen_all_nonfinite_stack_fails_the_grid(fast_cfg):
     assert np.isnan(_norm_rows(stack)).all()
     spec = _scalar_spec("sqrt(x1)", -3.0, 0.0)  # J, H: NaN below 0, inf at 0
     with pytest.raises(NumericalError):
-        estimate_gamma_c(spec, fast_cfg)
+        gamma_c_of(spec, fast_cfg)
     with pytest.raises(NumericalError):
-        estimate_beta_and_m(spec, fast_cfg)
+        beta_and_m_of(spec, fast_cfg)
 
 
 def test_screen_keeps_finite_rows_beside_nonfinite_ones():
@@ -416,12 +439,12 @@ def test_nonfinite_grid_rows_count_toward_failure_rule(lower, upper, fails):
     cfg = SamplingConfig(grid_per_axis=21, pair_budget=1000, polish_iters=0)
     if fails:
         with pytest.raises(NumericalError):
-            estimate_gamma_c(spec, cfg)
+            gamma_c_of(spec, cfg)
         with pytest.raises(NumericalError):
-            estimate_beta_and_m(spec, cfg)
+            beta_and_m_of(spec, cfg)
     else:
-        gamma, _ = estimate_gamma_c(spec, cfg)
-        beta, _, _ = estimate_beta_and_m(spec, cfg)
+        gamma, _ = gamma_c_of(spec, cfg)
+        beta, _, _ = beta_and_m_of(spec, cfg)
         assert gamma == pytest.approx(0.5)  # 1/(2 sqrt(1))
         assert beta == pytest.approx(0.25)  # 1/(4 sqrt(1)^3)
 
@@ -472,9 +495,9 @@ def _assert_polish_reads_the_2_norm(spec, cfg, monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(constants, "_polish", spy)
-    gamma, _ = estimate_gamma_c(spec, cfg)
+    gamma, _ = gamma_c_of(spec, cfg)
     [(value, point)] = seen
-    pts = grid_points(spec, cfg)
+    pts, _ = grid_of(spec, cfg)
     grid = float(np.nanmax(_norm_rows(spec.jacobian_batch(pts[:, : spec.n], pts[:, spec.n :]))))
     assert value == pytest.approx(_svd_sigma(spec, point), rel=1e-13, abs=0.0), spec.name
     assert value >= grid * (1.0 - 1e-13), spec.name
@@ -522,7 +545,7 @@ def test_screened_polish_scores_each_distinct_jacobian_once(probe, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(constants, "_polish", spy)
-    estimate_gamma_c(probe, SamplingConfig(grid_per_axis=2, pair_budget=1000))
+    gamma_c_of(probe, SamplingConfig(grid_per_axis=2, pair_budget=1000))
     polish = [mat.tobytes() for mat in slices[start[0]:]]
     assert polish and len(polish) == len(set(polish))
     assert len(polish) <= 160  # 151 distinct of the 289 Jacobians it evaluates
@@ -545,7 +568,7 @@ def test_batched_polish_evaluates_at_most_twice_the_sequential_jacobians(monkeyp
 
     monkeypatch.setattr(SystemSpec, "jacobian", counting_jacobian)
     monkeypatch.setattr(constants, "_polish", spy)
-    estimate_gamma_c(spec, cfg)
+    gamma_c_of(spec, cfg)
     sequential, batched = counts
     assert sequential > 100
     assert batched <= 2 * sequential
@@ -566,11 +589,11 @@ def test_m_grid_counts_only_non_finite_f_as_failed():
     # exp(x1) overflows only at x1 = 715 (21 of 441 points); at the 210
     # points with x1 in [357.5, 679.25] ||f||^2 overflows but ||f|| does not
     spec = _exp_spec(715.0)
-    _, big_m, witnesses = estimate_beta_and_m(spec, SamplingConfig(pair_budget=1000))
+    _, big_m, witnesses = beta_and_m_of(spec, SamplingConfig(pair_budget=1000))
     assert big_m == pytest.approx(math.exp(679.25), rel=1e-15)
     assert witnesses["big_m"]["x"] == [679.25, -1.0]
     # rows whose square sum is finite keep the plain norm's bits
-    _, small_m, _ = estimate_beta_and_m(_exp_spec(350.0), SamplingConfig(pair_budget=1000))
+    _, small_m, _ = beta_and_m_of(_exp_spec(350.0), SamplingConfig(pair_budget=1000))
     f = spec.eval_f_batch(np.array([[350.0, -1.0]]), np.zeros((1, 0)))
     assert small_m == np.sqrt(np.einsum("ij,ij->i", f, f))[0]
 
@@ -586,7 +609,7 @@ def _twin_spec(g):
 def test_gamma_c_grid_norm_above_the_largest_float_raises_naming_it():
     # ||J|| = 2e308 at the corners, with every J finite
     with pytest.raises(NumericalError, match="^gamma_c: a grid norm overflows to inf$"):
-        estimate_gamma_c(_twin_spec("1e308*x1*x2"), SamplingConfig())
+        gamma_c_of(_twin_spec("1e308*x1*x2"), SamplingConfig())
 
 
 def test_gamma_c_polish_reaching_a_norm_above_the_largest_float_raises():
@@ -596,10 +619,10 @@ def test_gamma_c_polish_reaching_a_norm_above_the_largest_float_raises():
     g = "1.2e308*(x1 + sin(31.41592653589793*(x1 - 0.3))/314.1592653589793)"
     spec = _twin_spec(g)
     cfg = SamplingConfig(grid_per_axis=11, pair_budget=1000)
-    values = _norm_rows(spec.jacobian_batch(grid_points(spec, cfg), np.zeros((121, 0))))
+    values = _norm_rows(spec.jacobian_batch(grid_points(spec, 11), np.zeros((121, 0))))
     assert np.isfinite(values).all()
     with pytest.raises(NumericalError, match="^gamma_c: a grid norm overflows to inf$"):
-        estimate_gamma_c(spec, cfg)
+        gamma_c_of(spec, cfg)
 
 
 def test_probe_pairs_of_an_overflowing_gram_matrix_emit_no_warning():
@@ -704,13 +727,20 @@ def test_stacked_probe_pairs_keep_the_bits_of_one_eigh_call_per_anchor(bench, pr
 # grid cap and metamorphic scaling
 
 def test_capped_grid_warns_once_and_keeps_the_requested_grid(bench, probe, monkeypatch):
-    monkeypatch.setattr(constants, "estimate_gamma_c", lambda s, cfg: (0.0, {}))
-    monkeypatch.setattr(constants, "estimate_rho_c", lambda s, cfg, pairs=None: (0.0, {}))
-    monkeypatch.setattr(constants, "estimate_beta_and_m", lambda s, cfg: (0.0, 0.0, {}))
+    grids = []
+
+    def gamma_c(s, pts, g, iters):
+        grids.append((pts.shape, g))
+        return 0.0, {}
+
+    monkeypatch.setattr(constants, "estimate_gamma_c", gamma_c)
+    monkeypatch.setattr(constants, "estimate_beta_and_m", lambda s, pts: (0.0, 0.0, {}))
     cfg = SamplingConfig(grid_per_axis=21, pair_budget=1000)
     with pytest.warns(UserWarning) as record:
         est = estimate_all(probe, cfg)  # 21^5 > 1e6: runs at 15^5
     assert len(record) == 1
+    assert record[0].filename == __file__  # stacklevel 2: the caller's line
+    assert grids == [((15**5, 5), 15)]
     assert "21 points per axis" in str(record[0].message)
     assert "at 15 points per axis" in str(record[0].message)
     assert est.to_jsonable()["sample_budget"]["grid_per_axis"] == 21

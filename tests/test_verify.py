@@ -13,7 +13,6 @@ from lipdisc import (
     SystemSpec,
     build_taylor_model,
     convergence_study,
-    estimate_rho_c,
     parse,
     verify_bounds,
 )
@@ -28,6 +27,7 @@ from conftest import (
     empirical_lipschitz,
     empirical_one_sided,
     pair_quotient,
+    rho_c_of,
     sample_points,
     whole_array_pair_quotient,
 )
@@ -52,7 +52,7 @@ def test_euler_one_sided_is_scaled_continuous_estimate(bench, default_cfg):
         pairs = sample_pairs(spec, default_cfg)
         mdl = build_taylor_model(spec, 1)
         discrete, _ = empirical_one_sided(mdl, spec, default_cfg, pairs=pairs)
-        continuous, _ = estimate_rho_c(spec, default_cfg)
+        continuous, _ = rho_c_of(spec, default_cfg)
         scaled = spec.sampling_time * continuous
         assert abs(discrete - scaled) <= 1e-9 * max(1e-12, abs(scaled)), name
 
@@ -70,7 +70,7 @@ def test_shared_pair_pass_matches_separate_estimators(bench, probe, order):
         full, _ = pair_quotient(
             lambda x, u: x @ mdl.a_d.T + mdl.f_t_batch(x, u), spec, cfg, one_sided=False
         )
-        rho_c, rho_c_wit = estimate_rho_c(spec, cfg)
+        rho_c, rho_c_wit = rho_c_of(spec, cfg)
         assert report.empirical_gamma_d.hex() == gamma.hex(), spec.name
         assert report.empirical_rho_d.hex() == rho.hex(), spec.name
         assert report.full_map_gamma_d.hex() == full.hex(), spec.name
