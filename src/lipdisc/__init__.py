@@ -8,10 +8,10 @@ from .bounds import BoundResult, UnsupportedOrderError, evaluate_bounds, gamma_d
 from .constants import ConstantEstimates, SamplingConfig, estimate_all
 from .discretize import (
     DiscreteModel,
+    ExactMap,
     IntegrationError,
     Trajectory,
     build_taylor_model,
-    exact_step,
     simulate,
 )
 from .expr import (
@@ -41,6 +41,7 @@ __all__ = [
     "ConstantEstimates",
     "ConvergenceStudy",
     "DiscreteModel",
+    "ExactMap",
     "ExprError",
     "ExprEvalError",
     "ExprSyntaxError",
@@ -59,7 +60,6 @@ __all__ = [
     "estimate_all",
     "evaluate",
     "evaluate_bounds",
-    "exact_step",
     "gamma_d",
     "max_singular_value",
     "parse",

@@ -21,7 +21,7 @@ from . import __version__
 from .bounds import evaluate_bounds
 from .constants import NumericalError, SamplingConfig, estimate_all
 from .discretize import (
-    ORDERS, ExactMap, IntegrationError, _input_rows, build_taylor_model, simulate
+    ORDERS, ExactMap, IntegrationError, _check_tol, _input_rows, build_taylor_model, simulate
 )
 from .expr import ExprError
 from .system import SpecValidationError, SystemSpec
@@ -107,8 +107,9 @@ def _float_template(shape: tuple, level: int) -> str:
 
 
 def _write_out(path: str, payload: dict):
+    text = dumps_json(payload)  # before the file is opened: a failure leaves none
     with open(path, "w") as fp:
-        fp.write(dumps_json(payload))
+        fp.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +320,8 @@ def _input_sequence(args, s: SystemSpec) -> np.ndarray:
 
 
 def cmd_discretize(args, s: SystemSpec) -> tuple[int, dict]:
-    exact_map = ExactMap(s, args.tol) if args.exact else None  # checks --tol and T first
+    _check_tol(args.tol)  # echoed into --out, so checked even without --exact
+    exact_map = ExactMap(s, args.tol) if args.exact else None  # checks T too
     _sampling_config(args)  # unused here, but echoed into --out: reject a bad value
     x0 = _parse_vector(args.x0, "--x0")
     u_seq = _input_sequence(args, s)

@@ -134,7 +134,7 @@ class DiscreteModel:
         out = out + (t * t / 2.0) * (fa + jax + jf)
         if self.order == 2:
             return out
-        hess, support = s._hess_template.support_batch(x, u), s.hessian_support
+        hess, support = s._hess_template.support_batch(x, u), s._hess_template.support
         bil = lambda va, vb: _bilinear(hess, support, va.T, vb.T, np.zeros(va.T.shape)).T
         bracket = (
             fa @ at
@@ -342,8 +342,7 @@ class ExactMap:
     def __post_init__(self):
         """Check ``tol`` and T once, when the map is built: a T below the
         minimum step would underflow after the last accepted step."""
-        if not 1e-13 <= self.tol <= 1e-6:
-            raise SpecValidationError("tol", f"must lie in [1e-13, 1e-6], got {self.tol!r}")
+        _check_tol(self.tol)
         t = self.spec.sampling_time
         if t < _MIN_STEP:
             raise SpecValidationError(
@@ -355,9 +354,10 @@ class ExactMap:
         return _integrator(self.spec)(y, u, self.tol, self.spec.sampling_time)
 
 
-def exact_step(s: SystemSpec, x, u=(), tol: float = 1e-10) -> np.ndarray:
-    """x(T) under the true flow, as an array: one call of :class:`ExactMap`."""
-    return np.array(ExactMap(s, tol)(x, u))
+def _check_tol(tol: float):
+    """The integrator tolerance rule of :class:`ExactMap`."""
+    if not 1e-13 <= tol <= 1e-6:
+        raise SpecValidationError("tol", f"must lie in [1e-13, 1e-6], got {tol!r}")
 
 
 # ---------------------------------------------------------------------------

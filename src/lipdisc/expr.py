@@ -512,18 +512,6 @@ def emitter(variable: Callable[[Var], str], namespace: dict, lines: list, batch=
     return emit
 
 
-def evaluate_batch(e: Expression, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Evaluate over a batch of points; shapes (N, n) and (N, m) -> (N,).
-
-    Domain errors do not raise: offending samples come back non-finite
-    (nan/inf) and are left to the caller's skip policy.
-    """
-    x, u = np.asarray(x, dtype=float).T, np.asarray(u, dtype=float).T
-    with np.errstate(all="ignore"):
-        (out,) = batch_kernel([e], [[0]], len(x), len(u))(x, u, [None])
-    return np.full(x.shape[-1], float(out)) if np.ndim(out) == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # differentiation
 

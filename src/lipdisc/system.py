@@ -5,8 +5,9 @@ expression per state, the operating box D, the input box U (possibly
 zero-dimensional) and the sampling time.  First and second derivative
 expressions of f are differentiated symbolically once at construction
 and cached, since the estimators evaluate them at thousands of points;
-a point evaluates them, the field F = A x + f and the Lie terms of each
-Taylor-Lie order through compiled kernels built on first use.
+a batch evaluates f, J and H, and a point J, the field F = A x + f and
+the Lie terms of each Taylor-Lie order, through compiled kernels built
+on first use.
 Instances are immutable apart from that cache and safe for concurrent
 evaluation.
 """
@@ -162,23 +163,9 @@ class SystemSpec:
     # ------------------------------------------------------------------
     # pointwise evaluation
 
-    def eval_f(self, x, u=()) -> np.ndarray:
-        """Nonlinear part f(x, u) as a length-n vector."""
-        return self._f_template.point_array(x, u)
-
     def jacobian(self, x, u=()) -> np.ndarray:
         """df/dx at (x, u); entry (i, j) = df_i/dx_j."""
         return self._jac_template.point_array(x, u)
-
-    def second_derivative(self, x, u=()) -> np.ndarray:
-        """d^2 f/dx^2 at (x, u): an (n, n, n) tensor, symmetric in (j, k)."""
-        return self._hess_template.point_array(x, u)
-
-    @property
-    def hessian_support(self) -> tuple:
-        """The (i, j, k) of every entry of d^2 f/dx^2 that is not a
-        constant zero, in C order; every other entry is 0.0 or -0.0."""
-        return self._hess_template.support
 
     @property
     def _field_template(self) -> "_Template":
@@ -253,25 +240,6 @@ class SystemSpec:
             input_region=input_region,
             sampling_time=float(t),
         )
-
-    def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "A": self.a.tolist(),
-            "C": self.c.tolist(),
-            "f": [ex.unparse(comp) for comp in self.f],
-            "region": {
-                "lower": self.region.lower.tolist(),
-                "upper": self.region.upper.tolist(),
-            },
-            "T": self.sampling_time,
-        }
-        if self.m > 0:
-            out["input_region"] = {
-                "lower": self.input_region.lower.tolist(),
-                "upper": self.input_region.upper.tolist(),
-            }
-        return out
 
 
 class _Template:

@@ -13,6 +13,7 @@ from lipdisc import NumericalError, SamplingConfig, SystemSpec, benchmarks
 from lipdisc import constants
 from lipdisc.constants import sample_pairs, sup_pair_quotient
 from lipdisc.expr import Binary, Const, Pow, Unary, Var
+from lipdisc.system import _Template
 
 
 # ``--hypothesis-profile=ci`` runs the same examples on every run and
@@ -27,21 +28,23 @@ def bench():
     return {name: benchmarks.load(name) for name in benchmarks.names()}
 
 
+# a 4-state coupled pendulum with one input (n + m = 5): most of its J
+# and H entries are constants, and x2 -> -x2 gives exact grid ties
+PROBE = {
+    "name": "coupled-pendulum",
+    "A": [[0, 1, 0, 0], [-1, -0.2, 0.5, 0], [0, 0, 0, 1], [0.5, 0, -1, -0.2]],
+    "C": [[1, 0, 0, 0], [0, 0, 1, 0]],
+    "f": ["0", "-sin(x1) + 0.1*x2*x3", "0", "-sin(x3) + u1"],
+    "region": {"lower": [-1, -1, -1, -1], "upper": [1, 1, 1, 1]},
+    "input_region": {"lower": [-0.2], "upper": [0.2]},
+    "T": 0.1,
+}
+
+
 @pytest.fixture(scope="session")
 def probe():
-    """A 4-state coupled pendulum with one input (n + m = 5): most of its
-    J and H entries are constants, and x2 -> -x2 gives exact grid ties."""
-    return SystemSpec.from_dict(
-        {
-            "name": "coupled-pendulum",
-            "A": [[0, 1, 0, 0], [-1, -0.2, 0.5, 0], [0, 0, 0, 1], [0.5, 0, -1, -0.2]],
-            "C": [[1, 0, 0, 0], [0, 0, 1, 0]],
-            "f": ["0", "-sin(x1) + 0.1*x2*x3", "0", "-sin(x3) + u1"],
-            "region": {"lower": [-1, -1, -1, -1], "upper": [1, 1, 1, 1]},
-            "input_region": {"lower": [-0.2], "upper": [0.2]},
-            "T": 0.1,
-        }
-    )
+    """The spec of :data:`PROBE`."""
+    return SystemSpec.from_dict(PROBE)
 
 
 @pytest.fixture(scope="session")
@@ -86,6 +89,13 @@ def float_bits(values) -> list:
 
 def fd_step(value: float) -> float:
     return 1e-6 * max(1.0, abs(value))
+
+
+def batch_column(tree, x, u) -> np.ndarray:
+    """One tree over the rows of (x, u) as an (N,) column, through a
+    template of that tree alone: its batch kernel, or its constant."""
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+    return _Template([tree], (1,)).batch(x, u)[:, 0]
 
 
 def central_diff(fn, x, idx):

@@ -12,11 +12,12 @@ import pytest
 from lipdisc import (
     BoxRegion,
     ConstantEstimates,
+    ExactMap,
     SystemSpec,
+    benchmarks,
     build_taylor_model,
     convergence_study,
     estimate_all,
-    exact_step,
     gamma_d,
     parse,
     rho_d,
@@ -95,7 +96,7 @@ def test_criterion_2_formula_transcription():
 
 
 def test_criterion_3_linear_consistency():
-    """f = 0: a_d matches the truncated series, exact_step matches expm."""
+    """f = 0: a_d matches the truncated series, ExactMap matches expm."""
     rng = np.random.default_rng(2718)
     worst_trunc, worst_exact = 0.0, 0.0
     for _ in range(50):
@@ -119,7 +120,7 @@ def test_criterion_3_linear_consistency():
                     term = term @ a * (t / l)
                     series = series + term
                 worst_trunc = max(worst_trunc, float(np.max(np.abs(mdl.a_d - series))))
-            gap = exact_step(spec, x) - expm(a, t) @ x
+            gap = np.array(ExactMap(spec)(x)) - expm(a, t) @ x
             scale = max(1.0, float(np.max(np.abs(expm(a, t) @ x))))
             worst_exact = max(worst_exact, float(np.max(np.abs(gap))) / scale)
     _report(
@@ -153,10 +154,10 @@ def test_criterion_5_derivative_correctness(bench):
         xs, us = sample_points(spec, 100, seed=31415)
         for x, u in zip(xs, us):
             jac = spec.jacobian(x, u)
-            hess = spec.second_derivative(x, u)
+            hess = spec.second_derivative_batch(x[None], u[None])[0]
             for i in range(spec.n):
                 for j in range(spec.n):
-                    fd = central_diff(lambda pt: spec.eval_f(pt, u)[i], x, j)
+                    fd = central_diff(lambda pt: spec.eval_f_batch(pt[None], u[None])[0, i], x, j)
                     gap = abs(jac[i, j] - fd) / max(1.0, abs(jac[i, j]))
                     worst = max(worst, gap)
                     for k in range(spec.n):
@@ -189,7 +190,7 @@ def test_criterion_6_bound_domination_small_t(bench, default_cfg):
 def test_criterion_7_determinism(bench, tmp_path, capsys):
     """Identical verify invocations yield byte-identical reports."""
     spec_file = tmp_path / "spec.json"
-    spec_file.write_text(json.dumps(bench["pendulum"].to_dict()))
+    spec_file.write_text(json.dumps(benchmarks.load_dict("pendulum")))
     rendered = []
     for tag in ("a", "b"):
         out = tmp_path / f"report-{tag}.json"

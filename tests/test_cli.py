@@ -208,6 +208,17 @@ def test_out_file_key_order(capsys, spec_path, tmp_path):
         assert keys == ["tool", "system", *middle[name], *tail], name
 
 
+def test_an_out_payload_that_cannot_be_written_leaves_no_file(
+    capsys, monkeypatch, spec_path, tmp_path
+):
+    monkeypatch.setitem(cli._COMMANDS, "constants", lambda args, s: (0, {"value": math.nan}))
+    out = tmp_path / "out.json"
+    code, _, stderr = _run(capsys, "constants", spec_path("pendulum"), "--out", str(out))
+    assert code == 2
+    assert stderr == "error: cannot serialize non-finite number nan\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # constants
 
@@ -945,12 +956,18 @@ def test_cmd_discretize_exact_bad_tol_exits_2(capsys, spec_path, tmp_path, steps
     assert not out.exists()
 
 
-def test_cmd_discretize_ignores_tol_without_exact(capsys, spec_path):
-    code, _, _ = _run(
+@pytest.mark.parametrize("tol", ["1e-3", "5", "nan"])
+def test_cmd_discretize_checks_tol_without_exact(capsys, monkeypatch, spec_path, tmp_path, tol):
+    # --tol is echoed into the config of --out, so every run checks it
+    out = tmp_path / "traj.json"
+    _forbid_work(monkeypatch)
+    code, stdout, stderr = _run(
         capsys, "discretize", spec_path("pendulum"), "--x0", "0.1,0.2", "--steps", "2",
-        "--tol", "1e-3",
+        "--tol", tol, "--out", str(out),
     )
-    assert code == 0
+    assert code == 2
+    assert stderr == f"error: --tol: must lie in [1e-13, 1e-6], got {float(tol)!r}\n"
+    assert stdout == "" and not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Region constant estimators: examples, invariants, failure policy,
 and the grid norm reduction with its power-iteration re-rank."""
 
+import dataclasses
 import itertools
 import math
 import sys
@@ -18,6 +19,7 @@ from lipdisc import (
     SystemSpec,
     estimate_all,
     parse,
+    unparse,
 )
 from lipdisc import constants
 from lipdisc.constants import _norm_rows, grid_points, sup_pair_quotient
@@ -751,9 +753,7 @@ def test_capped_grid_warns_once_and_keeps_the_requested_grid(bench, probe, monke
 
 
 def _scaled(spec, factor):
-    data = spec.to_dict()
-    data["f"] = [f"{factor}*({text})" for text in data["f"]]
-    return SystemSpec.from_dict(data)
+    return dataclasses.replace(spec, f=[parse(f"{factor}*({unparse(comp)})") for comp in spec.f])
 
 
 _METAMORPHIC_CFG = SamplingConfig(grid_per_axis=5, pair_budget=2000, seed=3)

@@ -10,11 +10,12 @@ import pytest
 
 from lipdisc import (
     BoxRegion,
+    ExactMap,
     IntegrationError,
     SpecValidationError,
     SystemSpec,
+    benchmarks,
     build_taylor_model,
-    exact_step,
     parse,
     simulate,
 )
@@ -223,13 +224,14 @@ def test_matvec_keeps_the_bits_of_the_einsum(n, density):
 
 def _reference_series(mdl, x, u, bilinear):
     """F_T as one numpy series on a point (n,) or a stack (N, n), with f,
-    J and the whole H from the spec's public evaluators and H(a, b) from
+    J and the whole H from the spec's templates and H(a, b) from
     ``bilinear(hess, support, va, vb)``: the bit-level reference for the
     batch series over the support, and the reference to rounding for one
     point, which sums the Lie trees instead."""
     s = mdl.spec
     if x.ndim == 1:
-        f_of, jac_of, hess_of = s.eval_f, s.jacobian, s.second_derivative
+        f_of, hess_of = s._f_template.point_array, s._hess_template.point_array
+        jac_of = s.jacobian
     else:
         f_of, jac_of, hess_of = s.eval_f_batch, s.jacobian_batch, s.second_derivative_batch
     t, at = s.sampling_time, s.a.T
@@ -244,7 +246,7 @@ def _reference_series(mdl, x, u, bilinear):
     out = out + (t * t / 2.0) * (fa + jax + jf)
     if mdl.order == 2:
         return out
-    hess, support = hess_of(x, u), s.hessian_support
+    hess, support = hess_of(x, u), s._hess_template.support
     bil = lambda va, vb: bilinear(hess, support, va, vb)
     bracket = (
         fa @ at
@@ -378,7 +380,7 @@ def test_point_series_overflowing_f_saturates_as_before(order):
     mdl = build_taylor_model(spec, order)
     for x in (710.0, 720.0, -1e120):
         point = np.array([x])
-        assert not np.isfinite(spec.eval_f(point)).all()
+        assert not np.isfinite(spec._f_template.point(point, ())).all()
         with np.errstate(all="ignore"):  # inf - inf and 0 * inf in the numpy series
             want = _reference_series(mdl, point, (), _sparse_bilinear)
         got = mdl.f_t(point)
@@ -398,10 +400,10 @@ def test_point_series_domain_error_raises_as_before(order):
 
 
 def test_hessian_support_lists_the_entries_that_are_not_constant_zeros(bench, probe):
-    assert bench["linear-2d"].hessian_support == ()
-    assert bench["pendulum"].hessian_support == ((1, 0, 0),)
+    assert bench["linear-2d"]._hess_template.support == ()
+    assert bench["pendulum"]._hess_template.support == ((1, 0, 0),)
     # -sin(x1) + 0.1*x2*x3 and -sin(x3) + u1: H[1,1,2] = H[1,2,1] = 0.1
-    assert probe.hessian_support == ((1, 0, 0), (1, 1, 2), (1, 2, 1), (3, 2, 2))
+    assert probe._hess_template.support == ((1, 0, 0), (1, 1, 2), (1, 2, 1), (3, 2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +416,7 @@ def test_exact_step_linear_matches_matrix_exponential():
         spec = _linear_spec(a, t=0.1)
         x = rng.uniform(-1, 1, size=3)
         np.testing.assert_allclose(
-            exact_step(spec, x), expm(a, 0.1) @ x, rtol=1e-9, atol=1e-9
+            ExactMap(spec)(x), expm(a, 0.1) @ x, rtol=1e-9, atol=1e-9
         )
 
 
@@ -427,7 +429,7 @@ def test_exact_step_scalar_decay():
         region=BoxRegion([-2.0], [2.0]),
         sampling_time=0.3,
     )
-    got = exact_step(spec, [1.5])
+    got = ExactMap(spec)([1.5])
     np.testing.assert_allclose(got, [1.5 * np.exp(-0.3)], rtol=1e-9)
 
 
@@ -435,8 +437,8 @@ def test_exact_step_tolerance_self_consistency(bench):
     pend = bench["pendulum"]
     x = np.array([0.5, 0.0])
     for tol in (1e-8, 1e-10):
-        coarse = exact_step(pend, x, tol=tol)
-        fine = exact_step(pend, x, tol=tol / 10)
+        coarse = np.array(ExactMap(pend, tol)(x))
+        fine = np.array(ExactMap(pend, tol / 10)(x))
         assert np.linalg.norm(coarse - fine) <= 20 * tol
 
 
@@ -444,7 +446,7 @@ def _reference_exact_step(s, x, u=(), tol=1e-10):
     """Dormand-Prince with the stage sums as Python sums over lists of
     vectors, term by term in stage order from 0, each stage from the
     spec's field template F = A x + f, and the error norm's mean of
-    squares summed left to right: the bit-level reference for exact_step's
+    squares summed left to right: the bit-level reference for ExactMap's
     generated stages."""
     t_end = s.sampling_time
     y = np.asarray(x, dtype=float).copy()
@@ -486,17 +488,19 @@ def test_exact_step_keeps_the_bits_of_list_stage_sums(bench, probe, tol):
     for spec in [*bench.values(), probe]:
         xs, us = sample_points(spec, 200, seed=17)
         for x, u in zip(xs, us):
-            got = exact_step(spec, x, u, tol=tol)
+            got = np.array(ExactMap(spec, tol)(x, u))
             assert got.tobytes() == _reference_exact_step(spec, x, u, tol).tobytes(), spec.name
 
 
 def test_exact_step_keeps_the_bits_at_zero_states(bench):
     linear = bench["linear-2d"]
     origin = np.zeros(2)
-    assert exact_step(linear, origin).tobytes() == _reference_exact_step(linear, origin).tobytes()
+    got = np.array(ExactMap(linear)(origin))
+    assert got.tobytes() == _reference_exact_step(linear, origin).tobytes()
     pend = bench["pendulum"]
     signed = np.array([-0.0, 0.0])
-    assert exact_step(pend, signed).tobytes() == _reference_exact_step(pend, signed).tobytes()
+    got = np.array(ExactMap(pend)(signed))
+    assert got.tobytes() == _reference_exact_step(pend, signed).tobytes()
 
 
 def test_exact_step_underflow_message_is_unchanged():
@@ -509,7 +513,7 @@ def test_exact_step_underflow_message_is_unchanged():
     with pytest.raises(IntegrationError) as want:
         _reference_exact_step(spec, [1.0])
     with pytest.raises(IntegrationError) as got:
-        exact_step(spec, [1.0])
+        ExactMap(spec)([1.0])
     assert str(got.value) == str(want.value)
     assert "step size underflow" in str(got.value) and got.value.t < 1.0
 
@@ -557,14 +561,16 @@ def test_generated_step_keeps_the_bits_for_every_dimension(n):
     spec = _synthetic_spec(n)
     xs, us = sample_points(spec, 40, seed=n)
     for x, u in zip(xs, us):
-        assert exact_step(spec, x, u).tobytes() == _reference_exact_step(spec, x, u).tobytes()
+        got = np.array(ExactMap(spec)(x, u))
+        assert got.tobytes() == _reference_exact_step(spec, x, u).tobytes()
 
 
 def test_exact_step_keeps_the_bits_over_a_long_chained_run(probe):
     _, us = sample_points(probe, 2000, seed=23)
+    exact = ExactMap(probe)
     got = want = 0.5 * probe.region.upper
     for k, u in enumerate(us):
-        got, want = exact_step(probe, got, u), _reference_exact_step(probe, want, u)
+        got, want = np.array(exact(got, u)), _reference_exact_step(probe, want, u)
         assert got.tobytes() == want.tobytes(), k
 
 
@@ -584,9 +590,9 @@ def test_exact_step_overflowing_stage_saturates_and_underflows_as_before():
         region=BoxRegion([0.0], [800.0]),
         sampling_time=0.1,
     )
-    assert spec.eval_f([710.0]).tolist() == [np.inf]
+    assert spec._f_template.point([710.0], ()) == [np.inf]
     with np.errstate(all="ignore"):  # inf - inf in the reference's stage sums
-        got = _raised(exact_step, spec, [700.0])
+        got = _raised(ExactMap(spec), [700.0])
         want = _raised(_reference_exact_step, spec, [700.0])
     assert isinstance(got, IntegrationError)
     assert "step size underflow" in str(got)
@@ -604,7 +610,7 @@ def test_exact_step_stage_outside_the_domain_raises_as_before():
         region=BoxRegion([0.0], [1.0]),
         sampling_time=0.1,
     )
-    got = _raised(exact_step, spec, [1e-3])
+    got = _raised(ExactMap(spec), [1e-3])
     want = _raised(_reference_exact_step, spec, [1e-3])
     assert isinstance(got, ExprEvalError)
     assert type(got) is type(want) and str(got) == str(want)
@@ -613,11 +619,11 @@ def test_exact_step_stage_outside_the_domain_raises_as_before():
 
 def test_exact_step_generates_one_integrator_per_spec(bench):
     pend = bench["pendulum"]
-    fresh = SystemSpec.from_dict(pend.to_dict())
+    fresh = benchmarks.load("pendulum")
     early = fresh.with_sampling_time(0.05)  # copied before the integrator exists
     assert fresh._exact_integrator == []
     for spec in (fresh, early, fresh.with_sampling_time(0.3), pend, bench["van-der-pol"]):
-        exact_step(spec, 0.5 * spec.region.upper, 0.5 * spec.input_region.upper)
+        ExactMap(spec)(0.5 * spec.region.upper, 0.5 * spec.input_region.upper)
     assert len(fresh._exact_integrator) == 1
     integrate = discretize._integrator(fresh)
     assert discretize._integrator(early) is integrate
@@ -629,7 +635,7 @@ def test_exact_step_generates_one_integrator_per_spec(bench):
 
 
 def _plant_counters(monkeypatch, spec):
-    """Count the work of exact_step on ``spec`` through the names its
+    """Count the work of ExactMap on ``spec`` through the names its
     generated code looks up: calls of the field kernel (the first try of
     a fallback, since every stage is written out), calls of ``sin`` in the
     kernel and in the integrator (the same number in every stage), and
@@ -683,7 +689,7 @@ def test_exact_step_evaluates_the_first_stage_once_per_call(bench, probe, monkey
             per_stage = log["sin"]  # sin calls of one evaluation of F
             for x, u in zip(xs, us):
                 log.update(kernel=0, sin=0, trials=0, accepted=0)
-                got = exact_step(spec, x, u, tol=tol)
+                got = np.array(ExactMap(spec, tol)(x, u))
                 # every stage is written out: the first, then six per trial
                 assert log["kernel"] == 0, spec.name
                 assert log["sin"] == per_stage * (1 + 6 * log["trials"]), spec.name
@@ -716,7 +722,7 @@ def test_exact_step_falls_back_when_a_stage_fails_right_after_an_accepted_step(
     failed = 0
     for x, u in zip(xs, us):
         log.update(failed=0, accepted=0, fail_next=False)
-        got = exact_step(probe, x, u)
+        got = np.array(ExactMap(probe)(x, u))
         # every accepted trial but the last is followed by a failing stage
         assert log["failed"] == log["accepted"] - 1 and log["fail_next"]
         failed += log["failed"]
@@ -727,7 +733,7 @@ def test_exact_step_falls_back_when_a_stage_fails_right_after_an_accepted_step(
 
 def test_exact_step_on_a_missing_input_raises_as_before(probe):
     x = 0.5 * probe.region.upper
-    got = _raised(exact_step, probe, x, ())
+    got = _raised(ExactMap(probe), x, ())
     want = _raised(_reference_exact_step, probe, x, ())
     assert isinstance(got, ExprEvalError)
     assert type(got) is type(want) and str(got) == str(want)
@@ -740,7 +746,7 @@ def test_exact_step_on_a_non_finite_input_fails_as_before(probe, u1):
     # step underflows; inf: a later stage takes sin(inf), a domain error
     x = 0.5 * probe.region.upper
     with np.errstate(all="ignore"):  # inf - inf in the reference's stage sums
-        got = _raised(exact_step, probe, x, [u1])
+        got = _raised(ExactMap(probe), x, [u1])
         want = _raised(_reference_exact_step, probe, x, [u1])
     assert type(got) is type(want) and str(got) == str(want)
     if isinstance(want, IntegrationError):
@@ -764,7 +770,7 @@ def test_exact_step_makes_no_dot_call(bench, probe):
             spec.a.dot(xs[0])  # the profile sees a gemv
             seen = len(calls)
             for x, u in zip(xs, us):
-                exact_step(spec, x, u)
+                ExactMap(spec)(x, u)
         finally:
             sys.setprofile(None)
         assert seen == 1 and len(calls) == 1, spec.name
@@ -773,11 +779,11 @@ def test_exact_step_makes_no_dot_call(bench, probe):
 
 def test_exact_step_validates_tolerance(bench):
     with pytest.raises(ValueError):
-        exact_step(bench["pendulum"], [0.0, 0.0], tol=1e-3)
+        ExactMap(bench["pendulum"], 1e-3)
     with pytest.raises(ValueError):
-        exact_step(bench["pendulum"], [0.0, 0.0], tol=1e-14)
+        ExactMap(bench["pendulum"], 1e-14)
     with pytest.raises(SpecValidationError, match=r"^tol: must lie in \[1e-13, 1e-6\]") as err:
-        discretize.ExactMap(bench["pendulum"], tol=1e-3)  # before any trajectory runs
+        ExactMap(bench["pendulum"], tol=1e-3)  # before any trajectory runs
     assert (err.value.path, err.value.message) == ("tol", "must lie in [1e-13, 1e-6], got 0.001")
 
 
@@ -785,14 +791,11 @@ def test_exact_map_rejects_a_sampling_time_below_the_minimum_step():
     # with T = 1e-13 the first step reached t = T, then the step-size
     # check raised an underflow: now the map is refused when it is built
     tiny = _linear_spec([[0.0]], t=1e-13)
-    for build in (lambda: discretize.ExactMap(tiny), lambda: exact_step(tiny, [0.5])):
-        with pytest.raises(SpecValidationError) as err:
-            build()
-        assert err.value.path == "T"
-        assert err.value.message == (
-            "must be at least the integrator's minimum step 1e-12, got 1e-13"
-        )
-    assert exact_step(tiny.with_sampling_time(1e-12), [0.5]).tolist() == [0.5]
+    with pytest.raises(SpecValidationError) as err:
+        ExactMap(tiny)
+    assert err.value.path == "T"
+    assert err.value.message == "must be at least the integrator's minimum step 1e-12, got 1e-13"
+    assert ExactMap(tiny.with_sampling_time(1e-12))([0.5]) == [0.5]
 
 
 def test_library_checks_name_their_parameter(bench):
@@ -815,7 +818,7 @@ def test_library_checks_name_their_parameter(bench):
 def test_local_error_shrinks_with_order(bench):
     pend = bench["pendulum"].with_sampling_time(0.05)
     x = np.array([0.5, 0.2])
-    exact = exact_step(pend, x, tol=1e-12)
+    exact = np.array(ExactMap(pend, 1e-12)(x))
     errors = [
         np.linalg.norm(exact - np.asarray(build_taylor_model(pend, k)(x))) for k in (1, 2, 3)
     ]
@@ -849,7 +852,7 @@ def test_simulate_order2_beats_order1(bench):
     pend = bench["pendulum"].with_sampling_time(0.05)
     x0 = np.array([0.5, 0.0])
     u_seq = np.zeros((50, 0))
-    exact = simulate(lambda x, u: exact_step(pend, x, u, tol=1e-12), pend, x0, u_seq)
+    exact = simulate(ExactMap(pend, 1e-12), pend, x0, u_seq)
     err = {}
     for order in (1, 2):
         approx = simulate(build_taylor_model(pend, order), pend, x0, u_seq)
@@ -932,22 +935,29 @@ def test_simulate_exact_map_keeps_the_bits_of_chained_exact_steps(bench, probe):
         for tol in (1e-10, 1e-6):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
-                traj = simulate(discretize.ExactMap(spec, tol), spec, x0, u_seq)
-            want = _reference_states(lambda x, u: exact_step(spec, x, u, tol=tol), spec, x0, u_seq)
+                traj = simulate(ExactMap(spec, tol), spec, x0, u_seq)
+            want = _reference_states(ExactMap(spec, tol), spec, x0, u_seq)
             assert traj.states.tobytes() == want.tobytes(), (spec.name, tol)
 
 
 def test_simulate_makes_no_exact_step_call(bench, monkeypatch):
-    calls = []
-    monkeypatch.setattr(discretize, "exact_step", lambda *a, **k: calls.append(a))
+    # the exact trajectory is one integrator call per step on lists of
+    # floats, with no array wrapper around the map
     vdp = bench["van-der-pol"]
-    simulate(discretize.ExactMap(vdp), vdp, [0.1, 0.2], np.zeros((20, 1)))
-    assert calls == []
+    integrate, calls = discretize._integrator(vdp), []
+
+    def counted(y, u, tol, t_end):
+        calls.append((type(y), type(u)))
+        return integrate(y, u, tol, t_end)
+
+    monkeypatch.setattr(discretize, "_integrator", lambda s: counted)
+    traj = simulate(ExactMap(vdp), vdp, [0.1, 0.2], np.zeros((20, 1)))
+    assert calls == [(list, list)] * 20 and traj.states.shape == (21, 2)
 
 
 def test_simulate_zero_steps_for_every_stepper(probe):
     x0 = [0.3, -0.0, 0.1, 0.2]
-    for stepper in (build_taylor_model(probe, 3), discretize.ExactMap(probe), lambda x, u: x + 1.0):
+    for stepper in (build_taylor_model(probe, 3), ExactMap(probe), lambda x, u: x + 1.0):
         for u_seq in (np.zeros((0, 1)), [], np.zeros(0)):
             traj = simulate(stepper, probe, x0, u_seq)
             assert float_bits(traj.states) == float_bits([x0])
@@ -1033,4 +1043,4 @@ def test_integrator_error_carries_state():
         sampling_time=5.0,
     )
     with pytest.raises(IntegrationError):
-        exact_step(spec, [1.0], tol=1e-9)
+        ExactMap(spec, 1e-9)([1.0])

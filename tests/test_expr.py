@@ -19,14 +19,13 @@ from lipdisc.expr import (
     Var,
     differentiate,
     evaluate,
-    evaluate_batch,
     parse,
     unparse,
 )
 
 from lipdisc.system import _Template
 
-from conftest import central_diff, expr_points, expr_trees, float_bits
+from conftest import batch_column, central_diff, expr_points, expr_trees, float_bits
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +175,7 @@ def test_evaluate_batch_matches_scalar():
     tree = parse("x2*cos(x1) + u1*x1^3 - tanh(x2)/2")
     xs = rng.uniform(-2, 2, size=(50, 2))
     us = rng.uniform(-1, 1, size=(50, 1))
-    batch = evaluate_batch(tree, xs, us)
+    batch = batch_column(tree, xs, us)
     pointwise = [evaluate(tree, xs[i], us[i]) for i in range(50)]
     np.testing.assert_allclose(batch, pointwise, rtol=1e-15, atol=1e-300)
     # random trees: a batch never raises a domain error, and agrees with
@@ -185,7 +184,7 @@ def test_evaluate_batch_matches_scalar():
     us = rng.uniform(-2, 2, size=(20, 3))
     for _ in range(300):
         tree = _random_tree(rng, 4)
-        batch = evaluate_batch(tree, xs, us)
+        batch = batch_column(tree, xs, us)
         for i in range(20):
             try:
                 want = evaluate(tree, xs[i], us[i])
@@ -197,7 +196,7 @@ def test_evaluate_batch_matches_scalar():
 
 def test_evaluate_batch_domain_errors_become_nonfinite():
     tree = parse("ln(x1)")
-    vals = evaluate_batch(tree, np.array([[1.0], [-1.0], [0.0]]), np.zeros((3, 0)))
+    vals = batch_column(tree, np.array([[1.0], [-1.0], [0.0]]), np.zeros((3, 0)))
     assert np.isfinite(vals[0])
     assert not np.isfinite(vals[1])
     assert not np.isfinite(vals[2])
@@ -210,7 +209,7 @@ def test_evaluate_batch_domain_errors_become_nonfinite():
 def test_power_overflow_saturates_in_both_modes(text, x1, want):
     tree = parse(text)
     assert evaluate(tree, [x1]) == want
-    np.testing.assert_array_equal(evaluate_batch(tree, [[x1], [x1]], np.zeros((2, 0))), want)
+    np.testing.assert_array_equal(batch_column(tree, [[x1], [x1]], np.zeros((2, 0))), want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -257,8 +256,11 @@ def test_template_trees_sharing_a_subtree_emit_its_line_once():
 
 
 def test_evaluate_batch_constant_expression_broadcasts():
-    vals = evaluate_batch(parse("3"), np.zeros((7, 2)), np.zeros((7, 0)))
+    vals = batch_column(parse("3"), np.zeros((7, 2)), np.zeros((7, 0)))
     np.testing.assert_array_equal(vals, np.full(7, 3.0))
+    # a tree that reads no variable is computed once, on scalars
+    vals = batch_column(parse("sin(3)"), np.zeros((7, 2)), np.zeros((7, 0)))
+    np.testing.assert_array_equal(vals, np.full(7, math.sin(3.0)))
 
 
 # the batch walk that evaluated batches before the batch kernels: the
@@ -313,7 +315,7 @@ def test_batch_kernels_keep_the_bits_of_the_batch_walk(trees, rows):
     x, u = points[:, :2], points[:, 2:]
     want = [_walk_batch(tree, x, u) for tree in trees]
     for tree, w in zip(trees, want):
-        got = evaluate_batch(tree, x, u)
+        got = batch_column(tree, x, u)
         assert got.shape == (len(rows),) and float_bits(got) == float_bits(w), unparse(tree)
     template = _Template(trees, (len(trees),))
     got = template.batch(x, u)
@@ -336,7 +338,7 @@ def test_evaluate_batch_names_the_first_variable_out_of_range(text, n, m, name):
     with pytest.raises(ExprEvalError) as want:
         _walk_batch(tree, np.zeros((3, n)), np.zeros((3, m)))
     with pytest.raises(ExprEvalError) as got:
-        evaluate_batch(tree, np.zeros((3, n)), np.zeros((3, m)))
+        batch_column(tree, np.zeros((3, n)), np.zeros((3, m)))
     assert str(got.value) == str(want.value) and got.value.node == Var(name[0], int(name[1]))
 
 

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 
 from lipdisc import BoxRegion, SpecValidationError, SystemSpec, differentiate, parse
 from lipdisc import expr as ex
-from lipdisc.expr import ExprEvalError, evaluate, evaluate_batch
+from lipdisc.expr import ExprEvalError, evaluate
 
-from conftest import central_diff, expr_points, expr_trees, float_bits, sample_points
+from conftest import (
+    batch_column, central_diff, expr_points, expr_trees, float_bits, sample_points
+)
 
 
 def _scalar_spec(f_text, lower=-2.0, upper=2.0, a=0.0):
@@ -97,10 +99,20 @@ def test_region_without_origin_warns():
     assert record[0].filename == __file__  # the frame that built the spec
 
 
+def _f(spec, x, u=()):
+    """f at one point through the spec's point kernel."""
+    return spec._f_template.point_array(x, u)
+
+
+def _hess(spec, x, u=()):
+    """d^2 f/dx^2 at one point through the spec's point kernel."""
+    return spec._hess_template.point_array(x, u)
+
+
 def test_eval_f_examples(bench):
     pend = bench["pendulum"]
-    np.testing.assert_allclose(pend.eval_f([0.0, 1.0]), [0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(pend.eval_f([np.pi / 2, 0.0]), [0.0, -1.0], rtol=1e-15)
+    np.testing.assert_allclose(_f(pend, [0.0, 1.0]), [0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(_f(pend, [np.pi / 2, 0.0]), [0.0, -1.0], rtol=1e-15)
 
     forced = SystemSpec(
         name="forced",
@@ -111,7 +123,7 @@ def test_eval_f_examples(bench):
         input_region=BoxRegion([-5.0], [5.0]),
         sampling_time=0.1,
     )
-    np.testing.assert_allclose(forced.eval_f([2.0], [3.0]), [6.0], rtol=1e-15)
+    np.testing.assert_allclose(_f(forced, [2.0], [3.0]), [6.0], rtol=1e-15)
 
 
 def test_jacobian_examples(bench):
@@ -134,13 +146,13 @@ def test_jacobian_examples(bench):
 
 def test_second_derivative_examples(bench):
     linear = bench["linear-2d"]
-    assert not linear.second_derivative([0.3, -0.4]).any()
+    assert not _hess(linear, [0.3, -0.4]).any()
 
     cubic = _scalar_spec("x1^3")
-    np.testing.assert_allclose(cubic.second_derivative([2.0]), [[[12.0]]], rtol=1e-15)
+    np.testing.assert_allclose(_hess(cubic, [2.0]), [[[12.0]]], rtol=1e-15)
 
     pend = bench["pendulum"]
-    assert pend.second_derivative([0.0, 0.7])[1, 0, 0] == 0.0
+    assert _hess(pend, [0.0, 0.7])[1, 0, 0] == 0.0
 
 
 def test_jacobian_matches_finite_differences(bench):
@@ -150,7 +162,7 @@ def test_jacobian_matches_finite_differences(bench):
             jac = spec.jacobian(x, u)
             for i in range(spec.n):
                 for j in range(spec.n):
-                    fd = central_diff(lambda pt: spec.eval_f(pt, u)[i], x, j)
+                    fd = central_diff(lambda pt: _f(spec, pt, u)[i], x, j)
                     assert abs(jac[i, j] - fd) <= 1e-6 * max(1.0, abs(jac[i, j])), name
 
 
@@ -158,7 +170,7 @@ def test_second_derivative_symmetry(bench):
     for spec in bench.values():
         xs, us = sample_points(spec, 20, seed=5)
         for x, u in zip(xs, us):
-            hess = spec.second_derivative(x, u)
+            hess = _hess(spec, x, u)
             np.testing.assert_allclose(hess, np.swapaxes(hess, 1, 2), atol=1e-12)
 
 
@@ -169,10 +181,10 @@ def test_batch_evaluation_matches_pointwise(bench, probe):
         j_batch = spec.jacobian_batch(xs, us)
         h_batch = spec.second_derivative_batch(xs, us)
         for i in range(40):
-            np.testing.assert_allclose(f_batch[i], spec.eval_f(xs[i], us[i]), rtol=1e-14, atol=1e-300)
+            np.testing.assert_allclose(f_batch[i], _f(spec, xs[i], us[i]), rtol=1e-14, atol=1e-300)
             np.testing.assert_allclose(j_batch[i], spec.jacobian(xs[i], us[i]), rtol=1e-14, atol=1e-300)
             np.testing.assert_allclose(
-                h_batch[i], spec.second_derivative(xs[i], us[i]), rtol=1e-14, atol=1e-300
+                h_batch[i], _hess(spec, xs[i], us[i]), rtol=1e-14, atol=1e-300
             )
 
 
@@ -187,7 +199,7 @@ def _entry_trees(spec):
 
 def _per_entry_stack(trees, shape, x, u):
     """Every entry evaluated on its own over the batch, constants included."""
-    cols = [evaluate_batch(tree, x, u) for tree in trees]
+    cols = [batch_column(tree, x, u) for tree in trees]
     return np.stack(cols, axis=-1).reshape((x.shape[0],) + shape)
 
 
@@ -222,7 +234,7 @@ def test_templated_batch_derivatives_equal_per_entry_evaluation(bench, probe, ro
     for spec in [*bench.values(), probe, _domain_error_spec()]:
         xs, us = sample_points(spec, rows, seed=5)
         batch = (spec.eval_f_batch, spec.jacobian_batch, spec.second_derivative_batch)
-        point = (spec.eval_f, spec.jacobian, spec.second_derivative)
+        point = (spec._f_template.point_array, spec.jacobian, spec._hess_template.point_array)
         for (trees, shape), of_batch, of_point in zip(_entry_trees(spec), batch, point):
             want = _per_entry_stack(trees, shape, xs, us)
             got = of_batch(xs, us)
@@ -244,7 +256,7 @@ def test_templated_batch_derivatives_equal_per_entry_evaluation(bench, probe, ro
 def _assert_point_matches_walk(spec, x, u):
     """f, J and H at one point have the bits of the walk over every
     entry, or raise the walk's error for the first failing entry."""
-    point = (spec.eval_f, spec.jacobian, spec.second_derivative)
+    point = (spec._f_template.point_array, spec.jacobian, spec._hess_template.point_array)
     for (trees, shape), of_point in zip(_entry_trees(spec), point):
         want = _per_entry_point(trees, shape, x, u)
         if isinstance(want, ExprEvalError):
@@ -272,9 +284,9 @@ def test_point_evaluation_of_the_specs_runs_kernels_with_the_walks_bits(
 
     monkeypatch.setattr(ex, "evaluate", walk)
     for spec, x, u, (f, jac, hess) in cases:
-        assert spec.eval_f(x, u).tobytes() == f.tobytes(), spec.name
+        assert _f(spec, x, u).tobytes() == f.tobytes(), spec.name
         assert spec.jacobian(x, u).tobytes() == jac.tobytes(), spec.name
-        assert spec.second_derivative(x, u).tobytes() == hess.tobytes(), spec.name
+        assert _hess(spec, x, u).tobytes() == hess.tobytes(), spec.name
 
 
 @pytest.mark.parametrize(
@@ -284,14 +296,14 @@ def test_point_evaluation_of_the_specs_runs_kernels_with_the_walks_bits(
 def test_point_domain_errors_match_the_walk(text, x1):
     spec = _scalar_spec(text)
     with pytest.raises(ExprEvalError):
-        spec.eval_f([x1])
+        _f(spec, [x1])
     _assert_point_matches_walk(spec, [x1], [])
 
 
 @pytest.mark.parametrize("text, x1", [("exp(1000)", 0.0), ("x1^400", 1e3), ("-x1^401", 1e3)])
 def test_point_overflow_saturates_as_the_walk_does(text, x1):
     spec = _scalar_spec(text)
-    assert np.isinf(spec.eval_f([x1])[0])
+    assert np.isinf(_f(spec, [x1])[0])
     _assert_point_matches_walk(spec, [x1], [])
 
 
@@ -322,20 +334,10 @@ def test_templated_batch_keeps_constants_beside_domain_errors():
     np.testing.assert_array_equal(hess[:, 0, 1, :], 0.0)
 
 
-def test_round_trip_through_dict(bench):
-    for spec in bench.values():
-        clone = SystemSpec.from_dict(spec.to_dict())
-        assert clone.name == spec.name
-        np.testing.assert_array_equal(clone.a, spec.a)
-        np.testing.assert_array_equal(clone.c, spec.c)
-        assert clone.f == spec.f
-        assert clone.sampling_time == spec.sampling_time
-
-
 def test_with_sampling_time_shares_the_templates(bench, probe):
     for spec in [*bench.values(), probe]:
         (x,), (u,) = sample_points(spec, 1, seed=3)
-        spec.eval_f(x, u)  # f's kernel exists before the copy, J's and H's after
+        _f(spec, x, u)  # f's kernel exists before the copy, J's and H's after
         fast = spec.with_sampling_time(0.05)
         assert fast.sampling_time == 0.05 and spec.sampling_time != 0.05
         for name in ("_f_template", "_jac_template", "_hess_template"):
@@ -344,8 +346,8 @@ def test_with_sampling_time_shares_the_templates(bench, probe):
         assert fast._field_template is spec._field_template
         for order in (1, 2, 3):
             assert spec._lie_template(order) is fast._lie_template(order)
-        for name in ("eval_f", "jacobian", "second_derivative"):
-            assert getattr(fast, name)(x, u).tobytes() == getattr(spec, name)(x, u).tobytes()
+        for point in (_f, SystemSpec.jacobian, _hess):
+            assert point(fast, x, u).tobytes() == point(spec, x, u).tobytes()
     for t in (0.0, -0.1, float("nan")):
         with pytest.raises(SpecValidationError, match="^T:"):
             probe.with_sampling_time(t)

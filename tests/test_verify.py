@@ -23,6 +23,7 @@ from lipdisc.discretize import _CHUNK_ROWS, DiscreteModel, ExactMap
 from lipdisc.verify import _CONVERGENCE_POINTS, verify_tolerance
 
 from conftest import (
+    PROBE,
     empirical_gamma_c,
     empirical_lipschitz,
     empirical_one_sided,
@@ -316,8 +317,8 @@ def test_convergence_study_names_a_bad_argument_before_any_work(
     assert err.value.path == path
 
 
-def test_convergence_study_compiles_one_lie_kernel_per_order(probe, monkeypatch):
-    spec = SystemSpec.from_dict(probe.to_dict())  # no point kernel built yet
+def test_convergence_study_compiles_one_lie_kernel_per_order(monkeypatch):
+    spec = SystemSpec.from_dict(PROBE)  # no point kernel built yet
     compiled = []
     point_kernel = ex.point_kernel
 
