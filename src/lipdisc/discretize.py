@@ -19,10 +19,10 @@ second-derivative tensor and H(a, b)_i = sum_{jk} H[i,j,k] a_j b_k:
                             + J^2 A x + J^2 f
                             + H(Ax, Ax) + 2 H(Ax, f) + H(f, f))
 
-One point evaluates N_1..N_k as expression trees, through one kernel per
-spec and order that every sampling time shares, and sums the kernel's
-terms in one pass with T, T^2/2 and T^3/6 taken once per model.  A
-batch runs the series written out above on numpy columns; the two agree
+One point evaluates N_1..N_k as the expression trees of
+:func:`_lie_template`, through one kernel per spec and order that every
+sampling time shares, and sums the kernel's terms in one pass with T,
+T^2/2 and T^3/6 taken once per model.  A batch runs the series written out above on numpy columns; the two agree
 to rounding.  The batch reads J and H only at the entries that are not
 a constant zero (their templates' ``support``) and keeps the bits of
 the dense einsums: H(a, b) adds (H[i,j,k] a_j) b_k in C order from
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .system import SpecValidationError, SystemSpec
+from .system import SpecValidationError, SystemSpec, _Template
 
 ORDERS = (1, 2, 3)  # the Taylor-Lie orders with a model and a bound formula
 _CHUNK_ROWS = 16_384  # rows per F_T batch chunk; bounds the Hessian's memory
@@ -102,7 +102,7 @@ class DiscreteModel:
     def _point_sum(self) -> tuple:
         """T, T^2/2, T^3/6, the Lie template's point function and n."""
         t = self.spec.sampling_time
-        return t, t * t / 2.0, t**3 / 6.0, self.spec._lie_template(self.order).point, self.spec.n
+        return t, t * t / 2.0, t**3 / 6.0, _lie_template(self.spec, self.order).point, self.spec.n
 
     def f_t_batch(self, x: np.ndarray, u: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:
         """Vectorized F_T over rows of (x, u), in chunks of _CHUNK_ROWS rows
@@ -211,6 +211,32 @@ def _bilinear(hess, support, va, vb, acc):
     return acc
 
 
+def _lie_template(s: SystemSpec, order: int) -> _Template:
+    """The Lie terms N_1, ..., N_order, shape (order, n), with
+    d^l x/dt^l = A^l x + N_l under the held input: N_1 = f and
+    N_{l+1} = A^l f + (dN_l/dx) F.  Order 0 gives the field F = A x + f.
+    A's nonzero entries enter as constants; nothing depends on T, and
+    each template is built on first use into ``s._discretize_cache``,
+    which every sampling time of the spec shares, with the integrator."""
+    cache = s._discretize_cache
+    if order not in cache:
+        n = s.n
+        xs = [ex.Var("x", j + 1) for j in range(n)]
+        consts = lambda m: [[ex.Const(v) for v in row] for row in m.tolist()]
+        # sum_j c_j t_j, added in order of j; a constant-zero c_j adds nothing
+        dot = lambda cs, ts: functools.reduce(ex._add, map(ex._mul, cs, ts), ex.Const(0.0))
+        rhs = [ex._add(dot(row, xs), fi) for row, fi in zip(consts(s.a), s.f)]
+        terms, power = [list(s.f) if order else rhs], np.eye(n)
+        for _ in range(1, order):
+            power = power @ s.a
+            terms.append([
+                ex._add(dot(row, s.f), dot([ex.differentiate(nl, x.name) for x in xs], rhs))
+                for row, nl in zip(consts(power), terms[-1])
+            ])
+        cache[order] = _Template(sum(terms, []), (order, n) if order else (n,))
+    return cache[order]
+
+
 def build_taylor_model(s: SystemSpec, order: int) -> DiscreteModel:
     """Order-k ZOH Taylor-Lie model, k in :data:`ORDERS`."""
     if order not in ORDERS:
@@ -269,20 +295,20 @@ _LOOP = """def integrate(y, u, tol, t_end):
 def _integrator(s: SystemSpec) -> Callable:
     """The spec's Dormand-Prince loop as one generated function
     ``integrate(y, u, tol, t_end)`` of a list of floats, built on first
-    use into the slot ``s._exact_integrator`` that the copies of
-    ``with_sampling_time`` share.  Every stage, the first included, is F
-    written out by the point kernel's emitter, in a ``try`` that falls
-    back to the field template, whose walk names a domain error's node
-    or saturates an overflow; the first stage's ``try`` also loads the
-    inputs F reads, so a missing one fails in the walk too.  Every stage,
-    B5 and E sum is ``0.0 + c0*k0_i + c1*k1_i + ...`` in stage order,
-    zeros kept; the error norm takes max(|y_i|, |y_new_i|) with NaN
-    winning and the root of the mean of the squared quotients, summed in
-    order.  The step-size control compares where it took ``min`` and
-    ``max``, with the same results, a NaN factor giving 0.2."""
-    if s._exact_integrator:
-        return s._exact_integrator[0]
-    field, ix, inputs = s._field_template, range(s.n), set()
+    use into ``s._discretize_cache["integrator"]``.  Every stage, the
+    first included, is F written out by the point kernel's emitter, in a
+    ``try`` that falls back to the field template (:func:`_lie_template`
+    of order 0), whose walk names a domain error's node or saturates an
+    overflow; the first stage's ``try`` also loads the inputs F reads,
+    so a missing one fails in the walk too.  Every stage, B5 and E sum is
+    ``0.0 + c0*k0_i + c1*k1_i + ...`` in stage order, zeros kept; the
+    error norm takes max(|y_i|, |y_new_i|) with NaN winning and the root
+    of the mean of the squared quotients, summed in order.  The step-size
+    control compares where it took ``min`` and ``max``, with the same
+    results, a NaN factor giving 0.2."""
+    if "integrator" in s._discretize_cache:
+        return s._discretize_cache["integrator"]
+    field, ix, inputs = _lie_template(s, 0), range(s.n), set()
 
     def operand(v) -> str:
         if v.kind == "u":
@@ -318,7 +344,7 @@ def _integrator(s: SystemSpec) -> Callable:
         min_step=_MIN_STEP, trial="".join(f"\n        {line}" for line in trial),
     )
     exec(compile(source, f"<dormand-prince integrator of {s.name}>", "exec"), namespace)
-    s._exact_integrator.append(namespace["integrate"])
+    s._discretize_cache["integrator"] = namespace["integrate"]
     return namespace["integrate"]
 
 
@@ -350,8 +376,12 @@ class ExactMap:
             )
 
     def __call__(self, x, u=()) -> list:
-        y = [float(v) for v in x]
-        return _integrator(self.spec)(y, u, self.tol, self.spec.sampling_time)
+        return self._integrate([float(v) for v in x], u, self.tol, self.spec.sampling_time)
+
+    @functools.cached_property
+    def _integrate(self) -> Callable:
+        """The spec's integrator, bound on the first step."""
+        return _integrator(self.spec)
 
 
 def _check_tol(tol: float):
@@ -384,9 +414,12 @@ def simulate(stepper, s: SystemSpec, x0, u_seq) -> Trajectory:
     if x0.shape != (s.n,):
         raise SpecValidationError("x0", f"must have shape ({s.n},), got {x0.shape}")
     rows = [x0.tolist()]
-    for u in u_seq.tolist():
-        rows.append(stepper(rows[-1], u))
-    states = np.array(rows)
+    # a state or output that overflows or turns NaN is the caller's to report
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u in u_seq.tolist():
+            rows.append(stepper(rows[-1], u))
+        states = np.array(rows)
+        outputs = states @ s.c.T
     outside = np.flatnonzero(~s.region.contains(states))
     first_exit = int(outside[0]) if outside.size else None
     if first_exit is not None:
@@ -395,8 +428,6 @@ def simulate(stepper, s: SystemSpec, x0, u_seq) -> Trajectory:
             UserWarning,
             stacklevel=2,
         )
-    with np.errstate(over="ignore"):  # an overflowing output is the caller's to report
-        outputs = states @ s.c.T
     return Trajectory(states=states, outputs=outputs, first_exit=first_exit)
 
 

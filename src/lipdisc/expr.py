@@ -37,9 +37,6 @@ from typing import Callable
 import numpy as np
 
 _FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs", "tanh")
-# sign appears only in derivative trees
-_UNARY_OPS = _FUNCTIONS + ("neg", "sign")
-_BINARY_OPS = ("+", "-", "*", "/")
 
 
 class ExprError(Exception):
@@ -412,11 +409,11 @@ def evaluate(e: Expression, x, u=()) -> float:
     return _eval(e, x, u)
 
 
-def point_kernel(trees, slots) -> Callable:
-    """A function of ``(x, u, out)`` that stores the value of ``trees[i]``
-    at one point in ``out[j]`` for each ``j`` in ``slots[i]`` and returns
-    ``out``, generated as straight-line code and compiled.  ``out`` may
-    be a list or an array; a list receives the Python floats themselves.
+def point_kernel(live) -> Callable:
+    """A function of ``(x, u, out)`` that stores, for each ``(tree, j)``
+    of ``live`` in turn, the value of ``tree`` at one point in ``out[j]``
+    and returns ``out``, a list, generated as straight-line code and
+    compiled.  A tree listed twice is computed once.
 
     Every distinct subtree is computed once, with the point primitives
     in the walk's order of operations, so each value has the bits of
@@ -425,10 +422,10 @@ def point_kernel(trees, slots) -> Callable:
     trees before it stored: rerun the walk to name the node or to
     saturate the overflow.
     """
-    return _kernel(trees, slots, lambda v: f"float({v.kind}[{v.index - 1}])", False)
+    return _kernel(live, lambda v: f"float({v.kind}[{v.index - 1}])", False)
 
 
-def batch_kernel(trees, slots, n: int, m: int) -> Callable:
+def batch_kernel(live, n: int, m: int) -> Callable:
     """:func:`point_kernel` for N rows of n states and m inputs: ``x[i]``
     and ``u[i]`` are columns, ``out`` a list or an array of rows, and a
     tree that reads no variable is a scalar.  A column is freed after
@@ -441,16 +438,15 @@ def batch_kernel(trees, slots, n: int, m: int) -> Callable:
         _eval(v, *zeros)  # the walk names a variable out of range
         return f"{v.kind}[{v.index - 1}]"
 
-    return _kernel(trees, slots, column, True)
+    return _kernel(live, column, True)
 
 
-def _kernel(trees, slots, variable: Callable[[Var], str], batch: bool) -> Callable:
+def _kernel(live, variable: Callable[[Var], str], batch: bool) -> Callable:
     namespace = {"float": float}
     lines: list[str] = []
     emit = emitter(variable, namespace, lines, batch)
-    for tree, js in zip(trees, slots):
-        value = emit(tree)
-        lines += [f"out[{j:d}] = {value}" for j in js]
+    for tree, j in live:
+        lines.append(f"out[{j:d}] = {emit(tree)}")
     if batch:  # free each column after its last read, as a walk of each tree would
         read, backward = set(), []
         for line in reversed(lines):

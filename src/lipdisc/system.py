@@ -4,18 +4,18 @@ A :class:`SystemSpec` carries the matrices, the nonlinearity f as one
 expression per state, the operating box D, the input box U (possibly
 zero-dimensional) and the sampling time.  First and second derivative
 expressions of f are differentiated symbolically once at construction
-and cached, since the estimators evaluate them at thousands of points;
-a batch evaluates f, J and H, and a point J, the field F = A x + f and
-the Lie terms of each Taylor-Lie order, through compiled kernels built
-on first use.
-Instances are immutable apart from that cache and safe for concurrent
+and cached as templates, since the estimators evaluate them at
+thousands of points; a batch evaluates f, J and H, and a point J,
+through compiled kernels built on first use.  The Taylor-Lie terms and
+the reference integrator belong to :mod:`lipdisc.discretize`, which
+keeps them in a cache on the spec that every sampling time shares.
+Instances are immutable apart from those caches and safe for concurrent
 evaluation.
 """
 
 from __future__ import annotations
 
 import copy
-import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -136,9 +136,7 @@ class SystemSpec:
         object.__setattr__(self, "_f_template", _Template(self.f, (n,)))
         object.__setattr__(self, "_jac_template", _Template(jac, (n, n)))
         object.__setattr__(self, "_hess_template", _Template(hess, (n, n, n)))
-        # key 0: the field F; key k: the Lie terms of order k
-        object.__setattr__(self, "_point_templates", {})
-        object.__setattr__(self, "_exact_integrator", [])  # discretize._integrator's slot
+        object.__setattr__(self, "_discretize_cache", {})  # filled by discretize only
 
     @property
     def n(self) -> int:
@@ -154,8 +152,8 @@ class SystemSpec:
 
     def with_sampling_time(self, t: float) -> "SystemSpec":
         """The same plant at sampling time ``t``.  The copy shares every
-        template and kernel, built or yet to be built, since none depends
-        on T."""
+        template and kernel, built or yet to be built, and the cache of
+        :mod:`lipdisc.discretize`, since none depends on T."""
         out = copy.copy(self)
         object.__setattr__(out, "sampling_time", _sampling_time(t))
         return out
@@ -165,35 +163,7 @@ class SystemSpec:
 
     def jacobian(self, x, u=()) -> np.ndarray:
         """df/dx at (x, u); entry (i, j) = df_i/dx_j."""
-        return self._jac_template.point_array(x, u)
-
-    @property
-    def _field_template(self) -> "_Template":
-        """The vector field F_i = sum_j A_ij x_j + f_i, shape (n,)."""
-        return self._lie_template(0)
-
-    def _lie_template(self, order: int) -> "_Template":
-        """The Lie terms N_1, ..., N_order, shape (order, n), with
-        d^l x/dt^l = A^l x + N_l under the held input: N_1 = f and
-        N_{l+1} = A^l f + (dN_l/dx) F.  Order 0 gives the field F.  A's
-        nonzero entries enter as constants; nothing depends on T, and
-        each template is built on first use."""
-        if order not in self._point_templates:
-            n = self.n
-            xs = [ex.Var("x", j + 1) for j in range(n)]
-            consts = lambda m: [[ex.Const(v) for v in row] for row in m.tolist()]
-            # sum_j c_j t_j, added in order of j; a constant-zero c_j adds nothing
-            dot = lambda cs, ts: functools.reduce(ex._add, map(ex._mul, cs, ts), ex.Const(0.0))
-            rhs = [ex._add(dot(row, xs), fi) for row, fi in zip(consts(self.a), self.f)]
-            terms, power = [list(self.f) if order else rhs], np.eye(n)
-            for _ in range(1, order):
-                power = power @ self.a
-                terms.append([
-                    ex._add(dot(row, self.f), dot([ex.differentiate(nl, x.name) for x in xs], rhs))
-                    for row, nl in zip(consts(power), terms[-1])
-                ])
-            self._point_templates[order] = _Template(sum(terms, []), (order, n) if order else (n,))
-        return self._point_templates[order]
+        return np.array(self._jac_template.point(x, u)).reshape(self._jac_template.shape)
 
     # ------------------------------------------------------------------
     # vectorized evaluation; bad samples come back non-finite
@@ -267,24 +237,14 @@ class _Template:
         self.const_list = self.consts.tolist()
         self.kernel, self.batch_kernels = None, {}  # the batch kernel for each (n, m)
 
-    def _kernel_args(self) -> tuple:
-        return [tree for tree, _ in self.live], [[j] for _, j in self.live]
-
     def point(self, x, u) -> list:
-        """Every entry at one point as a flat list of floats in C order."""
-        return self._point_into(self.const_list.copy(), x, u)
-
-    def point_array(self, x, u) -> np.ndarray:
-        """Every entry at one point as an array of the template's shape."""
-        return self._point_into(self.consts.copy(), x, u).reshape(self.shape)
-
-    def _point_into(self, out, x, u):
-        """Store the live entries at one point into ``out``, a flat copy of
-        the constants, through the point kernel.  On an error the walk runs
-        instead: a domain error raises for the first failing entry in C
-        order, naming its node, and an overflow saturates."""
+        """Every entry at one point as a flat list of floats in C order,
+        through the point kernel.  On an error the walk runs instead: a
+        domain error raises for the first failing entry in C order, naming
+        its node, and an overflow saturates."""
         if self.kernel is None:
-            self.kernel = ex.point_kernel(*self._kernel_args())
+            self.kernel = ex.point_kernel(self.live)
+        out = self.const_list.copy()
         try:
             return self.kernel(x, u, out)
         except (ArithmeticError, ValueError, IndexError):
@@ -313,7 +273,7 @@ class _Template:
         x, u = np.asarray(x, dtype=float).T, np.asarray(u, dtype=float).T
         dims = len(x), len(u)  # a variable beyond them raises ExprEvalError naming it
         if dims not in self.batch_kernels:
-            self.batch_kernels[dims] = ex.batch_kernel(*self._kernel_args(), *dims)
+            self.batch_kernels[dims] = ex.batch_kernel(self.live, *dims)
         with np.errstate(all="ignore"):
             return self.batch_kernels[dims](x, u, out)
 

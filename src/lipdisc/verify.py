@@ -4,17 +4,18 @@ The estimators measure the nonlinear part F_T alone, matching the
 per-part structure of the discrete family (the linear part a_d is
 handled exactly through its singular value); the full-map constant is
 also reported for information.  One pair sample serves the whole
-report (rho_c included), reduced in one pass of chunks of 16,384 rows
-(``constants.sup_pair_quotient``).  Per chunk, f is evaluated once per
-pair endpoint and feeds both rho_c's quotient and F_T's series; the
-two-sided, one-sided and full-map quotients all derive from the two F_T
-images, the full map as x a_d^T + F_T.  So no image array of the whole
-sample exists: at 200k pairs on the 4-state probe the pass holds 4.6 MB
-(order 1) to 8.8 MB (order 3) beside the 13.7 MB sample (tracemalloc).
-Failures surface in the order gamma_c grid, rho_c pairs, beta/M grid,
-bound formula, F_T pairs, so once rho_c has failed the later chunks
-evaluate f only; a quotient of finite images above the largest float or
-a formula that overflows raises NumericalError.  A bound passes when
+report (rho_c included), reduced in one pass of chunks of
+``discretize._CHUNK_ROWS`` rows (``constants.sup_pair_quotient``).
+Per chunk, f is evaluated once per pair endpoint and feeds both rho_c's
+quotient and F_T's series; the two-sided, one-sided and full-map
+quotients all derive from the two F_T images, the full map as
+x a_d^T + F_T.  So no image array of the whole sample exists: at 200k
+pairs on the 4-state probe the pass holds 4.6 MB (order 1) to 8.8 MB
+(order 3) beside the 13.7 MB sample (tracemalloc).  Failures surface
+in the order gamma_c grid, rho_c pairs, beta/M grid, bound formula,
+F_T pairs, so once rho_c has failed the later chunks evaluate f only;
+a quotient of finite images above the largest float or a formula that
+overflows raises NumericalError.  A bound passes when
 
     formula >= empirical - tol_verify,
     tol_verify = 1e-9 + 1e-6 |formula|,
@@ -34,6 +35,7 @@ import numpy as np
 from . import bounds as bnd
 from .constants import (
     ConstantEstimates,
+    NumericalError,
     SamplingConfig,
     estimate_all,
     sample_pairs,
@@ -198,7 +200,8 @@ def convergence_study(
     recorded; the least-squares slope of log error against log T should
     be close to k + 1.  Points are drawn from the central half of the
     region (and inputs from U) so the series stays well inside its
-    convergence zone.  Every argument is checked before any work.
+    convergence zone.  Every argument is checked before any work; a gap
+    that is not finite raises NumericalError.
     """
     t_values = [float(t) for t in t_values]
     if len(set(t_values)) < 3:
@@ -226,7 +229,11 @@ def convergence_study(
         for k in orders:
             model = build_taylor_model(exact_map.spec, k)
             approx = np.array([model(x, u) for x, u in rows])
-            gap = np.max(np.linalg.norm(exact - approx, axis=1))
+            with np.errstate(over="ignore", invalid="ignore"):
+                gap = np.max(np.linalg.norm(exact - approx, axis=1))
+            if not np.isfinite(gap):
+                raise NumericalError(f"order {k} at T={exact_map.spec.sampling_time!r}: "
+                                     "the gap to the exact map is not finite")
             errors[k].append(float(max(gap, 1e-300)))
 
     log_t = np.log(np.asarray(t_values))

@@ -1,8 +1,10 @@
 """Shared fixtures, finite-difference and matrix-exponential oracles,
-the pair-quotient Lipschitz estimates of f and of F_T, and a whole-array
-reference for the chunked pair pass."""
+the pair-quotient Lipschitz estimates of f and of F_T, a whole-array
+reference for the chunked pair pass, and random trees and specs."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from lipdisc import NumericalError, SamplingConfig, SystemSpec, benchmarks
 from lipdisc import constants
 from lipdisc.constants import sample_pairs, sup_pair_quotient
-from lipdisc.expr import Binary, Const, Pow, Unary, Var
+from lipdisc.expr import _FUNCTIONS, Binary, Const, Pow, Unary, Var
 from lipdisc.system import _Template
 
 
@@ -28,17 +30,12 @@ def bench():
     return {name: benchmarks.load(name) for name in benchmarks.names()}
 
 
-# a 4-state coupled pendulum with one input (n + m = 5): most of its J
-# and H entries are constants, and x2 -> -x2 gives exact grid ties
-PROBE = {
-    "name": "coupled-pendulum",
-    "A": [[0, 1, 0, 0], [-1, -0.2, 0.5, 0], [0, 0, 0, 1], [0.5, 0, -1, -0.2]],
-    "C": [[1, 0, 0, 0], [0, 0, 1, 0]],
-    "f": ["0", "-sin(x1) + 0.1*x2*x3", "0", "-sin(x3) + u1"],
-    "region": {"lower": [-1, -1, -1, -1], "upper": [1, 1, 1, 1]},
-    "input_region": {"lower": [-0.2], "upper": [0.2]},
-    "T": 0.1,
-}
+# the benchmark's probe, a 4-state coupled pendulum with one input
+# (n + m = 5): most of its J and H entries are constants, and x2 -> -x2
+# gives exact grid ties
+PROBE = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "specs" / "coupled-pendulum.json").read_text()
+)
 
 
 @pytest.fixture(scope="session")
@@ -77,6 +74,48 @@ expr_points = st.lists(
 )
 
 
+
+def _f_texts(n, m):
+    """Text over x1..xn and u1..um that ``expr.parse`` accepts."""
+    names = [f"x{i + 1}" for i in range(n)] + [f"u{i + 1}" for i in range(m)]
+    return st.recursive(
+        st.sampled_from(["0", "1", "0.5", "3", "1e3", *names]),
+        lambda kids: st.builds("{}({})".format, st.sampled_from(_FUNCTIONS), kids)
+        | st.builds("({} {} {})".format, kids, st.sampled_from("+-*/"), kids)
+        | st.builds("({})^{}".format, kids, st.integers(0, 5))
+        | st.builds("-{}".format, kids),
+        max_leaves=6,
+    )
+
+
+def _boxes(dim):
+    ends = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -1e3, 1e3])
+    sides = st.lists(st.tuples(ends, ends).map(sorted), min_size=dim, max_size=dim)
+    return sides.map(lambda s: {"lower": [a for a, _ in s], "upper": [b for _, b in s]})
+
+
+@st.composite
+def spec_dicts(draw):
+    """JSON spec objects with n <= 2 states and m <= 1 inputs, f as text,
+    A and C with entries in [-10, 10], boxes within +-1e3 (not always
+    around the origin) and T in {0.01, 0.1, 1}."""
+    n, m = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    matrix = lambda rows: st.lists(
+        st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n), min_size=rows, max_size=rows
+    )
+    spec = {
+        "name": "drawn",
+        "A": draw(matrix(n)),
+        "C": draw(matrix(1)),
+        "f": draw(st.lists(_f_texts(n, m), min_size=n, max_size=n)),
+        "region": draw(_boxes(n)),
+        "T": draw(st.sampled_from([0.01, 0.1, 1.0])),
+    }
+    if m:
+        spec["input_region"] = draw(_boxes(m))
+    return spec
+
+
 def float_bits(values) -> list:
     """The bit patterns of float values, every NaN as the default NaN.
     IEEE 754 leaves the sign and payload of a NaN result open, and
@@ -89,6 +128,12 @@ def float_bits(values) -> list:
 
 def fd_step(value: float) -> float:
     return 1e-6 * max(1.0, abs(value))
+
+
+def point_array(template, x, u) -> np.ndarray:
+    """A template's entries at one point, from its point list, as an
+    array of its shape."""
+    return np.array(template.point(x, u)).reshape(template.shape)
 
 
 def batch_column(tree, x, u) -> np.ndarray:

@@ -1,15 +1,21 @@
 """CLI surface: exit codes, JSON outputs, schemas, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lipdisc import (
     SamplingConfig,
@@ -24,6 +30,7 @@ from lipdisc import (
 from lipdisc import constants as estimators
 from lipdisc.cli import dumps_json, main
 
+from conftest import spec_dicts
 from output_schemas import OUTPUT_SCHEMAS
 
 
@@ -445,7 +452,7 @@ def test_exact_with_a_sampling_time_below_the_minimum_step_exits_2(
 
 def test_load_system_builds_no_point_template(spec_path):
     # the field and Lie templates wait for the first pointwise call
-    assert cli.load_system(spec_path("van-der-pol"))._point_templates == {}
+    assert cli.load_system(spec_path("van-der-pol"))._discretize_cache == {}
 
 
 def test_constants_on_an_overflowing_jacobian_norm_reads_the_true_scale(capsys, tmp_path):
@@ -823,6 +830,12 @@ def test_cmd_discretize_overflowing_outputs_exit_3(capsys, spec_path):
     cases = [
         ({"C": [[1e308, 1e308]]}, ("--x0", "1,1"), "outputs: first non-finite value at step 0"),
         ({}, ("--x0", "1e200,1e200", "--exact"), "errors: first non-finite value at step 1"),
+        # exp(800) saturates to inf, and a_d x and C x then meet 0 * inf
+        (
+            {"A": [[0, 0], [0, 0]], "C": [[0, 1]], "f": ["exp(x1)", "0"]},
+            ("--x0", "800,0"),
+            "states: first non-finite value at step 1",
+        ),
     ]
     for overrides, argv, message in cases:
         path = spec_path("linear-2d", **overrides)
@@ -831,6 +844,54 @@ def test_cmd_discretize_overflowing_outputs_exit_3(capsys, spec_path):
         assert code == 3
         assert stderr == f"numerical failure: {message}\n"
         assert stdout == ""
+
+
+def test_cmd_convergence_with_a_gap_that_overflows_exits_3(capsys, tmp_path):
+    # x e^(440 T) stays finite, but the norm of the gap squares it past the largest float
+    spec, out = tmp_path / "fast.json", tmp_path / "conv.json"
+    spec.write_text(json.dumps({
+        "name": "fast", "A": [[440]], "C": [[1]], "f": ["0"],
+        "region": {"lower": [-1000], "upper": [1000]}, "T": 1.0,
+    }))
+    code, stdout, stderr = _run(
+        capsys, "convergence", str(spec), "--t-list", "1,0.5,0.25", "--tol", "1e-6",
+        "--out", str(out),
+    )
+    assert code == 3
+    assert stderr == "numerical failure: order 1 at T=1.0: the gap to the exact map is not finite\n"
+    assert stdout == "" and not out.exists()
+
+
+# tiny budgets per command; every command also gets --grid, --pairs and --polish-iters
+_CONTRACT_ARGV = {
+    "constants": [],
+    "verify": ["--order", "3"],
+    "discretize": ["--exact", "--order", "2", "--steps", "3", "--tol", "1e-6"],
+    "convergence": ["--t-list", "0.2,0.1,0.05", "--tol", "1e-6"],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec_dicts(), st.sampled_from(sorted(_CONTRACT_ARGV)))
+def test_every_command_keeps_the_exit_contract_on_drawn_specs(data, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, out = os.path.join(tmp, "spec.json"), os.path.join(tmp, "out.json")
+        with open(spec, "w") as fp:
+            json.dump(data, fp)
+        argv = [command, spec, "--grid", "2", "--pairs", "1000", "--polish-iters", "2",
+                *_CONTRACT_ARGV[command], "--out", out]
+        if command == "discretize":
+            argv.append("--x0=" + ",".join(repr(v) for v in data["region"]["upper"]))
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main(argv)  # an exception that escapes fails the example
+        assert code in (0, 1, 2, 3)
+        assert os.path.exists(out) == (code in (0, 1))
+    assert not [w.message for w in caught if issubclass(w.category, RuntimeWarning)]
+    for line in stderr.getvalue().splitlines():
+        assert line.startswith(("error: ", "numerical failure: ", "warning: ")), line
 
 
 def test_cmd_discretize_nonfinite_constant_input_exits_2(capsys, spec_path):

@@ -24,7 +24,7 @@ from lipdisc import discretize
 from lipdisc import expr as ex
 from lipdisc.expr import ExprEvalError
 
-from conftest import expm, float_bits, sample_points
+from conftest import expm, float_bits, point_array, sample_points
 
 
 def _linear_spec(a, t=0.1):
@@ -230,7 +230,8 @@ def _reference_series(mdl, x, u, bilinear):
     point, which sums the Lie trees instead."""
     s = mdl.spec
     if x.ndim == 1:
-        f_of, hess_of = s._f_template.point_array, s._hess_template.point_array
+        f_of = lambda x, u: point_array(s._f_template, x, u)
+        hess_of = lambda x, u: point_array(s._hess_template, x, u)
         jac_of = s.jacobian
     else:
         f_of, jac_of, hess_of = s.eval_f_batch, s.jacobian_batch, s.second_derivative_batch
@@ -296,7 +297,7 @@ def _signed_zero_points(spec, count, seed):
 def _lie_tree_sum(mdl, x, u):
     """F_T at one point from ``expr.evaluate`` over every entry of the
     spec's Lie terms N_1..N_k, summed as T N_1 + (T^2/2) N_2 + (T^3/6) N_3."""
-    template = mdl.spec._lie_template(mdl.order)
+    template = discretize._lie_template(mdl.spec, mdl.order)
     values = template.const_list.copy()
     for tree, j in template.live:
         values[j] = ex.evaluate(tree, x, u)
@@ -452,7 +453,7 @@ def _reference_exact_step(s, x, u=(), tol=1e-10):
     y = np.asarray(x, dtype=float).copy()
 
     def rhs(state):
-        return s._field_template.point_array(state, u)
+        return point_array(discretize._lie_template(s, 0), state, u)
 
     t = 0.0
     h = t_end
@@ -621,17 +622,32 @@ def test_exact_step_generates_one_integrator_per_spec(bench):
     pend = bench["pendulum"]
     fresh = benchmarks.load("pendulum")
     early = fresh.with_sampling_time(0.05)  # copied before the integrator exists
-    assert fresh._exact_integrator == []
+    assert fresh._discretize_cache == {}
     for spec in (fresh, early, fresh.with_sampling_time(0.3), pend, bench["van-der-pol"]):
         ExactMap(spec)(0.5 * spec.region.upper, 0.5 * spec.input_region.upper)
-    assert len(fresh._exact_integrator) == 1
-    integrate = discretize._integrator(fresh)
+    integrate = fresh._discretize_cache["integrator"]
+    assert discretize._integrator(fresh) is integrate
     assert discretize._integrator(early) is integrate
     assert discretize._integrator(fresh.with_sampling_time(0.2)) is integrate
     # every spec has its own, also one of the same dimension and field
     assert discretize._integrator(pend) is not integrate
     assert discretize._integrator(bench["van-der-pol"]) is not discretize._integrator(pend)
-    assert list(fresh._point_templates) == [0]  # the field's template only
+    assert set(fresh._discretize_cache) == {0, "integrator"}  # the field's template only
+
+
+def test_exact_map_binds_its_integrator_once(bench, monkeypatch):
+    vdp, integrator, bound = bench["van-der-pol"], discretize._integrator, []
+
+    def counted(s):
+        bound.append(s)
+        return integrator(s)
+
+    monkeypatch.setattr(discretize, "_integrator", counted)
+    step = ExactMap(vdp)
+    assert bound == []  # nothing is bound before the first step
+    traj = simulate(step, vdp, [0.1, 0.2], np.zeros((20, 1)))
+    assert np.array(step([0.1, 0.2], [0.0])).tobytes() == traj.states[1].tobytes()
+    assert bound == [vdp]
 
 
 def _plant_counters(monkeypatch, spec):
@@ -643,7 +659,7 @@ def _plant_counters(monkeypatch, spec):
     ``log["fail_after_accept"]`` set, ``sin`` raises OverflowError from
     each accepted trial on until ``log["fail_next"]`` is cleared, and
     ``log["failed"]`` counts the written-out stages that raised."""
-    field = spec._field_template
+    field = discretize._lie_template(spec, 0)
     field.point(0.5 * spec.region.upper, 0.5 * spec.input_region.upper)  # builds the kernel
     kernel, integrate = field.kernel, discretize._integrator(spec)
     log = dict(kernel=0, sin=0, trials=0, accepted=0, failed=0)
@@ -685,7 +701,7 @@ def test_exact_step_evaluates_the_first_stage_once_per_call(bench, probe, monkey
         with monkeypatch.context() as patch:
             log = _plant_counters(patch, spec)
             log["sin"] = 0
-            spec._field_template.point(xs[0], us[0])
+            discretize._lie_template(spec, 0).point(xs[0], us[0])
             per_stage = log["sin"]  # sin calls of one evaluation of F
             for x, u in zip(xs, us):
                 log.update(kernel=0, sin=0, trials=0, accepted=0)
@@ -863,7 +879,7 @@ def test_simulate_order2_beats_order1(bench):
 def _reference_f_t(mdl, x, u):
     """DiscreteModel.f_t's float sum of the Lie terms, as an array."""
     n, t = mdl.spec.n, mdl.spec.sampling_time
-    terms = mdl.spec._lie_template(mdl.order).point(x, u)
+    terms = discretize._lie_template(mdl.spec, mdl.order).point(x, u)
     out = [t * v for v in terms[:n]]
     for l, c in ((1, t * t / 2.0), (2, t**3 / 6.0))[: mdl.order - 1]:
         out = [o + c * v for o, v in zip(out, terms[l * n : l * n + n])]

@@ -217,7 +217,7 @@ def test_power_overflow_saturates_in_both_modes(text, x1, want):
 def test_point_kernel_is_bit_equal_to_the_walk(trees, x, u):
     # a derivative shares subtrees with its tree, so some are computed once
     trees = trees + [differentiate(trees[0], "x1")]
-    kernel = ex.point_kernel(trees, [[i] for i in range(len(trees))])
+    kernel = ex.point_kernel(list(zip(trees, range(len(trees)))))
     try:
         got = kernel(x, u, [None] * len(trees))
     except (ArithmeticError, ValueError, IndexError):
@@ -227,10 +227,14 @@ def test_point_kernel_is_bit_equal_to_the_walk(trees, x, u):
 
 
 def test_point_kernel_fills_every_slot_of_a_tree():
-    kernel = ex.point_kernel([parse("sin(x1)*x1"), parse("-0*x1")], [[3, 0], [1]])
+    # a tree listed twice fills both slots and is computed once
+    tree = parse("sin(x1)*x1")
+    kernel = ex.point_kernel([(tree, 3), (tree, 0), (parse("-0*x1"), 1)])
     out = kernel([0.5], (), [7.0] * 5)
     assert out == [math.sin(0.5) * 0.5, -0.0, 7.0, math.sin(0.5) * 0.5, 7.0]
     assert math.copysign(1.0, out[1]) == -1.0
+    # the load of x1, sin, the product, -0 and its product
+    assert len(kernel.__code__.co_varnames) == 3 + 5
 
 
 def test_point_kernel_walks_a_shared_subtree_once():
@@ -240,7 +244,7 @@ def test_point_kernel_walks_a_shared_subtree_once():
     tree = Var("x", 1)
     for _ in range(80):
         tree = Binary("+", tree, tree)
-    kernel = ex.point_kernel([tree, tree], [[0], [1]])
+    kernel = ex.point_kernel([(tree, 0), (tree, 1)])
     # the load of x1 and one line per level
     assert kernel.__code__.co_varnames == ("x", "u", "out", *(f"t{i}" for i in range(81)))
     assert kernel([0.75], (), [None, None]) == [0.75 * 2.0**80] * 2

@@ -1,15 +1,18 @@
 """SystemSpec validation, evaluation and derivative caching."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from lipdisc import BoxRegion, SpecValidationError, SystemSpec, differentiate, parse
+from lipdisc import discretize
 from lipdisc import expr as ex
 from lipdisc.expr import ExprEvalError, evaluate
 
 from conftest import (
-    batch_column, central_diff, expr_points, expr_trees, float_bits, sample_points
+    batch_column, central_diff, expr_points, expr_trees, float_bits, point_array, sample_points
 )
 
 
@@ -101,12 +104,12 @@ def test_region_without_origin_warns():
 
 def _f(spec, x, u=()):
     """f at one point through the spec's point kernel."""
-    return spec._f_template.point_array(x, u)
+    return point_array(spec._f_template, x, u)
 
 
 def _hess(spec, x, u=()):
     """d^2 f/dx^2 at one point through the spec's point kernel."""
-    return spec._hess_template.point_array(x, u)
+    return point_array(spec._hess_template, x, u)
 
 
 def test_eval_f_examples(bench):
@@ -234,7 +237,7 @@ def test_templated_batch_derivatives_equal_per_entry_evaluation(bench, probe, ro
     for spec in [*bench.values(), probe, _domain_error_spec()]:
         xs, us = sample_points(spec, rows, seed=5)
         batch = (spec.eval_f_batch, spec.jacobian_batch, spec.second_derivative_batch)
-        point = (spec._f_template.point_array, spec.jacobian, spec._hess_template.point_array)
+        point = (partial(_f, spec), spec.jacobian, partial(_hess, spec))
         for (trees, shape), of_batch, of_point in zip(_entry_trees(spec), batch, point):
             want = _per_entry_stack(trees, shape, xs, us)
             got = of_batch(xs, us)
@@ -256,7 +259,7 @@ def test_templated_batch_derivatives_equal_per_entry_evaluation(bench, probe, ro
 def _assert_point_matches_walk(spec, x, u):
     """f, J and H at one point have the bits of the walk over every
     entry, or raise the walk's error for the first failing entry."""
-    point = (spec._f_template.point_array, spec.jacobian, spec._hess_template.point_array)
+    point = (partial(_f, spec), spec.jacobian, partial(_hess, spec))
     for (trees, shape), of_point in zip(_entry_trees(spec), point):
         want = _per_entry_point(trees, shape, x, u)
         if isinstance(want, ExprEvalError):
@@ -343,9 +346,10 @@ def test_with_sampling_time_shares_the_templates(bench, probe):
         for name in ("_f_template", "_jac_template", "_hess_template"):
             assert getattr(fast, name) is getattr(spec, name)
         # the point templates too, whichever side builds them
-        assert fast._field_template is spec._field_template
+        assert fast._discretize_cache is spec._discretize_cache
+        assert discretize._lie_template(fast, 0) is discretize._lie_template(spec, 0)
         for order in (1, 2, 3):
-            assert spec._lie_template(order) is fast._lie_template(order)
+            assert discretize._lie_template(spec, order) is discretize._lie_template(fast, order)
         for point in (_f, SystemSpec.jacobian, _hess):
             assert point(fast, x, u).tobytes() == point(spec, x, u).tobytes()
     for t in (0.0, -0.1, float("nan")):

@@ -322,18 +322,18 @@ def test_convergence_study_compiles_one_lie_kernel_per_order(monkeypatch):
     compiled = []
     point_kernel = ex.point_kernel
 
-    def counted(trees, slots):
-        compiled.append(len(trees))
-        return point_kernel(trees, slots)
+    def counted(live):
+        compiled.append(len(live))
+        return point_kernel(live)
 
     monkeypatch.setattr(ex, "point_kernel", counted)
     convergence_study(spec, [1, 2, 3], [0.2, 0.1, 0.05, 0.025])
     # one Lie kernel per order, shared by all four T; the field's template
     # feeds the integrator, whose kernel is built only for a fallback
-    assert sorted(spec._point_templates) == [0, 1, 2, 3]
-    assert len(compiled) == 3 and spec._field_template.kernel is None
-    # and one integrator, generated into the slot that the copies share
-    assert len(spec._exact_integrator) == 1
+    cache = spec._discretize_cache
+    assert set(cache) == {0, 1, 2, 3, "integrator"}
+    assert len(compiled) == 3 and cache[0].kernel is None
+    # and one integrator, generated into the cache that the copies share
 
 
 def _reference_local_errors(s, orders, t_values, seed, tol):
