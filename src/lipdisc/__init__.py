@@ -4,7 +4,7 @@ with empirical verification of discrete Lipschitz constant formulas."""
 __version__ = "0.1.0"
 
 from . import benchmarks
-from .bounds import BoundResult, UnsupportedOrderError, evaluate_bounds, gamma_d, rho_d
+from .bounds import UnsupportedOrderError, evaluate_bounds, gamma_d, rho_d
 from .constants import ConstantEstimates, SamplingConfig, estimate_all
 from .discretize import (
     DiscreteModel,
@@ -36,7 +36,6 @@ from .verify import (
 __all__ = [
     "__version__",
     "benchmarks",
-    "BoundResult",
     "BoxRegion",
     "ConstantEstimates",
     "ConvergenceStudy",

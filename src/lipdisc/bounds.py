@@ -19,13 +19,14 @@ There is no order-3 one-sided formula.  The formulas are transcribed
 as derived, not tightened: in particular the order-2 derivation bounds
 the Jacobian difference term without the Jacobian's own variation, so
 domination over the measured constant is checked empirically by the
-verify module rather than assumed.
+verify module rather than assumed.  ``evaluate_bounds`` returns both
+formulas of one order keyed by constant name, the keys the verify
+report is keyed by.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .constants import ConstantEstimates
 from .discretize import ORDERS
@@ -88,16 +89,9 @@ def rho_d(order: int, t: float, c: ConstantEstimates) -> float:
     return t * rho + (t * t / 2.0) * sigma * (rho + gamma + rho * gamma)
 
 
-@dataclass
-class BoundResult:
-    order: int
-    sampling_time: float
-    gamma_d: float
-    rho_d: float | None  # absent for order 3
-
-
-def evaluate_bounds(order: int, t: float, c: ConstantEstimates) -> BoundResult:
-    """Both formula constants for one order (rho_d absent at order 3).
+def evaluate_bounds(order: int, t: float, c: ConstantEstimates) -> dict:
+    """Both formula constants for one order, keyed ``gamma_d`` and
+    ``rho_d`` (``rho_d`` None at order 3).
 
     A formula that overflows or is not finite raises NumericalError."""
     try:
@@ -107,4 +101,4 @@ def evaluate_bounds(order: int, t: float, c: ConstantEstimates) -> BoundResult:
         gamma = rho = math.inf
     if not all(math.isfinite(v) for v in (gamma, rho) if v is not None):
         raise NumericalError(f"the order-{order} bound formula overflows at T = {t}")
-    return BoundResult(order=order, sampling_time=t, gamma_d=gamma, rho_d=rho)
+    return {"gamma_d": gamma, "rho_d": rho}

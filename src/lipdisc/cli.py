@@ -259,38 +259,25 @@ def cmd_constants(args, s: SystemSpec) -> tuple[int, dict]:
 def cmd_bounds(args, s: SystemSpec) -> tuple[int, dict]:
     est = estimate_all(s, _sampling_config(args))
     orders = [args.order] if args.order else ORDERS
-    rows = [evaluate_bounds(k, s.sampling_time, est) for k in orders]
+    t = s.sampling_time
+    rows = [{"order": k, "T": t, **evaluate_bounds(k, t, est)} for k in orders]
     for row in rows:
-        rho = "n/a" if row.rho_d is None else f"{row.rho_d:.12g}"
-        print(f"order {row.order}: gamma_d = {row.gamma_d:.12g}  rho_d = {rho}")
-    return EXIT_OK, {
-        "constants": est.to_jsonable(),
-        "bounds": [
-            {"order": r.order, "T": r.sampling_time, "gamma_d": r.gamma_d, "rho_d": r.rho_d}
-            for r in rows
-        ],
-    }
+        rho = "n/a" if row["rho_d"] is None else f"{row['rho_d']:.12g}"
+        print(f"order {row['order']}: gamma_d = {row['gamma_d']:.12g}  rho_d = {rho}")
+    return EXIT_OK, {"constants": est.to_jsonable(), "bounds": rows}
 
 
 def cmd_verify(args, s: SystemSpec) -> tuple[int, dict]:
     report = verify_bounds(s, args.order, _sampling_config(args))
     print(f"system {s.name}, order {report.order}, T = {report.sampling_time}")
-    print(
-        f"  gamma_d: formula {report.formula_gamma_d:.12g}  "
-        f"empirical {report.empirical_gamma_d:.12g}  "
-        f"margin {report.gamma_margin:.3e}  "
-        f"{'PASS' if report.gamma_pass else 'VIOLATED'}"
-    )
-    if report.formula_rho_d is None:
-        print(f"  rho_d:   no formula at order {report.order} "
-              f"(empirical {report.empirical_rho_d:.12g})")
-    else:
-        print(
-            f"  rho_d:   formula {report.formula_rho_d:.12g}  "
-            f"empirical {report.empirical_rho_d:.12g}  "
-            f"margin {report.rho_margin:.3e}  "
-            f"{'PASS' if report.rho_pass else 'VIOLATED'}"
-        )
+    for key, formula in report.bounds.items():
+        empirical = f"empirical {report.empirical[key][0]:.12g}"
+        if formula is None:
+            print(f"  {key + ':':<8} no formula at order {report.order} ({empirical})")
+        else:
+            verdict = "PASS" if report.passed[key] else "VIOLATED"
+            print(f"  {key + ':':<8} formula {formula:.12g}  {empirical}  "
+                  f"margin {report.margins[key]:.3e}  {verdict}")
     return (EXIT_OK if report.all_passed else EXIT_VIOLATION), report.to_jsonable()
 
 

@@ -21,13 +21,16 @@ overflows raises NumericalError.  A bound passes when
     tol_verify = 1e-9 + 1e-6 |formula|,
 
 absolute plus relative slack that absorbs floating-point noise without
-hiding real violations.  Witness pairs are always included so a
-violation can be reproduced from the report alone.
+hiding real violations.  The report keeps one record per checked
+constant, keyed ``gamma_d`` and ``rho_d`` like ``bounds.evaluate_bounds``,
+and one rule gives every key its margin, tolerance and pass flag
+(None for all three where the order has no formula).  Witness pairs are
+always included so a violation can be reproduced from the report alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -53,55 +56,50 @@ def verify_tolerance(formula: float) -> float:
 
 @dataclass
 class VerificationReport:
+    """One order's check, keyed by constant name (``gamma_d``, ``rho_d``):
+    ``bounds`` maps each to its formula value (None without a formula)
+    and ``empirical`` to its measured (value, witness).  ``margins``,
+    ``tolerances`` and ``passed`` derive from those two by one rule; a
+    constant without a formula reads None in all three."""
+
     system: str
     order: int
     sampling_time: float
     constants: ConstantEstimates
-    formula_gamma_d: float
-    formula_rho_d: float | None
-    empirical_gamma_d: float
-    empirical_gamma_witness: dict
-    empirical_rho_d: float
-    empirical_rho_witness: dict
+    bounds: dict
+    empirical: dict
     full_map_gamma_d: float
-    gamma_margin: float
-    rho_margin: float | None
-    gamma_pass: bool
-    rho_pass: bool | None
-    gamma_tol: float
-    rho_tol: float | None
     config: SamplingConfig
     timestamp: str
+    margins: dict = field(init=False)
+    tolerances: dict = field(init=False)
+    passed: dict = field(init=False)
+
+    def __post_init__(self):
+        self.margins, self.tolerances, self.passed = {}, {}, {}
+        for key, formula in self.bounds.items():
+            margin = tol = ok = None
+            if formula is not None:
+                margin, tol = formula - self.empirical[key][0], verify_tolerance(formula)
+                ok = margin >= -tol
+            self.margins[key], self.tolerances[key], self.passed[key] = margin, tol, ok
 
     @property
     def all_passed(self) -> bool:
-        return self.gamma_pass and (self.rho_pass is not False)
+        return all(ok is not False for ok in self.passed.values())
 
     def to_jsonable(self) -> dict:
+        empirical = {key: {"value": v, "witness": w} for key, (v, w) in self.empirical.items()}
         return {
             "system": self.system,
             "order": self.order,
             "T": self.sampling_time,
             "constants": self.constants.to_jsonable(),
-            "bounds": {"gamma_d": self.formula_gamma_d, "rho_d": self.formula_rho_d},
-            "empirical": {
-                "gamma_d": {
-                    "value": self.empirical_gamma_d,
-                    "witness": self.empirical_gamma_witness,
-                },
-                "rho_d": {
-                    "value": self.empirical_rho_d,
-                    "witness": self.empirical_rho_witness,
-                },
-                "full_map_gamma_d": self.full_map_gamma_d,
-            },
-            "margins": {"gamma_d": self.gamma_margin, "rho_d": self.rho_margin},
-            "tolerances": {"gamma_d": self.gamma_tol, "rho_d": self.rho_tol},
-            "passed": {
-                "gamma_d": self.gamma_pass,
-                "rho_d": self.rho_pass,
-                "all": self.all_passed,
-            },
+            "bounds": dict(self.bounds),
+            "empirical": {**empirical, "full_map_gamma_d": self.full_map_gamma_d},
+            "margins": dict(self.margins),
+            "tolerances": dict(self.tolerances),
+            "passed": {**self.passed, "all": self.all_passed},
             "config": self.config.to_jsonable(),
             "timestamp": self.timestamp,
         }
@@ -124,44 +122,21 @@ def verify_bounds(s: SystemSpec, order: int, cfg: SamplingConfig) -> Verificatio
         # the complete map a_d x + F_T, reported for information
         yield a @ mdl.a_d.T + m1, b @ mdl.a_d.T + m2
 
-    rho_c, gamma_d, rho_d, full_map = sup_pair_quotient(
-        pairs, images, (True, False, True, False)
-    )
+    rho_c, *checked, full_map = sup_pair_quotient(pairs, images, (True, False, True, False))
     constants = estimate_all(s, cfg, rho_c=rho_c)
     t = s.sampling_time
-    result = bnd.evaluate_bounds(order, t, constants)
-    emp_gamma, gamma_wit = gamma_d.result("empirical gamma_d")
-    emp_rho, rho_wit = rho_d.result("empirical rho_d")
+    bounds = bnd.evaluate_bounds(order, t, constants)
+    # F_T's two-sided and one-sided quotients, in the order of the keys
+    empirical = {key: sup.result(f"empirical {key}") for key, sup in zip(bounds, checked)}
     full_map, _ = full_map.result("full-map gamma_d")
-
-    gamma_tol = verify_tolerance(result.gamma_d)
-    gamma_margin = result.gamma_d - emp_gamma
-    gamma_pass = gamma_margin >= -gamma_tol
-    if result.rho_d is None:
-        rho_tol = rho_margin = rho_pass = None
-    else:
-        rho_tol = verify_tolerance(result.rho_d)
-        rho_margin = result.rho_d - emp_rho
-        rho_pass = rho_margin >= -rho_tol
-
     return VerificationReport(
         system=s.name,
         order=order,
         sampling_time=t,
         constants=constants,
-        formula_gamma_d=result.gamma_d,
-        formula_rho_d=result.rho_d,
-        empirical_gamma_d=emp_gamma,
-        empirical_gamma_witness=gamma_wit,
-        empirical_rho_d=emp_rho,
-        empirical_rho_witness=rho_wit,
+        bounds=bounds,
+        empirical=empirical,
         full_map_gamma_d=full_map,
-        gamma_margin=gamma_margin,
-        rho_margin=rho_margin,
-        gamma_pass=gamma_pass,
-        rho_pass=rho_pass,
-        gamma_tol=gamma_tol,
-        rho_tol=rho_tol,
         config=cfg,
         timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )

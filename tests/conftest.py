@@ -20,8 +20,10 @@ from lipdisc.system import _Template
 
 # ``--hypothesis-profile=ci`` runs the same examples on every run and
 # keeps no example database, so a failure in CI reproduces locally with
-# the same flag; without it, runs draw new examples
+# the same flag; without it, runs draw new examples. ``fuzz`` does the
+# same at 1,500 examples a test, for the exit-contract test outside tier 1
 settings.register_profile("ci", derandomize=True, database=None)
+settings.register_profile("fuzz", derandomize=True, database=None, max_examples=1500)
 
 
 @pytest.fixture(scope="session")
@@ -96,10 +98,10 @@ def _boxes(dim):
 
 @st.composite
 def spec_dicts(draw):
-    """JSON spec objects with n <= 2 states and m <= 1 inputs, f as text,
+    """JSON spec objects with n <= 3 states and m <= 1 inputs, f as text,
     A and C with entries in [-10, 10], boxes within +-1e3 (not always
     around the origin) and T in {0.01, 0.1, 1}."""
-    n, m = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    n, m = draw(st.integers(1, 3)), draw(st.integers(0, 1))
     matrix = lambda rows: st.lists(
         st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n), min_size=rows, max_size=rows
     )

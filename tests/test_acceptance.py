@@ -175,12 +175,12 @@ def test_criterion_6_bound_domination_small_t(bench, default_cfg):
         spec_t = spec.with_sampling_time(0.05)
         for order in (1, 2, 3):
             report = verify_bounds(spec_t, order, default_cfg)
-            ok = ok and report.gamma_pass and (report.rho_pass is not False)
+            ok = ok and report.passed["gamma_d"] and (report.passed["rho_d"] is not False)
             details.append(
-                f"{name} k={order}: gamma margin {report.gamma_margin:.2e}"
+                f"{name} k={order}: gamma margin {report.margins['gamma_d']:.2e}"
                 + (
-                    f", rho margin {report.rho_margin:.2e}"
-                    if report.rho_margin is not None
+                    f", rho margin {report.margins['rho_d']:.2e}"
+                    if report.margins["rho_d"] is not None
                     else ""
                 )
             )

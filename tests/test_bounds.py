@@ -127,7 +127,8 @@ def test_rho_order1_odd_in_rho_c():
 def test_evaluate_bounds_bundle():
     c = _c(gamma=1.0, rho=0.5, beta=1.0, big_m=1.0, sigma=1.0)
     r2 = evaluate_bounds(2, 0.1, c)
-    assert r2.rho_d is not None
+    assert list(r2) == ["gamma_d", "rho_d"]
+    assert r2 == {"gamma_d": gamma_d(2, 0.1, c), "rho_d": rho_d(2, 0.1, c)}
     r3 = evaluate_bounds(3, 0.1, c)
-    assert r3.rho_d is None
-    assert r3.gamma_d > r2.gamma_d
+    assert r3 == {"gamma_d": gamma_d(3, 0.1, c), "rho_d": None}
+    assert r3["gamma_d"] > r2["gamma_d"]

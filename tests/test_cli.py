@@ -678,6 +678,11 @@ def test_cmd_bounds_all_orders(capsys, spec_path, tmp_path):
         capsys, "bounds", spec_path("pendulum"), "--out", str(out), "--pairs", "2000"
     )
     assert code == 0
+    assert stdout == (
+        "order 1: gamma_d = 0.1  rho_d = 0.0499999999996\n"
+        "order 2: gamma_d = 0.116180339887  rho_d = 0.061180339887\n"
+        "order 3: gamma_d = 0.118009438937  rho_d = n/a\n"
+    )
     payload = json.loads(out.read_text())
     jsonschema.validate(payload, OUTPUT_SCHEMAS["bounds"])
     rows = {row["order"]: row for row in payload["bounds"]}
@@ -703,6 +708,25 @@ def test_cmd_verify_pendulum_order1_passes(capsys, spec_path, tmp_path):
     assert abs(payload["margins"]["gamma_d"]) <= 1e-6
 
 
+@pytest.mark.parametrize("name, order, lines", [
+    ("pendulum", "2", [
+        "system pendulum, order 2, T = 0.1",
+        "  gamma_d: formula 0.116180339887  empirical 0.0976534056361  margin 1.853e-02  PASS",
+        "  rho_d:   formula 0.061180339887  empirical 0.0437499999997  margin 1.743e-02  PASS",
+    ]),
+    ("van-der-pol", "3", [
+        "system van-der-pol, order 3, T = 0.1",
+        "  gamma_d: formula 0.282779461256  empirical 0.205065226965  margin 7.771e-02  PASS",
+        "  rho_d:   no formula at order 3 (empirical 0.068055678526)",
+    ]),
+])
+def test_cmd_verify_prints_one_line_per_constant(capsys, spec_path, name, order, lines):
+    code, stdout, _ = _run(capsys, "verify", spec_path(name), "--order", order,
+                           "--pairs", "2000", "--grid", "5", "--polish-iters", "2")
+    assert code == 0
+    assert stdout == "".join(line + "\n" for line in lines)
+
+
 def test_cmd_verify_linear_any_order(capsys, spec_path, tmp_path):
     for order in ("1", "2", "3"):
         code, _, _ = _run(
@@ -722,7 +746,11 @@ def test_cmd_verify_large_t_violation_is_exit_1(capsys, spec_path, tmp_path):
         "--out", str(out), "--pairs", "4000",
     )
     assert code == 1
-    assert "VIOLATED" in stdout
+    assert stdout == (
+        "system cubic-scalar, order 2, T = 1.0\n"
+        "  gamma_d: formula 84  empirical 107.998860006  margin -2.400e+01  VIOLATED\n"
+        "  rho_d:   formula -1e-10  empirical 107.998860006  margin -1.080e+02  VIOLATED\n"
+    )
     payload = json.loads(out.read_text())
     jsonschema.validate(payload, OUTPUT_SCHEMAS["verify"])
     assert payload["passed"]["all"] is False
@@ -865,13 +893,15 @@ def test_cmd_convergence_with_a_gap_that_overflows_exits_3(capsys, tmp_path):
 # tiny budgets per command; every command also gets --grid, --pairs and --polish-iters
 _CONTRACT_ARGV = {
     "constants": [],
+    "bounds": [],
     "verify": ["--order", "3"],
     "discretize": ["--exact", "--order", "2", "--steps", "3", "--tol", "1e-6"],
     "convergence": ["--t-list", "0.2,0.1,0.05", "--tol", "1e-6"],
 }
 
 
-@settings(max_examples=100, deadline=None)
+# the example count is the profile's: 100 by default and under ci, more under fuzz
+@settings(deadline=None)
 @given(spec_dicts(), st.sampled_from(sorted(_CONTRACT_ARGV)))
 def test_every_command_keeps_the_exit_contract_on_drawn_specs(data, command):
     with tempfile.TemporaryDirectory() as tmp:
@@ -889,6 +919,9 @@ def test_every_command_keeps_the_exit_contract_on_drawn_specs(data, command):
             code = main(argv)  # an exception that escapes fails the example
         assert code in (0, 1, 2, 3)
         assert os.path.exists(out) == (code in (0, 1))
+        if code in (0, 1):
+            with open(out) as fp:
+                jsonschema.validate(json.load(fp), OUTPUT_SCHEMAS[command])
     assert not [w.message for w in caught if issubclass(w.category, RuntimeWarning)]
     for line in stderr.getvalue().splitlines():
         assert line.startswith(("error: ", "numerical failure: ", "warning: ")), line

@@ -13,4 +13,5 @@ def test_library_use_block_runs():
     namespace = {}
     exec(compile(block, f"{README}: Library use", "exec"), namespace)
     assert namespace["est"].gamma_c > 0.0
+    assert namespace["ok"] is True and namespace["value"] <= namespace["formula"]
     assert namespace["gamma_d"] > 0.0 and set(namespace["witness"]) == {"x1", "x2", "u"}

@@ -72,12 +72,12 @@ def test_shared_pair_pass_matches_separate_estimators(bench, probe, order):
             lambda x, u: x @ mdl.a_d.T + mdl.f_t_batch(x, u), spec, cfg, one_sided=False
         )
         rho_c, rho_c_wit = rho_c_of(spec, cfg)
-        assert report.empirical_gamma_d.hex() == gamma.hex(), spec.name
-        assert report.empirical_rho_d.hex() == rho.hex(), spec.name
+        assert report.empirical["gamma_d"][0].hex() == gamma.hex(), spec.name
+        assert report.empirical["rho_d"][0].hex() == rho.hex(), spec.name
         assert report.full_map_gamma_d.hex() == full.hex(), spec.name
         assert report.constants.rho_c.hex() == rho_c.hex(), spec.name
-        assert report.empirical_gamma_witness == gamma_wit
-        assert report.empirical_rho_witness == rho_wit
+        assert report.empirical["gamma_d"][1] == gamma_wit
+        assert report.empirical["rho_d"][1] == rho_wit
         assert report.constants.witnesses["rho_c"] == rho_c_wit
 
 
@@ -116,8 +116,8 @@ def test_streamed_pair_pass_equals_the_whole_array_reference(bench, probe, chunk
             rho_c, gamma_d, rho_d, full = _whole_array_pair_pass(spec, order, cfg)
             got = [
                 (report.constants.rho_c, report.constants.witnesses["rho_c"]),
-                (report.empirical_gamma_d, report.empirical_gamma_witness),
-                (report.empirical_rho_d, report.empirical_rho_witness),
+                report.empirical["gamma_d"],
+                report.empirical["rho_d"],
                 (report.full_map_gamma_d, full[1]),  # its witness is not reported
             ]
             want = [rho_c, gamma_d, rho_d, full]
@@ -193,9 +193,9 @@ def test_zero_nonlinearity_yields_zero_everything(bench, fast_cfg):
     spec = bench["linear-2d"]
     for order in (1, 2, 3):
         report = verify_bounds(spec, order, fast_cfg)
-        assert report.formula_gamma_d == 0.0
-        assert report.empirical_gamma_d == 0.0
-        assert report.empirical_rho_d == 0.0
+        assert report.bounds["gamma_d"] == 0.0
+        assert report.empirical["gamma_d"][0] == 0.0
+        assert report.empirical["rho_d"][0] == 0.0
         assert report.all_passed
 
 
@@ -209,8 +209,8 @@ def test_negative_cubic_order1_one_sided_near_zero(fast_cfg, bench):
 
 def test_pendulum_order2_bound_dominates(bench, fast_cfg):
     report = verify_bounds(bench["pendulum"], 2, fast_cfg)
-    assert report.empirical_gamma_d <= report.formula_gamma_d
-    assert report.empirical_rho_d <= report.formula_rho_d
+    assert report.empirical["gamma_d"][0] <= report.bounds["gamma_d"]
+    assert report.empirical["rho_d"][0] <= report.bounds["rho_d"]
     assert report.all_passed
 
 
@@ -228,16 +228,17 @@ def test_order2_rho_d_formula_dominates_with_a_zero_a(fast_cfg):
         region=BoxRegion([-1.0], [1.0]), sampling_time=0.1,
     )
     report = verify_bounds(spec, 2, fast_cfg)
-    assert report.empirical_rho_d == pytest.approx(0.105, rel=1e-9)
-    assert report.formula_rho_d >= report.empirical_rho_d
+    assert report.empirical["rho_d"][0] == pytest.approx(0.105, rel=1e-9)
+    assert report.bounds["rho_d"] >= report.empirical["rho_d"][0]
 
 
 def test_order3_report_has_no_rho_formula(bench, fast_cfg):
     report = verify_bounds(bench["pendulum"], 3, fast_cfg)
-    assert report.formula_rho_d is None
-    assert report.rho_pass is None
-    assert report.rho_margin is None
-    assert np.isfinite(report.empirical_rho_d)
+    assert report.bounds["rho_d"] is None
+    assert report.passed["rho_d"] is None
+    assert report.margins["rho_d"] is None
+    assert report.tolerances["rho_d"] is None
+    assert np.isfinite(report.empirical["rho_d"][0])
 
 
 def test_report_is_deterministic_for_fixed_seed(bench, fast_cfg):
@@ -252,13 +253,14 @@ def test_report_is_deterministic_for_fixed_seed(bench, fast_cfg):
 
 def test_margins_are_exact_differences(bench, fast_cfg):
     report = verify_bounds(bench["pendulum"], 2, fast_cfg)
-    assert report.gamma_margin == report.formula_gamma_d - report.empirical_gamma_d
-    assert report.rho_margin == report.formula_rho_d - report.empirical_rho_d
+    for key in ("gamma_d", "rho_d"):
+        assert report.margins[key] == report.bounds[key] - report.empirical[key][0]
+        assert report.tolerances[key] == verify_tolerance(report.bounds[key])
 
 
 def test_witnesses_reported(bench, fast_cfg):
     report = verify_bounds(bench["pendulum"], 2, fast_cfg)
-    for witness in (report.empirical_gamma_witness, report.empirical_rho_witness):
+    for witness in (report.empirical["gamma_d"][1], report.empirical["rho_d"][1]):
         assert set(witness) == {"x1", "x2", "u"}
         assert len(witness["x1"]) == 2
 
