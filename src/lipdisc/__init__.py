@@ -4,16 +4,9 @@ with empirical verification of discrete Lipschitz constant formulas."""
 __version__ = "0.1.0"
 
 from . import benchmarks
-from .bounds import UnsupportedOrderError, evaluate_bounds, gamma_d, rho_d
+from .bounds import evaluate_bounds
 from .constants import ConstantEstimates, SamplingConfig, estimate_all
-from .discretize import (
-    DiscreteModel,
-    ExactMap,
-    IntegrationError,
-    Trajectory,
-    build_taylor_model,
-    simulate,
-)
+from .discretize import DiscreteModel, ExactMap, IntegrationError, Trajectory, simulate
 from .expr import (
     ExprError,
     ExprEvalError,
@@ -24,7 +17,7 @@ from .expr import (
     parse,
     unparse,
 )
-from .linalg import NumericalError, max_singular_value
+from .linalg import NumericalError
 from .system import BoxRegion, SpecValidationError, SystemSpec
 from .verify import (
     ConvergenceStudy,
@@ -51,18 +44,13 @@ __all__ = [
     "SpecValidationError",
     "SystemSpec",
     "Trajectory",
-    "UnsupportedOrderError",
     "VerificationReport",
-    "build_taylor_model",
     "convergence_study",
     "differentiate",
     "estimate_all",
     "evaluate",
     "evaluate_bounds",
-    "gamma_d",
-    "max_singular_value",
     "parse",
-    "rho_d",
     "simulate",
     "unparse",
     "verify_bounds",

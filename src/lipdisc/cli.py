@@ -21,7 +21,7 @@ from . import __version__
 from .bounds import evaluate_bounds
 from .constants import NumericalError, SamplingConfig, estimate_all
 from .discretize import (
-    ORDERS, ExactMap, IntegrationError, _check_tol, _input_rows, build_taylor_model, simulate
+    ORDERS, DiscreteModel, ExactMap, IntegrationError, _check_tol, _input_rows, simulate
 )
 from .expr import ExprError
 from .system import SpecValidationError, SystemSpec
@@ -200,12 +200,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"lipdisc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)  # the flags of every subcommand
+    cfg = SamplingConfig()  # the library owns every default
     common.add_argument("spec", help="system spec JSON file")
-    common.add_argument("--seed", type=int, default=42, help="sampling seed")
-    common.add_argument("--pairs", type=int, default=20_000, help="pair budget")
-    common.add_argument("--grid", type=int, default=21, help="grid points per axis")
+    common.add_argument("--seed", type=int, default=cfg.seed, help="sampling seed")
+    common.add_argument("--pairs", type=int, default=cfg.pair_budget, help="pair budget")
+    common.add_argument("--grid", type=int, default=cfg.grid_per_axis, help="grid points per axis")
     common.add_argument(
-        "--polish-iters", dest="polish_iters", type=int, default=40,
+        "--polish-iters", dest="polish_iters", type=int, default=cfg.polish_iters,
         help="coordinate-descent polish iterations",
     )
     common.add_argument("--out", help="write the result as JSON")
@@ -230,13 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_disc.add_argument("--steps", type=int, default=50)
     p_disc.add_argument("--exact", action="store_true",
                         help="add the integrated reference trajectory and errors")
-    p_disc.add_argument("--tol", type=float, default=1e-10, help="integrator tolerance")
+    p_disc.add_argument("--tol", type=float, default=ExactMap.tol, help="integrator tolerance")
 
     p_conv = sub.add_parser("convergence", parents=[common], help="local-error order study")
     p_conv.add_argument("--orders", default="1,2,3", help="comma-separated orders")
     p_conv.add_argument("--t-list", dest="t_list", default="0.2,0.1,0.05,0.025",
                         help="comma-separated sampling times (>= 3)")
-    p_conv.add_argument("--tol", type=float, default=1e-10, help="integrator tolerance")
+    p_conv.add_argument("--tol", type=float, default=ExactMap.tol, help="integrator tolerance")
 
     return parser
 
@@ -312,7 +313,7 @@ def cmd_discretize(args, s: SystemSpec) -> tuple[int, dict]:
     _sampling_config(args)  # unused here, but echoed into --out: reject a bad value
     x0 = _parse_vector(args.x0, "--x0")
     u_seq = _input_sequence(args, s)
-    mdl = build_taylor_model(s, args.order)
+    mdl = DiscreteModel(s, args.order)
     traj = simulate(mdl, s, x0, u_seq)
     body = {
         "order": args.order,

@@ -68,7 +68,7 @@ import numpy as np
 
 from . import discretize
 from .expr import ExprError
-from .linalg import NumericalError, _power_iteration, max_singular_value, max_singular_values
+from .linalg import NumericalError, _power_iteration, max_singular_values
 from .system import SpecValidationError, SystemSpec
 
 _GRID_CAP = 1_000_000  # total grid points across all axes
@@ -515,10 +515,10 @@ def estimate_all(
     rho, rho_w = rho_c.result("rho_c")
     rho_c = pairs = None  # the pair sample dies before the beta pass
     beta, big_m, bm_w = estimate_beta_and_m(s, pts)
-    try:
-        sigma = max_singular_value(s.a)
-    except NumericalError as err:
-        raise NumericalError(f"sigma_bar_a: {err}") from None
+    sigma = float(max_singular_values(s.a[None])[0])
+    if not math.isfinite(sigma):
+        failure = "the 2-norm overflows" if sigma > 0 else "LAPACK eigvalsh failed"
+        raise NumericalError(f"sigma_bar_a: {failure}")
     witnesses = {"gamma_c": gamma_w, "rho_c": rho_w, **bm_w}
     return ConstantEstimates(
         gamma_c=gamma,

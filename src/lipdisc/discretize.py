@@ -43,15 +43,19 @@ does, and each step reuses its last stage as the next step's first.
 
 Both one-step maps, a :class:`DiscreteModel` and an :class:`ExactMap`,
 are callables (x, u) -> list of floats, which :func:`simulate` iterates.
+Each checks its arguments when it is built: ``DiscreteModel(spec, k)``
+takes k by the order rule of :func:`_check_order`, which the bound
+formulas share, and sums its own a_d.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,6 +64,14 @@ from .system import SpecValidationError, SystemSpec, _Template
 
 ORDERS = (1, 2, 3)  # the Taylor-Lie orders with a model and a bound formula
 _CHUNK_ROWS = 16_384  # rows per F_T batch chunk; bounds the Hessian's memory
+
+
+def _check_order(order, path: str = "order") -> int:
+    """The order rule: an integer in :data:`ORDERS`, not a bool, returned
+    as an ``int``; ``path`` names the parameter in the error."""
+    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order not in ORDERS:
+        raise SpecValidationError(path, f"must be one of {ORDERS}, got {order!r}")
+    return int(order)
 
 
 class IntegrationError(RuntimeError):
@@ -74,12 +86,24 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class DiscreteModel:
-    """Order-k ZOH model x_{k+1} = a_d x_k + F_T(x_k, u_k); calling it
-    takes one step."""
+    """Order-k ZOH model x_{k+1} = a_d x_k + F_T(x_k, u_k), k in
+    :data:`ORDERS`; calling it takes one step."""
 
     spec: SystemSpec
     order: int
-    a_d: np.ndarray
+    a_d: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        """Check the order and sum a_d = I + T A + (T^2/2) A^2 + (T^3/6) A^3
+        through T^k once, when the model is built."""
+        order, s, t = _check_order(self.order), self.spec, self.spec.sampling_time
+        a_d = np.eye(s.n) + t * s.a
+        if order >= 2:
+            a_d = a_d + (t * t / 2.0) * (s.a @ s.a)
+        if order >= 3:
+            a_d = a_d + (t**3 / 6.0) * (s.a @ s.a @ s.a)
+        object.__setattr__(self, "order", order)  # a numpy integer as an int
+        object.__setattr__(self, "a_d", a_d)
 
     def __call__(self, x, u=()) -> list:
         """a_d x + F_T(x, u) at one point, as a list of floats; a_d x is
@@ -235,20 +259,6 @@ def _lie_template(s: SystemSpec, order: int) -> _Template:
             ])
         cache[order] = _Template(sum(terms, []), (order, n) if order else (n,))
     return cache[order]
-
-
-def build_taylor_model(s: SystemSpec, order: int) -> DiscreteModel:
-    """Order-k ZOH Taylor-Lie model, k in :data:`ORDERS`."""
-    if order not in ORDERS:
-        raise SpecValidationError("order", f"must be one of {ORDERS}, got {order!r}")
-    t = s.sampling_time
-    n = s.n
-    a_d = np.eye(n) + t * s.a
-    if order >= 2:
-        a_d = a_d + (t * t / 2.0) * (s.a @ s.a)
-    if order >= 3:
-        a_d = a_d + (t**3 / 6.0) * (s.a @ s.a @ s.a)
-    return DiscreteModel(spec=s, order=order, a_d=a_d)
 
 
 # ---------------------------------------------------------------------------

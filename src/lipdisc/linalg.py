@@ -1,10 +1,12 @@
 """Dense linear algebra kernels: the induced 2-norm.
 
 Matrices are plain float ndarrays of shape (n, m).  All functions are
-pure and deterministic.  There is one 2-norm kernel,
-``max_singular_values`` over a (k, n, m) stack; ``max_singular_value``
-is its one-matrix case.  ``_power_iteration`` has one job left: the
-grid's band re-rank in ``constants._norm_rows``.
+pure and deterministic.  There is one 2-norm entry point,
+``max_singular_values`` over a (k, n, m) stack; one matrix ``a`` is the
+stack ``a[None]``.  It reports a failure as NaN and an overflow as inf,
+and each caller names the constant in the NumericalError it raises.
+``_power_iteration`` has one job left: the grid's band re-rank in
+``constants._norm_rows``.
 """
 
 from __future__ import annotations
@@ -20,21 +22,6 @@ _TINY = np.finfo(float).tiny  # the smallest normal float
 
 class NumericalError(RuntimeError):
     """A numerical routine failed or a value overflowed."""
-
-
-def max_singular_value(a: np.ndarray) -> float:
-    """Induced 2-norm (largest singular value) of a real matrix: the
-    one-slice case of ``max_singular_values``, which raises
-    NumericalError where that gives NaN or inf."""
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        raise ValueError("matrix is empty")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    value = float(max_singular_values(a[None])[0])
-    if not math.isfinite(value):
-        raise NumericalError("the 2-norm overflows" if value > 0 else "LAPACK eigvalsh failed")
-    return value
 
 
 def max_singular_values(stack: np.ndarray) -> np.ndarray:

@@ -44,7 +44,7 @@ from .constants import (
     sample_pairs,
     sup_pair_quotient,
 )
-from .discretize import _MIN_STEP, ORDERS, ExactMap, build_taylor_model
+from .discretize import _MIN_STEP, DiscreteModel, ExactMap, _check_order
 from .system import SpecValidationError, SystemSpec
 
 _CONVERGENCE_POINTS = 25  # seeded sample size of the convergence study
@@ -109,7 +109,7 @@ def verify_bounds(s: SystemSpec, order: int, cfg: SamplingConfig) -> Verificatio
     """Full pipeline: constants, formula bounds, empirical constants,
     margins and pass flags for one order."""
     pairs = sample_pairs(s, cfg)
-    mdl = build_taylor_model(s, order)
+    mdl = DiscreteModel(s, order)
     x1, x2, u = pairs.x1, pairs.x2, pairs.u
 
     def images(rows):  # f once per endpoint, for rho_c and F_T
@@ -125,13 +125,13 @@ def verify_bounds(s: SystemSpec, order: int, cfg: SamplingConfig) -> Verificatio
     rho_c, *checked, full_map = sup_pair_quotient(pairs, images, (True, False, True, False))
     constants = estimate_all(s, cfg, rho_c=rho_c)
     t = s.sampling_time
-    bounds = bnd.evaluate_bounds(order, t, constants)
+    bounds = bnd.evaluate_bounds(mdl.order, t, constants)
     # F_T's two-sided and one-sided quotients, in the order of the keys
     empirical = {key: sup.result(f"empirical {key}") for key, sup in zip(bounds, checked)}
     full_map, _ = full_map.result("full-map gamma_d")
     return VerificationReport(
         system=s.name,
-        order=order,
+        order=mdl.order,
         sampling_time=t,
         constants=constants,
         bounds=bounds,
@@ -185,13 +185,11 @@ def convergence_study(
         raise SpecValidationError(
             "t_values", f"sampling times must be at least the integrator's minimum step {_MIN_STEP}"
         )
-    orders = sorted(set(int(k) for k in orders))
+    orders = sorted(set(_check_order(k, "orders") for k in orders))
     if not orders:
         raise SpecValidationError("orders", "need at least one order")
-    if not set(orders) <= set(ORDERS):
-        raise SpecValidationError("orders", f"must be among {ORDERS}, got {orders}")
     exact_maps = [ExactMap(s.with_sampling_time(t), integrator_tol) for t in t_values]
-    seed = cfg.seed if cfg is not None else 42
+    seed = (cfg or SamplingConfig()).seed
     rng = np.random.default_rng(seed)
     inner = s.region.scaled(0.5)
     xs = inner.lower + rng.random((_CONVERGENCE_POINTS, s.n)) * inner.width
@@ -202,7 +200,7 @@ def convergence_study(
     for exact_map in exact_maps:
         exact = np.array([exact_map(x, u) for x, u in rows])
         for k in orders:
-            model = build_taylor_model(exact_map.spec, k)
+            model = DiscreteModel(exact_map.spec, k)
             approx = np.array([model(x, u) for x, u in rows])
             with np.errstate(over="ignore", invalid="ignore"):
                 gap = np.max(np.linalg.norm(exact - approx, axis=1))

@@ -12,15 +12,14 @@ import pytest
 from lipdisc import (
     BoxRegion,
     ConstantEstimates,
+    DiscreteModel,
     ExactMap,
     SystemSpec,
     benchmarks,
-    build_taylor_model,
     convergence_study,
     estimate_all,
-    gamma_d,
+    evaluate_bounds,
     parse,
-    rho_d,
     verify_bounds,
 )
 from lipdisc.cli import dumps_json, main
@@ -48,7 +47,7 @@ def test_criterion_1_euler_exactness(bench, default_cfg):
     for name, spec in bench.items():
         started = time.perf_counter()
         pairs = sample_pairs(spec, default_cfg)
-        mdl = build_taylor_model(spec, 1)
+        mdl = DiscreteModel(spec, 1)
         t = spec.sampling_time
 
         discrete_two, _ = empirical_lipschitz(mdl, spec, default_cfg, pairs=pairs)
@@ -84,12 +83,13 @@ def test_criterion_2_formula_transcription():
         )
 
     checks = [
-        (gamma_d(1, 0.1, c(gamma=2.0)), 0.2),
-        (gamma_d(2, 0.1, c(gamma=1.0, sigma=2.0)), 0.125),
-        (rho_d(2, 0.1, c(gamma=1.0, rho=0.0, sigma=2.0)), 0.01),
+        (evaluate_bounds(1, 0.1, c(gamma=2.0))["gamma_d"], 0.2),
+        (evaluate_bounds(2, 0.1, c(gamma=1.0, sigma=2.0))["gamma_d"], 0.125),
+        (evaluate_bounds(2, 0.1, c(gamma=1.0, rho=0.0, sigma=2.0))["rho_d"], 0.01),
         # 4733/24000, computed once with exact rational arithmetic for
         # T=1/10, gamma=3/2, sigma=2, beta=1/2, M=3, and frozen
-        (gamma_d(3, 0.1, c(gamma=1.5, sigma=2.0, beta=0.5, big_m=3.0)), 0.19720833333333335),
+        (evaluate_bounds(3, 0.1, c(gamma=1.5, sigma=2.0, beta=0.5, big_m=3.0))["gamma_d"],
+         0.19720833333333335),
     ]
     worst = max(abs(got - want) / abs(want) for got, want in checks)
     _report("2 formula transcription", worst <= 1e-15, f"worst rel={worst:.2e}")
@@ -113,7 +113,7 @@ def test_criterion_3_linear_consistency():
                 sampling_time=t,
             )
             for order in (1, 2, 3):
-                mdl = build_taylor_model(spec, order)
+                mdl = DiscreteModel(spec, order)
                 series = np.eye(n)
                 term = np.eye(n)
                 for l in range(1, order + 1):

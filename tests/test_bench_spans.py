@@ -22,6 +22,7 @@ TARGETS = _load_targets()
 # spans whose function lipdisc deleted on purpose: the traced run reports
 # them under missing_spans until the benchmark's target list drops them
 RETIRED = {
+    "linalg.max_singular_value",
     "linalg.tensor3_norm_surrogate",
     "expr.evaluate_batch",
     "system.eval_f",

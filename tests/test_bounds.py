@@ -3,21 +3,35 @@
 import numpy as np
 import pytest
 
-from lipdisc import (
-    ConstantEstimates,
-    SpecValidationError,
-    UnsupportedOrderError,
-    build_taylor_model,
-    evaluate_bounds,
-    gamma_d,
-    rho_d,
-)
+from lipdisc import ConstantEstimates, DiscreteModel, SpecValidationError, evaluate_bounds
 
 
 def _c(gamma=0.0, rho=0.0, beta=0.0, big_m=0.0, sigma=0.0):
     return ConstantEstimates(
         gamma_c=gamma, rho_c=rho, beta=beta, big_m=big_m, sigma_bar_a=sigma
     )
+
+
+def gamma_d(order, t, c):
+    return evaluate_bounds(order, t, c)["gamma_d"]
+
+
+def rho_d(order, t, c):
+    return evaluate_bounds(order, t, c)["rho_d"]
+
+
+def _reference(order, t, c):
+    """The module docstring's formulas, term by term in the order the
+    library sums them: the reference for the bits of evaluate_bounds."""
+    g, r, s, b, m = c.gamma_c, c.rho_c, c.sigma_bar_a, c.beta, c.big_m
+    gamma = t * g
+    if order >= 2:
+        gamma += t * t * (s * g + g * g / 2.0)
+    if order == 3:
+        bracket = 2.0 * b * s + (b * s + 2.0 * b * m + 2.0 * s * s) * g + 2.0 * s * g * g
+        gamma += (t**3 / 6.0) * (bracket + 2.0 * g**3)
+    rho = {1: t * r, 2: t * r + (t * t / 2.0) * s * (r + g + r * g), 3: None}[order]
+    return {"gamma_d": gamma, "rho_d": rho}
 
 
 def test_gamma_order1_unit_vector():
@@ -56,26 +70,25 @@ def test_rho_order2_unit_vectors():
 
 
 def test_rho_order3_is_unsupported():
-    with pytest.raises(UnsupportedOrderError):
-        rho_d(3, 0.1, _c(gamma=1.0))
+    assert rho_d(3, 0.1, _c(gamma=1.0)) is None
 
 
 def test_gamma_unsupported_order(bench):
-    with pytest.raises(UnsupportedOrderError):
-        gamma_d(0, 0.1, _c(gamma=1.0))
-    # the path and message of build_taylor_model's order check
-    with pytest.raises(UnsupportedOrderError) as ours:
-        gamma_d(4, 0.1, _c(gamma=1.0))
-    with pytest.raises(SpecValidationError) as model:
-        build_taylor_model(bench["pendulum"], 4)
-    for err in (ours.value, model.value):
-        assert (err.path, err.message) == ("order", "must be one of (1, 2, 3), got 4")
+    # the model's order rule: a bool or a non-integer is no order either
+    for order in (0, 4, 2.0, True, "2"):
+        with pytest.raises(SpecValidationError) as ours:
+            evaluate_bounds(order, 0.1, _c(gamma=1.0))
+        with pytest.raises(SpecValidationError) as model:
+            DiscreteModel(bench["pendulum"], order)
+        for err in (ours.value, model.value):
+            assert (err.path, err.message) == ("order", f"must be one of (1, 2, 3), got {order!r}")
+    assert evaluate_bounds(np.int64(3), 0.1, _c(gamma=1.0)) == evaluate_bounds(3, 0.1, _c(gamma=1.0))
 
 
 def test_negative_sampling_time_names_t():
-    for formula in (gamma_d, rho_d):
+    for order in (1, 3):
         with pytest.raises(SpecValidationError) as err:
-            formula(1, -0.1, _c(gamma=1.0))
+            evaluate_bounds(order, -0.1, _c(gamma=1.0))
         assert (err.value.path, err.value.message) == ("t", "must be nonnegative, got -0.1")
 
 
@@ -128,7 +141,17 @@ def test_evaluate_bounds_bundle():
     c = _c(gamma=1.0, rho=0.5, beta=1.0, big_m=1.0, sigma=1.0)
     r2 = evaluate_bounds(2, 0.1, c)
     assert list(r2) == ["gamma_d", "rho_d"]
-    assert r2 == {"gamma_d": gamma_d(2, 0.1, c), "rho_d": rho_d(2, 0.1, c)}
+    assert r2 == _reference(2, 0.1, c)
     r3 = evaluate_bounds(3, 0.1, c)
-    assert r3 == {"gamma_d": gamma_d(3, 0.1, c), "rho_d": None}
+    assert r3 == {"gamma_d": _reference(3, 0.1, c)["gamma_d"], "rho_d": None}
     assert r3["gamma_d"] > r2["gamma_d"]
+
+
+def test_evaluate_bounds_keeps_the_bits_of_the_reference():
+    bits = lambda bounds: {k: None if v is None else v.hex() for k, v in bounds.items()}
+    rng = np.random.default_rng(28)
+    for _ in range(300):
+        c = _c(*(rng.uniform(-3.0, 3.0, size=5) * 10.0 ** rng.integers(-8, 9, size=5)).tolist())
+        t = float(rng.uniform(0.0, 2.0))
+        for order in (1, 2, 3):
+            assert bits(evaluate_bounds(order, t, c)) == bits(_reference(order, t, c))

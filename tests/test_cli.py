@@ -18,10 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lipdisc import (
+    DiscreteModel,
     SamplingConfig,
     SpecValidationError,
     benchmarks,
-    build_taylor_model,
     cli,
     convergence_study,
     discretize,
@@ -338,7 +338,7 @@ _BAD_VALUES = {
         ("--t-list", "0.2,0.1,1e-13"),
         "sampling times must be at least the integrator's minimum step 1e-12",
     ),
-    "orders": (("--orders", "1,4"), "must be among (1, 2, 3), got [1, 4]"),
+    "orders": (("--orders", "1,4"), "must be one of (1, 2, 3), got 4"),
     "x0": (("--x0", "0.1"), "must have shape (2,), got (1,)"),
     "u_seq": (("--inputs", "{rows}"), "expected rows of m = 1 numbers, got shape (2, 2)"),
 }
@@ -407,7 +407,7 @@ def test_out_of_memory_exits_3_naming_it(capsys, monkeypatch, spec_path, tmp_pat
 def test_every_flag_maps_a_parameter_that_a_library_check_names(bench):
     # each check is called by keyword, so each name is a real parameter
     vdp = bench["van-der-pol"]
-    mdl = build_taylor_model(vdp, 1)
+    mdl = DiscreteModel(vdp, 1)
     study = {"s": vdp, "orders": [1], "t_values": [0.2, 0.1, 0.05]}
     steps = {"stepper": mdl, "s": vdp, "x0": [0.1, 0.2], "u_seq": [[0.0]]}
     calls = {
@@ -894,22 +894,29 @@ def test_cmd_convergence_with_a_gap_that_overflows_exits_3(capsys, tmp_path):
 _CONTRACT_ARGV = {
     "constants": [],
     "bounds": [],
-    "verify": ["--order", "3"],
-    "discretize": ["--exact", "--order", "2", "--steps", "3", "--tol", "1e-6"],
+    "verify": ["--order", "{order}"],
+    "discretize": ["--exact", "--order", "{order}", "--steps", "3", "--tol", "1e-6"],
     "convergence": ["--t-list", "0.2,0.1,0.05", "--tol", "1e-6"],
 }
+# verify and discretize at each order, so every bound formula branch and
+# every Lie template runs on drawn specs
+_CONTRACT_CASES = [
+    ("bounds", None), ("constants", None), ("convergence", None),
+    *((command, order) for command in ("discretize", "verify") for order in (1, 2, 3)),
+]
 
 
 # the example count is the profile's: 100 by default and under ci, more under fuzz
 @settings(deadline=None)
-@given(spec_dicts(), st.sampled_from(sorted(_CONTRACT_ARGV)))
-def test_every_command_keeps_the_exit_contract_on_drawn_specs(data, command):
+@given(spec_dicts(), st.sampled_from(_CONTRACT_CASES))
+def test_every_command_keeps_the_exit_contract_on_drawn_specs(data, case):
+    command, order = case
     with tempfile.TemporaryDirectory() as tmp:
         spec, out = os.path.join(tmp, "spec.json"), os.path.join(tmp, "out.json")
         with open(spec, "w") as fp:
             json.dump(data, fp)
         argv = [command, spec, "--grid", "2", "--pairs", "1000", "--polish-iters", "2",
-                *_CONTRACT_ARGV[command], "--out", out]
+                *(arg.format(order=order) for arg in _CONTRACT_ARGV[command]), "--out", out]
         if command == "discretize":
             argv.append("--x0=" + ",".join(repr(v) for v in data["region"]["upper"]))
         stderr = io.StringIO()

@@ -10,12 +10,12 @@ import pytest
 
 from lipdisc import (
     BoxRegion,
+    DiscreteModel,
     ExactMap,
     IntegrationError,
     SpecValidationError,
     SystemSpec,
     benchmarks,
-    build_taylor_model,
     parse,
     simulate,
 )
@@ -59,7 +59,7 @@ def test_linear_part_matches_truncated_exponential_series():
         for t in (0.01, 0.1):
             spec = _linear_spec(a, t)
             for order in (1, 2, 3):
-                mdl = build_taylor_model(spec, order)
+                mdl = DiscreteModel(spec, order)
                 oracle = _truncated_series(a, t, order)
                 np.testing.assert_allclose(mdl.a_d, oracle, rtol=1e-14, atol=1e-14)
 
@@ -68,13 +68,13 @@ def test_linear_system_has_zero_nonlinear_part(bench):
     spec = bench["linear-2d"]
     x = np.array([0.3, -0.7])
     for order in (1, 2, 3):
-        mdl = build_taylor_model(spec, order)
+        mdl = DiscreteModel(spec, order)
         np.testing.assert_array_equal(mdl.f_t(x), np.zeros(2))
         np.testing.assert_allclose(np.asarray(mdl(x)), mdl.a_d @ x, rtol=1e-15)
 
 
 def test_order1_pendulum_nonlinear_part(bench):
-    mdl = build_taylor_model(bench["pendulum"], 1)
+    mdl = DiscreteModel(bench["pendulum"], 1)
     np.testing.assert_allclose(mdl.f_t([np.pi / 2, 0.0]), [0.0, -0.1], rtol=1e-15)
 
 
@@ -89,21 +89,45 @@ def test_order2_scalar_hand_computed_value():
         region=BoxRegion([-2.0], [2.0]),
         sampling_time=0.1,
     )
-    mdl = build_taylor_model(spec, 2)
+    mdl = DiscreteModel(spec, 2)
     np.testing.assert_allclose(mdl.f_t([1.0]), [0.11], rtol=1e-14)
 
 
 def test_step_examples(bench):
     pend = bench["pendulum"]
-    mdl = build_taylor_model(pend, 1)
+    mdl = DiscreteModel(pend, 1)
     np.testing.assert_allclose(np.asarray(mdl([0.0, 1.0])), [0.1, 0.95], rtol=1e-15)
     np.testing.assert_array_equal(np.asarray(mdl([0.0, 0.0])), [0.0, 0.0])
 
 
 def test_unsupported_order():
     spec = _linear_spec(np.zeros((1, 1)))
-    with pytest.raises(ValueError, match="order"):
-        build_taylor_model(spec, 4)
+    for order in (0, 4, 2.0, True, "2"):  # a bool or a non-integer is no order either
+        with pytest.raises(SpecValidationError) as err:
+            DiscreteModel(spec, order)
+        assert (err.value.path, err.value.message) == (
+            "order", f"must be one of (1, 2, 3), got {order!r}"
+        )
+
+
+def test_model_order_is_an_int_and_a_d_is_no_argument(bench):
+    mdl = DiscreteModel(bench["pendulum"], np.int64(3))
+    assert mdl.order == 3 and type(mdl.order) is int
+    with pytest.raises(TypeError):
+        DiscreteModel(bench["pendulum"], 2, np.eye(2))
+
+
+def test_a_d_keeps_the_bits_of_the_sum_term_by_term(bench, probe):
+    for spec in [*bench.values(), probe]:
+        for t in (0.025, 0.1, 1.0):
+            s = spec.with_sampling_time(t)
+            a = s.a
+            terms = (t * a, (t * t / 2.0) * (a @ a), (t**3 / 6.0) * (a @ a @ a))
+            total = np.eye(s.n)
+            for order, term in enumerate(terms, start=1):
+                total = total + term
+                got = DiscreteModel(s, order).a_d
+                assert got.tobytes() == total.tobytes(), (spec.name, t, order)
 
 
 def _assert_near(got, want, what):
@@ -116,7 +140,7 @@ def test_f_t_batch_matches_pointwise(bench, probe):
     for spec in [*bench.values(), probe]:
         xs, us = sample_points(spec, 30, seed=77)
         for order in (1, 2, 3):
-            mdl = build_taylor_model(spec, order)
+            mdl = DiscreteModel(spec, order)
             batch = mdl.f_t_batch(xs, us)
             for i in range(30):
                 _assert_near(mdl.f_t(xs[i], us[i]), batch[i], (spec.name, order, i))
@@ -129,12 +153,12 @@ def test_f_t_batch_chunks_match_one_batch(bench, probe, monkeypatch, rows):
     for spec in specs:
         xs, us = sample_points(spec, rows, seed=13)
         for order in (1, 2, 3):
-            whole[spec.name, order] = build_taylor_model(spec, order).f_t_batch(xs, us)
+            whole[spec.name, order] = DiscreteModel(spec, order).f_t_batch(xs, us)
     monkeypatch.setattr(discretize, "_CHUNK_ROWS", 7)  # 30 = 4 * 7 + 2
     for spec in specs:
         xs, us = sample_points(spec, rows, seed=13)
         for order in (1, 2, 3):
-            chunked = build_taylor_model(spec, order).f_t_batch(xs, us)
+            chunked = DiscreteModel(spec, order).f_t_batch(xs, us)
             assert chunked.shape == (rows, spec.n)
             assert chunked.tobytes() == whole[spec.name, order].tobytes(), (spec.name, order)
 
@@ -277,7 +301,7 @@ def _sparse_bilinear(hess, support, va, vb):
 
 def test_order3_series_keeps_the_bits_of_the_dense_contraction(bench, probe):
     for spec in [*bench.values(), probe]:
-        mdl = build_taylor_model(spec, 3)
+        mdl = DiscreteModel(spec, 3)
         xs, us = sample_points(spec, 200, seed=21)
         want = _reference_series(mdl, xs, us, _dense_bilinear)
         assert mdl.f_t_batch(xs, us).tobytes() == want.tobytes(), spec.name
@@ -318,7 +342,7 @@ def test_point_f_t_sums_the_lie_trees_near_the_numpy_series(bench, probe, order)
     # walk of its order-3 trees takes about 0.1 s, so there the walk runs
     # at the first 20 points and the three signed-zero ones
     for spec in [*bench.values(), probe, _synthetic_spec(3, t=1.5), _full_jacobian_spec(9)]:
-        mdl = build_taylor_model(spec, order)
+        mdl = DiscreteModel(spec, order)
         xs, us = _signed_zero_points(spec, 200, seed=41 + order)
         walked = range(203) if spec.n < 9 else [*range(20), 200, 201, 202]
         for i, (x, u) in enumerate(zip(xs, us)):
@@ -348,7 +372,7 @@ def test_batch_rows_where_f_fails_stay_non_finite(order):
         region=BoxRegion([-1e3, -1e3], [1e3, 1e3]),
         sampling_time=0.1,
     )
-    mdl = build_taylor_model(spec, order)
+    mdl = DiscreteModel(spec, order)
     xs = np.array(
         [[0.5, 0.25], [710.0, 0.25], [720.0, 4.0], [-1e120, 1.0], [0.5, -1.0], [1.0, -3.0],
          [710.0, -1.0], [-0.0, 0.25], [2.0, 9.0]]
@@ -378,7 +402,7 @@ def _scalar_plant(text, a=0.0):
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_point_series_overflowing_f_saturates_as_before(order):
     spec = _scalar_plant("exp(x1) + x1^3", a=-0.5)
-    mdl = build_taylor_model(spec, order)
+    mdl = DiscreteModel(spec, order)
     for x in (710.0, 720.0, -1e120):
         point = np.array([x])
         assert not np.isfinite(spec._f_template.point(point, ())).all()
@@ -392,7 +416,7 @@ def test_point_series_overflowing_f_saturates_as_before(order):
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_point_series_domain_error_raises_as_before(order):
-    mdl = build_taylor_model(_scalar_plant("sqrt(x1) + ln(2 + x1)"), order)
+    mdl = DiscreteModel(_scalar_plant("sqrt(x1) + ln(2 + x1)"), order)
     for x in (-1.0, -3.0):
         want = _raised(_reference_series, mdl, np.array([x]), (), _sparse_bilinear)
         got = _raised(mdl.f_t, [x])
@@ -816,9 +840,9 @@ def test_exact_map_rejects_a_sampling_time_below_the_minimum_step():
 
 def test_library_checks_name_their_parameter(bench):
     vdp = bench["van-der-pol"]  # n = 2, m = 1
-    mdl = build_taylor_model(vdp, 1)
+    mdl = DiscreteModel(vdp, 1)
     cases = [
-        ("order", lambda: build_taylor_model(vdp, 4), "must be one of (1, 2, 3), got 4"),
+        ("order", lambda: DiscreteModel(vdp, 4), "must be one of (1, 2, 3), got 4"),
         ("x0", lambda: simulate(mdl, vdp, [0.1], [0.0]), "must have shape (2,), got (1,)"),
         ("u_seq", lambda: simulate(mdl, vdp, [0.1, 0.2], [[0.1, 0.2]]),
          "expected rows of m = 1 numbers, got shape (1, 2)"),
@@ -836,7 +860,7 @@ def test_local_error_shrinks_with_order(bench):
     x = np.array([0.5, 0.2])
     exact = np.array(ExactMap(pend, 1e-12)(x))
     errors = [
-        np.linalg.norm(exact - np.asarray(build_taylor_model(pend, k)(x))) for k in (1, 2, 3)
+        np.linalg.norm(exact - np.asarray(DiscreteModel(pend, k)(x))) for k in (1, 2, 3)
     ]
     assert errors[0] > errors[1] > errors[2]
 
@@ -846,7 +870,7 @@ def test_local_error_shrinks_with_order(bench):
 
 def test_simulate_zero_steps(bench):
     pend = bench["pendulum"]
-    traj = simulate(build_taylor_model(pend, 1), pend, [0.1, 0.2], np.zeros((0, 0)))
+    traj = simulate(DiscreteModel(pend, 1), pend, [0.1, 0.2], np.zeros((0, 0)))
     assert traj.states.shape == (1, 2)
     np.testing.assert_array_equal(traj.states[0], [0.1, 0.2])
     assert traj.first_exit is None
@@ -854,7 +878,7 @@ def test_simulate_zero_steps(bench):
 
 def test_simulate_linear_matches_matrix_powers(bench):
     spec = bench["linear-2d"]
-    mdl = build_taylor_model(spec, 1)
+    mdl = DiscreteModel(spec, 1)
     x0 = np.array([0.2, -0.1])
     traj = simulate(mdl, spec, x0, np.zeros((5, 0)))
     expected = x0.copy()
@@ -871,7 +895,7 @@ def test_simulate_order2_beats_order1(bench):
     exact = simulate(ExactMap(pend, 1e-12), pend, x0, u_seq)
     err = {}
     for order in (1, 2):
-        approx = simulate(build_taylor_model(pend, order), pend, x0, u_seq)
+        approx = simulate(DiscreteModel(pend, order), pend, x0, u_seq)
         err[order] = np.max(np.linalg.norm(approx.states - exact.states, axis=1))
     assert err[2] < err[1]
 
@@ -919,7 +943,7 @@ def test_model_step_and_f_t_keep_the_bits_of_the_array_sum(bench, probe):
         xs[:40] = np.where(part, signed, xs[:40])
         us[:20] = np.copysign(0.0, us[:20])
         for order in (1, 2, 3):
-            mdl = build_taylor_model(spec, order)
+            mdl = DiscreteModel(spec, order)
             want_step = _reference_model_step(mdl)
             for x, u in zip(xs, us):
                 got = mdl.f_t(x, u)
@@ -936,7 +960,7 @@ def test_simulate_keeps_the_bits_of_the_row_loop(bench, probe, order):
     assert any(spec.m == 0 for spec in specs)  # input-free specs are among them
     for spec in specs:
         x0, u_seq = _trajectory_inputs(spec, 200, seed=order)
-        mdl = build_taylor_model(spec, order)
+        mdl = DiscreteModel(spec, order)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a trajectory may leave D
             traj = simulate(mdl, spec, x0, u_seq)
@@ -973,7 +997,7 @@ def test_simulate_makes_no_exact_step_call(bench, monkeypatch):
 
 def test_simulate_zero_steps_for_every_stepper(probe):
     x0 = [0.3, -0.0, 0.1, 0.2]
-    for stepper in (build_taylor_model(probe, 3), ExactMap(probe), lambda x, u: x + 1.0):
+    for stepper in (DiscreteModel(probe, 3), ExactMap(probe), lambda x, u: x + 1.0):
         for u_seq in (np.zeros((0, 1)), [], np.zeros(0)):
             traj = simulate(stepper, probe, x0, u_seq)
             assert float_bits(traj.states) == float_bits([x0])
@@ -982,7 +1006,7 @@ def test_simulate_zero_steps_for_every_stepper(probe):
 
 def test_simulate_rejects_input_rows_of_the_wrong_width(bench):
     vdp = bench["van-der-pol"]  # m = 1
-    mdl = build_taylor_model(vdp, 2)
+    mdl = DiscreteModel(vdp, 2)
     for u_seq in (np.zeros((3, 2)), np.zeros((5, 0)), np.zeros((2, 1, 1)), 0.5):
         with pytest.raises(ValueError, match="expected rows of m = 1 numbers"):
             simulate(mdl, vdp, [0.1, 0.2], u_seq)
@@ -992,7 +1016,7 @@ def test_simulate_rejects_input_rows_of_the_wrong_width(bench):
     assert float_bits(flat.states) == float_bits(rows.states) and len(rows.states) == 4
     pend = bench["pendulum"]  # m = 0
     with pytest.raises(ValueError, match="expected rows of m = 0 numbers"):
-        simulate(build_taylor_model(pend, 1), pend, [0.1, 0.2], [0.1, 0.2])
+        simulate(DiscreteModel(pend, 1), pend, [0.1, 0.2], [0.1, 0.2])
 
 
 def test_simulate_warns_on_region_exit():
@@ -1004,7 +1028,7 @@ def test_simulate_warns_on_region_exit():
         region=BoxRegion([-1.0], [1.0]),
         sampling_time=0.5,
     )
-    mdl = build_taylor_model(spec, 1)
+    mdl = DiscreteModel(spec, 1)
     with pytest.warns(UserWarning, match="leaves the region"):
         traj = simulate(mdl, spec, [0.9], np.zeros((3, 0)))
     assert traj.first_exit is not None

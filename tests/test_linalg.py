@@ -7,14 +7,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lipdisc.linalg import (
-    NumericalError,
-    _power_iteration,
-    max_singular_value,
-    max_singular_values,
-)
+from lipdisc import NumericalError, SamplingConfig, SystemSpec, estimate_all
+from lipdisc.linalg import _power_iteration, max_singular_values
 
 from conftest import expm
+
+
+def _msv(a):
+    """The 2-norm of one matrix: the one-slice stack of the kernel."""
+    return float(max_singular_values(np.asarray(a, dtype=float)[None])[0])
+
+
+def _sigma_bar_a_of(a):
+    """estimate_all on A = a and f = 0, where A is the one matrix whose
+    2-norm can fail."""
+    n = a.shape[0]
+    spec = SystemSpec.from_dict({
+        "name": "a-only", "A": a.tolist(), "C": [[1.0] * n], "T": 0.1, "f": ["0"] * n,
+        "region": {"lower": [-1.0] * n, "upper": [1.0] * n},
+    })
+    return estimate_all(spec, SamplingConfig(grid_per_axis=2, pair_budget=1000)).sigma_bar_a
 
 
 def _unfolding_norm(t3):
@@ -24,17 +36,17 @@ def _unfolding_norm(t3):
 
 
 def test_msv_identity():
-    assert max_singular_value(np.eye(2)) == pytest.approx(1.0, rel=1e-10)
+    assert _msv(np.eye(2)) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_msv_diagonal():
-    assert max_singular_value(np.diag([2.0, 3.0])) == pytest.approx(3.0, rel=1e-10)
+    assert _msv(np.diag([2.0, 3.0])) == pytest.approx(3.0, rel=1e-10)
 
 
 def test_msv_pendulum_drift():
     # eigenvalues of A^T A are 0 and 1.25, worked by hand
     a = np.array([[0.0, 1.0], [0.0, -0.5]])
-    assert max_singular_value(a) == pytest.approx(np.sqrt(1.25), rel=1e-10)
+    assert _msv(a) == pytest.approx(np.sqrt(1.25), rel=1e-10)
 
 
 def test_msv_transpose_and_scaling_properties():
@@ -43,17 +55,17 @@ def test_msv_transpose_and_scaling_properties():
         n = int(rng.integers(1, 7))
         m = int(rng.integers(1, 7))
         a = rng.normal(size=(n, m))
-        sigma = max_singular_value(a)
-        assert max_singular_value(a.T) == pytest.approx(sigma, rel=1e-9)
+        sigma = _msv(a)
+        assert _msv(a.T) == pytest.approx(sigma, rel=1e-9)
         alpha = float(rng.uniform(-3, 3))
-        assert max_singular_value(alpha * a) == pytest.approx(abs(alpha) * sigma, rel=1e-9, abs=1e-12)
+        assert _msv(alpha * a) == pytest.approx(abs(alpha) * sigma, rel=1e-9, abs=1e-12)
 
 
 def test_msv_agrees_with_svd():
     rng = np.random.default_rng(77)
     for _ in range(50):
         a = rng.normal(size=(5, 5))
-        assert max_singular_value(a) == pytest.approx(np.linalg.svd(a, compute_uv=False)[0], rel=1e-9)
+        assert _msv(a) == pytest.approx(np.linalg.svd(a, compute_uv=False)[0], rel=1e-9)
 
 
 def _one_power_iteration(a):
@@ -89,10 +101,9 @@ def test_msv_keeps_the_bits_of_the_np_norm_loop(shape):
 
 
 def test_msv_rejects_bad_input():
+    assert math.isnan(_msv(np.array([[np.nan, 0.0], [0.0, 1.0]])))
     with pytest.raises(ValueError):
-        max_singular_value(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        max_singular_value(np.zeros((0, 0)))
+        _msv(np.zeros((0, 0)))
 
 
 def test_expm_zero_matrix():
@@ -161,7 +172,7 @@ def test_tensor_surrogate_bounds_bilinear_action():
 )
 def test_msv_of_an_overflowing_power_reads_the_true_scale(a, sigma):
     # no RuntimeWarning either: pytest turns one into an error
-    assert max_singular_value(np.array(a)) == pytest.approx(sigma, rel=1e-12)
+    assert _msv(np.array(a)) == pytest.approx(sigma, rel=1e-12)
     assert _unfolding_norm(np.array(a)[:, :, None]) == pytest.approx(sigma, rel=1e-12)
 
 
@@ -170,15 +181,21 @@ def test_msv_rescaled_rerun_agrees_with_the_unscaled_matrix():
     for _ in range(50):
         a = rng.normal(size=(int(rng.integers(1, 6)), int(rng.integers(1, 6))))
         big = np.ldexp(a, 1000)
-        want = np.ldexp(max_singular_value(a), 1000)
-        assert max_singular_value(big) == pytest.approx(want, rel=1e-12)
+        want = np.ldexp(_msv(a), 1000)
+        assert _msv(big) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("a", [[[1e308, 1e308], [1e308, 1e308]], [[1.5e308, 1.5e308]]])
 def test_msv_above_the_largest_float_raises_numerical_error(a):
-    # sigma = 2e308 and 2.1e308: finite entries, a 2-norm no float holds
-    with pytest.raises(NumericalError, match="2-norm overflows"):
-        max_singular_value(np.array(a))
+    # sigma = 2e308 and 2.1e308: finite entries, a 2-norm no float holds.
+    # The kernel reads inf; sigma_bar_a, on A with a zero row added if
+    # need be (which leaves the 2-norm), raises
+    a = np.array(a)
+    assert _msv(a) == math.inf
+    square = np.zeros((2, 2))
+    square[: a.shape[0]] = a
+    with pytest.raises(NumericalError, match="^sigma_bar_a: the 2-norm overflows$"):
+        _sigma_bar_a_of(square)
 
 
 @pytest.mark.parametrize(
@@ -194,9 +211,9 @@ def test_msv_above_the_largest_float_raises_numerical_error(a):
 )
 def test_msv_of_an_underflowing_power_reads_the_true_scale(a, sigma):
     a = np.array(a)
-    assert max_singular_value(a) == pytest.approx(sigma, rel=1e-15)
+    assert _msv(a) == pytest.approx(sigma, rel=1e-15)
     e = np.frexp(np.max(np.abs(a)))[1]
-    assert max_singular_value(a) == np.ldexp(max_singular_value(np.ldexp(a, -e)), e)
+    assert _msv(a) == np.ldexp(_msv(np.ldexp(a, -e)), e)
 
 
 def test_msv_where_lapack_fails_is_nan_for_the_stack(monkeypatch):
@@ -207,14 +224,15 @@ def test_msv_where_lapack_fails_is_nan_for_the_stack(monkeypatch):
     assert np.isnan(max_singular_values(np.ones((2, 3, 3)))).all()
     # two live rows take the closed form, which calls no LAPACK
     assert max_singular_values(np.ones((2, 2, 3))).tolist() == [math.sqrt(6.0)] * 2
-    with pytest.raises(NumericalError, match="^LAPACK eigvalsh failed$"):
-        max_singular_value(np.ones((3, 3)))
+    # A is the one matrix with three live rows: sigma_bar_a names the failure
+    with pytest.raises(NumericalError, match="^sigma_bar_a: LAPACK eigvalsh failed$"):
+        _sigma_bar_a_of(np.ones((3, 3)))
 
 
 def test_msv_of_a_zero_matrix_is_zero():
     # frexp(0) gives exponent 0: the rescale must not run again
     for shape in ((1, 1), (2, 3)):
-        assert max_singular_value(np.zeros(shape)) == 0.0
+        assert _msv(np.zeros(shape)) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from lipdisc import (
     SamplingConfig,
     SpecValidationError,
     SystemSpec,
-    build_taylor_model,
     convergence_study,
     parse,
     verify_bounds,
@@ -38,7 +37,7 @@ from test_discretize import _reference_exact_step
 def test_euler_two_sided_is_scaled_continuous_estimate(bench, default_cfg):
     for name, spec in bench.items():
         pairs = sample_pairs(spec, default_cfg)
-        mdl = build_taylor_model(spec, 1)
+        mdl = DiscreteModel(spec, 1)
         discrete, _ = empirical_lipschitz(mdl, spec, default_cfg, pairs=pairs)
         continuous, _ = empirical_gamma_c(spec, default_cfg, pairs=pairs)
         scaled = spec.sampling_time * continuous
@@ -51,7 +50,7 @@ def test_euler_two_sided_is_scaled_continuous_estimate(bench, default_cfg):
 def test_euler_one_sided_is_scaled_continuous_estimate(bench, default_cfg):
     for name, spec in bench.items():
         pairs = sample_pairs(spec, default_cfg)
-        mdl = build_taylor_model(spec, 1)
+        mdl = DiscreteModel(spec, 1)
         discrete, _ = empirical_one_sided(mdl, spec, default_cfg, pairs=pairs)
         continuous, _ = rho_c_of(spec, default_cfg)
         scaled = spec.sampling_time * continuous
@@ -65,7 +64,7 @@ def test_shared_pair_pass_matches_separate_estimators(bench, probe, order):
     cfg = SamplingConfig(grid_per_axis=3, pair_budget=2000, seed=7, polish_iters=2)
     for spec in [*bench.values(), probe]:
         report = verify_bounds(spec, order, cfg)
-        mdl = build_taylor_model(spec, order)
+        mdl = DiscreteModel(spec, order)
         gamma, gamma_wit = empirical_lipschitz(mdl, spec, cfg)
         rho, rho_wit = empirical_one_sided(mdl, spec, cfg)
         full, _ = pair_quotient(
@@ -87,7 +86,7 @@ def _whole_array_pair_pass(spec, order, cfg):
     again) and the full map as one matrix product."""
     pairs = sample_pairs(spec, cfg)
     x1, x2, u = pairs.x1, pairs.x2, pairs.u
-    mdl = build_taylor_model(spec, order)
+    mdl = DiscreteModel(spec, order)
     f = spec.eval_f_batch(x1, u), spec.eval_f_batch(x2, u)
     f_t = mdl.f_t_batch(x1, u), mdl.f_t_batch(x2, u)
     full = x1 @ mdl.a_d.T + f_t[0], x2 @ mdl.a_d.T + f_t[1]
@@ -170,7 +169,7 @@ def test_the_pair_pass_and_f_t_batch_read_one_chunk_size(probe, monkeypatch):
     assert series_rows == [rows for rows in chunks for _ in range(2)]  # both pair endpoints
     series_rows.clear()
     xs, us = sample_points(probe, 250, seed=3)
-    build_taylor_model(probe, 3).f_t_batch(xs, us)
+    DiscreteModel(probe, 3).f_t_batch(xs, us)
     assert series_rows == [100, 100, 50]
 
 
@@ -201,7 +200,7 @@ def test_zero_nonlinearity_yields_zero_everything(bench, fast_cfg):
 
 def test_negative_cubic_order1_one_sided_near_zero(fast_cfg, bench):
     spec = bench["cubic-scalar"]
-    mdl = build_taylor_model(spec, 1)
+    mdl = DiscreteModel(spec, 1)
     value, _ = empirical_one_sided(mdl, spec, fast_cfg)
     assert value <= 0.0
     assert abs(value) <= 1e-3
@@ -304,6 +303,10 @@ def test_convergence_study_rejects_sampling_times_below_the_minimum_step(bench, 
         ("orders", (), (0.2, 0.1, 0.05), 1e-10),
         ("orders", (1, 4), (0.2, 0.1, 0.05), 1e-10),
         ("tol", (1,), (0.2, 0.1, 0.05), 1e-3),
+        # the model's order rule per order: no bool, no non-integer
+        ("orders", (2.7, True), (0.2, 0.1, 0.05), 1e-10),
+        ("orders", (1, True), (0.2, 0.1, 0.05), 1e-10),
+        ("orders", (2, 2.0), (0.2, 0.1, 0.05), 1e-10),
     ],
 )
 def test_convergence_study_names_a_bad_argument_before_any_work(
@@ -351,7 +354,7 @@ def _reference_local_errors(s, orders, t_values, seed, tol):
         s_t = s.with_sampling_time(t)
         exact = np.stack([_reference_exact_step(s_t, x, u, tol) for x, u in zip(xs, us)])
         for k in orders:
-            mdl = build_taylor_model(s_t, k)
+            mdl = DiscreteModel(s_t, k)
             approx = np.stack([mdl.a_d @ x + np.asarray(mdl.f_t(x, u)) for x, u in zip(xs, us)])
             gap = np.max(np.linalg.norm(exact - approx, axis=1))
             errors[k].append(float(max(gap, 1e-300)))
