@@ -20,9 +20,7 @@ import numpy as np
 from . import __version__
 from .bounds import evaluate_bounds
 from .constants import NumericalError, SamplingConfig, estimate_all
-from .discretize import (
-    ORDERS, DiscreteModel, ExactMap, IntegrationError, _check_tol, _input_rows, simulate
-)
+from .discretize import ORDERS, DiscreteModel, ExactMap, _check_tol, _input_rows, simulate
 from .expr import ExprError
 from .system import SpecValidationError, SystemSpec
 from .verify import convergence_study, verify_bounds
@@ -309,7 +307,6 @@ def _input_sequence(args, s: SystemSpec) -> np.ndarray:
 
 def cmd_discretize(args, s: SystemSpec) -> tuple[int, dict]:
     _check_tol(args.tol)  # echoed into --out, so checked even without --exact
-    exact_map = ExactMap(s, args.tol) if args.exact else None  # checks T too
     _sampling_config(args)  # unused here, but echoed into --out: reject a bad value
     x0 = _parse_vector(args.x0, "--x0")
     u_seq = _input_sequence(args, s)
@@ -323,7 +320,7 @@ def cmd_discretize(args, s: SystemSpec) -> tuple[int, dict]:
         "first_exit": traj.first_exit,
     }
     if args.exact:
-        exact = simulate(exact_map, s, x0, u_seq)
+        exact = simulate(ExactMap(s, args.tol), s, x0, u_seq)
         body["exact_states"] = exact.states
         with np.errstate(over="ignore"):  # reported as non-finite below
             body["errors"] = np.linalg.norm(traj.states - exact.states, axis=1)
@@ -379,7 +376,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except (NumericalError, IntegrationError, ExprError) as err:
+    except (NumericalError, ExprError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     except MemoryError as err:  # numpy's names the allocation, Python's own is empty

@@ -40,6 +40,7 @@ F written out in every stage, a call's first included, and no ``min``
 or ``max`` call in the step-size control (see :func:`_integrator`).  It
 sums the stages in the order a Python ``sum`` over the stage vectors
 does, and each step reuses its last stage as the next step's first.
+Every step short of a call's last must exceed 1e-6 T, its one stop rule.
 
 Both one-step maps, a :class:`DiscreteModel` and an :class:`ExactMap`,
 are callables (x, u) -> list of floats, which :func:`simulate` iterates.
@@ -60,6 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
+from .linalg import NumericalError
 from .system import SpecValidationError, SystemSpec, _Template
 
 ORDERS = (1, 2, 3)  # the Taylor-Lie orders with a model and a bound formula
@@ -74,7 +76,7 @@ def _check_order(order, path: str = "order") -> int:
     return int(order)
 
 
-class IntegrationError(RuntimeError):
+class IntegrationError(NumericalError):
     """Adaptive integration failed; carries the state at failure."""
 
     def __init__(self, message: str, t: float, x: np.ndarray, h: float):
@@ -277,28 +279,25 @@ _DP_A = (
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 # b5 - b4: weights of the embedded error estimate
 _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-_MIN_STEP = 1e-12
 _SAFETY = 0.9
-_MAX_STEPS = 1_000_000
 
 
 # the adaptive loop of ExactMap; _integrator writes out the stages
 _LOOP = """def integrate(y, u, tol, t_end):
     [{y}] = [{v}] = y{first}
-    t, h, t_done = 0.0, t_end, {done!r} * t_end
-    for _ in range({max_steps}):
+    t, h, t_done, h_min = 0.0, t_end, {done!r} * t_end, 1e-6 * t_end
+    while True:
         remaining = t_end - t
         if remaining <= t_done:
             return [{y}]
-        h = remaining if remaining < h else h{trial}
+        if remaining <= h:
+            h = remaining
+        elif h <= h_min:
+            raise IntegrationError("step size underflow", t, np.array([{y}], dtype=float), h){trial}
         if err <= 1.0:
             t, {y}, {k0} = t + h, {n}, {k6}
         factor = 5.0 if err == 0.0 else {safety!r} * err ** (-0.2)
         h *= 5.0 if factor >= 5.0 else factor if factor > 0.2 else 0.2
-        h = t_end if t_end < h else h
-        if h < {min_step!r}:
-            raise IntegrationError("step size underflow", t, np.array([{y}], dtype=float), h)
-    raise IntegrationError("step budget exhausted", t, np.array([{y}], dtype=float), h)
 """
 
 
@@ -315,7 +314,9 @@ def _integrator(s: SystemSpec) -> Callable:
     error norm takes max(|y_i|, |y_new_i|) with NaN winning and the root
     of the mean of the squared quotients, summed in order.  The step-size
     control compares where it took ``min`` and ``max``, with the same
-    results, a NaN factor giving 0.2."""
+    results, a NaN factor giving 0.2.  A trial with h < t_end - t and
+    h <= 1e-6 t_end raises the underflow: a call accepts at most 1e6 such
+    steps and, as a rejection cuts h by 10 % or more, ends even at h = 0."""
     if "integrator" in s._discretize_cache:
         return s._discretize_cache["integrator"]
     field, ix, inputs = _lie_template(s, 0), range(s.n), set()
@@ -350,8 +351,8 @@ def _integrator(s: SystemSpec) -> Callable:
     source = _LOOP.format(
         y=listed("y"), v=listed("v"), k0=listed("k0_"), n=listed("n"), k6=listed("k6_"),
         first="".join(f"\n    {line}" for line in first),
-        done=4.0 * float(np.finfo(float).eps), max_steps=_MAX_STEPS, safety=_SAFETY,
-        min_step=_MIN_STEP, trial="".join(f"\n        {line}" for line in trial),
+        done=4.0 * float(np.finfo(float).eps), safety=_SAFETY,
+        trial="".join(f"\n        {line}" for line in trial),
     )
     exec(compile(source, f"<dormand-prince integrator of {s.name}>", "exec"), namespace)
     s._discretize_cache["integrator"] = namespace["integrate"]
@@ -362,28 +363,22 @@ def _integrator(s: SystemSpec) -> Callable:
 class ExactMap:
     """The map x -> x(T) under the true flow of dx/dt = A x + f(x, u) with
     u held, on lists of floats: adaptive Dormand-Prince 5(4) with absolute
-    and relative tolerance both ``tol`` and step sizes in [1e-12, T], as
-    one call of the spec's generated loop (:func:`_integrator`).  It has
-    the bits of the same sums over numpy stage vectors, with the mean of
-    the squared error quotients summed in order.  After an accepted trial
-    the seventh stage is the next trial's first (first same as last,
-    Dormand & Prince 1980), bit for bit, since the last row of A equals B5
-    up to a zero weight on the seventh stage; a rejected trial keeps its
-    first stage.  So one call evaluates the right-hand side 1 + 6·trials
-    times."""
+    and relative tolerance both ``tol`` and every step but the last above
+    1e-6 T, for any T > 0, as one call of the spec's generated loop
+    (:func:`_integrator`).  It has the bits of the same sums over numpy
+    stage vectors, with the mean of the squared error quotients summed in
+    order.  After an accepted trial the seventh stage is the next trial's
+    first (first same as last, Dormand & Prince 1980), bit for bit, since
+    the last row of A equals B5 up to a zero weight on the seventh stage;
+    a rejected trial keeps its first stage.  So one call evaluates the
+    right-hand side 1 + 6·trials times."""
 
     spec: SystemSpec
     tol: float = 1e-10
 
     def __post_init__(self):
-        """Check ``tol`` and T once, when the map is built: a T below the
-        minimum step would underflow after the last accepted step."""
+        """Check ``tol`` once, when the map is built."""
         _check_tol(self.tol)
-        t = self.spec.sampling_time
-        if t < _MIN_STEP:
-            raise SpecValidationError(
-                "T", f"must be at least the integrator's minimum step {_MIN_STEP}, got {t!r}"
-            )
 
     def __call__(self, x, u=()) -> list:
         return self._integrate([float(v) for v in x], u, self.tol, self.spec.sampling_time)

@@ -99,11 +99,11 @@ def _boxes(dim):
 @st.composite
 def spec_dicts(draw):
     """JSON spec objects with n <= 3 states and m <= 1 inputs, f as text,
-    A and C with entries in [-10, 10], boxes within +-1e3 (not always
+    A and C with entries in [-1e3, 1e3], boxes within +-1e3 (not always
     around the origin) and T in {0.01, 0.1, 1}."""
     n, m = draw(st.integers(1, 3)), draw(st.integers(0, 1))
     matrix = lambda rows: st.lists(
-        st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n), min_size=rows, max_size=rows
+        st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n), min_size=rows, max_size=rows
     )
     spec = {
         "name": "drawn",

@@ -19,8 +19,12 @@ from hypothesis import strategies as st
 
 from lipdisc import (
     DiscreteModel,
+    ExactMap,
+    IntegrationError,
+    NumericalError,
     SamplingConfig,
     SpecValidationError,
+    SystemSpec,
     benchmarks,
     cli,
     convergence_study,
@@ -32,6 +36,7 @@ from lipdisc.cli import dumps_json, main
 
 from conftest import spec_dicts
 from output_schemas import OUTPUT_SCHEMAS
+from test_verify import BLOWUP
 
 
 @pytest.fixture()
@@ -334,10 +339,7 @@ _BAD_VALUES = {
     "seed": (("--seed", "-1"), "must be >= 0, got -1"),
     "polish_iters": (("--polish-iters", "-1"), "must be >= 0, got -1"),
     "tol": (("--tol", "1"), "must lie in [1e-13, 1e-6], got 1.0"),
-    "t_values": (
-        ("--t-list", "0.2,0.1,1e-13"),
-        "sampling times must be at least the integrator's minimum step 1e-12",
-    ),
+    "t_values": (("--t-list", "0.2,0.1,0"), "must be positive and finite, got 0.0"),
     "orders": (("--orders", "1,4"), "must be one of (1, 2, 3), got 4"),
     "x0": (("--x0", "0.1"), "must have shape (2,), got (1,)"),
     "u_seq": (("--inputs", "{rows}"), "expected rows of m = 1 numbers, got shape (2, 2)"),
@@ -428,25 +430,18 @@ def test_every_flag_maps_a_parameter_that_a_library_check_names(bench):
         assert err.value.path == name, name
 
 
-def test_exact_with_a_sampling_time_below_the_minimum_step_exits_2(
-    capsys, monkeypatch, spec_path, tmp_path
-):
-    # it used to integrate to t = T, then exit 3 on a step-size underflow
+def test_exact_at_a_sampling_time_of_1e_13_integrates(capsys, spec_path, tmp_path):
+    # the integrator's step floor is relative to T, so a tiny T integrates
     path = spec_path("cubic-scalar", T=1e-13)
     out = tmp_path / "traj.json"
-    _forbid_work(monkeypatch)
     code, stdout, stderr = _run(
         capsys, "discretize", path, "--x0", "0.5", "--steps", "2", "--exact", "--out", str(out)
     )
-    assert code == 2
-    assert stderr == "error: T: must be at least the integrator's minimum step 1e-12, got 1e-13\n"
-    assert stdout == "" and not out.exists()
-    monkeypatch.undo()
-    assert _run(capsys, "discretize", path, "--x0", "0.5", "--steps", "2")[0] == 0
-    argv = ["convergence", path, "--orders", "1"]
-    code, _, stderr = _run(capsys, *argv, "--t-list", "0.2,0.1,1e-13")
-    assert code == 2 and stderr.startswith("error: --t-list: ")
-    # convergence integrates at its --t-list times, not at the spec's T
+    assert (code, stderr) == (0, "")
+    spec = SystemSpec.from_dict(json.loads(Path(path).read_text()))
+    want = simulate(ExactMap(spec), spec, [0.5], np.zeros((2, 0))).states
+    assert json.loads(out.read_text())["exact_states"] == want.tolist()
+    argv = ["convergence", path, "--orders", "1", "--t-list", "0.2,0.1,1e-13"]
     assert _run(capsys, *argv)[0] == 0
 
 
@@ -1104,15 +1099,32 @@ def test_cmd_convergence_repeated_sampling_times_exit_2(capsys, spec_path):
     assert stdout == ""
 
 
-def test_cmd_convergence_sampling_time_below_minimum_step_exits_2(capsys, spec_path):
-    # 1e-300 used to reach the integrator and exit 3 on a step-size underflow
+def test_cmd_convergence_integrates_a_sampling_time_of_1e_300(capsys, spec_path, tmp_path):
+    # --t-list takes any positive time
+    out = tmp_path / "conv.json"
     code, stdout, stderr = _run(
         capsys, "convergence", spec_path("pendulum"), "--t-list", "0.2,0.1,1e-300",
-        "--orders", "1",
+        "--orders", "1", "--out", str(out),
     )
-    assert code == 2
-    assert "--t-list" in stderr and "minimum step" in stderr
-    assert stdout == ""
+    assert (code, stderr) == (0, "")
+    assert stdout.startswith("order 1: slope ")
+    assert json.loads(out.read_text())["t_values"] == [0.2, 0.1, 1e-300]
+
+
+def test_integration_failure_exits_3_with_the_library_message(capsys, tmp_path):
+    # IntegrationError is a NumericalError, so one clause of main reports it
+    assert issubclass(IntegrationError, NumericalError)
+    assert issubclass(IntegrationError, RuntimeError)
+    path, out = tmp_path / "blowup.json", tmp_path / "conv.json"
+    path.write_text(json.dumps(BLOWUP))
+    argv = ["--t-list", "0.2,0.1,0.05", "--tol", "1e-6", "--out", str(out)]
+    code, stdout, stderr = _run(capsys, "convergence", str(path), *argv)
+    with pytest.raises(IntegrationError) as want:
+        convergence_study(SystemSpec.from_dict(BLOWUP), (1, 2, 3), (0.2, 0.1, 0.05),
+                          integrator_tol=1e-6)
+    assert (code, stdout) == (3, "") and not out.exists()
+    assert stderr == f"numerical failure: {want.value}\n"
+    assert stderr.startswith("numerical failure: step size underflow (t=")
 
 
 def test_cmd_convergence_non_integer_orders_exit_2(capsys, spec_path):

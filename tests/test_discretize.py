@@ -481,11 +481,13 @@ def _reference_exact_step(s, x, u=(), tol=1e-10):
 
     t = 0.0
     h = t_end
-    for _ in range(discretize._MAX_STEPS):
+    while True:
         remaining = t_end - t
         if remaining <= 4.0 * np.finfo(float).eps * t_end:
             return y
         h = min(h, remaining)
+        if h < remaining and h <= 1e-6 * t_end:  # the last step is exempt
+            raise IntegrationError("step size underflow", t, y, h)
         k = [rhs(y)]
         for stage in range(1, 7):
             incr = sum(c * k[j] for j, c in enumerate(discretize._DP_A[stage]))
@@ -502,10 +504,6 @@ def _reference_exact_step(s, x, u=(), tol=1e-10):
             y = y_new
         factor = 5.0 if err == 0.0 else discretize._SAFETY * err ** (-0.2)
         h = h * min(5.0, max(0.2, factor))
-        h = min(h, t_end)
-        if h < discretize._MIN_STEP:
-            raise IntegrationError("step size underflow", t, y, h)
-    raise IntegrationError("step budget exhausted", t, y, h)
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-13, 1e-6])
@@ -529,8 +527,7 @@ def test_exact_step_keeps_the_bits_at_zero_states(bench):
 
 
 def test_exact_step_underflow_message_is_unchanged():
-    # dx/dt = x^2 from x = 1 blows up at t = 1, inside T = 5 (a T below the
-    # minimum step is rejected when the map is built, see below)
+    # dx/dt = x^2 from x = 1 blows up at t = 1, inside T = 5
     spec = SystemSpec(
         name="blowup", a=[[0.0]], c=[[1.0]], f=(parse("x1^2"),),
         region=BoxRegion([0.0], [2.0]), sampling_time=5.0,
@@ -827,15 +824,28 @@ def test_exact_step_validates_tolerance(bench):
     assert (err.value.path, err.value.message) == ("tol", "must lie in [1e-13, 1e-6], got 0.001")
 
 
-def test_exact_map_rejects_a_sampling_time_below_the_minimum_step():
-    # with T = 1e-13 the first step reached t = T, then the step-size
-    # check raised an underflow: now the map is refused when it is built
-    tiny = _linear_spec([[0.0]], t=1e-13)
-    with pytest.raises(SpecValidationError) as err:
-        ExactMap(tiny)
-    assert err.value.path == "T"
-    assert err.value.message == "must be at least the integrator's minimum step 1e-12, got 1e-13"
-    assert ExactMap(tiny.with_sampling_time(1e-12))([0.5]) == [0.5]
+@pytest.mark.parametrize("t", [1e-13, 1e-300, 5e-324])
+def test_exact_map_integrates_any_positive_sampling_time(t):
+    # the step floor is 1e-6 T and the last step is exempt, so no T > 0 is
+    # too small, down to the smallest subnormal
+    tiny = _linear_spec([[-1.0, 0.5], [0.0, -2.0]], t=t)
+    x = [0.5, -0.25]
+    got = np.array(ExactMap(tiny)(x))
+    assert got.tobytes() == _reference_exact_step(tiny, x).tobytes()
+
+
+def test_exact_map_underflows_where_the_floor_rounds_to_zero():
+    # at T = 1e-320, 1e-6 T is 0.0: a NaN field rejects every trial until
+    # h itself reaches 0.0, which the floor counts as below it
+    spec = SystemSpec(
+        name="nan-field", a=[[0.0]], c=[[1.0]], f=(parse("x1*1e999 - x1*1e999"),),
+        region=BoxRegion([-1.0], [1.0]), sampling_time=1e-320,
+    )
+    with pytest.raises(IntegrationError) as got:
+        ExactMap(spec)([0.5])
+    assert str(got.value) == "step size underflow (t=0.0, h=0.0, x=[0.5])"
+    want = _raised(_reference_exact_step, spec, [0.5])
+    assert str(want) == str(got.value)
 
 
 def test_library_checks_name_their_parameter(bench):

@@ -2,12 +2,14 @@
 and the chunked pair pass against a whole-array reference."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from lipdisc import (
     BoxRegion,
+    IntegrationError,
     SamplingConfig,
     SpecValidationError,
     SystemSpec,
@@ -290,16 +292,54 @@ def test_convergence_study_needs_three_distinct_sampling_times_and_an_order(benc
         convergence_study(bench["pendulum"], (), (0.2, 0.1, 0.05), fast_cfg)
 
 
-def test_convergence_study_rejects_sampling_times_below_the_minimum_step(bench, fast_cfg):
-    with pytest.raises(ValueError, match="minimum step"):
-        convergence_study(bench["pendulum"], (1,), (0.2, 0.1, 1e-300), fast_cfg)
+@pytest.mark.parametrize("bad", [0.0, -0.05, np.nan, np.inf])
+def test_convergence_study_rejects_sampling_times_that_are_not_positive_and_finite(
+    bench, fast_cfg, bad
+):
+    # NaN and inf are named on t_values too, not on the spec's T; 1e-300 runs
+    with pytest.raises(SpecValidationError) as err:
+        convergence_study(bench["pendulum"], (1,), (0.2, 0.1, bad), fast_cfg)
+    assert (err.value.path, err.value.message) == (
+        "t_values", f"must be positive and finite, got {bad!r}"
+    )
+    study = convergence_study(bench["pendulum"], (1,), (0.2, 0.1, 1e-300), fast_cfg)
+    assert study.t_values == [0.2, 0.1, 1e-300]
+
+
+# two drawn specs on which the exact map cannot reach T: x blows up inside
+# T on the first, and the box of the second holds many poles of tan
+BLOWUP = {
+    "name": "blowup", "A": [[2.56, -756.36], [-83.54, -7.27]], "C": [[1.0, 0.0]], "T": 0.1,
+    "f": ["x1^2", "x1^2"], "region": {"lower": [0.0, 0.0], "upper": [699.7, 1e-13]},
+    "input_region": {"lower": [0.0], "upper": [0.0]},
+}
+TAN_POLES = {
+    "name": "drawn",
+    "A": [[-7.409651741929423, 6.2448645811896775, 1e-10],
+          [-7.054685363931629, 1.175494351e-38, -2.9835346477420845],
+          [2.2885300331189047, 9.999999999999998, 9.0]],
+    "C": [[-3.923190159620659, 5.06022271005163e-125, 0.9]],
+    "f": ["(0.5 + 1e3)", "tan(((x3 + 3) - (x2 - x1)))", "(1 * 1e3)"],
+    "region": {"lower": [155.53318540875762, 1e-10, 155.53318540875762],
+               "upper": [1000.0, 155.53318540875762, 1000.0]},
+    "T": 0.1,
+}
+
+
+@pytest.mark.parametrize("data", [BLOWUP, TAN_POLES], ids=["blowup", "tan-poles"])
+def test_convergence_study_stops_on_a_step_size_underflow(data):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the tan box misses the origin
+        spec = SystemSpec.from_dict(data)
+    with pytest.raises(IntegrationError, match=r"^step size underflow \(t="):
+        convergence_study(spec, (1, 2, 3), (0.2, 0.1, 0.05), integrator_tol=1e-6)
 
 
 @pytest.mark.parametrize(
     "path, orders, t_values, tol",
     [
         ("t_values", (1,), (0.1, 0.1, 0.05), 1e-10),
-        ("t_values", (1,), (0.2, 0.1, 1e-13), 1e-10),
+        ("t_values", (1,), (0.2, 0.1, np.nan), 1e-10),
         ("orders", (), (0.2, 0.1, 0.05), 1e-10),
         ("orders", (1, 4), (0.2, 0.1, 0.05), 1e-10),
         ("tol", (1,), (0.2, 0.1, 0.05), 1e-3),
