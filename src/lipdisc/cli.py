@@ -1,6 +1,9 @@
 """Command-line surface: load JSON system specs, run the estimators,
 bounds, verification, discretization and convergence studies.
 
+The library function that uses an argument checks it: ``main`` builds
+the one :class:`SamplingConfig` of a command from its flags and reports
+a SpecValidationError on a parameter of ``_FLAGS`` as an error of its flag.
 Exit codes: 0 success (all bounds hold), 1 a bound was violated (a
 finding, not a crash), 2 input or spec validation error, 3 numerical
 failure.  JSON output serializes every float with 17 significant
@@ -130,8 +133,6 @@ def load_system(path: str) -> SystemSpec:
     return SystemSpec.from_dict(data)
 
 
-# the flag of each library parameter that the library's checks name; main
-# reports a SpecValidationError on one of them as an error of its flag
 _FLAGS = {
     "grid_per_axis": "--grid",
     "pair_budget": "--pairs",
@@ -143,15 +144,6 @@ _FLAGS = {
     "x0": "--x0",
     "u_seq": "--inputs",
 }
-
-
-def _sampling_config(args) -> SamplingConfig:
-    return SamplingConfig(
-        grid_per_axis=args.grid,
-        pair_budget=args.pairs,
-        seed=args.seed,
-        polish_iters=args.polish_iters,
-    )
 
 
 def _config_echo(args) -> dict:
@@ -173,18 +165,11 @@ def _numbers(text: str) -> np.ndarray:
     return np.asarray([float(v) for v in text.split(",") if v.strip() != ""])
 
 
-def _finite(values: np.ndarray, label: str) -> np.ndarray:
-    if not np.isfinite(values).all():
-        raise SpecValidationError(label, "values must be finite")
-    return values
-
-
 def _parse_vector(text: str, label: str) -> np.ndarray:
     try:
-        values = _numbers(text)
+        return _numbers(text)
     except ValueError as err:
         raise SpecValidationError(label, f"expected comma-separated numbers, got {text!r}") from err
-    return _finite(values, label)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,11 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each takes the parsed arguments and the loaded spec and
-# returns the exit code and the body of the --out payload
+# subcommands: each takes the parsed arguments, the loaded spec and its
+# SamplingConfig and returns the exit code and the body of the --out payload
 
-def cmd_constants(args, s: SystemSpec) -> tuple[int, dict]:
-    est = estimate_all(s, _sampling_config(args))
+def cmd_constants(args, s: SystemSpec, cfg: SamplingConfig) -> tuple[int, dict]:
+    est = estimate_all(s, cfg)
     print(f"system {s.name}: n={s.n} m={s.m} p={s.p} T={s.sampling_time}")
     print(f"  gamma_c     = {est.gamma_c:.12g}   (two-sided Lipschitz, empirical sup)")
     print(f"  rho_c       = {est.rho_c:.12g}   (one-sided Lipschitz, empirical sup)")
@@ -255,8 +240,8 @@ def cmd_constants(args, s: SystemSpec) -> tuple[int, dict]:
     return EXIT_OK, {"constants": est.to_jsonable()}
 
 
-def cmd_bounds(args, s: SystemSpec) -> tuple[int, dict]:
-    est = estimate_all(s, _sampling_config(args))
+def cmd_bounds(args, s: SystemSpec, cfg: SamplingConfig) -> tuple[int, dict]:
+    est = estimate_all(s, cfg)
     orders = [args.order] if args.order else ORDERS
     t = s.sampling_time
     rows = [{"order": k, "T": t, **evaluate_bounds(k, t, est)} for k in orders]
@@ -266,8 +251,8 @@ def cmd_bounds(args, s: SystemSpec) -> tuple[int, dict]:
     return EXIT_OK, {"constants": est.to_jsonable(), "bounds": rows}
 
 
-def cmd_verify(args, s: SystemSpec) -> tuple[int, dict]:
-    report = verify_bounds(s, args.order, _sampling_config(args))
+def cmd_verify(args, s: SystemSpec, cfg: SamplingConfig) -> tuple[int, dict]:
+    report = verify_bounds(s, args.order, cfg)
     print(f"system {s.name}, order {report.order}, T = {report.sampling_time}")
     for key, formula in report.bounds.items():
         empirical = f"empirical {report.empirical[key][0]:.12g}"
@@ -291,7 +276,7 @@ def _input_sequence(args, s: SystemSpec) -> np.ndarray:
     except ValueError:
         constant = None  # not a number list: a file name
     if constant is not None:  # one row, held for every step
-        return np.tile(_finite(_input_rows([constant], s.m), "--inputs"), (steps, 1))
+        return np.tile(_input_rows([constant], s.m), (steps, 1))
     try:
         with open(args.inputs) as fp:
             rows = json.load(fp)
@@ -302,12 +287,11 @@ def _input_sequence(args, s: SystemSpec) -> np.ndarray:
         raise SpecValidationError(
             "--inputs", f"file provides {seq.shape[0]} steps, --steps is {steps}"
         )
-    return _finite(seq, "--inputs")
+    return seq
 
 
-def cmd_discretize(args, s: SystemSpec) -> tuple[int, dict]:
+def cmd_discretize(args, s: SystemSpec, cfg: SamplingConfig) -> tuple[int, dict]:
     _check_tol(args.tol)  # echoed into --out, so checked even without --exact
-    _sampling_config(args)  # unused here, but echoed into --out: reject a bad value
     x0 = _parse_vector(args.x0, "--x0")
     u_seq = _input_sequence(args, s)
     mdl = DiscreteModel(s, args.order)
@@ -334,8 +318,7 @@ def cmd_discretize(args, s: SystemSpec) -> tuple[int, dict]:
     return EXIT_OK, body
 
 
-def cmd_convergence(args, s: SystemSpec) -> tuple[int, dict]:
-    cfg = _sampling_config(args)
+def cmd_convergence(args, s: SystemSpec, cfg: SamplingConfig) -> tuple[int, dict]:
     try:
         orders = [int(v) for v in args.orders.split(",") if v.strip()]
     except ValueError as err:
@@ -343,7 +326,7 @@ def cmd_convergence(args, s: SystemSpec) -> tuple[int, dict]:
             "--orders", f"expected comma-separated integers, got {args.orders!r}"
         ) from err
     t_values = _parse_vector(args.t_list, "--t-list").tolist()
-    study = convergence_study(s, orders, t_values, cfg, integrator_tol=args.tol)
+    study = convergence_study(s, orders, t_values, cfg.seed, args.tol)
     for k in sorted(study.slopes):
         print(f"order {k}: slope {study.slopes[k]:.3f} (expected about {k + 1})")
     return EXIT_OK, study.to_jsonable()
@@ -362,7 +345,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         s = load_system(args.spec)
-        code, body = _COMMANDS[args.command](args, s)
+        cfg = SamplingConfig(grid_per_axis=args.grid, pair_budget=args.pairs,
+                             seed=args.seed, polish_iters=args.polish_iters)
+        code, body = _COMMANDS[args.command](args, s, cfg)
         if args.out:
             # tool and system lead; the report's own config (verify)
             # keeps its place and follows the echo of the arguments

@@ -410,14 +410,17 @@ def simulate(stepper, s: SystemSpec, x0, u_seq) -> Trajectory:
 
     ``stepper`` is a :class:`DiscreteModel`, an :class:`ExactMap` or any
     callable (x, u) -> n floats that takes x and u as lists of floats.
-    One loop steps the lists and builds ``states`` once.  Leaving the
-    region D only warns (the estimated constants are valid inside D, the
-    iteration itself stays meaningful).
+    ``x0`` (n finite numbers) and ``u_seq`` are checked before the first
+    step; one loop steps the lists and builds ``states`` once.  Leaving
+    the region D only warns (the estimated constants are valid inside D,
+    the iteration itself stays meaningful).
     """
     u_seq = _input_rows(u_seq, s.m)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (s.n,):
         raise SpecValidationError("x0", f"must have shape ({s.n},), got {x0.shape}")
+    if not np.isfinite(x0).all():
+        raise SpecValidationError("x0", f"must be finite, got {x0.tolist()!r}")
     rows = [x0.tolist()]
     # a state or output that overflows or turns NaN is the caller's to report
     with np.errstate(over="ignore", invalid="ignore"):
@@ -437,8 +440,8 @@ def simulate(stepper, s: SystemSpec, x0, u_seq) -> Trajectory:
 
 
 def _input_rows(u_seq, m: int) -> np.ndarray:
-    """Input rows of m numbers as a (steps, m) array; for m = 1 a flat
-    sequence also serves, and an empty one is zero steps for any m."""
+    """Input rows of m finite numbers as a (steps, m) array; for m = 1 a
+    flat sequence also serves, and an empty one is zero steps for any m."""
     try:
         u_seq = np.asarray(u_seq, dtype=float)
     except (TypeError, ValueError) as err:  # not numbers, or ragged rows
@@ -449,4 +452,8 @@ def _input_rows(u_seq, m: int) -> np.ndarray:
         raise SpecValidationError(
             "u_seq", f"expected rows of m = {m} numbers, got shape {u_seq.shape}"
         )
+    finite = np.isfinite(u_seq).all(axis=1)
+    if not finite.all():
+        step = int(finite.argmin())
+        raise SpecValidationError("u_seq", f"must be finite, got {u_seq[step].tolist()!r} at step {step}")
     return u_seq

@@ -162,21 +162,19 @@ class ConvergenceStudy:
 
 
 def convergence_study(
-    s: SystemSpec,
-    orders,
-    t_values,
-    cfg: SamplingConfig | None = None,
-    integrator_tol: float = 1e-12,
+    s: SystemSpec, orders, t_values, seed: int = SamplingConfig.seed, tol: float = ExactMap.tol
 ) -> ConvergenceStudy:
     """Fit the local truncation error order of each Taylor map.
 
-    For each T, the max over a seeded sample of _CONVERGENCE_POINTS
-    points of the gap between the exact map and the order-k model is
-    recorded; the least-squares slope of log error against log T should
-    be close to k + 1.  Points are drawn from the central half of the
-    region (and inputs from U) so the series stays well inside its
-    convergence zone.  Every argument is checked before any work; a gap
-    that is not finite raises NumericalError.
+    For each T, the max over _CONVERGENCE_POINTS points drawn with
+    ``seed`` of the gap between ``ExactMap`` at ``tol`` and the order-k
+    model is recorded; the least-squares slope of log error against
+    log T should be close to k + 1.  Points are drawn from the central
+    half of the region (and inputs from U) so the series stays well
+    inside its convergence zone.  Every argument is checked before any
+    work.  A gap that is not finite, or no larger than the rounding
+    level 64 eps max(1, max |exact state|) at its T, raises
+    NumericalError: its slope would fit rounding, not truncation.
     """
     t_values = [float(t) for t in t_values]
     if len(set(t_values)) < 3:
@@ -187,9 +185,8 @@ def convergence_study(
     orders = sorted(set(_check_order(k, "orders") for k in orders))
     if not orders:
         raise SpecValidationError("orders", "need at least one order")
-    exact_maps = [ExactMap(s.with_sampling_time(t), integrator_tol) for t in t_values]
-    seed = (cfg or SamplingConfig()).seed
-    rng = np.random.default_rng(seed)
+    exact_maps = [ExactMap(s.with_sampling_time(t), tol) for t in t_values]
+    rng = np.random.default_rng(SamplingConfig(seed=seed).seed)
     inner = s.region.scaled(0.5)
     xs = inner.lower + rng.random((_CONVERGENCE_POINTS, s.n)) * inner.width
     us = s.input_region.lower + rng.random((_CONVERGENCE_POINTS, s.m)) * s.input_region.width
@@ -198,15 +195,18 @@ def convergence_study(
     errors: dict[int, list[float]] = {k: [] for k in orders}
     for exact_map in exact_maps:
         exact = np.array([exact_map(x, u) for x, u in rows])
+        rounding = 64 * float(np.finfo(float).eps) * max(1.0, float(np.max(np.abs(exact))))
         for k in orders:
             model = DiscreteModel(exact_map.spec, k)
             approx = np.array([model(x, u) for x, u in rows])
             with np.errstate(over="ignore", invalid="ignore"):
-                gap = np.max(np.linalg.norm(exact - approx, axis=1))
+                gap = float(np.max(np.linalg.norm(exact - approx, axis=1)))
+            where = f"order {k} at T={exact_map.spec.sampling_time!r}: the gap to the exact map"
             if not np.isfinite(gap):
-                raise NumericalError(f"order {k} at T={exact_map.spec.sampling_time!r}: "
-                                     "the gap to the exact map is not finite")
-            errors[k].append(float(max(gap, 1e-300)))
+                raise NumericalError(f"{where} is not finite")
+            if gap <= rounding:
+                raise NumericalError(f"{where}, {gap!r}, is at rounding level (<= {rounding!r})")
+            errors[k].append(gap)
 
     log_t = np.log(np.asarray(t_values))
     slopes = {}

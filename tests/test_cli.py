@@ -36,7 +36,7 @@ from lipdisc.cli import dumps_json, main
 
 from conftest import spec_dicts
 from output_schemas import OUTPUT_SCHEMAS
-from test_verify import BLOWUP
+from test_verify import BLOWUP, NILPOTENT
 
 
 @pytest.fixture()
@@ -223,7 +223,7 @@ def test_out_file_key_order(capsys, spec_path, tmp_path):
 def test_an_out_payload_that_cannot_be_written_leaves_no_file(
     capsys, monkeypatch, spec_path, tmp_path
 ):
-    monkeypatch.setitem(cli._COMMANDS, "constants", lambda args, s: (0, {"value": math.nan}))
+    monkeypatch.setitem(cli._COMMANDS, "constants", lambda args, s, cfg: (0, {"value": math.nan}))
     out = tmp_path / "out.json"
     code, _, stderr = _run(capsys, "constants", spec_path("pendulum"), "--out", str(out))
     assert code == 2
@@ -441,8 +441,6 @@ def test_exact_at_a_sampling_time_of_1e_13_integrates(capsys, spec_path, tmp_pat
     spec = SystemSpec.from_dict(json.loads(Path(path).read_text()))
     want = simulate(ExactMap(spec), spec, [0.5], np.zeros((2, 0))).states
     assert json.loads(out.read_text())["exact_states"] == want.tolist()
-    argv = ["convergence", path, "--orders", "1", "--t-list", "0.2,0.1,1e-13"]
-    assert _run(capsys, *argv)[0] == 0
 
 
 def test_load_system_builds_no_point_template(spec_path):
@@ -833,7 +831,7 @@ def test_cmd_discretize_nonfinite_x0_exits_2(capsys, spec_path, tmp_path, x0):
         "--out", str(out),
     )
     assert code == 2
-    assert "--x0" in stderr and "finite" in stderr
+    assert stderr == f"error: --x0: must be finite, got {[float(v) for v in x0.split(',')]!r}\n"
     assert not out.exists()
 
 
@@ -935,7 +933,7 @@ def test_cmd_discretize_nonfinite_constant_input_exits_2(capsys, spec_path):
         "--steps", "3", "--inputs", "nan",
     )
     assert code == 2
-    assert "--inputs" in stderr and "finite" in stderr
+    assert stderr == "error: --inputs: must be finite, got [nan] at step 0\n"
 
 
 def test_cmd_discretize_nonfinite_input_file_exits_2(capsys, spec_path, tmp_path):
@@ -946,7 +944,7 @@ def test_cmd_discretize_nonfinite_input_file_exits_2(capsys, spec_path, tmp_path
         "--steps", "3", "--inputs", str(inputs),
     )
     assert code == 2
-    assert "--inputs" in stderr and "finite" in stderr
+    assert stderr == "error: --inputs: must be finite, got [nan] at step 1\n"
 
 
 def test_cmd_discretize_non_numeric_input_file_exits_2(capsys, spec_path, tmp_path):
@@ -1099,16 +1097,36 @@ def test_cmd_convergence_repeated_sampling_times_exit_2(capsys, spec_path):
     assert stdout == ""
 
 
-def test_cmd_convergence_integrates_a_sampling_time_of_1e_300(capsys, spec_path, tmp_path):
-    # --t-list takes any positive time
-    out = tmp_path / "conv.json"
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_cmd_convergence_non_finite_sampling_time_exits_2(capsys, spec_path, bad):
+    # reported once, by the library's rule for every --t-list time
     code, stdout, stderr = _run(
-        capsys, "convergence", spec_path("pendulum"), "--t-list", "0.2,0.1,1e-300",
-        "--orders", "1", "--out", str(out),
+        capsys, "convergence", spec_path("pendulum"), "--t-list", f"0.2,0.1,{bad}"
     )
-    assert (code, stderr) == (0, "")
-    assert stdout.startswith("order 1: slope ")
-    assert json.loads(out.read_text())["t_values"] == [0.2, 0.1, 1e-300]
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: --t-list: must be positive and finite, got {float(bad)!r}\n"
+
+
+def test_cmd_convergence_with_a_gap_at_rounding_level_exits_3(capsys, spec_path, tmp_path):
+    # --t-list takes any positive time, but a gap at rounding level fits no slope
+    nilpotent = tmp_path / "nilpotent.json"
+    nilpotent.write_text(json.dumps(NILPOTENT))
+    level = 64 * float(np.finfo(float).eps)  # every exact state lies in [-1, 1]
+    cases = [
+        (spec_path("pendulum"), "0.2,0.1,1e-13", "1e-13"),
+        (spec_path("pendulum"), "0.2,0.1,1e-300", "1e-300"),  # the gap is exactly 0
+        (str(nilpotent), "0.2,0.1,0.05", "0.2"),
+    ]
+    for path, t_list, t in cases:
+        out = tmp_path / "conv.json"
+        code, stdout, stderr = _run(
+            capsys, "convergence", path, "--t-list", t_list, "--out", str(out)
+        )
+        assert (code, stdout) == (3, "") and not out.exists()
+        head = f"numerical failure: order 1 at T={t}: the gap to the exact map, "
+        gap = float(stderr.removeprefix(head).split(",")[0])
+        assert 0.0 <= gap <= level and (gap == 0.0) == (t == "1e-300")
+        assert stderr == f"{head}{gap!r}, is at rounding level (<= {level!r})\n"
 
 
 def test_integration_failure_exits_3_with_the_library_message(capsys, tmp_path):
@@ -1120,8 +1138,7 @@ def test_integration_failure_exits_3_with_the_library_message(capsys, tmp_path):
     argv = ["--t-list", "0.2,0.1,0.05", "--tol", "1e-6", "--out", str(out)]
     code, stdout, stderr = _run(capsys, "convergence", str(path), *argv)
     with pytest.raises(IntegrationError) as want:
-        convergence_study(SystemSpec.from_dict(BLOWUP), (1, 2, 3), (0.2, 0.1, 0.05),
-                          integrator_tol=1e-6)
+        convergence_study(SystemSpec.from_dict(BLOWUP), (1, 2, 3), (0.2, 0.1, 0.05), tol=1e-6)
     assert (code, stdout) == (3, "") and not out.exists()
     assert stderr == f"numerical failure: {want.value}\n"
     assert stderr.startswith("numerical failure: step size underflow (t=")

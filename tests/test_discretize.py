@@ -886,6 +886,27 @@ def test_simulate_zero_steps(bench):
     assert traj.first_exit is None
 
 
+@pytest.mark.parametrize(
+    "x0, u_seq, path, message",
+    [
+        ([np.nan, 0.0], [[0.0]], "x0", "must be finite, got [nan, 0.0]"),
+        ([0.1, np.inf], [[0.0]], "x0", "must be finite, got [0.1, inf]"),
+        ([0.1, 0.2], [[0.0], [np.nan], [-np.inf]], "u_seq", "must be finite, got [nan] at step 1"),
+        ([0.1, 0.2], [-np.inf], "u_seq", "must be finite, got [-inf] at step 0"),
+    ],
+    ids=["nan-x0", "inf-x0", "nan-input-row", "inf-input"],
+)
+def test_simulate_rejects_a_non_finite_state_or_input_before_any_step(
+    bench, x0, u_seq, path, message
+):
+    def no_work(*args):
+        raise AssertionError("a step ran before the arguments were checked")
+
+    with pytest.raises(SpecValidationError) as err:
+        simulate(no_work, bench["van-der-pol"], x0, u_seq)  # n = 2, m = 1
+    assert (err.value.path, err.value.message) == (path, message)
+
+
 def test_simulate_linear_matches_matrix_powers(bench):
     spec = bench["linear-2d"]
     mdl = DiscreteModel(spec, 1)
@@ -1065,7 +1086,8 @@ def test_first_exit_matches_the_per_step_check():
     cases = [edge, edge[[3, 0]], edge[:2], edge[:1]]  # [3, 0]: x0 outside D
     for trial in range(300):
         states = rng.uniform(-1.2, 1.2, size=(int(rng.integers(1, 12)), 3)) * [1.0, 2.0, 0.5]
-        states[rng.random(states.shape) < 0.05] = np.nan
+        nan = rng.random(states.shape) < 0.05
+        states[1:][nan[1:]] = np.nan  # simulate rejects a NaN x0
         if trial % 3 == 0:
             states = np.clip(states, lower, upper)  # NaN rows stay
         cases.append(states)
@@ -1080,6 +1102,8 @@ def test_first_exit_matches_the_per_step_check():
             [] if want is None else [f"trajectory of 'box' leaves the region at step {want}"]
         )
     assert [_per_step_first_exit(spec.region, c) for c in cases[:4]] == [2, 0, None, None]
+    with pytest.raises(SpecValidationError, match="must be finite"):
+        simulate(lambda x, u: x, spec, [0.0, np.nan, 0.0], np.zeros((1, 0)))
 
 
 def test_integrator_error_carries_state():

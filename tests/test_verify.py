@@ -10,6 +10,7 @@ import pytest
 from lipdisc import (
     BoxRegion,
     IntegrationError,
+    NumericalError,
     SamplingConfig,
     SpecValidationError,
     SystemSpec,
@@ -274,7 +275,7 @@ def test_verify_tolerance_combines_absolute_and_relative():
 
 def test_convergence_study_linear_system(bench, fast_cfg):
     study = convergence_study(
-        bench["linear-2d"], (1, 2, 3), (0.2, 0.1, 0.05, 0.025), fast_cfg
+        bench["linear-2d"], (1, 2, 3), (0.2, 0.1, 0.05, 0.025), fast_cfg.seed
     )
     for k in (1, 2, 3):
         assert abs(study.slopes[k] - (k + 1)) <= 0.3
@@ -282,28 +283,76 @@ def test_convergence_study_linear_system(bench, fast_cfg):
 
 def test_convergence_study_needs_three_sampling_times(bench, fast_cfg):
     with pytest.raises(ValueError):
-        convergence_study(bench["pendulum"], (1,), (0.1, 0.05), fast_cfg)
+        convergence_study(bench["pendulum"], (1,), (0.1, 0.05), fast_cfg.seed)
 
 
 def test_convergence_study_needs_three_distinct_sampling_times_and_an_order(bench, fast_cfg):
     with pytest.raises(ValueError, match="distinct"):
-        convergence_study(bench["pendulum"], (1,), (0.1, 0.1, 0.05), fast_cfg)
+        convergence_study(bench["pendulum"], (1,), (0.1, 0.1, 0.05), fast_cfg.seed)
     with pytest.raises(ValueError, match="order"):
-        convergence_study(bench["pendulum"], (), (0.2, 0.1, 0.05), fast_cfg)
+        convergence_study(bench["pendulum"], (), (0.2, 0.1, 0.05), fast_cfg.seed)
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.05, np.nan, np.inf])
 def test_convergence_study_rejects_sampling_times_that_are_not_positive_and_finite(
     bench, fast_cfg, bad
 ):
-    # NaN and inf are named on t_values too, not on the spec's T; 1e-300 runs
+    # NaN and inf are named on t_values too, not on the spec's T
     with pytest.raises(SpecValidationError) as err:
-        convergence_study(bench["pendulum"], (1,), (0.2, 0.1, bad), fast_cfg)
+        convergence_study(bench["pendulum"], (1,), (0.2, 0.1, bad), fast_cfg.seed)
     assert (err.value.path, err.value.message) == (
         "t_values", f"must be positive and finite, got {bad!r}"
     )
-    study = convergence_study(bench["pendulum"], (1,), (0.2, 0.1, 1e-300), fast_cfg)
-    assert study.t_values == [0.2, 0.1, 1e-300]
+
+
+# A = [[0, 1], [0, 0]] and f = 0: every order-k map is the flow x + T A x
+NILPOTENT = {
+    "name": "nilpotent", "A": [[0.0, 1.0], [0.0, 0.0]], "C": [[1.0, 0.0]], "f": ["0", "0"],
+    "region": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}, "T": 0.1,
+}
+
+
+@pytest.mark.parametrize(
+    "name, t_values, t",
+    [
+        ("pendulum", (0.2, 0.1, 1e-13), 1e-13),
+        ("pendulum", (0.2, 0.1, 1e-300), 1e-300),  # the gap is exactly 0
+        ("nilpotent", (0.2, 0.1, 0.05), 0.2),  # at every T
+    ],
+)
+def test_convergence_study_rejects_a_gap_at_rounding_level(bench, name, t_values, t):
+    s = SystemSpec.from_dict(NILPOTENT) if name == "nilpotent" else bench[name]
+    level = 64 * float(np.finfo(float).eps)  # every exact state lies in [-1, 1]
+    with pytest.raises(NumericalError) as err:
+        convergence_study(s, (1, 2, 3), t_values)
+    head = f"order 1 at T={t!r}: the gap to the exact map, "
+    assert str(err.value).startswith(head)
+    gap = float(str(err.value)[len(head):].split(",")[0])
+    assert 0.0 <= gap <= level
+    assert str(err.value) == f"{head}{gap!r}, is at rounding level (<= {level!r})"
+
+
+def test_convergence_study_integrates_at_the_default_tolerance_of_exact_map(bench):
+    spec, t_values = bench["pendulum"], (0.2, 0.1, 0.05)
+    got = convergence_study(spec, (1, 2, 3), t_values)
+    want = convergence_study(spec, (1, 2, 3), t_values, seed=42, tol=1e-10)
+    assert (ExactMap.tol, SamplingConfig.seed) == (1e-10, 42)
+    for k in (1, 2, 3):
+        assert [v.hex() for v in got.errors[k]] == [v.hex() for v in want.errors[k]]
+    assert got.errors != convergence_study(spec, (1, 2, 3), t_values, tol=1e-12).errors
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True, "7"])
+def test_convergence_study_checks_the_seed_by_the_sampling_rule(bench, monkeypatch, seed):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a map was stepped before the seed was checked")
+
+    monkeypatch.setattr(ExactMap, "__call__", no_work)
+    with pytest.raises(SpecValidationError) as err:
+        convergence_study(bench["pendulum"], (1,), (0.2, 0.1, 0.05), seed=seed)
+    with pytest.raises(SpecValidationError) as want:
+        SamplingConfig(seed=seed)
+    assert (err.value.path, err.value.message) == ("seed", want.value.message)
 
 
 # two drawn specs on which the exact map cannot reach T: x blows up inside
@@ -332,7 +381,7 @@ def test_convergence_study_stops_on_a_step_size_underflow(data):
         warnings.simplefilter("ignore")  # the tan box misses the origin
         spec = SystemSpec.from_dict(data)
     with pytest.raises(IntegrationError, match=r"^step size underflow \(t="):
-        convergence_study(spec, (1, 2, 3), (0.2, 0.1, 0.05), integrator_tol=1e-6)
+        convergence_study(spec, (1, 2, 3), (0.2, 0.1, 0.05), tol=1e-6)
 
 
 @pytest.mark.parametrize(
@@ -358,7 +407,7 @@ def test_convergence_study_names_a_bad_argument_before_any_work(
     monkeypatch.setattr(ExactMap, "__call__", no_work)
     monkeypatch.setattr(DiscreteModel, "__call__", no_work)
     with pytest.raises(SpecValidationError) as err:
-        convergence_study(bench["pendulum"], orders, t_values, fast_cfg, integrator_tol=tol)
+        convergence_study(bench["pendulum"], orders, t_values, fast_cfg.seed, tol)
     assert err.value.path == path
 
 
@@ -397,14 +446,14 @@ def _reference_local_errors(s, orders, t_values, seed, tol):
             mdl = DiscreteModel(s_t, k)
             approx = np.stack([mdl.a_d @ x + np.asarray(mdl.f_t(x, u)) for x, u in zip(xs, us)])
             gap = np.max(np.linalg.norm(exact - approx, axis=1))
-            errors[k].append(float(max(gap, 1e-300)))
+            errors[k].append(float(gap))
     return errors
 
 
 def test_convergence_errors_keep_the_bits_of_the_array_steps(bench, probe):
     t_values = (0.2, 0.1, 0.05, 0.025)
     for spec in [*bench.values(), probe]:
-        study = convergence_study(spec, (1, 2, 3), t_values, SamplingConfig(seed=7))
+        study = convergence_study(spec, (1, 2, 3), t_values, seed=7, tol=1e-12)
         want = _reference_local_errors(spec, (1, 2, 3), t_values, seed=7, tol=1e-12)
         for k in (1, 2, 3):
             assert [v.hex() for v in study.errors[k]] == [v.hex() for v in want[k]], (spec.name, k)
