@@ -38,8 +38,8 @@ from .system import SpecValidationError
 def evaluate_bounds(order: int, t: float, c: ConstantEstimates) -> dict:
     """Both formula constants for one order, keyed ``gamma_d`` and
     ``rho_d`` (``rho_d`` None at order 3).  ``rho_d`` may be negative,
-    like the continuous constant it scales.
-
+    like the continuous constant it scales.  T = 0 is in the domain,
+    unlike a spec's T > 0: the formulas are polynomials in T, all 0 there.
     A formula that overflows or is not finite raises NumericalError."""
     order = _check_order(order)
     if not t >= 0.0:

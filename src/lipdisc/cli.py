@@ -1,9 +1,9 @@
 """Command-line surface: load JSON system specs, run the estimators,
 bounds, verification, discretization and convergence studies.
 
-The library function that uses an argument checks it: ``main`` builds
-the one :class:`SamplingConfig` of a command from its flags and reports
-a SpecValidationError on a parameter of ``_FLAGS`` as an error of its flag.
+argparse only parses, and the library function that uses an argument
+checks it.  ``main`` builds a command's one :class:`SamplingConfig` and
+names the flag of a ``_FLAGS`` parameter that a SpecValidationError names.
 Exit codes: 0 success (all bounds hold), 1 a bound was violated (a
 finding, not a crash), 2 input or spec validation error, 3 numerical
 failure.  JSON output serializes every float with 17 significant
@@ -23,7 +23,8 @@ import numpy as np
 from . import __version__
 from .bounds import evaluate_bounds
 from .constants import NumericalError, SamplingConfig, estimate_all
-from .discretize import ORDERS, DiscreteModel, ExactMap, _check_tol, _input_rows, simulate
+from .discretize import ORDERS, DiscreteModel, ExactMap, simulate
+from .discretize import _check_order, _check_tol, _input_rows
 from .expr import ExprError
 from .system import SpecValidationError, SystemSpec
 from .verify import convergence_study, verify_bounds
@@ -140,6 +141,7 @@ _FLAGS = {
     "polish_iters": "--polish-iters",
     "tol": "--tol",
     "t_values": "--t-list",
+    "order": "--order",
     "orders": "--orders",
     "x0": "--x0",
     "u_seq": "--inputs",
@@ -197,15 +199,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("constants", parents=[common], help="estimate the region constants")
 
     p_bounds = sub.add_parser("bounds", parents=[common], help="evaluate the formula constants")
-    p_bounds.add_argument("--order", type=int, choices=ORDERS, default=None,
+    p_bounds.add_argument("--order", type=int, default=None,
                           help="single order (default: all three)")
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="check formula vs empirical constants")
-    p_verify.add_argument("--order", type=int, choices=ORDERS, default=1)
+    p_verify.add_argument("--order", type=int, default=1)
 
     p_disc = sub.add_parser("discretize", parents=[common], help="simulate the discrete model")
-    p_disc.add_argument("--order", type=int, choices=ORDERS, default=1)
+    p_disc.add_argument("--order", type=int, default=1)
     p_disc.add_argument("--x0", required=True, help="initial state, comma-separated")
     p_disc.add_argument(
         "--inputs", default=None,
@@ -241,8 +243,8 @@ def cmd_constants(args, s: SystemSpec, cfg: SamplingConfig) -> tuple[int, dict]:
 
 
 def cmd_bounds(args, s: SystemSpec, cfg: SamplingConfig) -> tuple[int, dict]:
+    orders = ORDERS if args.order is None else [_check_order(args.order)]
     est = estimate_all(s, cfg)
-    orders = [args.order] if args.order else ORDERS
     t = s.sampling_time
     rows = [{"order": k, "T": t, **evaluate_bounds(k, t, est)} for k in orders]
     for row in rows:
@@ -290,12 +292,19 @@ def _input_sequence(args, s: SystemSpec) -> np.ndarray:
     return seq
 
 
+def _trajectory(label: str, stepper, s: SystemSpec, x0, u_seq):
+    """:func:`simulate`, warning if the ``label`` trajectory leaves D."""
+    traj = simulate(stepper, s, x0, u_seq)
+    if traj.first_exit is not None:
+        warnings.warn(f"{label} of {s.name!r} leaves the region at step {traj.first_exit}")
+    return traj
+
+
 def cmd_discretize(args, s: SystemSpec, cfg: SamplingConfig) -> tuple[int, dict]:
     _check_tol(args.tol)  # echoed into --out, so checked even without --exact
     x0 = _parse_vector(args.x0, "--x0")
     u_seq = _input_sequence(args, s)
-    mdl = DiscreteModel(s, args.order)
-    traj = simulate(mdl, s, x0, u_seq)
+    traj = _trajectory("trajectory", DiscreteModel(s, args.order), s, x0, u_seq)
     body = {
         "order": args.order,
         "T": s.sampling_time,
@@ -304,7 +313,7 @@ def cmd_discretize(args, s: SystemSpec, cfg: SamplingConfig) -> tuple[int, dict]
         "first_exit": traj.first_exit,
     }
     if args.exact:
-        exact = simulate(ExactMap(s, args.tol), s, x0, u_seq)
+        exact = _trajectory("exact trajectory", ExactMap(s, args.tol), s, x0, u_seq)
         body["exact_states"] = exact.states
         with np.errstate(over="ignore"):  # reported as non-finite below
             body["errors"] = np.linalg.norm(traj.states - exact.states, axis=1)

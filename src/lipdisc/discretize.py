@@ -54,7 +54,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -411,9 +410,10 @@ def simulate(stepper, s: SystemSpec, x0, u_seq) -> Trajectory:
     ``stepper`` is a :class:`DiscreteModel`, an :class:`ExactMap` or any
     callable (x, u) -> n floats that takes x and u as lists of floats.
     ``x0`` (n finite numbers) and ``u_seq`` are checked before the first
-    step; one loop steps the lists and builds ``states`` once.  Leaving
-    the region D only warns (the estimated constants are valid inside D,
-    the iteration itself stays meaningful).
+    step; one loop steps the lists and builds ``states`` once.  It
+    warns of nothing: ``first_exit`` (the first step outside D, where
+    the estimated constants hold) and a non-finite state or output are
+    the caller's to report.
     """
     u_seq = _input_rows(u_seq, s.m)
     x0 = np.asarray(x0, dtype=float)
@@ -422,21 +422,13 @@ def simulate(stepper, s: SystemSpec, x0, u_seq) -> Trajectory:
     if not np.isfinite(x0).all():
         raise SpecValidationError("x0", f"must be finite, got {x0.tolist()!r}")
     rows = [x0.tolist()]
-    # a state or output that overflows or turns NaN is the caller's to report
     with np.errstate(over="ignore", invalid="ignore"):
         for u in u_seq.tolist():
             rows.append(stepper(rows[-1], u))
         states = np.array(rows)
         outputs = states @ s.c.T
-    outside = np.flatnonzero(~s.region.contains(states))
-    first_exit = int(outside[0]) if outside.size else None
-    if first_exit is not None:
-        warnings.warn(
-            f"trajectory of {s.name!r} leaves the region at step {first_exit}",
-            UserWarning,
-            stacklevel=2,
-        )
-    return Trajectory(states=states, outputs=outputs, first_exit=first_exit)
+    outside = np.flatnonzero(~s.region.contains(states)).tolist()
+    return Trajectory(states=states, outputs=outputs, first_exit=outside[0] if outside else None)
 
 
 def _input_rows(u_seq, m: int) -> np.ndarray:

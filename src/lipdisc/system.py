@@ -278,10 +278,12 @@ class _Template:
             return self.batch_kernels[dims](x, u, out)
 
 
-def _sampling_time(t) -> float:
+def _sampling_time(t, path: str = "T") -> float:
+    """The sampling-time rule of the spec and of every study time: a
+    positive finite number, as a float; ``path`` names it in the error."""
     t = float(t)
     if not (t > 0.0 and np.isfinite(t)):
-        raise SpecValidationError("T", f"sampling time must be positive and finite, got {t}")
+        raise SpecValidationError(path, f"must be positive and finite, got {t!r}")
     return t
 
 

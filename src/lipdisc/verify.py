@@ -45,7 +45,7 @@ from .constants import (
     sup_pair_quotient,
 )
 from .discretize import DiscreteModel, ExactMap, _check_order
-from .system import SpecValidationError, SystemSpec
+from .system import SpecValidationError, SystemSpec, _sampling_time
 
 _CONVERGENCE_POINTS = 25  # seeded sample size of the convergence study
 
@@ -108,8 +108,8 @@ class VerificationReport:
 def verify_bounds(s: SystemSpec, order: int, cfg: SamplingConfig) -> VerificationReport:
     """Full pipeline: constants, formula bounds, empirical constants,
     margins and pass flags for one order."""
+    mdl = DiscreteModel(s, order)  # the order is checked before the sample is drawn
     pairs = sample_pairs(s, cfg)
-    mdl = DiscreteModel(s, order)
     x1, x2, u = pairs.x1, pairs.x2, pairs.u
 
     def images(rows):  # f once per endpoint, for rho_c and F_T
@@ -176,12 +176,9 @@ def convergence_study(
     level 64 eps max(1, max |exact state|) at its T, raises
     NumericalError: its slope would fit rounding, not truncation.
     """
-    t_values = [float(t) for t in t_values]
+    t_values = [_sampling_time(t, "t_values") for t in t_values]
     if len(set(t_values)) < 3:
         raise SpecValidationError("t_values", "need at least 3 distinct sampling times")
-    for t in t_values:
-        if not 0.0 < t < np.inf:
-            raise SpecValidationError("t_values", f"must be positive and finite, got {t!r}")
     orders = sorted(set(_check_order(k, "orders") for k in orders))
     if not orders:
         raise SpecValidationError("orders", "need at least one order")

@@ -32,6 +32,7 @@ from lipdisc import (
     simulate,
 )
 from lipdisc import constants as estimators
+from lipdisc import verify as verification
 from lipdisc.cli import dumps_json, main
 
 from conftest import spec_dicts
@@ -193,6 +194,38 @@ def test_console_prints_a_warning_on_one_line(spec_path):
     assert ".py:" not in done.stderr
 
 
+# x' = x + 0.1 x^2 from x0 = 0.9: the order-1 model leaves [-1, 1] at step 2, the flow at step 1
+LEAVE = {"name": "leave", "A": [[1]], "C": [[1]], "T": 0.1, "f": ["0.1*x1^2"],
+         "region": {"lower": [-1], "upper": [1]}}
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_console_names_each_trajectory_that_leaves_the_region(tmp_path, exact):
+    spec = tmp_path / "leave.json"
+    spec.write_text(json.dumps(LEAVE))
+    done = _console("discretize", str(spec), "--x0", "0.9", "--steps", "5",
+                    *(["--exact"] if exact else []))
+    assert done.returncode == 0
+    assert done.stderr == "warning: trajectory of 'leave' leaves the region at step 2\n" + (
+        "warning: exact trajectory of 'leave' leaves the region at step 1\n" if exact else ""
+    )
+
+
+def test_domain_error_exits_3_naming_the_subexpression(capsys, tmp_path):
+    # ExprEvalError names its node through expr.unparse
+    spec, out = tmp_path / "ln.json", tmp_path / "traj.json"
+    spec.write_text(json.dumps({"name": "ln", "A": [[0]], "C": [[1]], "T": 0.1,
+                                "f": ["ln(x1 + 2)"], "region": {"lower": [-1], "upper": [1]}}))
+    code, stdout, stderr = _run(
+        capsys, "discretize", str(spec), "--x0=-3", "--steps", "2", "--out", str(out)
+    )
+    assert (code, stdout) == (3, "")
+    assert stderr == (
+        "numerical failure: ln of non-positive value -1.0 (in subexpression 'ln(x1 + 2)')\n"
+    )
+    assert not out.exists()
+
+
 def test_out_file_key_order(capsys, spec_path, tmp_path):
     spec = spec_path("pendulum")
     fast = ["--pairs", "2000", "--grid", "5", "--polish-iters", "2"]
@@ -340,14 +373,18 @@ _BAD_VALUES = {
     "polish_iters": (("--polish-iters", "-1"), "must be >= 0, got -1"),
     "tol": (("--tol", "1"), "must lie in [1e-13, 1e-6], got 1.0"),
     "t_values": (("--t-list", "0.2,0.1,0"), "must be positive and finite, got 0.0"),
+    "order": (("--order", "4"), "must be one of (1, 2, 3), got 4"),
     "orders": (("--orders", "1,4"), "must be one of (1, 2, 3), got 4"),
     "x0": (("--x0", "0.1"), "must have shape (2,), got (1,)"),
     "u_seq": (("--inputs", "{rows}"), "expected rows of m = 1 numbers, got shape (2, 2)"),
 }
 _SAMPLING = ("grid_per_axis", "pair_budget", "seed", "polish_iters")
+# verify's --order is checked inside verify_bounds, which _forbid_work
+# replaces: test_bad_order_exits_2_on_one_line_before_any_sampling covers it
 _FLAG_CASES = [
     *((command, name) for command in ("constants", "bounds", "verify") for name in _SAMPLING),
-    *(("discretize", name) for name in (*_SAMPLING, "tol", "x0", "u_seq")),
+    ("bounds", "order"),
+    *(("discretize", name) for name in (*_SAMPLING, "tol", "order", "x0", "u_seq")),
     *(("convergence", name) for name in (*_SAMPLING, "tol", "t_values", "orders")),
 ]
 
@@ -389,6 +426,40 @@ def test_bad_flag_exits_2_naming_it_before_any_work(
     assert stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("order", [0, 4])
+@pytest.mark.parametrize("command", ["bounds", "verify", "discretize"])
+def test_bad_order_exits_2_on_one_line_before_any_sampling(
+    capsys, monkeypatch, spec_path, tmp_path, command, order
+):
+    # the library's order rule answers, as for --orders, not argparse's usage block
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the order was checked")
+
+    for module, name in [(cli, "estimate_all"), (verification, "estimate_all"),
+                         (verification, "sample_pairs")]:
+        monkeypatch.setattr(module, name, no_work)
+    monkeypatch.setattr(discretize.DiscreteModel, "__call__", no_work)
+    monkeypatch.setattr(discretize.ExactMap, "__call__", no_work)
+    base = ["--x0", "0.1,0.1", "--steps", "2", "--exact"] if command == "discretize" else []
+    out = tmp_path / "out.json"
+    code, stdout, stderr = _run(
+        capsys, command, spec_path("van-der-pol"), *base, "--order", str(order), "--out", str(out)
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: --order: must be one of (1, 2, 3), got {order}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, shown", [("0", "0.0"), ("-1", "-1.0"), ("NaN", "nan")])
+def test_spec_sampling_time_that_is_not_positive_and_finite_exits_2(capsys, tmp_path, text, shown):
+    path = tmp_path / "spec.json"
+    path.write_text('{"name": "t", "A": [[0]], "C": [[1]], "f": ["0"], '
+                    '"region": {"lower": [-1], "upper": [1]}, "T": %s}' % text)
+    code, stdout, stderr = _run(capsys, "constants", str(path))
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: T: must be positive and finite, got {shown}\n"
+
+
 # numpy's text for an allocation that fails
 _OOM = "Unable to allocate 371. MiB for an array with shape (759375, 4, 4, 4) and data type float64"
 
@@ -419,6 +490,7 @@ def test_every_flag_maps_a_parameter_that_a_library_check_names(bench):
         "polish_iters": (SamplingConfig, {"polish_iters": -1}),
         "tol": (discretize.ExactMap, {"spec": vdp, "tol": 1.0}),
         "t_values": (convergence_study, {**study, "t_values": [0.1, 0.1, 0.1]}),
+        "order": (DiscreteModel, {"spec": vdp, "order": 4}),
         "orders": (convergence_study, {**study, "orders": [4]}),
         "x0": (simulate, {**steps, "x0": [0.1]}),
         "u_seq": (simulate, {**steps, "u_seq": [[0.1, 0.2]]}),

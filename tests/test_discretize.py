@@ -992,9 +992,7 @@ def test_simulate_keeps_the_bits_of_the_row_loop(bench, probe, order):
     for spec in specs:
         x0, u_seq = _trajectory_inputs(spec, 200, seed=order)
         mdl = DiscreteModel(spec, order)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a trajectory may leave D
-            traj = simulate(mdl, spec, x0, u_seq)
+        traj = simulate(mdl, spec, x0, u_seq)
         want = _reference_states(_reference_model_step(mdl), spec, x0, u_seq)
         assert float_bits(traj.states) == float_bits(want), spec.name
         assert float_bits(traj.outputs) == float_bits(want @ spec.c.T), spec.name
@@ -1004,9 +1002,7 @@ def test_simulate_exact_map_keeps_the_bits_of_chained_exact_steps(bench, probe):
     for spec in [*bench.values(), probe]:
         x0, u_seq = _trajectory_inputs(spec, 200, seed=5)
         for tol in (1e-10, 1e-6):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                traj = simulate(ExactMap(spec, tol), spec, x0, u_seq)
+            traj = simulate(ExactMap(spec, tol), spec, x0, u_seq)
             want = _reference_states(ExactMap(spec, tol), spec, x0, u_seq)
             assert traj.states.tobytes() == want.tobytes(), (spec.name, tol)
 
@@ -1050,8 +1046,9 @@ def test_simulate_rejects_input_rows_of_the_wrong_width(bench):
         simulate(DiscreteModel(pend, 1), pend, [0.1, 0.2], [0.1, 0.2])
 
 
-def test_simulate_warns_on_region_exit():
-    spec = SystemSpec(
+def test_simulate_leaves_a_region_exit_to_its_caller():
+    # first_exit is the report; the CLI names the trajectory in its warning
+    drift = SystemSpec(
         name="drift",
         a=[[1.0]],
         c=[[1.0]],
@@ -1059,10 +1056,15 @@ def test_simulate_warns_on_region_exit():
         region=BoxRegion([-1.0], [1.0]),
         sampling_time=0.5,
     )
-    mdl = DiscreteModel(spec, 1)
-    with pytest.warns(UserWarning, match="leaves the region"):
-        traj = simulate(mdl, spec, [0.9], np.zeros((3, 0)))
-    assert traj.first_exit is not None
+    leave = SystemSpec(
+        name="leave", a=[[1.0]], c=[[1.0]], f=(parse("0.1*x1^2"),), region=BoxRegion([-1.0], [1.0])
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = simulate(DiscreteModel(drift, 1), drift, [0.9], np.zeros((3, 0)))
+        assert traj.first_exit is not None
+        traj = simulate(DiscreteModel(leave, 1), leave, [0.9], np.zeros((5, 0)))
+        assert traj.first_exit == 2
 
 
 def _per_step_first_exit(region, states):
@@ -1098,9 +1100,7 @@ def test_first_exit_matches_the_per_step_check():
             traj = simulate(lambda x, u: next(rows), spec, states[0], np.zeros((len(states) - 1, 0)))
         want = _per_step_first_exit(spec.region, states)
         assert traj.first_exit == want, states
-        assert [str(w.message) for w in caught] == (
-            [] if want is None else [f"trajectory of 'box' leaves the region at step {want}"]
-        )
+        assert not caught  # the caller reports the exit
     assert [_per_step_first_exit(spec.region, c) for c in cases[:4]] == [2, 0, None, None]
     with pytest.raises(SpecValidationError, match="must be finite"):
         simulate(lambda x, u: x, spec, [0.0, np.nan, 0.0], np.zeros((1, 0)))

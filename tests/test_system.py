@@ -1,5 +1,6 @@
 """SystemSpec validation, evaluation and derivative caching."""
 
+import json
 from functools import partial
 
 import numpy as np
@@ -62,6 +63,22 @@ def test_from_dict_validation_errors_name_the_field(mutation, path):
     with pytest.raises(SpecValidationError) as err:
         SystemSpec.from_dict(data)
     assert err.value.path == path
+
+
+@pytest.mark.parametrize("text, shown", [("0", "0.0"), ("-1", "-1.0"), ("NaN", "nan")])
+def test_spec_sampling_time_that_is_not_positive_and_finite_names_t(text, shown):
+    # json.load reads the NaN literal; the one rule serves the spec and with_sampling_time
+    data = json.loads(
+        '{"name": "t", "A": [[0]], "C": [[1]], "f": ["0"], '
+        '"region": {"lower": [-1], "upper": [1]}, "T": %s}' % text
+    )
+    with pytest.raises(SpecValidationError) as err:
+        SystemSpec.from_dict(data)
+    assert (err.value.path, err.value.message) == ("T", f"must be positive and finite, got {shown}")
+    data["T"] = 0.1
+    with pytest.raises(SpecValidationError) as err:
+        SystemSpec.from_dict(data).with_sampling_time(0.0)
+    assert (err.value.path, err.value.message) == ("T", "must be positive and finite, got 0.0")
 
 
 @pytest.mark.parametrize("key", ["region", "input_region"])
